@@ -1,9 +1,8 @@
 package pubtac_test
 
-// Benchmark harness: one benchmark per table/figure of the paper (see
-// DESIGN.md's per-experiment index), plus ablation benchmarks for the
-// design decisions DESIGN.md calls out. Experiment benchmarks run
-// scaled-down campaigns (the Scale constant below); use cmd/tables and
+// Benchmark harness: one benchmark per table/figure of the paper, plus
+// ablation benchmarks for the main design decisions. Experiment benchmarks
+// run scaled-down campaigns (the Scale constant below); use cmd/tables and
 // cmd/figures with -scale for larger reproductions.
 
 import (
@@ -26,7 +25,7 @@ import (
 )
 
 // benchScale keeps experiment regeneration tractable inside `go test
-// -bench`; EXPERIMENTS.md records results at larger scales.
+// -bench`.
 const benchScale = 0.002
 
 func benchOpts() experiment.Options { return experiment.Options{Scale: benchScale} }
@@ -113,8 +112,8 @@ func BenchmarkBatchVsSerial(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
-		// WithConfig preserves cfg's worker budget, matching the retired
-		// NewAnalyzer arm: paths run serially, each campaign parallelizes.
+		// WithConfig preserves cfg's worker budget: paths run serially, each
+		// campaign parallelizes.
 		one := pubtac.NewSession(pubtac.WithConfig(cfg))
 		for i := 0; i < b.N; i++ {
 			for _, j := range jobs {
@@ -332,7 +331,7 @@ func BenchmarkConvergeStreaming(b *testing.B) {
 	})
 }
 
-// --- Ablation benchmarks (design decisions in DESIGN.md §5) -----------
+// --- Ablation benchmarks (design decisions) ---------------------------
 
 // BenchmarkAblationPlacementHash compares the keyed-hash random placement
 // against modulo placement on the same trace (cost of randomization).

@@ -16,14 +16,8 @@ import (
 )
 
 // Clock is the time seam the fabric schedules against: wall time in
-// production (fault.Real), injected time in tests (fault.Fake). It is
-// declared structurally so the fault package's implementations satisfy it
-// without this package re-exporting them.
-type Clock interface {
-	Now() time.Time
-	Sleep(ctx context.Context, d time.Duration) error
-	After(d time.Duration) (<-chan time.Time, func() bool)
-}
+// production (fault.Real), injected time in tests (fault.Fake).
+type Clock = fault.Clock
 
 // RetryPolicy tunes the peer fabric. The zero value of any field selects
 // that field's default (see DefaultRetryPolicy); AttemptTimeout and
@@ -141,12 +135,6 @@ type Peers struct {
 	hedgeWins    atomic.Uint64
 	failFast     atomic.Uint64
 	breakerOpens atomic.Uint64
-}
-
-// NewPeers returns a fabric with the default policy over the given daemon
-// base URLs; empty strings are skipped.
-func NewPeers(urls ...string) *Peers {
-	return NewFabric(PeersConfig{}, urls...)
 }
 
 // NewFabric returns a configured fabric over the given daemon base URLs;

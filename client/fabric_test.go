@@ -224,7 +224,7 @@ func TestPeersBreakerOpens(t *testing.T) {
 
 // TuneRetry applies the session-level knobs without rebuilding the fabric.
 func TestPeersTuneRetry(t *testing.T) {
-	p := NewPeers("http://127.0.0.1:1")
+	p := NewFabric(PeersConfig{}, "http://127.0.0.1:1")
 	p.TuneRetry(7, 42*time.Millisecond)
 	if p.policy.MaxAttempts != 7 || p.policy.HedgeDelay != 42*time.Millisecond {
 		t.Errorf("policy = %+v", p.policy)

@@ -77,7 +77,7 @@ func main() {
 		opts = append(opts, pubtac.WithStreamingEstimation(*streamK))
 	}
 	if *peers != "" {
-		opts = append(opts, pubtac.WithPeers(client.NewPeers(strings.Split(*peers, ",")...)))
+		opts = append(opts, pubtac.WithPeers(client.NewFabric(client.PeersConfig{}, strings.Split(*peers, ",")...)))
 		if *shards > 0 {
 			opts = append(opts, pubtac.WithShards(*shards))
 		}

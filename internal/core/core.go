@@ -17,9 +17,10 @@
 //     distribution of every path of the original program under every cache
 //     layout occurring with relevant probability (Corollary 1).
 //
-// AnalyzeMultiPath applies the pipeline to several input vectors and takes
-// the per-probability minimum across the resulting curves (Corollary 2:
-// every pubbed path's estimate is reliable, so the lowest is preferred).
+// AnalyzeBatch applies the pipeline to several input vectors at once; the
+// caller takes the per-probability minimum across the resulting curves
+// (Corollary 2: every pubbed path's estimate is reliable, so the lowest is
+// preferred).
 package core
 
 import (
@@ -159,13 +160,9 @@ type PathAnalysis struct {
 // PWCET returns the PUB+TAC pWCET estimate at exceedance probability p.
 func (pa *PathAnalysis) PWCET(p float64) float64 { return pa.Full.PWCET(p) }
 
-// AnalyzePath runs the full pipeline (Figure 3) on one input vector.
-func (a *Analyzer) AnalyzePath(p *program.Program, in program.Input) (*PathAnalysis, error) {
-	return a.AnalyzePathCtx(context.Background(), p, in)
-}
-
-// AnalyzePathCtx is AnalyzePath with cancellation: a cancelled or expired
-// context stops the measurement campaign promptly and returns ctx.Err().
+// AnalyzePathCtx runs the full pipeline (Figure 3) on one input vector. A
+// cancelled or expired context stops the measurement campaign promptly and
+// returns ctx.Err().
 func (a *Analyzer) AnalyzePathCtx(ctx context.Context, p *program.Program, in program.Input) (*PathAnalysis, error) {
 	pubbed, rep, err := pub.Transform(p)
 	if err != nil {
@@ -359,20 +356,16 @@ type OriginalAnalysis struct {
 	Estimate *mbpta.Estimate
 }
 
-// AnalyzeOriginal measures the original program with plain MBPTA.
-func (a *Analyzer) AnalyzeOriginal(p *program.Program, in program.Input) (*OriginalAnalysis, error) {
-	return a.AnalyzeOriginalCtx(context.Background(), p, in, 0)
-}
-
-// AnalyzeOriginalCtx is AnalyzeOriginal with cancellation. workers, when
-// positive, overrides cfg.MBPTA.Workers for this campaign.
+// AnalyzeOriginalCtx measures the original program with plain MBPTA,
+// cancellably. workers, when positive, overrides cfg.MBPTA.Workers for this
+// campaign.
 func (a *Analyzer) AnalyzeOriginalCtx(ctx context.Context, p *program.Program,
 	in program.Input, workers int) (*OriginalAnalysis, error) {
 	res, err := p.Exec(in)
 	if err != nil {
 		return nil, fmt.Errorf("core: executing %s(%s): %w", p.Name, in.Name, err)
 	}
-	// Same campaign root as AnalyzePath: for single-path programs (where
+	// Same campaign root as AnalyzePathCtx: for single-path programs (where
 	// PUB is innocuous and traces coincide) original and pubbed analyses
 	// then see identical samples, removing spurious seed-to-seed noise
 	// from PUB-vs-original comparisons.
@@ -401,55 +394,4 @@ func (a *Analyzer) AnalyzeOriginalCtx(ctx context.Context, p *program.Program,
 		ROrig:    conv.Runs,
 		Estimate: conv.Estimate,
 	}, nil
-}
-
-// MultiPathAnalysis aggregates pipeline results over several pubbed paths.
-type MultiPathAnalysis struct {
-	Paths []*PathAnalysis
-}
-
-// AnalyzeMultiPath runs the pipeline on every input vector. Per Corollary 2
-// all resulting estimates are reliable and representative upper-bounds of
-// all original paths; PWCET returns the tightest (lowest) one.
-func (a *Analyzer) AnalyzeMultiPath(p *program.Program, inputs []program.Input) (*MultiPathAnalysis, error) {
-	return a.AnalyzeMultiPathCtx(context.Background(), p, inputs, 0)
-}
-
-// AnalyzeMultiPathCtx is AnalyzeMultiPath with cancellation and bounded
-// parallelism: the paths are fanned out over the batch engine, with workers
-// (0 = GOMAXPROCS) bounding the total simulation parallelism. Results are
-// deterministic and independent of the worker count.
-func (a *Analyzer) AnalyzeMultiPathCtx(ctx context.Context, p *program.Program,
-	inputs []program.Input, workers int) (*MultiPathAnalysis, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("core: no input vectors for %s", p.Name)
-	}
-	batch, err := a.AnalyzeBatch(ctx, []Job{{Program: p, Inputs: inputs}}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiPathAnalysis{Paths: batch[0]}, nil
-}
-
-// PWCET returns the minimum pWCET across the analyzed pubbed paths at
-// exceedance probability p (Corollary 2).
-func (m *MultiPathAnalysis) PWCET(p float64) float64 {
-	best := m.Paths[0].PWCET(p)
-	for _, pa := range m.Paths[1:] {
-		if v := pa.PWCET(p); v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// Best returns the path whose estimate is lowest at probability p.
-func (m *MultiPathAnalysis) Best(p float64) *PathAnalysis {
-	best := m.Paths[0]
-	for _, pa := range m.Paths[1:] {
-		if pa.PWCET(p) < best.PWCET(p) {
-			best = pa
-		}
-	}
-	return best
 }

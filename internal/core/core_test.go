@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"pubtac/internal/malardalen"
@@ -21,13 +22,29 @@ func testConfig() Config {
 	return cfg
 }
 
-func TestAnalyzePathBS(t *testing.T) {
-	b := malardalen.BS()
-	a := New(testConfig())
-	pa, err := a.AnalyzePath(b.Program, b.Default())
+// analyzePath runs the pipeline on b's default path under cfg.
+func analyzePath(t *testing.T, cfg Config, b *malardalen.Benchmark) *PathAnalysis {
+	t.Helper()
+	pa, err := New(cfg).AnalyzePathCtx(context.Background(), b.Program, b.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pa
+}
+
+// analyzeOriginal runs plain MBPTA on b's unmodified default path under cfg.
+func analyzeOriginal(t *testing.T, cfg Config, b *malardalen.Benchmark) *OriginalAnalysis {
+	t.Helper()
+	oa, err := New(cfg).AnalyzeOriginalCtx(context.Background(), b.Program, b.Default(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oa
+}
+
+func TestAnalyzePathBS(t *testing.T) {
+	b := malardalen.BS()
+	pa := analyzePath(t, testConfig(), b)
 	if pa.Program != "bs" {
 		t.Fatalf("program = %q", pa.Program)
 	}
@@ -56,11 +73,7 @@ func TestTACRequiresMoreRunsThanMBPTA(t *testing.T) {
 	// requires more runs than PUB to account for conflicting cache
 	// placements", Table 1).
 	b := malardalen.BS()
-	a := New(testConfig())
-	pa, err := a.AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := analyzePath(t, testConfig(), b)
 	if pa.RTac <= pa.RPub {
 		t.Fatalf("RTac = %d not above RPub = %d for bs", pa.RTac, pa.RPub)
 	}
@@ -74,11 +87,7 @@ func TestPubbedUpperBoundsOriginalPaths(t *testing.T) {
 	// upper-bounds every original path's ECCDF.
 	b := malardalen.BS()
 	cfg := testConfig()
-	a := New(cfg)
-	pa, err := a.AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := analyzePath(t, cfg, b)
 	pubbedECDF := stats.NewECDF(pa.Full.Sample)
 
 	const runs = 1500
@@ -95,11 +104,7 @@ func TestPubbedUpperBoundsOriginalPaths(t *testing.T) {
 
 func TestAnalyzeOriginal(t *testing.T) {
 	b := malardalen.CNT()
-	a := New(testConfig())
-	oa, err := a.AnalyzeOriginal(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oa := analyzeOriginal(t, testConfig(), b)
 	if oa.ROrig < 200 || oa.Estimate == nil {
 		t.Fatalf("original analysis incomplete: %+v", oa)
 	}
@@ -109,15 +114,8 @@ func TestPubIncreasesPWCET(t *testing.T) {
 	// For a multipath benchmark, PUB's estimate must be at or above plain
 	// MBPTA's on the original program (pessimism buys path coverage).
 	b := malardalen.CNT()
-	a := New(testConfig())
-	oa, err := a.AnalyzeOriginal(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, err := a.AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oa := analyzeOriginal(t, testConfig(), b)
+	pa := analyzePath(t, testConfig(), b)
 	// Estimates are themselves random quantities ("variations are mostly
 	// caused by random variations in the execution time sample", Section
 	// 4.2); distribution-level dominance is checked in
@@ -130,36 +128,39 @@ func TestPubIncreasesPWCET(t *testing.T) {
 }
 
 func TestAnalyzeMultiPathCorollary2(t *testing.T) {
+	// Corollary 2: every pubbed path's estimate is reliable, so the lowest
+	// across the analyzed paths is still a bound on each original path.
 	b := malardalen.BS()
-	a := New(testConfig())
+	cfg := testConfig()
 	inputs := malardalen.BSMaxIterationInputs(b)[:3]
-	m, err := a.AnalyzeMultiPath(b.Program, inputs)
+	batch, err := New(cfg).AnalyzeBatch(context.Background(), []Job{{Program: b.Program, Inputs: inputs}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Paths) != 3 {
-		t.Fatalf("paths = %d", len(m.Paths))
+	if len(batch) != 1 || len(batch[0]) != 3 {
+		t.Fatalf("batch shape = %d jobs, want 1 job of 3 paths", len(batch))
 	}
-	// The multi-path pWCET is the minimum across paths.
 	p := 1e-12
-	minV := m.Paths[0].PWCET(p)
-	for _, pa := range m.Paths {
-		if v := pa.PWCET(p); v < minV {
-			minV = v
+	minV := batch[0][0].PWCET(p)
+	for i, pa := range batch[0] {
+		if pa.Input.Name != inputs[i].Name {
+			t.Fatalf("path %d input = %q, want %q", i, pa.Input.Name, inputs[i].Name)
 		}
+		minV = min(minV, pa.PWCET(p))
 	}
-	if got := m.PWCET(p); got != minV {
-		t.Fatalf("MultiPath PWCET = %v, want min %v", got, minV)
-	}
-	if m.Best(p).PWCET(p) != minV {
-		t.Fatal("Best() inconsistent with PWCET()")
+	const runs = 1500
+	for _, in := range inputs {
+		res := b.Program.MustExec(in)
+		sample := mbpta.Collect(res.Trace, cfg.Model, runs, mbpta.Seed("orig/"+in.Name), 0)
+		if m := stats.Max(sample); minV < m {
+			t.Fatalf("min pubbed pWCET@%g (%v) below original path %s max (%v)", p, minV, in.Name, m)
+		}
 	}
 }
 
-func TestAnalyzeMultiPathNoInputs(t *testing.T) {
+func TestAnalyzeBatchNoInputs(t *testing.T) {
 	b := malardalen.BS()
-	a := New(testConfig())
-	if _, err := a.AnalyzeMultiPath(b.Program, nil); err == nil {
+	if _, err := New(testConfig()).AnalyzeBatch(context.Background(), []Job{{Program: b.Program}}, 0); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -170,15 +171,8 @@ func TestSinglePathPubInnocuous(t *testing.T) {
 	// pubbed pWCET should be close to the original pWCET (Figure 5,
 	// rightmost benchmarks).
 	b := malardalen.MatMult()
-	a := New(testConfig())
-	oa, err := a.AnalyzeOriginal(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, err := a.AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oa := analyzeOriginal(t, testConfig(), b)
+	pa := analyzePath(t, testConfig(), b)
 	// Compare the PUB-only estimate (R_pub runs): TAC's larger campaign is
 	// a separate effect (Figure 5's category 2). For single-path programs
 	// the pubbed trace is identical and campaigns share the root seed, so
@@ -194,11 +188,7 @@ func TestCampaignCapZeroMeansUnlimited(t *testing.T) {
 	cfg.CampaignCap = 0
 	cfg.TAC.ProbFloor = 0.9 // effectively disables TAC extra runs
 	b := malardalen.InsertSort()
-	a := New(cfg)
-	pa, err := a.AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := analyzePath(t, cfg, b)
 	if pa.RunsUsed != pa.R {
 		t.Fatalf("RunsUsed = %d, want R = %d", pa.RunsUsed, pa.R)
 	}
@@ -206,11 +196,7 @@ func TestCampaignCapZeroMeansUnlimited(t *testing.T) {
 
 func TestPathAnalysisRecordsTACClasses(t *testing.T) {
 	b := malardalen.BS()
-	a := New(testConfig())
-	pa, err := a.AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := analyzePath(t, testConfig(), b)
 	if pa.RTac > 0 && len(pa.TAC.Classes) == 0 {
 		t.Fatal("RTac > 0 but no classes recorded")
 	}
@@ -229,11 +215,7 @@ func TestExtensionBatteryMatchesOneShot(t *testing.T) {
 	// sample (runs test and two-half KS bit-identically, Ljung-Box to
 	// reassociation error).
 	b := malardalen.BS()
-	a := New(testConfig())
-	pa, err := a.AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := analyzePath(t, testConfig(), b)
 	if pa.RunsUsed <= pa.RPub {
 		t.Fatalf("extension path not exercised: RunsUsed %d <= RPub %d", pa.RunsUsed, pa.RPub)
 	}
@@ -265,10 +247,7 @@ func TestIIDWarningEventEmitted(t *testing.T) {
 			warnings = append(warnings, ev)
 		}
 	}
-	pa, err := New(cfg).AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := analyzePath(t, cfg, b)
 	if pa.Full == nil {
 		t.Fatal("analysis did not complete")
 	}
@@ -285,10 +264,7 @@ func TestIIDWarningEventEmitted(t *testing.T) {
 	// the battery degenerates to p=1 and passes even here); assert the
 	// warning tracks the report either way.
 	warnings = nil
-	oa, err := New(cfg).AnalyzeOriginal(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oa := analyzeOriginal(t, cfg, b)
 	if failed := !oa.Estimate.IID.Passed(cfg.MBPTA.Alpha); failed != (len(warnings) > 0) {
 		t.Fatalf("AnalyzeOriginal: battery failed=%v but %d warnings", failed, len(warnings))
 	}
@@ -305,10 +281,7 @@ func TestIIDWarningAbsentWhenAdmissible(t *testing.T) {
 			warnings++
 		}
 	}
-	pa, err := New(cfg).AnalyzePath(b.Program, b.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := analyzePath(t, cfg, b)
 	// Both batteries the analyzer checks must have passed for "no warning"
 	// to be the required outcome: the convergence-time one and — when TAC
 	// extended the campaign — the extended sample's.
@@ -321,32 +294,28 @@ func TestIIDWarningAbsentWhenAdmissible(t *testing.T) {
 	}
 }
 
-func TestReferenceEnumerationMatchesIndexed(t *testing.T) {
-	// The pipeline's TAC results (and everything derived from them: run
-	// requirements, estimates) must be bit-identical between the reference
-	// and the indexed enumeration, at any worker count.
+// TestTACWorkerCountInvariance: the pipeline's TAC results (and everything
+// derived from them: run requirements, estimates) are bit-identical at any
+// TAC worker count. The indexed-against-reference enumeration check lives
+// in package tac (TestIndexedMatchesReference).
+func TestTACWorkerCountInvariance(t *testing.T) {
 	b := malardalen.CNT()
-	run := func(mut func(*Config)) *PathAnalysis {
+	run := func(workers int) *PathAnalysis {
 		cfg := testConfig()
-		mut(&cfg)
-		pa, err := New(cfg).AnalyzePath(b.Program, b.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pa
+		cfg.TAC.Workers = workers
+		return analyzePath(t, cfg, b)
 	}
-	ref := run(func(c *Config) { c.TAC.ReferenceEnumeration = true })
-	for _, workers := range []int{0, 1, 4} {
-		w := workers
-		got := run(func(c *Config) { c.TAC.Workers = w })
-		if got.RTac != ref.RTac || got.R != ref.R {
-			t.Fatalf("workers=%d: RTac %d vs reference %d", w, got.RTac, ref.RTac)
+	want := run(1)
+	for _, workers := range []int{0, 4} {
+		got := run(workers)
+		if got.RTac != want.RTac || got.R != want.R {
+			t.Fatalf("workers=%d: RTac %d vs %d at one worker", workers, got.RTac, want.RTac)
 		}
-		if len(got.TAC.Groups) != len(ref.TAC.Groups) || got.TAC.BaselineMean != ref.TAC.BaselineMean {
-			t.Fatalf("workers=%d: TAC analysis diverged from reference", w)
+		if len(got.TAC.Groups) != len(want.TAC.Groups) || got.TAC.BaselineMean != want.TAC.BaselineMean {
+			t.Fatalf("workers=%d: TAC analysis diverged from one worker", workers)
 		}
-		if got.PWCET(1e-12) != ref.PWCET(1e-12) {
-			t.Fatalf("workers=%d: pWCET diverged", w)
+		if got.PWCET(1e-12) != want.PWCET(1e-12) {
+			t.Fatalf("workers=%d: pWCET diverged", workers)
 		}
 	}
 }

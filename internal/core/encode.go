@@ -13,7 +13,7 @@ import (
 // bump this constant — TestCanonicalEncodingFieldsPinned pins the field
 // lists of every encoded struct so an added field cannot slip through
 // silently.
-const EncodingVersion = 1
+const EncodingVersion = 2
 
 // AppendCanonical appends a canonical, field-order-stable encoding of every
 // result-affecting configuration field to b and returns the extended slice.
@@ -63,7 +63,6 @@ func (c Config) AppendCanonical(b []byte) []byte {
 	b = appendFloat(b, "mbpta.stabilityprob", c.MBPTA.StabilityProb)
 	b = appendInt(b, "mbpta.stablerounds", c.MBPTA.StableRounds)
 	b = appendFloat(b, "mbpta.alpha", c.MBPTA.Alpha)
-	b = appendBool(b, "mbpta.referenceiid", c.MBPTA.ReferenceIID)
 	b = appendBool(b, "mbpta.streaming", c.MBPTA.Streaming)
 	b = appendInt(b, "mbpta.streambudget", c.MBPTA.StreamBudget)
 
@@ -77,7 +76,6 @@ func (c Config) AppendCanonical(b []byte) []byte {
 	b = appendInt(b, "tac.baselineseeds", c.TAC.BaselineSeeds)
 	b = appendInt(b, "tac.pinseeds", c.TAC.PinSeeds)
 	b = appendUint(b, "tac.seed", c.TAC.Seed)
-	b = appendBool(b, "tac.referenceenumeration", c.TAC.ReferenceEnumeration)
 
 	// Top-level knobs (Progress excluded).
 	b = appendInt(b, "campaigncap", c.CampaignCap)

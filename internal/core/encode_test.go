@@ -17,6 +17,9 @@ import (
 // AND bump EncodingVersion — cache keys derived from the encoding must not
 // collide across configurations that differ in the new field.
 func TestCanonicalEncodingFieldsPinned(t *testing.T) {
+	if EncodingVersion != 2 {
+		t.Fatalf("EncodingVersion = %d, want 2: re-pin the field lists below with the bump", EncodingVersion)
+	}
 	pinned := []struct {
 		name   string
 		typ    reflect.Type
@@ -27,12 +30,11 @@ func TestCanonicalEncodingFieldsPinned(t *testing.T) {
 				"Sharder", "Shards"}},
 		{"mbpta.Config", reflect.TypeOf(Config{}.MBPTA),
 			[]string{"InitialRuns", "Increment", "MaxRuns", "TailCount", "StabilityEps",
-				"StabilityProb", "StableRounds", "Alpha", "Workers", "ReferenceIID",
+				"StabilityProb", "StableRounds", "Alpha", "Workers",
 				"Streaming", "StreamBudget"}},
 		{"tac.Config", reflect.TypeOf(Config{}.TAC),
 			[]string{"MissProb", "MinImpactRel", "ImpactTol", "HotLines", "MaxExtraWays",
-				"ProbFloor", "BaselineSeeds", "PinSeeds", "Seed", "Workers",
-				"ReferenceEnumeration"}},
+				"ProbFloor", "BaselineSeeds", "PinSeeds", "Seed", "Workers"}},
 		{"proc.Model", reflect.TypeOf(proc.Model{}),
 			[]string{"IL1", "DL1", "Lat"}},
 		{"cache.Config", reflect.TypeOf(cache.Config{}),

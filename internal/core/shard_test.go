@@ -11,7 +11,6 @@ import (
 	"pubtac/internal/malardalen"
 	"pubtac/internal/mbpta"
 	"pubtac/internal/pub"
-	"pubtac/internal/stats"
 )
 
 // memSharder executes ShardSpecs in-process exactly the way a pubtacd
@@ -56,18 +55,15 @@ func (m *memSharder) CollectShard(ctx context.Context, spec ShardSpec) ([]float6
 	if err != nil {
 		return nil, err
 	}
-	// Workers always collect into a full summary (raw sample transport):
-	// full-summary state is chunking-invariant, so the coordinator's merged
-	// campaign is bit-identical in every estimation mode — including a
-	// streaming coordinator, which streams over the merged raw runs.
-	wcfg := m.cfg.MBPTA
-	wcfg.Streaming = false
-	wcfg.ReferenceIID = true
-	sum, err := mbpta.NewCampaign(res.Trace, m.cfg.Model).CollectRangeCtx(ctx, wcfg, spec.Lo, spec.Hi, spec.Root, nil)
+	// CollectRangeCtx always collects into a full summary (raw sample
+	// transport), so the coordinator's merged campaign is bit-identical in
+	// every estimation mode — including a streaming coordinator, which
+	// streams over the merged raw runs.
+	sum, err := mbpta.NewCampaign(res.Trace, m.cfg.Model).CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, m.cfg.MBPTA.Workers, nil)
 	if err != nil {
 		return nil, err
 	}
-	return sum.(*stats.FullSummary).Sample(), nil
+	return sum.Sample(), nil
 }
 
 // shardTestConfig keeps campaigns small while still exercising the

@@ -21,13 +21,6 @@ func NewComposite(sample []float64, tail Curve) *Composite {
 	return &Composite{Emp: stats.NewECDF(sample), Tail: tail}
 }
 
-// NewCompositeSorted builds the composite over an already ascending-sorted
-// sample, which the ECDF adopts without copying; the caller must not modify
-// it afterwards.
-func NewCompositeSorted(sorted []float64, tail Curve) *Composite {
-	return &Composite{Emp: stats.NewECDFSorted(sorted), Tail: tail}
-}
-
 // empValueAt returns the smallest observed value whose empirical exceedance
 // probability is at most p.
 func (c *Composite) empValueAt(p float64) float64 {

@@ -6,8 +6,7 @@
 // Campaign sizes scale with Options.Scale: 1.0 reproduces paper-sized
 // campaigns (10^6-run ECCDFs, full R_pub+tac campaigns), smaller values
 // shrink every campaign proportionally while keeping the analytic outputs
-// (TAC run counts, probabilities) exact. EXPERIMENTS.md records the scale
-// used for the checked-in results.
+// (TAC run counts, probabilities) exact.
 package experiment
 
 import (
@@ -35,9 +34,6 @@ type Options struct {
 	// uniformly; outputs are identical at any worker count.
 	Workers int
 }
-
-// DefaultOptions returns a laptop-friendly configuration (Scale 0.05).
-func DefaultOptions() Options { return Options{Scale: 0.05} }
 
 // scaled returns max(min, round(n*Scale)).
 func (o Options) scaled(n int, min int) int {
@@ -81,12 +77,13 @@ type Table1Row struct {
 func Table1(ctx context.Context, opts Options) ([]Table1Row, error) {
 	b := malardalen.BS()
 	a := core.New(opts.AnalyzerConfig())
-	m, err := a.AnalyzeMultiPathCtx(ctx, b.Program, malardalen.BSMaxIterationInputs(b), opts.budget())
+	batch, err := a.AnalyzeBatch(ctx,
+		[]core.Job{{Program: b.Program, Inputs: malardalen.BSMaxIterationInputs(b)}}, opts.budget())
 	if err != nil {
 		return nil, fmt.Errorf("table1: %w", err)
 	}
-	rows := make([]Table1Row, len(m.Paths))
-	for i, pa := range m.Paths {
+	rows := make([]Table1Row, len(batch[0]))
+	for i, pa := range batch[0] {
 		rows[i] = Table1Row{
 			Input:    pa.Input.Name,
 			RPubK:    float64(pa.RPub) / 1000,

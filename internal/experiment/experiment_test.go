@@ -231,7 +231,7 @@ func TestFigure5Categories(t *testing.T) {
 	}
 	// crc: the default input misses the worst path; PUB must increase the
 	// estimate (the magnitude — 4.4x in the paper — depends on campaign
-	// scale; EXPERIMENTS.md reports the measured value at full scale).
+	// scale).
 	if r := byName["crc"].PubRatio; r < 1.02 {
 		t.Errorf("crc: PUB ratio = %v, want > 1 (paper: 4.4x)", r)
 	}

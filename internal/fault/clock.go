@@ -13,10 +13,8 @@ import (
 // single escape-audited wall-clock touchpoint, and tests drive the exact
 // same code deterministically through Fake.
 //
-// The interface is structural on purpose: packages that need a clock (the
-// client peer fabric, the injector's Delay action) declare their own
-// identical interface and accept any implementation, so depending on this
-// package is never required to satisfy one.
+// The client peer fabric re-exports it as client.Clock, so callers outside
+// the module can name the seam.
 type Clock interface {
 	// Now returns the current reading. Readings are only ever compared to
 	// each other (cooldown expiry), never stored in results.

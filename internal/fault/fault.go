@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,13 +237,22 @@ func (inj *Injector) DecideAt(id uint64, n uint32) Decision {
 // FailStatus returns the synthetic HTTP status used for Fail decisions.
 func (inj *Injector) FailStatus() int { return inj.spec.FailStatus }
 
-// Schedule returns a copy of every recorded decision, in decision order.
-// Two runs of the same traffic under the same seed record permutations of
-// the same multiset; per identity the order is identical.
+// Schedule returns a copy of every recorded decision, sorted by (ID, N).
+// Concurrent traffic records decisions in an arrival order that varies from
+// run to run, but each (ID, N) pair occurs once and its decision is a pure
+// function of the seed, so two runs of the same traffic under the same seed
+// return equal schedules.
 func (inj *Injector) Schedule() []Event {
 	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return append([]Event(nil), inj.log...)
+	out := append([]Event(nil), inj.log...)
+	inj.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].ID != out[j].ID {
+			return out[i].ID < out[j].ID
+		}
+		return out[i].N < out[j].N
+	})
+	return out
 }
 
 // Counts returns how many decisions of each kind were recorded — the

@@ -61,6 +61,33 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestScheduleOrderIndependent: concurrent traffic records decisions in an
+// arrival order that varies from run to run, so Schedule must not expose it.
+// Two injectors that see the same decisions in different orders return
+// equal schedules.
+func TestScheduleOrderIndependent(t *testing.T) {
+	spec := Spec{Seed: 7, Drop: 300, Fail: 200}
+	a, b := New(spec), New(spec)
+	ids := []uint64{Identify([]byte("shard-a")), Identify([]byte("shard-b")), Identify([]byte("shard-c"))}
+	for n := 0; n < 20; n++ {
+		for _, id := range ids {
+			a.Decide(id)
+		}
+	}
+	for i := len(ids) - 1; i >= 0; i-- {
+		for n := 0; n < 20; n++ {
+			b.Decide(ids[i])
+		}
+	}
+	sa, sb := a.Schedule(), b.Schedule()
+	if len(sa) != 3*20 {
+		t.Fatalf("schedule has %d events, want %d", len(sa), 3*20)
+	}
+	if !reflect.DeepEqual(sa, sb) {
+		t.Fatal("same decisions recorded in different orders produced different schedules")
+	}
+}
+
 func TestSpecRates(t *testing.T) {
 	inj := New(Spec{Seed: 7, Drop: 250, Fail: 250})
 	counts := map[Kind]int{}

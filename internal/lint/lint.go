@@ -20,8 +20,8 @@
 //   - oraclepair: every declaration marked //pubtac:fastpath <name> must
 //     have a matching //pubtac:reference <name> declaration in the same
 //     package, and some test file must mention both identifiers — the
-//     fast-path/reference-oracle discipline (Engine.UseReference,
-//     Config.ReferenceIID, Config.ReferenceEnumeration), machine-checked.
+//     fast-path/reference-oracle discipline (Engine.UseReference and the
+//     mbpta and tac reference test seams), machine-checked.
 //   - sortedview: a []float64 parameter whose name contains "sorted"
 //     declares an ascending-sorted-view precondition; arguments at such
 //     positions must be traceable to stats.SortedCopy, stats.MergeSorted, a

@@ -10,20 +10,23 @@ import (
 )
 
 // TestExtendToMatchesCollect proves the sample-reuse primitive of package
-// core: extending a prefix campaign to R runs is bit-identical to
-// collecting all R runs from scratch, at any split point and worker count.
+// core: extending a prefix summary to R runs with ExtendSummaryCtx is
+// bit-identical to collecting all R runs from scratch, at any split point
+// and worker count.
 func TestExtendToMatchesCollect(t *testing.T) {
 	tr := trace.Repeat(trace.FromLetters("ABCDEFGHIJ", 32), 60)
 	model := proc.DefaultModel()
+	camp := NewCampaign(tr, model)
 	const root = 0xFEED
 	full := Collect(tr, model, 300, root, 1)
 	for _, split := range []int{0, 1, 137, 299, 300} {
 		for _, workers := range []int{1, 4} {
-			prefix := Collect(tr, model, split, root, workers)
-			got, err := ExtendToCtx(context.Background(), tr, model, prefix, 300, root, workers, nil)
-			if err != nil {
+			sum := stats.NewFullSummary(true)
+			sum.Push(Collect(tr, model, split, root, workers))
+			if err := camp.ExtendSummaryCtx(context.Background(), sum, 300, root, workers, nil); err != nil {
 				t.Fatalf("split %d: %v", split, err)
 			}
+			got := sum.Sample()
 			if len(got) != len(full) {
 				t.Fatalf("split %d: len %d, want %d", split, len(got), len(full))
 			}
@@ -35,11 +38,11 @@ func TestExtendToMatchesCollect(t *testing.T) {
 			}
 		}
 	}
-	// A target at or below the current size is a no-op returning the input.
-	prefix := full[:100]
-	got, err := ExtendToCtx(context.Background(), tr, model, prefix, 50, root, 1, nil)
-	if err != nil || len(got) != 100 {
-		t.Fatalf("shrinking target: got len %d err %v, want the input back", len(got), err)
+	// A target at or below the current size is a no-op.
+	sum := stats.NewFullSummary(true)
+	sum.Push(full[:100])
+	if err := camp.ExtendSummaryCtx(context.Background(), sum, 50, root, 1, nil); err != nil || sum.N() != 100 {
+		t.Fatalf("shrinking target: got n %d err %v, want the summary unchanged", sum.N(), err)
 	}
 }
 

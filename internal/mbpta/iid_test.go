@@ -1,6 +1,7 @@
 package mbpta
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,11 +21,12 @@ func closeTest(a, b stats.TestResult, tol float64) bool {
 	return a.Name == b.Name && relOK(a.Statistic, b.Statistic) && relOK(a.PValue, b.PValue)
 }
 
-// TestNewEstimateIIDMatchesSorted: feeding the incremental battery the whole
-// sample reproduces NewEstimateSorted — identical fit, curve and CV, with
-// the battery report matching the reference (runs/KS bit-identically,
-// Ljung-Box to reassociation error).
-func TestNewEstimateIIDMatchesSorted(t *testing.T) {
+// TestIncrementalBatteryEstimateMatchesSorted: estimating from a full
+// summary whose incremental battery was fed the whole sample reproduces
+// NewEstimateSorted — identical fit, curve and CV, with the battery report
+// matching the one-shot reference (runs/KS bit-identically, Ljung-Box to
+// reassociation error).
+func TestIncrementalBatteryEstimateMatchesSorted(t *testing.T) {
 	tr := loopTrace(10, 80)
 	sample := Collect(tr, proc.DefaultModel(), 2000, 17, 0)
 	cfg := DefaultConfig()
@@ -36,7 +38,7 @@ func TestNewEstimateIIDMatchesSorted(t *testing.T) {
 	}
 	st := new(stats.IIDState)
 	st.Push(sample)
-	inc, err := NewEstimateIID(sample, sorted, st, cfg)
+	inc, err := NewEstimateSummary(stats.AdoptFullSummary(sample, sorted, st), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +88,8 @@ func TestIIDStateMatchesCheckIIDOnCampaigns(t *testing.T) {
 }
 
 // TestConvergeReferenceIIDEquivalence runs the same convergence search with
-// the incremental battery and with Config.ReferenceIID (the one-shot
-// CheckIID oracle every round): the searches must take identical paths —
+// the incremental battery and through the Campaign.referenceIID seam (the
+// one-shot CheckIID oracle every round): the searches must take identical paths —
 // same runs, rounds and pWCET, since the battery is diagnostic — and the
 // final admissibility reports must agree.
 func TestConvergeReferenceIIDEquivalence(t *testing.T) {
@@ -98,12 +100,13 @@ func TestConvergeReferenceIIDEquivalence(t *testing.T) {
 	cfg.Increment = 300
 	cfg.MaxRuns = 20000
 
-	fast, err := Converge(tr, m, cfg, 23)
+	fast, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 23, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ReferenceIID = true
-	ref, err := Converge(tr, m, cfg, 23)
+	refCamp := NewCampaign(tr, m)
+	refCamp.referenceIID = true
+	ref, err := refCamp.ConvergeCtx(context.Background(), cfg, 23, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

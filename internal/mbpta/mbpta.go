@@ -7,7 +7,7 @@
 // The package provides the two run counts the paper distinguishes:
 //
 //   - R_pub (or R_orig): the number of runs MBPTA itself needs for the
-//     pWCET estimate to stabilize (Converge);
+//     pWCET estimate to stabilize (Campaign.ConvergeCtx);
 //   - R_pub+tac: the maximum of R_pub and TAC's minimum (the caller takes
 //     the max; see package core).
 package mbpta
@@ -51,13 +51,6 @@ type Config struct {
 	Alpha float64
 	// Workers bounds campaign parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// ReferenceIID disables the incremental i.i.d. battery in convergence
-	// searches and campaign extensions: every round recomputes the
-	// one-shot stats.CheckIID battery over the full sample instead. It is
-	// the battery's analogue of proc's Engine.UseReference — slower, kept
-	// as the reference oracle for equivalence tests. Ignored when
-	// Streaming is set (the streaming battery is the only bounded one).
-	ReferenceIID bool
 	// Streaming switches convergence searches and campaign extensions to
 	// the bounded-memory stats.StreamingSummary: peak estimation-layer
 	// memory is O(StreamBudget) regardless of the run count, at the
@@ -118,6 +111,12 @@ type Campaign struct {
 	// remote, when set, collects run ranges on remote workers before the
 	// local engines fill whatever is left. See SetRemote.
 	remote RangeCollector
+
+	// referenceIID is a test seam: convergence searches on a full-sample
+	// summary recompute the one-shot stats.CheckIID battery every round
+	// instead of maintaining the incremental one. Results are identical;
+	// the equivalence tests set it to compare the two batteries.
+	referenceIID bool
 }
 
 // Range is a half-open run-index interval [Lo, Hi) of a campaign.
@@ -138,7 +137,7 @@ type Range struct {
 type RangeCollector func(ctx context.Context, dst []float64, offset int) ([]Range, error)
 
 // SetRemote installs a remote range collector on the campaign: every
-// subsequent collection (Converge rounds, extensions, CollectCtx) first
+// subsequent collection (convergence rounds, extensions, CollectCtx) first
 // offers the full range to rc and computes only the returned leftovers with
 // the local engines. collectLocal is the reference arm: with any rc — even
 // one that fails every shard — results are bit-identical to a campaign that
@@ -150,7 +149,7 @@ type RangeCollector func(ctx context.Context, dst []float64, offset int) ([]Rang
 func (c *Campaign) SetRemote(rc RangeCollector) { c.remote = rc }
 
 // NewCampaign compiles tr for the model once, for any number of subsequent
-// Collect/Converge/ExtendTo calls.
+// collections, convergence searches and extensions.
 func NewCampaign(tr trace.Trace, model proc.Model) *Campaign {
 	return &Campaign{Trace: tr, Model: model, Compiled: proc.Compile(tr, model)}
 }
@@ -168,15 +167,8 @@ func (c *Campaign) newEngine() *proc.Engine {
 // goroutines; the result is identical to a sequential campaign because run i
 // depends only on (root, i).
 func Collect(tr trace.Trace, model proc.Model, n int, root uint64, workers int) []float64 {
-	times, _ := CollectCtx(context.Background(), tr, model, n, root, workers, nil)
+	times, _ := NewCampaign(tr, model).CollectCtx(context.Background(), n, root, workers, nil)
 	return times
-}
-
-// CollectCtx is Collect with cancellation and progress reporting; it
-// compiles the trace once and delegates to Campaign.CollectCtx.
-func CollectCtx(ctx context.Context, tr trace.Trace, model proc.Model, n int,
-	root uint64, workers int, progress Progress) ([]float64, error) {
-	return NewCampaign(tr, model).CollectCtx(ctx, n, root, workers, progress)
 }
 
 // CollectCtx runs the campaign n times with seeds derived from root and
@@ -354,33 +346,22 @@ func NewEstimate(sample []float64, cfg Config) (*Estimate, error) {
 }
 
 // NewEstimateSorted is NewEstimate for callers that already hold an
-// ascending-sorted view of sample (the convergence loop maintains one
-// incrementally across rounds). The single sort is shared by every
+// ascending-sorted view of sample. The single sort is shared by every
 // candidate tail fit, every CV test, the empirical ECCDF and the runs-test
 // median of the i.i.d. battery; sorted is adopted by the estimate and must
 // not be modified afterwards. sample stays in run order (the i.i.d. battery
-// needs it).
+// needs it), and the battery is the one-shot reference.
 func NewEstimateSorted(sample, sorted []float64, cfg Config) (*Estimate, error) {
 	return NewEstimateSummary(stats.AdoptFullSummary(sample, sorted, nil), cfg)
-}
-
-// NewEstimateIID is NewEstimateSorted for callers that additionally
-// maintain the i.i.d. battery incrementally: st must have been fed exactly
-// sample, in run order, through Push. The admissibility report then costs
-// O(lags) plus the battery's unscanned suffix instead of a full-sample
-// re-scan; the one-shot path (NewEstimate/NewEstimateSorted) stays as the
-// reference battery for external callers and for Config.ReferenceIID.
-func NewEstimateIID(sample, sorted []float64, st *stats.IIDState, cfg Config) (*Estimate, error) {
-	return NewEstimateSummary(stats.AdoptFullSummary(sample, sorted, st), cfg)
 }
 
 // NewEstimateSummary fits a pWCET model to the sample behind a
 // stats.SampleSummary: the tail fit, CV test, composite curve and
 // admissibility battery all read the summary, so the one entry point serves
-// both the retained-sample reference arm (bit-identical to the historical
-// NewEstimateSorted/NewEstimateIID paths) and the bounded-memory streaming
-// arm. The estimate holds an immutable snapshot of the summary; the caller
-// may keep pushing runs into it afterwards.
+// both the retained-sample reference arm (bit-identical to
+// NewEstimateSorted) and the bounded-memory streaming arm. The estimate
+// holds an immutable snapshot of the summary; the caller may keep pushing
+// runs into it afterwards.
 func NewEstimateSummary(sum stats.SampleSummary, cfg Config) (*Estimate, error) {
 	v := sum.View()
 	tail, cv, err := evt.FitExpTailAutoSummary(v, cfg.TailCount, v.N()/5)
@@ -430,27 +411,15 @@ type Convergence struct {
 	Summary stats.SampleSummary
 }
 
-// Converge grows a measurement campaign until the probe pWCET stabilizes:
-// starting from InitialRuns, it adds Increment runs per round and declares
-// convergence after StableRounds consecutive rounds where the pWCET at
-// StabilityProb moves by less than StabilityEps relatively. It returns the
-// run count MBPTA needs on this program — the paper's R_pub (pubbed
-// programs) or R_orig (original programs).
-func Converge(tr trace.Trace, model proc.Model, cfg Config, root uint64) (*Convergence, error) {
-	return ConvergeCtx(context.Background(), tr, model, cfg, root, nil)
-}
-
-// ConvergeCtx is Converge with cancellation and progress reporting; it
-// compiles the trace once and delegates to Campaign.ConvergeCtx.
-func ConvergeCtx(ctx context.Context, tr trace.Trace, model proc.Model, cfg Config,
-	root uint64, progress Progress) (*Convergence, error) {
-	return NewCampaign(tr, model).ConvergeCtx(ctx, cfg, root, progress)
-}
-
-// ConvergeCtx runs the convergence search on the campaign. The progress
-// target grows by Increment per round until the estimate stabilizes, so
-// target is a moving lower bound on the final run count. Every round's
-// workers replay the one shared compilation.
+// ConvergeCtx grows the measurement campaign until the probe pWCET
+// stabilizes: starting from InitialRuns, it adds Increment runs per round
+// and declares convergence after StableRounds consecutive rounds where the
+// pWCET at StabilityProb moves by less than StabilityEps relatively. It
+// returns the run count MBPTA needs on this program — the paper's R_pub
+// (pubbed programs) or R_orig (original programs). The progress target
+// grows by Increment per round until the estimate stabilizes, so target is
+// a moving lower bound on the final run count. Every round's workers replay
+// the one shared compilation.
 func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
 	root uint64, progress Progress) (*Convergence, error) {
 	if cfg.InitialRuns < 20 {
@@ -463,6 +432,9 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
 	// O(n·lags) battery re-scan — and O(K + inc·log inc) with a streaming
 	// summary, whose memory never grows past the budget.
 	sum := NewSummary(cfg)
+	if c.referenceIID && !cfg.Streaming {
+		sum = stats.NewFullSummary(false)
+	}
 	if err := c.pushRuns(ctx, sum, cfg.InitialRuns, root, cfg.Workers, progress); err != nil {
 		return nil, err
 	}
@@ -499,8 +471,7 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
 
 // NewSummary builds the sample summary a campaign under cfg accumulates
 // into: streaming (bounded memory) when cfg.Streaming, otherwise the
-// full-sample reference summary with the battery mode cfg.ReferenceIID
-// selects.
+// full-sample reference summary with the incremental i.i.d. battery.
 func NewSummary(cfg Config) stats.SampleSummary {
 	if cfg.Streaming {
 		b := cfg.StreamBudget
@@ -509,7 +480,7 @@ func NewSummary(cfg Config) stats.SampleSummary {
 		}
 		return stats.NewStreamingSummary(b)
 	}
-	return stats.NewFullSummary(!cfg.ReferenceIID)
+	return stats.NewFullSummary(true)
 }
 
 // streamChunk is the collection granularity of streaming campaigns: runs are
@@ -573,25 +544,25 @@ func (c *Campaign) pushRangeAt(ctx context.Context, sum stats.SampleSummary,
 }
 
 // CollectRangeCtx collects the shard [lo, hi) of the campaign rooted at
-// root into a fresh summary built per cfg — the worker half of distributed
-// campaign sharding. Because run i depends only on (root, i), and because
+// root into a fresh full summary — the worker half of distributed campaign
+// sharding. Because run i depends only on (root, i), and because
 // full-summary state is a pure, chunking-invariant function of the pushed
 // run sequence, merging per-shard summaries for consecutive ranges in index
-// order reproduces the single-process summary bit-identically at any shard
-// count. (Streaming summaries are collectable here too, but their battery
-// dichotomizes per chunk from the range start, so merged streaming shards
-// are an approximation — coordinators therefore always shard with full
-// summaries and stream only the merged result if asked.) The summary is
-// collected with cfg.Workers local workers; the campaign's remote collector
-// is deliberately not consulted, so a worker can never re-shard its shard.
-func (c *Campaign) CollectRangeCtx(ctx context.Context, cfg Config, lo, hi int,
-	root uint64, progress Progress) (stats.SampleSummary, error) {
+// order reproduces the single-process sample bit-identically at any shard
+// count, and a coordinator in any estimation mode (streaming included)
+// pushes the merged raw runs into its own summary. Only the sample ships,
+// so the summary keeps no incremental battery; its IID is the one-shot
+// reference. The range is collected with workers local workers; the
+// campaign's remote collector is deliberately not consulted, so a worker can
+// never re-shard its shard.
+func (c *Campaign) CollectRangeCtx(ctx context.Context, lo, hi int,
+	root uint64, workers int, progress Progress) (*stats.FullSummary, error) {
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("mbpta: invalid run range [%d, %d)", lo, hi)
 	}
 	local := &Campaign{Trace: c.Trace, Model: c.Model, Compiled: c.Compiled}
-	sum := NewSummary(cfg)
-	if err := local.pushRangeAt(ctx, sum, lo, hi-lo, root, cfg.Workers, progress); err != nil {
+	sum := stats.NewFullSummary(false)
+	if err := local.pushRangeAt(ctx, sum, lo, hi-lo, root, workers, progress); err != nil {
 		return nil, err
 	}
 	return sum, nil
@@ -608,37 +579,6 @@ func (c *Campaign) ExtendSummaryCtx(ctx context.Context, sum stats.SampleSummary
 	return c.pushRuns(ctx, sum, target-sum.N(), root, workers, progress)
 }
 
-// extendCtx appends inc new runs to sample, cancellably. The new runs'
-// progress target is the extended sample size.
-func (c *Campaign) extendCtx(ctx context.Context, sample []float64,
-	inc int, root uint64, workers int, progress Progress) ([]float64, error) {
-	start := len(sample)
-	out := append(sample, make([]float64, inc)...)
-	err := c.collectInto(ctx, out[start:], root, start, workers, progress, len(out))
-	return out, err
-}
-
-// ExtendToCtx grows a campaign sample to target runs, appending runs
-// len(sample)..target-1 of the campaign rooted at root. Because run i
-// depends only on (root, i), the result is bit-identical to collecting all
-// target runs from scratch — callers holding a converged sample (package
-// core, when TAC demands more runs than MBPTA needed) reuse the prefix
-// instead of simulating it twice. The input slice is not modified.
-func ExtendToCtx(ctx context.Context, tr trace.Trace, model proc.Model, sample []float64,
-	target int, root uint64, workers int, progress Progress) ([]float64, error) {
-	return NewCampaign(tr, model).ExtendToCtx(ctx, sample, target, root, workers, progress)
-}
-
-// ExtendToCtx is the Campaign form of the package-level ExtendToCtx,
-// reusing the campaign's shared compilation for the appended runs.
-func (c *Campaign) ExtendToCtx(ctx context.Context, sample []float64,
-	target int, root uint64, workers int, progress Progress) ([]float64, error) {
-	if target <= len(sample) {
-		return sample, ctx.Err()
-	}
-	return c.extendCtx(ctx, sample, target-len(sample), root, workers, progress)
-}
-
 func relDiff(a, b float64) float64 {
 	if b == 0 {
 		if a == 0 {
@@ -648,10 +588,6 @@ func relDiff(a, b float64) float64 {
 	}
 	return math.Abs(a-b) / math.Abs(b)
 }
-
-// ECCDF returns the empirical complementary CDF of a sample (convenience
-// re-export used by figure generators).
-func ECCDF(sample []float64) *stats.ECDF { return stats.NewECDF(sample) }
 
 // Seed derives a reproducible campaign root seed from a name, so that
 // experiments identify campaigns by benchmark/input labels.

@@ -91,11 +91,11 @@ func TestConvergeDeterministicAndStable(t *testing.T) {
 	cfg.InitialRuns = 300
 	cfg.Increment = 300
 	cfg.MaxRuns = 20000
-	c1, err := Converge(tr, m, cfg, 11)
+	c1, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Converge(tr, m, cfg, 11)
+	c2, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestConvergeRespectsMaxRuns(t *testing.T) {
 	cfg.MaxRuns = 250
 	cfg.StabilityEps = 0 // never stable
 	cfg.StableRounds = 3
-	c, err := Converge(tr, proc.DefaultModel(), cfg, 5)
+	c, err := NewCampaign(tr, proc.DefaultModel()).ConvergeCtx(context.Background(), cfg, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,24 +136,26 @@ func TestConvergeRespectsMaxRuns(t *testing.T) {
 func TestConvergeRejectsTinyInitial(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialRuns = 5
-	if _, err := Converge(loopTrace(4, 10), proc.DefaultModel(), cfg, 1); err == nil {
+	if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel()).ConvergeCtx(context.Background(), cfg, 1, nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
+// TestExtendMatchesCollect: a worker-collected range summary extended past
+// its end holds exactly the runs of a from-scratch campaign.
 func TestExtendMatchesCollect(t *testing.T) {
 	tr := loopTrace(6, 40)
 	m := proc.DefaultModel()
 	full := Collect(tr, m, 500, 3, 0)
 	c := NewCampaign(tr, m)
-	part, err := c.CollectCtx(context.Background(), 200, 3, 0, nil)
+	sum, err := c.CollectRangeCtx(context.Background(), 0, 200, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := c.extendCtx(context.Background(), part, 300, 3, 0, nil)
-	if err != nil {
+	if err := c.ExtendSummaryCtx(context.Background(), sum, 500, 3, 0, nil); err != nil {
 		t.Fatal(err)
 	}
+	ext := sum.Sample()
 	if len(ext) != 500 {
 		t.Fatalf("len = %d", len(ext))
 	}
@@ -170,13 +172,6 @@ func TestSeedStableAndDistinct(t *testing.T) {
 	}
 	if Seed("bs") == Seed("cnt") {
 		t.Fatal("Seed collision between names")
-	}
-}
-
-func TestECCDFHelper(t *testing.T) {
-	e := ECCDF([]float64{1, 2, 3})
-	if e.Len() != 3 {
-		t.Fatal("ECCDF helper broken")
 	}
 }
 

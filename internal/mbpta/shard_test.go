@@ -41,16 +41,16 @@ func TestCollectRangeMergeBitIdentical(t *testing.T) {
 	const n = 1000
 	ctx := context.Background()
 
-	whole, err := camp.CollectRangeCtx(ctx, cfg, 0, n, 42, nil)
+	whole, err := camp.CollectRangeCtx(ctx, 0, n, 42, cfg.Workers, nil)
 	if err != nil {
 		t.Fatalf("whole: %v", err)
 	}
 
 	for _, shards := range []int{1, 2, 8} {
-		var merged stats.SampleSummary
+		var merged *stats.FullSummary
 		for i := 0; i < shards; i++ {
 			lo, hi := i*n/shards, (i+1)*n/shards
-			part, err := camp.CollectRangeCtx(ctx, cfg, lo, hi, 42, nil)
+			part, err := camp.CollectRangeCtx(ctx, lo, hi, 42, cfg.Workers, nil)
 			if err != nil {
 				t.Fatalf("shards=%d part %d: %v", shards, i, err)
 			}
@@ -75,15 +75,15 @@ func TestCollectRangeMergeBitIdentical(t *testing.T) {
 func TestCollectRangeValidation(t *testing.T) {
 	camp := NewCampaign(loopTrace(4, 30), proc.DefaultModel())
 	cfg := shardCfg()
-	if _, err := camp.CollectRangeCtx(context.Background(), cfg, -1, 5, 1, nil); err == nil {
+	if _, err := camp.CollectRangeCtx(context.Background(), -1, 5, 1, cfg.Workers, nil); err == nil {
 		t.Fatal("negative lo accepted")
 	}
-	if _, err := camp.CollectRangeCtx(context.Background(), cfg, 7, 3, 1, nil); err == nil {
+	if _, err := camp.CollectRangeCtx(context.Background(), 7, 3, 1, cfg.Workers, nil); err == nil {
 		t.Fatal("hi < lo accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := camp.CollectRangeCtx(ctx, cfg, 0, 100000, 1, nil); !errors.Is(err, context.Canceled) {
+	if _, err := camp.CollectRangeCtx(ctx, 0, 100000, 1, cfg.Workers, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled collect: err = %v", err)
 	}
 }
@@ -93,13 +93,13 @@ func TestCollectRangeValidation(t *testing.T) {
 // and fails every shard the fail predicate selects, returning it as a
 // leftover range for the local fallback.
 type shardingCollector struct {
-	camp   *Campaign
-	cfg    Config
-	root   uint64
-	shards int
-	fail   func(shard int) bool
-	calls  atomic.Int64
-	failed atomic.Int64
+	camp    *Campaign
+	workers int
+	root    uint64
+	shards  int
+	fail    func(shard int) bool
+	calls   atomic.Int64
+	failed  atomic.Int64
 }
 
 func (sc *shardingCollector) collect(ctx context.Context, dst []float64, offset int) ([]Range, error) {
@@ -116,11 +116,11 @@ func (sc *shardingCollector) collect(ctx context.Context, dst []float64, offset 
 			leftover = append(leftover, Range{Lo: lo, Hi: hi})
 			continue
 		}
-		sum, err := sc.camp.CollectRangeCtx(ctx, sc.cfg, lo, hi, sc.root, nil)
+		sum, err := sc.camp.CollectRangeCtx(ctx, lo, hi, sc.root, sc.workers, nil)
 		if err != nil {
 			return nil, err
 		}
-		copy(dst[lo-offset:hi-offset], sum.(*stats.FullSummary).Sample())
+		copy(dst[lo-offset:hi-offset], sum.Sample())
 	}
 	return leftover, nil
 }
@@ -160,7 +160,7 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			worker := NewCampaign(tr, model)
-			sc := &shardingCollector{camp: worker, cfg: cfg, root: root, shards: tc.shards, fail: tc.fail}
+			sc := &shardingCollector{camp: worker, workers: cfg.Workers, root: root, shards: tc.shards, fail: tc.fail}
 			dist := NewCampaign(tr, model)
 			dist.SetRemote(sc.collect)
 

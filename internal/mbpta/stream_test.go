@@ -1,6 +1,7 @@
 package mbpta
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -38,11 +39,11 @@ func TestConvergeStreamingMatchesReference(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		cfg.Workers, refCfg.Workers = workers, workers
-		fast, err := Converge(tr, m, cfg, 11)
+		fast, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 11, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Converge(tr, m, refCfg, 11)
+		ref, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), refCfg, 11, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,13 +100,13 @@ func TestConvergeStreamingDeterministic(t *testing.T) {
 	m := proc.DefaultModel()
 	cfg := streamCfg(1024)
 	cfg.Workers = 1
-	base, err := Converge(tr, m, cfg, 7)
+	base, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		cfg.Workers = workers
-		c, err := Converge(tr, m, cfg, 7)
+		c, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestConvergeStreamingSingleRound(t *testing.T) {
 	cfg := streamCfg(1024)
 	cfg.InitialRuns = 400
 	cfg.MaxRuns = 400
-	c, err := Converge(loopTrace(6, 40), proc.DefaultModel(), cfg, 3)
+	c, err := NewCampaign(loopTrace(6, 40), proc.DefaultModel()).ConvergeCtx(context.Background(), cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestConvergeStreamingMemoryIndependentOfRuns(t *testing.T) {
 	for _, maxRuns := range []int{2000, 10000} {
 		cfg2 := cfg
 		cfg2.MaxRuns = maxRuns
-		c, err := Converge(tr, m, cfg2, 13)
+		c, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg2, 13, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestConvergeStreamingMemoryIndependentOfRuns(t *testing.T) {
 	full := cfg
 	full.Streaming = false
 	full.MaxRuns = 10000
-	c, err := Converge(tr, m, full, 13)
+	c, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), full, 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,16 +55,6 @@ func Transform(p *program.Program) (*program.Program, Report, error) {
 	return q, rep, nil
 }
 
-// MustTransform is Transform panicking on error, for statically-valid
-// programs in tests and benchmark constructors.
-func MustTransform(p *program.Program) (*program.Program, Report) {
-	q, rep, err := Transform(p)
-	if err != nil {
-		panic(err)
-	}
-	return q, rep
-}
-
 type transformer struct {
 	rep *Report
 	seq int // counter for padding block labels

@@ -620,15 +620,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.gctx, cancel)
 	defer stop()
 
-	// Shards always collect into a full summary (raw-sample transport):
-	// full-summary state is chunking-invariant, so the coordinator's merge
-	// is bit-identical in every estimation mode, streaming included. The
-	// one-shot reference battery is selected because the battery never
-	// ships — only the sample does.
-	wcfg := s.cfg.MBPTA
-	wcfg.Streaming = false
-	wcfg.ReferenceIID = true
-	sum, err := camp.CollectRangeCtx(ctx, wcfg, spec.Lo, spec.Hi, spec.Root, nil)
+	// CollectRangeCtx always collects into a full summary (raw-sample
+	// transport), so the coordinator's merge is bit-identical in every
+	// estimation mode, streaming included.
+	sum, err := camp.CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, s.cfg.MBPTA.Workers, nil)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "collecting shard: %v", err)
 		return

@@ -17,7 +17,7 @@ import (
 // smallOpts keeps campaigns in the tens of milliseconds (the sizing every
 // facade test uses).
 func smallOpts() []pubtac.Option {
-	cfg := pubtac.DefaultConfig()
+	cfg := pubtac.NewSession().Config()
 	cfg.MBPTA.InitialRuns = 200
 	cfg.MBPTA.Increment = 200
 	cfg.MBPTA.MaxRuns = 2000

@@ -13,7 +13,6 @@ import (
 	"pubtac/client"
 	"pubtac/internal/mbpta"
 	"pubtac/internal/serve"
-	"pubtac/internal/stats"
 )
 
 // localShardSample computes the expected bytes of a shard the way a worker
@@ -41,15 +40,12 @@ func localShardSample(t *testing.T, cfg pubtac.Config, prog, input string, origi
 		t.Fatal(err)
 	}
 	camp := mbpta.NewCampaign(res.Trace, cfg.Model)
-	wcfg := cfg.MBPTA
-	wcfg.Streaming = false
-	wcfg.ReferenceIID = true
 	root := mbpta.Seed(prog+"/"+input) ^ cfg.SeedSalt
-	sum, err := camp.CollectRangeCtx(context.Background(), wcfg, lo, hi, root, nil)
+	sum, err := camp.CollectRangeCtx(context.Background(), lo, hi, root, cfg.MBPTA.Workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum.(*stats.FullSummary).Sample()
+	return sum.Sample()
 }
 
 func postShard(t *testing.T, url string, spec pubtac.ShardSpec) (*http.Response, []byte) {

@@ -21,16 +21,6 @@ func NewECDF(sample []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// NewECDFSorted builds an ECDF over an already ascending-sorted sample,
-// which is adopted without copying: the caller must not modify it
-// afterwards. It panics on an empty sample.
-func NewECDFSorted(sorted []float64) *ECDF {
-	if len(sorted) == 0 {
-		panic(ErrEmptySample)
-	}
-	return &ECDF{sorted: sorted}
-}
-
 // Len returns the sample size.
 func (e *ECDF) Len() int { return len(e.sorted) }
 

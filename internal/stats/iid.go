@@ -20,7 +20,7 @@ const iidMaxLags = 20
 // floating-point reassociation error for Ljung-Box, whose autocorrelations
 // are reconstructed from running moment sums instead of centered scans. The
 // one-shot battery remains the reference oracle; see the equivalence tests
-// and mbpta.Config.ReferenceIID.
+// and the mbpta.Campaign referenceIID test seam.
 //
 // A battery built with NewStreamingIID additionally drops the retained
 // series, bounding memory by the configured budget; see the streaming notes

@@ -47,16 +47,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// CV returns the coefficient of variation (stddev/mean) of xs, or 0 when the
-// mean is zero.
-func CV(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
-}
-
 // Min returns the smallest value in xs. It panics on an empty sample.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {

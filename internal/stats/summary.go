@@ -81,7 +81,8 @@ type FullSummary struct {
 // NewFullSummary returns an empty full summary. With incrementalIID the
 // battery is maintained by an IIDState across pushes (the fast battery);
 // without it every IID() call re-runs the one-shot CheckIIDSorted reference
-// battery over the retained sample (mbpta.Config.ReferenceIID).
+// battery over the retained sample (shard summaries and the mbpta
+// referenceIID test seam).
 func NewFullSummary(incrementalIID bool) *FullSummary {
 	s := &FullSummary{}
 	if incrementalIID {

@@ -130,10 +130,16 @@ func sameAnalysis(t *testing.T, want, got *Analysis) {
 	}
 }
 
-// TestIndexedMatchesReference is the bit-identity oracle of the PR 5
-// enumeration overhaul: the posting-list + prefilter arm
-// (analyzeCacheIndexed) must reproduce the reference arm
-// (analyzeCacheReference, behind Config.ReferenceEnumeration) exactly
+// analyzeReference runs TAC through analyzeCompiled's reference seam: the
+// full-sequence-scan enumeration (analyzeCacheReference) on every cache.
+func analyzeReference(tr trace.Trace, model proc.Model, cfg Config) (*Analysis, error) {
+	return analyzeCompiled(tr, nil, model, cfg, true)
+}
+
+// TestIndexedMatchesReference is the bit-identity oracle of the
+// enumeration: the posting-list + prefilter arm (analyzeCacheIndexed) must
+// reproduce the reference arm (analyzeCacheReference, behind
+// analyzeCompiled's reference seam) exactly
 // across all four policy combinations, both MaxExtraWays settings, several
 // HotLines budgets and the adversarial traces.
 func TestIndexedMatchesReference(t *testing.T) {
@@ -148,9 +154,7 @@ func TestIndexedMatchesReference(t *testing.T) {
 							cfg := DefaultConfig()
 							cfg.MaxExtraWays = extra
 							cfg.HotLines = hot
-							ref := cfg
-							ref.ReferenceEnumeration = true
-							want, err := Analyze(tc.tr, pm.model, ref)
+							want, err := analyzeReference(tc.tr, pm.model, cfg)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -176,11 +180,9 @@ func TestIndexedMatchesReferenceLooseThreshold(t *testing.T) {
 	cfg.MinImpactRel = 0
 	cfg.ProbFloor = 0
 	cfg.MaxExtraWays = 1
-	ref := cfg
-	ref.ReferenceEnumeration = true
 	for _, tc := range adversarialTraces() {
 		for _, pm := range policyModels(8, 2) {
-			want, err := Analyze(tc.tr, pm.model, ref)
+			want, err := analyzeReference(tc.tr, pm.model, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,9 +213,7 @@ func TestIndexedMatchesReferenceDegenerateSeeds(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		mut(&cfg)
-		ref := cfg
-		ref.ReferenceEnumeration = true
-		want, err := Analyze(tr, proc.DefaultModel(), ref)
+		want, err := analyzeReference(tr, proc.DefaultModel(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,10 +441,9 @@ func BenchmarkAnalyzeArms(b *testing.B) {
 	}{{"indexed", false}, {"reference", true}} {
 		b.Run(arm.name, func(b *testing.B) {
 			cfg := DefaultConfig()
-			cfg.ReferenceEnumeration = arm.reference
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Analyze(tr, m, cfg); err != nil {
+				if _, err := analyzeCompiled(tr, nil, m, cfg, arm.reference); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -81,15 +81,6 @@ type Config struct {
 	// threads each path's simulation worker share through here, so
 	// Session-level TAC rides the same pool budget as the campaigns.
 	Workers int
-
-	// ReferenceEnumeration disables the posting-list enumeration and its
-	// reuse-distance prefilter: every candidate group is evaluated with the
-	// original full-sequence scan. The Analysis is bit-identical either way
-	// (the prefilter only discards groups whose impact upper bound already
-	// fails the relevance threshold); the reference arm is kept as the
-	// equivalence oracle, mirroring proc's Engine.UseReference and mbpta's
-	// Config.ReferenceIID.
-	ReferenceEnumeration bool
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation.
@@ -159,6 +150,17 @@ func Analyze(tr trace.Trace, model proc.Model, cfg Config) (*Analysis, error) {
 // index; the group impact replays operate on per-group postings, never
 // the full trace.
 func AnalyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, cfg Config) (*Analysis, error) {
+	return analyzeCompiled(tr, ct, model, cfg, false)
+}
+
+// analyzeCompiled is AnalyzeCompiled with a test seam: reference disables
+// the posting-list enumeration and its reuse-distance prefilter, so every
+// candidate group is evaluated with the original full-sequence scan. The
+// Analysis is bit-identical either way (the prefilter only discards groups
+// whose impact upper bound already fails the relevance threshold); the
+// equivalence tests set it to compare the two arms.
+func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, cfg Config,
+	reference bool) (*Analysis, error) {
 	if cfg.MissProb <= 0 || cfg.MissProb >= 1 {
 		return nil, fmt.Errorf("tac: MissProb %v out of (0,1)", cfg.MissProb)
 	}
@@ -193,7 +195,7 @@ func AnalyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 	// The indexed enumeration packs hot-line indices into uint16 work lists;
 	// configurations beyond that (absurd for TAC's combinatorial candidate
 	// space) fall back to the reference arm.
-	reference := cfg.ReferenceEnumeration || cfg.HotLines > math.MaxUint16
+	reference = reference || cfg.HotLines > math.MaxUint16
 
 	var idScratch []int32
 	for _, side := range []struct {
@@ -256,7 +258,7 @@ func lineSeq(tr trace.Trace, k trace.Kind, lineBytes int) []uint64 {
 
 // analyzeCacheReference enumerates and evaluates conflict groups for one
 // cache by scanning the full line sequence once per candidate — the
-// original TAC arm, kept behind Config.ReferenceEnumeration as the
+// original TAC arm, kept behind analyzeCompiled's reference seam as the
 // equivalence oracle for the indexed enumeration (enum.go).
 //
 //pubtac:reference tac-enum

@@ -95,16 +95,6 @@ func WithProgress(fn func(ProgressEvent)) Option {
 	return func(s *sessionSettings) { s.progress = fn }
 }
 
-// WithReferenceEnumeration keeps TAC's original full-sequence-scan group
-// enumeration instead of the posting-list enumeration with its
-// reuse-distance prefilter and parallel group evaluation. Results are
-// bit-identical either way; the reference arm exists as the equivalence
-// oracle (mirroring the simulation engine's and the i.i.d. battery's
-// reference modes) and as a hedge while the indexed path is new.
-func WithReferenceEnumeration(on bool) Option {
-	return func(s *sessionSettings) { s.cfg.TAC.ReferenceEnumeration = on }
-}
-
 // WithStreamingEstimation switches the estimation layer to the
 // bounded-memory streaming summary: each path's campaign retains an exact
 // top-K tail reservoir, a quantile sketch and the streaming i.i.d. battery
@@ -124,7 +114,7 @@ func WithStreamingEstimation(budget int) Option {
 }
 
 // WithPeers installs a shard collector: every campaign's collection is
-// split into shards dispatched through sc — typically client.NewPeers over
+// split into shards dispatched through sc — typically client.NewFabric over
 // a set of pubtacd workers — with failed shards recomputed locally, so a
 // dead or misconfigured peer degrades throughput, never results. Sharded
 // results are bit-identical to local ones (run i depends only on the

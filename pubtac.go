@@ -51,18 +51,11 @@ import (
 // Config assembles platform model, MBPTA and TAC parameters.
 type Config = core.Config
 
-// Analyzer runs the combined PUB+TAC pipeline.
-type Analyzer = core.Analyzer
-
 // PathAnalysis is the outcome of the pipeline on one pubbed path.
 type PathAnalysis = core.PathAnalysis
 
 // OriginalAnalysis is plain MBPTA on the unmodified program.
 type OriginalAnalysis = core.OriginalAnalysis
-
-// MultiPathAnalysis aggregates pipeline results over several pubbed paths
-// (Corollary 2: the minimum across paths is taken).
-type MultiPathAnalysis = core.MultiPathAnalysis
 
 // ErrIIDInadmissible is returned (wrapped) by analyses run under
 // WithIIDHardFail when a sample fails its i.i.d. admissibility battery.
@@ -98,23 +91,6 @@ type ShardSpec = core.ShardSpec
 // ShardCollector executes campaign shards somewhere else — the client
 // package implements it over a pool of pubtacd peers. See WithPeers.
 type ShardCollector = core.ShardCollector
-
-// DefaultConfig returns the paper's evaluation setup: 4KB 2-way 32B-line
-// IL1/DL1 with random placement and replacement, MBPTA-CV estimation, and
-// TAC with a 10^-9 miss probability.
-//
-// Deprecated: construct a Session with NewSession and functional options
-// (WithModel, WithScale, WithCampaignCap, ...). DefaultConfig remains for
-// code that still drives the pipeline through NewAnalyzer, and as input to
-// WithConfig.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
-// NewAnalyzer returns an analyzer for the configuration.
-//
-// Deprecated: use NewSession. Sessions add context cancellation, progress
-// reporting and concurrent batch campaigns; NewAnalyzer remains as a thin
-// synchronous shim over the same pipeline.
-func NewAnalyzer(cfg Config) *Analyzer { return core.New(cfg) }
 
 // DefaultModel returns the paper's platform model.
 func DefaultModel() Model { return proc.DefaultModel() }

@@ -12,7 +12,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pubtac.DefaultConfig()
+	cfg := pubtac.NewSession().Config()
 	cfg.MBPTA.InitialRuns = 200
 	cfg.MBPTA.Increment = 200
 	cfg.MBPTA.MaxRuns = 2000

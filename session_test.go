@@ -14,7 +14,7 @@ import (
 // sessionTestConfig mirrors the facade test sizing: small campaigns so a
 // full path analysis stays in the tens of milliseconds.
 func sessionTestConfig() pubtac.Config {
-	cfg := pubtac.DefaultConfig()
+	cfg := pubtac.NewSession().Config()
 	cfg.MBPTA.InitialRuns = 200
 	cfg.MBPTA.Increment = 200
 	cfg.MBPTA.MaxRuns = 2000
@@ -302,35 +302,8 @@ func TestSessionMultiPathMinimum(t *testing.T) {
 	if m.PWCET(p) != min {
 		t.Fatalf("MultiResult PWCET = %v, want min %v", m.PWCET(p), min)
 	}
-}
-
-func TestSessionReferenceEnumeration(t *testing.T) {
-	// WithReferenceEnumeration must reach the TAC config, and the two
-	// enumeration arms must agree bit for bit through the public API.
-	bench, err := pubtac.Benchmark("bs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := pubtac.NewSession(pubtac.WithConfig(sessionTestConfig()),
-		pubtac.WithReferenceEnumeration(true))
-	if !ref.Config().TAC.ReferenceEnumeration {
-		t.Fatal("WithReferenceEnumeration not applied")
-	}
-	fast := pubtac.NewSession(pubtac.WithConfig(sessionTestConfig()))
-	rRef, err := ref.AnalyzePath(context.Background(), bench.Program, bench.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rFast, err := fast.AnalyzePath(context.Background(), bench.Program, bench.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rRef.RTac != rFast.RTac || rRef.TACClasses != rFast.TACClasses {
-		t.Fatalf("enumeration arms diverge: RTac %d/%d, classes %d/%d",
-			rRef.RTac, rFast.RTac, rRef.TACClasses, rFast.TACClasses)
-	}
-	if rRef.PWCET(1e-12) != rFast.PWCET(1e-12) {
-		t.Fatalf("pWCET diverged: %v vs %v", rRef.PWCET(1e-12), rFast.PWCET(1e-12))
+	if m.Best(p).PWCET(p) != m.PWCET(p) {
+		t.Fatal("Best() inconsistent with PWCET()")
 	}
 }
 
