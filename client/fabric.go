@@ -53,7 +53,7 @@ type RetryPolicy struct {
 
 // DefaultRetryPolicy is the fabric's starting point: three attempts, 50ms
 // base backoff capped at 2s, 5m per-attempt timeout, hedging off (opt in
-// via WithHedgeDelay — it spends duplicate work for tail latency), breaker
+// via HedgeDelay — it spends duplicate work for tail latency), breaker
 // at 5 consecutive failures with a 5s cooldown.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
@@ -159,20 +159,6 @@ func NewFabric(cfg PeersConfig, urls ...string) *Peers {
 		p.peers = append(p.peers, &peer{c: New(u, opts...)})
 	}
 	return p
-}
-
-// TuneRetry adjusts the fabric after construction: attempts > 0 replaces
-// MaxAttempts, hedge >= 0 replaces HedgeDelay (0 disables hedging); a
-// negative value leaves the field untouched. It is the hook pubtac's
-// WithPeerRetry and WithHedgeDelay options reach the fabric through
-// without the session depending on this package's types.
-func (p *Peers) TuneRetry(attempts int, hedge time.Duration) {
-	if attempts > 0 {
-		p.policy.MaxAttempts = attempts
-	}
-	if hedge >= 0 {
-		p.policy.HedgeDelay = hedge
-	}
 }
 
 // Shards suggests one shard per peer when the session does not pin a count.

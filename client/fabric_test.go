@@ -221,20 +221,3 @@ func TestPeersBreakerOpens(t *testing.T) {
 		t.Errorf("open-breaker peer still saw %d new requests", got-before)
 	}
 }
-
-// TuneRetry applies the session-level knobs without rebuilding the fabric.
-func TestPeersTuneRetry(t *testing.T) {
-	p := NewFabric(PeersConfig{}, "http://127.0.0.1:1")
-	p.TuneRetry(7, 42*time.Millisecond)
-	if p.policy.MaxAttempts != 7 || p.policy.HedgeDelay != 42*time.Millisecond {
-		t.Errorf("policy = %+v", p.policy)
-	}
-	p.TuneRetry(-1, -1) // sentinels: leave both untouched
-	if p.policy.MaxAttempts != 7 || p.policy.HedgeDelay != 42*time.Millisecond {
-		t.Errorf("sentinel overwrote policy: %+v", p.policy)
-	}
-	p.TuneRetry(-1, 0) // zero hedge explicitly disables
-	if p.policy.HedgeDelay != 0 {
-		t.Errorf("HedgeDelay = %v, want 0", p.policy.HedgeDelay)
-	}
-}

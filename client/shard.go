@@ -22,15 +22,10 @@ func (c *Client) CollectShard(ctx context.Context, spec pubtac.ShardSpec) ([]flo
 	if err != nil {
 		return nil, err
 	}
-	sum, err := stats.DecodeSummary(body)
+	fs, err := stats.DecodeSummary(body)
 	if err != nil {
 		return nil, fmt.Errorf("client: shard %s(%s)[%d,%d): %w",
 			spec.Program, spec.Input, spec.Lo, spec.Hi, err)
-	}
-	fs, ok := sum.(*stats.FullSummary)
-	if !ok {
-		return nil, fmt.Errorf("client: shard %s(%s)[%d,%d): worker returned a %T, want a full summary",
-			spec.Program, spec.Input, spec.Lo, spec.Hi, sum)
 	}
 	if fs.N() != spec.Runs() {
 		return nil, fmt.Errorf("client: shard %s(%s)[%d,%d): worker returned %d runs, want %d",

@@ -77,15 +77,12 @@ func main() {
 		opts = append(opts, pubtac.WithStreamingEstimation(*streamK))
 	}
 	if *peers != "" {
-		opts = append(opts, pubtac.WithPeers(client.NewFabric(client.PeersConfig{}, strings.Split(*peers, ",")...)))
+		fabric := client.NewFabric(client.PeersConfig{
+			Policy: client.RetryPolicy{MaxAttempts: *peerRetry, HedgeDelay: *hedge},
+		}, strings.Split(*peers, ",")...)
+		opts = append(opts, pubtac.WithPeers(fabric))
 		if *shards > 0 {
 			opts = append(opts, pubtac.WithShards(*shards))
-		}
-		if *peerRetry > 0 {
-			opts = append(opts, pubtac.WithPeerRetry(*peerRetry))
-		}
-		if *hedge > 0 {
-			opts = append(opts, pubtac.WithHedgeDelay(*hedge))
 		}
 	}
 	if *progress {

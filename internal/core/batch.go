@@ -23,6 +23,16 @@ type Job struct {
 	Inputs  []program.Input
 }
 
+// WorkerBudget resolves a worker count to a concrete parallelism budget:
+// workers when positive, else GOMAXPROCS. The Session (through
+// AnalyzeBatch) and the experiment generators budget through it alike.
+func WorkerBudget(workers int) int {
+	if workers > 0 {
+		return workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // xform caches one program's PUB transform for the duration of a batch.
 type xform struct {
 	once   sync.Once
@@ -44,9 +54,7 @@ func (a *Analyzer) AnalyzeBatch(ctx context.Context, jobs []Job, workers int) ([
 	if workers <= 0 {
 		workers = a.cfg.MBPTA.Workers
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = WorkerBudget(workers)
 	total := 0
 	for i, j := range jobs {
 		if j.Program == nil {

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"pubtac/internal/mbpta"
 	"pubtac/internal/proc"
@@ -115,15 +114,17 @@ func DefaultConfig() Config {
 // the public Session options and the experiment generators both use it, so
 // their campaigns stay in lockstep at equal scales.
 func (c Config) Scaled(scale float64) Config {
-	c.MBPTA.InitialRuns = scaledRuns(c.MBPTA.InitialRuns, scale, 200)
-	c.MBPTA.Increment = scaledRuns(c.MBPTA.Increment, scale, 200)
-	c.MBPTA.MaxRuns = scaledRuns(c.MBPTA.MaxRuns, scale, 4000)
-	c.CampaignCap = scaledRuns(700000, scale, 6000)
+	c.MBPTA.InitialRuns = ScaledRuns(c.MBPTA.InitialRuns, scale, 200)
+	c.MBPTA.Increment = ScaledRuns(c.MBPTA.Increment, scale, 200)
+	c.MBPTA.MaxRuns = ScaledRuns(c.MBPTA.MaxRuns, scale, 4000)
+	c.CampaignCap = ScaledRuns(700000, scale, 6000)
 	return c
 }
 
-// scaledRuns returns max(min, round(n*scale)).
-func scaledRuns(n int, scale float64, min int) int {
+// ScaledRuns returns max(min, round(n*scale)): the rounding rule behind
+// Scaled, which the experiment generators also apply to their own campaign
+// sizes.
+func ScaledRuns(n int, scale float64, min int) int {
 	v := int(math.Round(float64(n) * scale))
 	if v < min {
 		v = min
@@ -209,10 +210,7 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 	// pins its own count. Results are worker-count independent.
 	tcfg := a.cfg.TAC
 	if tcfg.Workers == 0 {
-		tcfg.Workers = workers
-		if tcfg.Workers <= 0 {
-			tcfg.Workers = runtime.GOMAXPROCS(0)
-		}
+		tcfg.Workers = WorkerBudget(workers)
 	}
 	ta, err := tac.AnalyzeCompiled(res.Trace, camp.Compiled, a.cfg.Model, tcfg)
 	if err != nil {

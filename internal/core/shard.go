@@ -54,8 +54,8 @@ type ShardCollector interface {
 
 // Fingerprint returns the SHA-256 of the canonical config encoding — the
 // identity compared between coordinator and workers before a shard runs.
-// It matches the session-level fingerprint the service layer already uses
-// for result keys (both hash AppendCanonical's bytes).
+// The session-level fingerprint the service layer keys results on returns
+// this same value.
 func (c Config) Fingerprint() [sha256.Size]byte {
 	return sha256.Sum256(c.AppendCanonical(nil))
 }

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"pubtac/internal/core"
 	"pubtac/internal/malardalen"
@@ -33,23 +32,6 @@ type Options struct {
 	// concurrent campaigns (0 = GOMAXPROCS). Every generator honors it
 	// uniformly; outputs are identical at any worker count.
 	Workers int
-}
-
-// scaled returns max(min, round(n*Scale)).
-func (o Options) scaled(n int, min int) int {
-	v := int(math.Round(float64(n) * o.Scale))
-	if v < min {
-		v = min
-	}
-	return v
-}
-
-// budget resolves the worker option to a concrete parallelism budget.
-func (o Options) budget() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // AnalyzerConfig builds the core configuration for the options, using the
@@ -78,7 +60,7 @@ func Table1(ctx context.Context, opts Options) ([]Table1Row, error) {
 	b := malardalen.BS()
 	a := core.New(opts.AnalyzerConfig())
 	batch, err := a.AnalyzeBatch(ctx,
-		[]core.Job{{Program: b.Program, Inputs: malardalen.BSMaxIterationInputs(b)}}, opts.budget())
+		[]core.Job{{Program: b.Program, Inputs: malardalen.BSMaxIterationInputs(b)}}, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("table1: %w", err)
 	}
@@ -109,7 +91,7 @@ type Table2Row struct {
 func Table2(ctx context.Context, opts Options) ([]Table2Row, error) {
 	a := core.New(opts.AnalyzerConfig())
 	bms := malardalen.All()
-	origs, pubs, err := originalsAndPaths(ctx, a, bms, opts.budget())
+	origs, pubs, err := originalsAndPaths(ctx, a, bms, core.WorkerBudget(opts.Workers))
 	if err != nil {
 		return nil, fmt.Errorf("table2: %w", err)
 	}
@@ -173,7 +155,7 @@ type Series struct {
 func Figure1(ctx context.Context, opts Options) ([]Series, error) {
 	b := malardalen.CNT()
 	res := b.Program.MustExec(b.Default())
-	n := opts.scaled(200000, 4000)
+	n := core.ScaledRuns(200000, opts.Scale, 4000)
 	camp := mbpta.NewCampaign(res.Trace, proc.DefaultModel())
 	sample, err := camp.CollectCtx(ctx, n, mbpta.Seed("fig1"), opts.Workers, nil)
 	if err != nil {
@@ -210,11 +192,11 @@ func Figure2(ctx context.Context, opts Options) ([]Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := opts.scaled(1000000, 3000)
+	runs := core.ScaledRuns(1000000, opts.Scale, 3000)
 	model := proc.DefaultModel()
 	inputs := malardalen.BSMaxIterationInputs(b)
 	out := make([]Series, 2*len(inputs))
-	outer, inner := pool.SplitWorkers(opts.budget(), len(out))
+	outer, inner := pool.SplitWorkers(core.WorkerBudget(opts.Workers), len(out))
 	g, ctx := pool.WithContext(ctx)
 	g.SetLimit(outer)
 	for i, in := range inputs {
@@ -278,7 +260,7 @@ func Figure4(ctx context.Context, opts Options) (*Figure4Result, error) {
 		return nil, err
 	}
 	res := pubbed.MustExec(in)
-	refRuns := opts.scaled(6000000, 20000)
+	refRuns := core.ScaledRuns(6000000, opts.Scale, 20000)
 	ref, err := mbpta.NewCampaign(res.Trace, proc.DefaultModel()).CollectCtx(ctx, refRuns,
 		mbpta.Seed("fig4/ref"), opts.Workers, nil)
 	if err != nil {
@@ -317,7 +299,7 @@ type Figure5Row struct {
 func Figure5(ctx context.Context, opts Options) ([]Figure5Row, error) {
 	a := core.New(opts.AnalyzerConfig())
 	bms := malardalen.All()
-	origs, pubs, err := originalsAndPaths(ctx, a, bms, opts.budget())
+	origs, pubs, err := originalsAndPaths(ctx, a, bms, core.WorkerBudget(opts.Workers))
 	if err != nil {
 		return nil, fmt.Errorf("figure5: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"pubtac/internal/core"
 	"pubtac/internal/stats"
 )
 
@@ -252,13 +253,14 @@ func TestFigure5Categories(t *testing.T) {
 	}
 }
 
+// The generators size their campaigns through core.ScaledRuns, the rule
+// behind core.Config.Scaled.
 func TestScaledMinimums(t *testing.T) {
-	o := Options{Scale: 0.0001}
-	if o.scaled(1000000, 500) < 500 {
-		t.Fatal("scaled() must respect the minimum")
+	if core.ScaledRuns(1000000, 0.0001, 500) < 500 {
+		t.Fatal("ScaledRuns must respect the minimum")
 	}
-	if got := (Options{Scale: 1}).scaled(1000, 1); got != 1000 {
-		t.Fatalf("scaled at 1.0 = %d", got)
+	if got := core.ScaledRuns(1000, 1, 1); got != 1000 {
+		t.Fatalf("ScaledRuns at 1.0 = %d", got)
 	}
 }
 

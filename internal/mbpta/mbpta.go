@@ -545,16 +545,15 @@ func (c *Campaign) pushRangeAt(ctx context.Context, sum stats.SampleSummary,
 
 // CollectRangeCtx collects the shard [lo, hi) of the campaign rooted at
 // root into a fresh full summary — the worker half of distributed campaign
-// sharding. Because run i depends only on (root, i), and because
-// full-summary state is a pure, chunking-invariant function of the pushed
-// run sequence, merging per-shard summaries for consecutive ranges in index
-// order reproduces the single-process sample bit-identically at any shard
-// count, and a coordinator in any estimation mode (streaming included)
-// pushes the merged raw runs into its own summary. Only the sample ships,
-// so the summary keeps no incremental battery; its IID is the one-shot
-// reference. The range is collected with workers local workers; the
-// campaign's remote collector is deliberately not consulted, so a worker can
-// never re-shard its shard.
+// sharding. Because run i depends only on (root, i), concatenating the
+// per-shard samples of consecutive ranges in index order reproduces the
+// single-process sample bit-identically at any shard count, and a
+// coordinator in any estimation mode (streaming included) pushes the
+// concatenated raw runs into its own summary. Only the sample ships, so the
+// summary keeps no incremental battery; its IID is the one-shot reference.
+// The range is collected with workers local workers; the campaign's remote
+// collector is deliberately not consulted, so a worker can never re-shard
+// its shard.
 func (c *Campaign) CollectRangeCtx(ctx context.Context, lo, hi int,
 	root uint64, workers int, progress Progress) (*stats.FullSummary, error) {
 	if lo < 0 || hi < lo {

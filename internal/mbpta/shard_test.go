@@ -3,6 +3,7 @@ package mbpta
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -32,9 +33,10 @@ func encodeOrDie(t *testing.T, sum stats.SampleSummary) []byte {
 	return b
 }
 
-// Merging per-shard CollectRangeCtx summaries for consecutive ranges, in
-// index order, must reproduce the single-range summary bit for bit — the
-// worker half of the distributed determinism argument.
+// Concatenating per-shard CollectRangeCtx samples for consecutive ranges, in
+// index order, must reproduce the single-range sample bit for bit — the
+// worker half of the distributed determinism argument, and exactly what the
+// coordinator does with the samples its workers return.
 func TestCollectRangeMergeBitIdentical(t *testing.T) {
 	camp := NewCampaign(loopTrace(8, 50), proc.DefaultModel())
 	cfg := shardCfg()
@@ -47,26 +49,17 @@ func TestCollectRangeMergeBitIdentical(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 8} {
-		var merged *stats.FullSummary
+		var joined []float64
 		for i := 0; i < shards; i++ {
 			lo, hi := i*n/shards, (i+1)*n/shards
 			part, err := camp.CollectRangeCtx(ctx, lo, hi, 42, cfg.Workers, nil)
 			if err != nil {
 				t.Fatalf("shards=%d part %d: %v", shards, i, err)
 			}
-			if merged == nil {
-				merged = part
-				continue
-			}
-			if err := merged.Merge(part); err != nil {
-				t.Fatalf("shards=%d merge %d: %v", shards, i, err)
-			}
+			joined = append(joined, part.Sample()...)
 		}
-		if got, want := encodeOrDie(t, merged), encodeOrDie(t, whole); string(got) != string(want) {
-			t.Fatalf("shards=%d: merged summary differs from single-range summary", shards)
-		}
-		if merged.IID() != whole.IID() {
-			t.Fatalf("shards=%d: battery report differs", shards)
+		if !slices.Equal(joined, whole.Sample()) {
+			t.Fatalf("shards=%d: concatenated shard samples differ from the single-range sample", shards)
 		}
 	}
 }

@@ -621,8 +621,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	defer stop()
 
 	// CollectRangeCtx always collects into a full summary (raw-sample
-	// transport), so the coordinator's merge is bit-identical in every
-	// estimation mode, streaming included.
+	// transport): the coordinator copies the runs into place by index, so
+	// its campaign is bit-identical in every estimation mode, streaming
+	// included.
 	sum, err := camp.CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, s.cfg.MBPTA.Workers, nil)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "collecting shard: %v", err)

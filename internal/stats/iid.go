@@ -61,13 +61,12 @@ type IIDState struct {
 	// scanned so far. Valid while the sample median stays at runsMed; a
 	// median move restarts the dichotomization (full mode only — the
 	// streaming battery has no series to re-scan).
-	runsMed   float64
-	hasMed    bool
-	scanned   int
-	n1, n2    int
-	runs      int
-	lastSign  int8
-	firstSign int8 // first non-tie sign (battery merges need the boundary)
+	runsMed  float64
+	hasMed   bool
+	scanned  int
+	n1, n2   int
+	runs     int
+	lastSign int8
 
 	// firstSorted is the ascending-sorted view of the first sample of the
 	// two-half KS check: series[:half] in full mode, firstRuns[:half] in
@@ -164,7 +163,6 @@ func (s *IIDState) pushStream(block []float64) {
 		}
 		if s.lastSign == 0 {
 			s.runs = 1
-			s.firstSign = sign
 		} else if sign != s.lastSign {
 			s.runs++
 		}
@@ -219,7 +217,7 @@ func (s *IIDState) runsReport(sorted []float64) TestResult {
 	med := quantileSorted(sorted, 0.5)
 	if !s.hasMed || med != s.runsMed {
 		s.runsMed, s.hasMed = med, true
-		s.scanned, s.n1, s.n2, s.runs, s.lastSign, s.firstSign = 0, 0, 0, 0, 0, 0
+		s.scanned, s.n1, s.n2, s.runs, s.lastSign = 0, 0, 0, 0, 0
 	}
 	for _, x := range s.series[s.scanned:] {
 		var sign int8
@@ -235,7 +233,6 @@ func (s *IIDState) runsReport(sorted []float64) TestResult {
 		}
 		if s.lastSign == 0 {
 			s.runs = 1
-			s.firstSign = sign
 		} else if sign != s.lastSign {
 			s.runs++
 		}
@@ -388,130 +385,6 @@ func ksFirstVsSketch(sk *QuantileSketch, first []float64, n int) float64 {
 		}
 	}
 	return d
-}
-
-// mergeStream folds another streaming battery, representing the runs that
-// FOLLOW this battery's runs, into s. Counts (runs test, first-runs
-// retention) merge exactly; the Ljung-Box moments are re-anchored to s's
-// shift and stitched across the boundary using the retained head/window
-// values, so the merged statistic agrees with a single-stream battery to
-// floating-point reassociation error. The runs-test threshold stays
-// per-shard (each shard dichotomized at its own running median) — the
-// documented approximation of the streaming battery.
-func (s *IIDState) mergeStream(o *IIDState) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if !s.stream || !o.stream {
-		panic("stats: IIDState.mergeStream: both batteries must be streaming")
-	}
-	if s.n == 0 {
-		fcap := s.firstCap
-		sk := s.sketch
-		*s = *o
-		s.sketch = sk // keep the enclosing summary's sketch
-		s.firstCap = fcap
-		s.firstRuns = append([]float64(nil), o.firstRuns...)
-		if len(s.firstRuns) > s.firstCap {
-			s.firstRuns = s.firstRuns[:s.firstCap]
-		}
-		s.firstSorted = append([]float64(nil), o.firstSorted...)
-		if s.half > s.firstCap {
-			// The adopted sorted prefix may overrun a stricter cap; rebuild
-			// lazily from the truncated firstRuns at the next report.
-			s.firstSorted = nil
-			s.half = 0
-		}
-		s.head = append([]float64(nil), o.head...)
-		s.window = append([]float64(nil), o.window...)
-		return
-	}
-	d := o.shift - s.shift
-	nR := o.n
-	// Cross-products: boundary pairs (left value × right value k apart),
-	// then the right battery's own pairs re-anchored from o.shift to
-	// s.shift: Σ(z+d)(z'+d) = crossR + d·(S1+S2) + pairs·d², with S1/S2 the
-	// in-pair first/second element sums recovered from the moment sum and
-	// the retained head/window.
-	for k := 1; k <= iidMaxLags; k++ {
-		for t := 1; t <= k; t++ {
-			li := len(s.window) - t
-			ri := k - t
-			if li < 0 || ri >= len(o.head) {
-				continue
-			}
-			s.cross[k-1] += s.window[li] * (o.head[ri] + d)
-		}
-		if pairs := nR - k; pairs > 0 {
-			var headK, tailK float64
-			for t := 1; t <= k; t++ {
-				headK += o.head[t-1]
-				tailK += o.window[len(o.window)-t]
-			}
-			s.cross[k-1] += o.cross[k-1] + d*(2*o.sum-headK-tailK) + float64(pairs)*d*d
-		}
-	}
-	s.sum += o.sum + float64(nR)*d
-	s.sumSq += o.sumSq + 2*d*o.sum + float64(nR)*d*d
-	for i := 0; len(s.head) < iidMaxLags && i < len(o.head); i++ {
-		s.head = append(s.head, o.head[i]+d)
-	}
-	win := make([]float64, 0, iidMaxLags)
-	if need := iidMaxLags - len(o.window); need > 0 {
-		from := len(s.window) - need
-		if from < 0 {
-			from = 0
-		}
-		win = append(win, s.window[from:]...)
-	}
-	for _, z := range o.window {
-		win = append(win, z+d)
-	}
-	s.window = win
-	// Runs test: counts add; the boundary transition merges or splits runs
-	// depending on the signs meeting there.
-	if o.firstSign != 0 {
-		if s.lastSign == 0 {
-			s.runs = o.runs
-			s.firstSign = o.firstSign
-		} else if o.firstSign == s.lastSign {
-			s.runs += o.runs - 1
-		} else {
-			s.runs += o.runs
-		}
-		s.lastSign = o.lastSign
-	}
-	s.n1 += o.n1
-	s.n2 += o.n2
-	s.hasMed = s.hasMed || o.hasMed
-	// First-runs prefix: the right battery's earliest runs directly follow
-	// the left's, so its retained prefix extends ours exactly.
-	if room := s.firstCap - len(s.firstRuns); room > 0 {
-		take := room
-		if take > len(o.firstRuns) {
-			take = len(o.firstRuns)
-		}
-		s.firstRuns = append(s.firstRuns, o.firstRuns[:take]...)
-	}
-	s.n += o.n
-}
-
-// capFirst tightens the streaming battery's first-runs retention cap (merges
-// adopt the stricter budget). An already-built sorted prefix that overruns
-// the new cap is dropped and rebuilt lazily from the truncated retention at
-// the next report, keeping reports a pure function of (pushed sample, cap).
-func (s *IIDState) capFirst(fcap int) {
-	if fcap >= s.firstCap {
-		return
-	}
-	s.firstCap = fcap
-	if len(s.firstRuns) > fcap {
-		s.firstRuns = s.firstRuns[:fcap]
-	}
-	if s.half > fcap {
-		s.firstSorted = nil
-		s.half = 0
-	}
 }
 
 // Bytes returns the battery's retained memory in bytes (accounting for the

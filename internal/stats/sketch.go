@@ -20,15 +20,13 @@ import (
 // so rank queries are exact over the quantized multiset and value queries
 // err by less than step < 2·span/(budget-1).
 //
-// Merge discipline. Merging rebins both inputs to the larger of their steps
-// and re-canonicalizes. Because bucket multisets only shrink under
-// power-of-two coarsening and floor-rebinning between power-of-two steps
-// composes exactly (floor(floor(v/s)/2^j) = floor(v/(s·2^j))), the merge is
-// associative: any parenthesization of a set of sketches yields the same
-// step and bit-identical buckets. Push is a merge with an exact block, so a
-// sketch's state depends only on the multiset of pushed values, not on the
-// chunking — the index-addressed determinism discipline of the collection
-// layer carries through.
+// Chunking invariance. Push quantizes the block at the current step, merges
+// it into the buckets and re-canonicalizes. Because bucket multisets only
+// shrink under power-of-two coarsening and floor-rebinning between
+// power-of-two steps composes exactly (floor(floor(v/s)/2^j) =
+// floor(v/(s·2^j))), a sketch's state depends only on the multiset of pushed
+// values, not on the chunking — the index-addressed determinism discipline
+// of the collection layer carries through.
 //
 // The zero value is unusable; use NewQuantileSketch. Not safe for
 // concurrent use.
@@ -125,10 +123,11 @@ func (s *QuantileSketch) mergeRuns(q []float64) {
 // pairs of adjacent buckets), so a binary search over the exponent finds the
 // canonical step. The search range is the full float64 exponent ladder — a
 // fixed range, so the chosen step depends only on the bucket multiset, which
-// is what makes Merge associative; steps too fine to evaluate (quantization
-// overflows) are reported by countAt as not fitting, preserving the
-// monotone threshold the search needs. At the top of the range everything
-// collapses into at most two buckets, so the search always lands.
+// is what makes the sketch chunking-invariant; steps too fine to evaluate
+// (quantization overflows) are reported by countAt as not fitting,
+// preserving the monotone threshold the search needs. At the top of the
+// range everything collapses into at most two buckets, so the search always
+// lands.
 func (s *QuantileSketch) compact() {
 	if len(s.vals) <= s.budget {
 		return
@@ -182,57 +181,6 @@ func (s *QuantileSketch) rebin(step float64) {
 	s.vals = s.vals[:w]
 	s.counts = s.counts[:w]
 	s.step = step
-}
-
-// Merge folds other into s (other is not modified). The result is the
-// canonical sketch of the union multiset at the coarser of the two steps:
-// associative and deterministic under any merge order.
-func (s *QuantileSketch) Merge(other *QuantileSketch) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if other.budget < s.budget {
-		s.budget = other.budget // canonical: the stricter budget wins
-	}
-	step := s.step
-	if other.step > step {
-		step = other.step
-	}
-	s.rebin(step)
-	q := make([]float64, 0, len(other.vals))
-	qc := make([]int64, 0, len(other.counts))
-	for i, v := range other.vals {
-		qv := quantizeTo(v, step)
-		if len(q) > 0 && q[len(q)-1] == qv {
-			qc[len(qc)-1] += other.counts[i]
-		} else {
-			q = append(q, qv)
-			qc = append(qc, other.counts[i])
-		}
-	}
-	vals := make([]float64, 0, len(s.vals)+len(q))
-	counts := make([]int64, 0, len(s.counts)+len(qc))
-	i, j := 0, 0
-	for i < len(s.vals) || j < len(q) {
-		switch {
-		case j >= len(q) || (i < len(s.vals) && s.vals[i] < q[j]):
-			vals = append(vals, s.vals[i])
-			counts = append(counts, s.counts[i])
-			i++
-		case i >= len(s.vals) || q[j] < s.vals[i]:
-			vals = append(vals, q[j])
-			counts = append(counts, qc[j])
-			j++
-		default:
-			vals = append(vals, s.vals[i])
-			counts = append(counts, s.counts[i]+qc[j])
-			i++
-			j++
-		}
-	}
-	s.vals, s.counts = vals, counts
-	s.n += other.n
-	s.compact()
 }
 
 // Clone returns an independent copy (snapshot views use it).

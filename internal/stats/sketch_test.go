@@ -80,51 +80,40 @@ func TestSketchCoarseningErrorBound(t *testing.T) {
 	}
 }
 
-// TestSketchMergeAssociative: merging is bit-deterministic and associative —
-// the canonical step rule makes ((A·B)·C) and (A·(B·C)) identical bucket for
-// bucket, and both match a sketch fed the concatenated stream.
+// TestSketchMergeAssociative: the coarsened sketch is chunking-invariant —
+// the canonical step rule makes one Push of the concatenated stream and
+// three Pushes of its parts identical bucket for bucket.
 func TestSketchMergeAssociative(t *testing.T) {
 	gen := rng.New(13)
 	const budget = 64
-	mk := func(n int, scale, base float64) (*QuantileSketch, []float64) {
-		sk := NewQuantileSketch(budget)
+	mk := func(n int, scale, base float64) []float64 {
 		xs := make([]float64, n)
 		for i := range xs {
 			xs[i] = gen.Float64()*scale + base
 		}
-		sk.Push(xs)
-		return sk, xs
+		return xs
 	}
-	a, xa := mk(3000, 1e5, 0)
-	b, xb := mk(2000, 1e3, 5e5) // disjoint range: merge must rebin
-	c, xc := mk(1000, 1e6, -2e5)
+	xa := mk(3000, 1e5, 0)
+	xb := mk(2000, 1e3, 5e5) // disjoint range: the later pushes must rebin
+	xc := mk(1000, 1e6, -2e5)
 
-	left := a.Clone()
-	left.Merge(b.Clone())
-	left.Merge(c.Clone())
-	bc := b.Clone()
-	bc.Merge(c.Clone())
-	right := a.Clone()
-	right.Merge(bc)
-	all := NewQuantileSketch(budget)
-	all.Push(xa)
-	all.Push(xb)
-	all.Push(xc)
+	x := NewQuantileSketch(budget)
+	x.Push(append(append(append([]float64(nil), xa...), xb...), xc...))
+	y := NewQuantileSketch(budget)
+	y.Push(xa)
+	y.Push(xb)
+	y.Push(xc)
 
-	for _, pair := range []struct {
-		name string
-		x, y *QuantileSketch
-	}{{"assoc", left, right}, {"merge-vs-push", left, all}} {
-		x, y := pair.x, pair.y
-		if x.N() != y.N() || x.Step() != y.Step() || x.Buckets() != y.Buckets() {
-			t.Fatalf("%s: shape (%d,%v,%d) != (%d,%v,%d)",
-				pair.name, x.N(), x.Step(), x.Buckets(), y.N(), y.Step(), y.Buckets())
-		}
-		for i := range x.vals {
-			if x.vals[i] != y.vals[i] || x.counts[i] != y.counts[i] {
-				t.Fatalf("%s: bucket %d: (%v,%d) != (%v,%d)",
-					pair.name, i, x.vals[i], x.counts[i], y.vals[i], y.counts[i])
-			}
+	if x.Step() == 0 {
+		t.Fatal("sketch should have coarsened")
+	}
+	if x.N() != y.N() || x.Step() != y.Step() || x.Buckets() != y.Buckets() {
+		t.Fatalf("shape (%d,%v,%d) != (%d,%v,%d)",
+			x.N(), x.Step(), x.Buckets(), y.N(), y.Step(), y.Buckets())
+	}
+	for i := range x.vals {
+		if x.vals[i] != y.vals[i] || x.counts[i] != y.counts[i] {
+			t.Fatalf("bucket %d: (%v,%d) != (%v,%d)", i, x.vals[i], x.counts[i], y.vals[i], y.counts[i])
 		}
 	}
 }
@@ -135,17 +124,11 @@ func TestSketchDegenerate(t *testing.T) {
 	if sk.N() != 0 || sk.Bytes() <= 0 {
 		t.Fatalf("empty sketch: n=%d bytes=%d", sk.N(), sk.Bytes())
 	}
-	empty := NewQuantileSketch(64)
-	sk.Merge(empty) // empty·empty must be a no-op, not a panic
 	sk.Push([]float64{7, 7, 7, 7})
 	if sk.Quantile(0) != 7 || sk.Quantile(0.5) != 7 || sk.Quantile(1) != 7 {
 		t.Fatalf("constant sketch quantiles broken")
 	}
 	if sk.CountLE(6.9) != 0 || sk.CountLE(7) != 4 {
 		t.Fatalf("constant sketch counts broken")
-	}
-	empty.Merge(sk) // merging into empty adopts
-	if empty.N() != 4 || empty.Quantile(0.5) != 7 {
-		t.Fatalf("merge into empty: n=%d", empty.N())
 	}
 }

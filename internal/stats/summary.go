@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // SampleView is the read-only, point-in-time face of a sample summary: the
 // quantities the estimation pipeline (tail fit, CV test, composite curve)
@@ -40,21 +37,20 @@ type SampleView interface {
 // SampleSummary owns everything the estimation pipeline needs from a
 // measurement campaign's sample: the sorted-view order statistics the tail
 // fit and composite curve read, the median the admissibility battery
-// dichotomizes at, and the battery itself. Blocks are pushed in run order;
-// a summary's state depends only on the concatenated sample, never on the
-// chunking (the index-addressed determinism discipline of the collection
-// layer carries through the summary).
+// dichotomizes at, and the battery itself. Blocks are pushed in run order.
 //
 // Two implementations exist: FullSummary retains the sample (the reference
 // arm) and StreamingSummary holds memory independent of the run count (the
 // fast arm). See their docs for the exactness contract between them.
+// FullSummary state, and the streaming arm's reservoir and sketch, depend
+// only on the concatenated sample, never on the chunking. The streaming
+// battery does not: it dichotomizes each block at the then-current sketch
+// median, so its report depends on the block boundaries (which is why mbpta
+// pushes streaming campaigns in fixed-size chunks).
 type SampleSummary interface {
 	SampleView
 	// Push appends a block of runs, in run order.
 	Push(block []float64)
-	// Merge folds another summary of the SAME concrete type, representing
-	// the runs that FOLLOW this summary's runs, into the receiver.
-	Merge(other SampleSummary) error
 	// IID reports the admissibility battery over everything pushed.
 	IID() IIDReport
 	// View returns an immutable point-in-time snapshot for curve
@@ -114,25 +110,6 @@ func (s *FullSummary) Push(block []float64) {
 	if b := s.Bytes(); b > s.peak {
 		s.peak = b
 	}
-}
-
-// Merge appends another full summary's sample (run order preserved: other's
-// runs follow this summary's). The battery result is identical to a
-// single-stream battery over the concatenation.
-func (s *FullSummary) Merge(other SampleSummary) error {
-	o, ok := other.(*FullSummary)
-	if !ok {
-		return fmt.Errorf("stats: cannot merge %T into *FullSummary", other)
-	}
-	s.sample = append(s.sample, o.sample...)
-	if s.iid != nil {
-		s.iid.Push(o.sample)
-	}
-	s.sorted = MergeSorted(s.sorted, o.sorted)
-	if b := s.Bytes(); b > s.peak {
-		s.peak = b
-	}
-	return nil
 }
 
 // Sample returns the retained run-ordered sample (read-only).
@@ -206,8 +183,8 @@ func (v fullView) Bytes() int                 { return len(v.sorted) * 8 }
 const MinStreamBudget = 64
 
 // StreamingSummary is the bounded-memory fast arm: an exact top-K tail
-// reservoir (K = budget), an exact min/max, a mergeable quantile sketch over
-// the whole population, and the streaming admissibility battery. Retained
+// reservoir (K = budget), an exact min/max, a quantile sketch over the whole
+// population, and the streaming admissibility battery. Retained
 // memory is O(budget), independent of the run count.
 //
 // Exactness contract vs. FullSummary (the reference arm; see the
@@ -253,9 +230,6 @@ func NewStreamingSummary(budget int) *StreamingSummary {
 	}
 }
 
-// Budget returns the configured memory budget K.
-func (s *StreamingSummary) Budget() int { return s.budget }
-
 // Push appends a block of runs in run order. The sketch is updated before
 // the battery so the battery's per-block median covers the block. Cost:
 // O(budget + |block|·(log|block| + lags)), independent of n.
@@ -281,41 +255,6 @@ func (s *StreamingSummary) Push(block []float64) {
 	if b := s.Bytes(); b > s.peak {
 		s.peak = b
 	}
-}
-
-// Merge folds another streaming summary (whose runs follow this summary's)
-// into the receiver. Reservoir, sketch, count and min/max merge exactly and
-// associatively; the battery merges per IIDState.mergeStream.
-func (s *StreamingSummary) Merge(other SampleSummary) error {
-	o, ok := other.(*StreamingSummary)
-	if !ok {
-		return fmt.Errorf("stats: cannot merge %T into *StreamingSummary", other)
-	}
-	if o.n == 0 {
-		return nil
-	}
-	if s.n == 0 {
-		s.min, s.max = o.min, o.max
-	} else {
-		if o.min < s.min {
-			s.min = o.min
-		}
-		if o.max > s.max {
-			s.max = o.max
-		}
-	}
-	if o.budget < s.budget {
-		s.budget = o.budget // canonical: the stricter budget wins
-		s.iid.capFirst(s.budget)
-	}
-	s.n += o.n
-	s.sketch.Merge(o.sketch)
-	s.tailSorted = mergeTopK(s.tailSorted, o.tailSorted, s.budget)
-	s.iid.mergeStream(o.iid)
-	if b := s.Bytes(); b > s.peak {
-		s.peak = b
-	}
-	return nil
 }
 
 // IID reports the streaming admissibility battery.
@@ -405,8 +344,8 @@ func fromTopStream(tailSorted []float64, sketch *QuantileSketch, n, k int) float
 }
 
 // mergeTopK merges two ascending-sorted slices and keeps the k largest
-// values (the union multiset's top k — exact and associative under any
-// merge order). The result is freshly allocated.
+// values (the union multiset's top k, so the reservoir does not depend on the
+// chunking). The result is freshly allocated.
 func mergeTopK(tailSortedA, tailSortedB []float64, k int) []float64 {
 	merged := MergeSorted(tailSortedA, tailSortedB)
 	if len(merged) > k {

@@ -181,96 +181,6 @@ func TestStreamingSummaryTailMatchesBeyondReservoir(t *testing.T) {
 	}
 }
 
-// TestSummaryMergeAssociative: merging shard summaries is associative and
-// deterministic — ((A·B)·C) and (A·(B·C)) produce bit-identical estimation
-// surfaces, and both match a single summary pushed the concatenated stream
-// (the sketch, reservoir and extremes are multiset properties). The battery
-// counts merge exactly on the gap construction; Ljung-Box moments agree to
-// reassociation error.
-func TestSummaryMergeAssociative(t *testing.T) {
-	xs := gapSample(21, 2520)
-	chunks := [][]float64{xs[:1000], xs[1000:1900], xs[1900:]}
-	build := func(c []float64) *StreamingSummary {
-		s := NewStreamingSummary(512)
-		pushBlocks(s, c, 128)
-		return s
-	}
-
-	// ((A·B)·C)
-	left := build(chunks[0])
-	if err := left.Merge(build(chunks[1])); err != nil {
-		t.Fatal(err)
-	}
-	if err := left.Merge(build(chunks[2])); err != nil {
-		t.Fatal(err)
-	}
-	// (A·(B·C))
-	bc := build(chunks[1])
-	if err := bc.Merge(build(chunks[2])); err != nil {
-		t.Fatal(err)
-	}
-	right := build(chunks[0])
-	if err := right.Merge(bc); err != nil {
-		t.Fatal(err)
-	}
-	// The pushed-through stream, for the multiset surface.
-	pushed := build(xs)
-
-	sameView(t, "assoc", left, right)
-	sameView(t, "merge-vs-push", left, pushed)
-
-	li, ri := left.IID(), right.IID()
-	if !sameResult(li.Runs, ri.Runs) || !sameResult(li.Identical, ri.Identical) {
-		t.Fatalf("merged batteries diverged: %+v vs %+v", li, ri)
-	}
-	if !closeResult(li.LjungBox, ri.LjungBox, 1e-8) {
-		t.Fatalf("merged ljung-box diverged: %+v vs %+v", li.LjungBox, ri.LjungBox)
-	}
-
-	// Type mismatches are errors, not corruption.
-	if err := left.Merge(NewFullSummary(false)); err == nil {
-		t.Fatal("merging a FullSummary into a StreamingSummary should error")
-	}
-	if err := NewFullSummary(false).Merge(pushed); err == nil {
-		t.Fatal("merging a StreamingSummary into a FullSummary should error")
-	}
-}
-
-// TestSummaryMergeDegenerate covers the empty/singleton merge corners of
-// both implementations.
-func TestSummaryMergeDegenerate(t *testing.T) {
-	t.Run("streaming", func(t *testing.T) {
-		empty := NewStreamingSummary(64)
-		if err := empty.Merge(NewStreamingSummary(64)); err != nil || empty.N() != 0 {
-			t.Fatalf("empty·empty: err=%v n=%d", err, empty.N())
-		}
-		single := NewStreamingSummary(64)
-		single.Push([]float64{42})
-		if err := empty.Merge(single); err != nil {
-			t.Fatal(err)
-		}
-		if empty.N() != 1 || empty.Min() != 42 || empty.Max() != 42 || empty.FromTop(1) != 42 {
-			t.Fatalf("empty·singleton: n=%d min=%v max=%v", empty.N(), empty.Min(), empty.Max())
-		}
-		if err := empty.Merge(NewStreamingSummary(64)); err != nil || empty.N() != 1 {
-			t.Fatalf("singleton·empty: err=%v n=%d", err, empty.N())
-		}
-		empty.IID() // must not panic
-	})
-	t.Run("full", func(t *testing.T) {
-		empty := NewFullSummary(true)
-		single := NewFullSummary(true)
-		single.Push([]float64{42})
-		if err := empty.Merge(single); err != nil {
-			t.Fatal(err)
-		}
-		if empty.N() != 1 || empty.Max() != 42 {
-			t.Fatalf("empty·singleton: n=%d", empty.N())
-		}
-		empty.IID()
-	})
-}
-
 // TestStreamingSummaryDegenerateInputs: constant and tie-heavy samples, and
 // samples smaller than the reservoir, must neither panic nor diverge from
 // the reference.

@@ -29,48 +29,29 @@ const SummaryWireVersion = 2
 // truncated frame fails fast instead of decoding into garbage.
 var wireMagic = [4]byte{'P', 'T', 'S', 'M'}
 
-// Wire kind bytes, one per summary arm.
-const (
-	wireKindFull      = 1
-	wireKindStreaming = 2
-)
+// wireKindFull tags a full-summary frame, the only kind on the wire; any
+// other kind byte is rejected.
+const wireKindFull = 1
 
-// EncodeSummary serializes a summary for transport. Both arms round-trip
-// bit-identically:
-//
-//   - *FullSummary ships its run-ordered sample (plus the battery mode and
-//     peak); the sorted view and battery state are rebuilt on decode, which
-//     is exact because full-summary state is a pure, chunking-invariant
-//     function of the pushed sequence.
-//   - *StreamingSummary ships its complete state — reservoir, sketch and
-//     the streaming battery's accumulators — verbatim, because streaming
-//     battery state is NOT chunking-invariant (each block dichotomizes at
-//     the then-current sketch median) and can only be reproduced by
-//     copying, never by replay.
+// EncodeSummary serializes a *FullSummary for transport: its run-ordered
+// sample plus the battery mode and peak. The sorted view and battery state
+// are rebuilt on decode, which is exact because full-summary state is a
+// pure, chunking-invariant function of the pushed sequence. Every other
+// summary type is refused: shards ship raw runs, and the coordinator pushes
+// them through its own summary in either estimation mode.
 //
 // The encoding is little-endian with IEEE-754 bit patterns for floats:
 // bit-exact and locale-free, like core.AppendCanonical.
 func EncodeSummary(s SampleSummary) ([]byte, error) {
-	w := newWireWriter()
-	switch v := s.(type) {
-	case *FullSummary:
-		w.byte(wireKindFull)
-		w.bool(v.iid != nil)
-		w.int(v.peak)
-		w.floats(v.sample)
-	case *StreamingSummary:
-		w.byte(wireKindStreaming)
-		w.int(v.budget)
-		w.int(v.n)
-		w.float(v.min)
-		w.float(v.max)
-		w.int(v.peak)
-		w.floats(v.tailSorted)
-		encodeSketch(w, v.sketch)
-		encodeStreamIID(w, v.iid)
-	default:
+	fs, ok := s.(*FullSummary)
+	if !ok {
 		return nil, fmt.Errorf("stats: cannot encode summary type %T", s)
 	}
+	w := newWireWriter()
+	w.byte(wireKindFull)
+	w.bool(fs.iid != nil)
+	w.int(fs.peak)
+	w.floats(fs.sample)
 	w.u64(wireSum(w.buf))
 	return w.buf, nil
 }
@@ -92,9 +73,8 @@ func wireSum(b []byte) uint64 {
 }
 
 // DecodeSummary reverses EncodeSummary. The decoded summary is fully usable:
-// pushing further runs, merging and reporting behave exactly as on the
-// original.
-func DecodeSummary(b []byte) (SampleSummary, error) {
+// pushing further runs and reporting behave exactly as on the original.
+func DecodeSummary(b []byte) (*FullSummary, error) {
 	r := &wireReader{buf: b}
 	var magic [4]byte
 	r.bytes(magic[:])
@@ -116,117 +96,22 @@ func DecodeSummary(b []byte) (SampleSummary, error) {
 		}
 		r.buf = body
 	}
-	kind := r.byte()
-	var sum SampleSummary
-	switch kind {
-	case wireKindFull:
-		inc := r.bool()
-		peak := r.int()
-		sample := r.floats()
-		if r.err != nil {
-			break
-		}
-		fs := NewFullSummary(inc)
-		fs.Push(sample)
-		fs.peak = peak
-		sum = fs
-	case wireKindStreaming:
-		ss := &StreamingSummary{
-			budget: r.int(),
-			n:      r.int(),
-			min:    r.float(),
-			max:    r.float(),
-			peak:   r.int(),
-		}
-		ss.tailSorted = r.floats()
-		ss.sketch = decodeSketch(r)
-		ss.iid = decodeStreamIID(r, ss.sketch)
-		if r.err != nil {
-			break
-		}
-		sum = ss
-	default:
-		if r.err == nil {
-			return nil, fmt.Errorf("stats: unknown summary wire kind %d", kind)
-		}
+	if kind := r.byte(); r.err == nil && kind != wireKindFull {
+		return nil, fmt.Errorf("stats: unknown summary wire kind %d", kind)
 	}
+	inc := r.bool()
+	peak := r.int()
+	sample := r.floats()
 	if r.err != nil {
 		return nil, fmt.Errorf("stats: decoding summary: %w", r.err)
 	}
 	if len(r.buf) != r.off {
 		return nil, fmt.Errorf("stats: decoding summary: %d trailing bytes", len(r.buf)-r.off)
 	}
-	return sum, nil
-}
-
-func encodeSketch(w *wireWriter, sk *QuantileSketch) {
-	w.int(sk.budget)
-	w.float(sk.step)
-	w.int64(sk.n)
-	w.floats(sk.vals)
-	w.int64s(sk.counts)
-}
-
-func decodeSketch(r *wireReader) *QuantileSketch {
-	return &QuantileSketch{
-		budget: r.int(),
-		step:   r.float(),
-		n:      r.int64(),
-		vals:   r.floats(),
-		counts: r.int64s(),
-	}
-}
-
-// encodeStreamIID writes the streaming battery state. Full-mode-only fields
-// (series, scanned) are zero on a streaming battery and are not shipped.
-func encodeStreamIID(w *wireWriter, st *IIDState) {
-	w.int(st.n)
-	w.int(st.firstCap)
-	w.floats(st.firstRuns)
-	w.float(st.shift)
-	w.float(st.sum)
-	w.float(st.sumSq)
-	for _, c := range st.cross {
-		w.float(c)
-	}
-	w.floats(st.head)
-	w.floats(st.window)
-	w.float(st.runsMed)
-	w.bool(st.hasMed)
-	w.int(st.n1)
-	w.int(st.n2)
-	w.int(st.runs)
-	w.byte(byte(st.lastSign))
-	w.byte(byte(st.firstSign))
-	w.floats(st.firstSorted)
-	w.int(st.half)
-}
-
-// decodeStreamIID rebuilds the battery around the enclosing summary's sketch
-// (the battery never owns its sketch; see NewStreamingIID).
-func decodeStreamIID(r *wireReader, sketch *QuantileSketch) *IIDState {
-	st := &IIDState{stream: true, sketch: sketch}
-	st.n = r.int()
-	st.firstCap = r.int()
-	st.firstRuns = r.floats()
-	st.shift = r.float()
-	st.sum = r.float()
-	st.sumSq = r.float()
-	for k := range st.cross {
-		st.cross[k] = r.float()
-	}
-	st.head = r.floats()
-	st.window = r.floats()
-	st.runsMed = r.float()
-	st.hasMed = r.bool()
-	st.n1 = r.int()
-	st.n2 = r.int()
-	st.runs = r.int()
-	st.lastSign = int8(r.byte())
-	st.firstSign = int8(r.byte())
-	st.firstSorted = r.floats()
-	st.half = r.int()
-	return st
+	fs := NewFullSummary(inc)
+	fs.Push(sample)
+	fs.peak = peak
+	return fs, nil
 }
 
 // wireWriter appends little-endian primitives to a growing buffer.
@@ -253,20 +138,12 @@ func (w *wireWriter) bool(v bool) {
 
 func (w *wireWriter) u64(v uint64)    { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *wireWriter) int(v int)       { w.u64(uint64(int64(v))) }
-func (w *wireWriter) int64(v int64)   { w.u64(uint64(v)) }
 func (w *wireWriter) float(v float64) { w.u64(math.Float64bits(v)) }
 
 func (w *wireWriter) floats(vs []float64) {
 	w.int(len(vs))
 	for _, v := range vs {
 		w.float(v)
-	}
-}
-
-func (w *wireWriter) int64s(vs []int64) {
-	w.int(len(vs))
-	for _, v := range vs {
-		w.int64(v)
 	}
 }
 
@@ -311,7 +188,6 @@ func (r *wireReader) u64() uint64 {
 }
 
 func (r *wireReader) int() int       { return int(int64(r.u64())) }
-func (r *wireReader) int64() int64   { return int64(r.u64()) }
 func (r *wireReader) float() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *wireReader) sliceLen() int {
@@ -333,18 +209,6 @@ func (r *wireReader) floats() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = r.float()
-	}
-	return out
-}
-
-func (r *wireReader) int64s() []int64 {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.int64()
 	}
 	return out
 }

@@ -2,17 +2,18 @@ package stats
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"sort"
 	"testing"
 )
 
-// newSummary builds one summary per arm so every wire test covers both.
-func wireArms() map[string]func() SampleSummary {
-	return map[string]func() SampleSummary{
-		"full":           func() SampleSummary { return NewFullSummary(false) },
-		"full/increment": func() SampleSummary { return NewFullSummary(true) },
-		"streaming":      func() SampleSummary { return NewStreamingSummary(256) },
+// wireArms builds one full summary per battery mode so every wire test
+// covers both.
+func wireArms() map[string]func() *FullSummary {
+	return map[string]func() *FullSummary{
+		"full":           func() *FullSummary { return NewFullSummary(false) },
+		"full/increment": func() *FullSummary { return NewFullSummary(true) },
 	}
 }
 
@@ -36,7 +37,7 @@ func sameSummary(t *testing.T, label string, a, b SampleSummary) {
 }
 
 // The fundamental wire contract: decode(encode(s)) is observationally
-// bit-identical to s, for both summary arms, and the decoded summary stays
+// bit-identical to s, in both battery modes, and the decoded summary stays
 // live — pushing the same continuation into both sides keeps them equal.
 func TestSummaryWireRoundTrip(t *testing.T) {
 	xs := gapSample(3, 4000)
@@ -65,58 +66,39 @@ func TestSummaryWireRoundTrip(t *testing.T) {
 	}
 }
 
-// Merging decoded shard summaries in index order must reproduce the
-// single-summary result, and parenthesization must not matter:
-// (A+B)+C == A+(B+C) == one summary over the concatenation.
-func TestSummaryWireMergeAssociativity(t *testing.T) {
-	xs := gapSample(9, 6000)
-	cuts := []int{0, 2100, 4200, len(xs)}
-	for name, mk := range wireArms() {
-		t.Run(name, func(t *testing.T) {
-			whole := mk()
-			pushBlocks(whole, xs, 128)
-
-			// Three shard summaries, each round-tripped through the wire.
-			var parts []SampleSummary
-			for i := 0; i+1 < len(cuts); i++ {
-				p := mk()
-				pushBlocks(p, xs[cuts[i]:cuts[i+1]], 128)
-				enc, err := EncodeSummary(p)
-				if err != nil {
-					t.Fatalf("encode part %d: %v", i, err)
-				}
-				dec, err := DecodeSummary(enc)
-				if err != nil {
-					t.Fatalf("decode part %d: %v", i, err)
-				}
-				parts = append(parts, dec)
-			}
-
-			left := parts[0]
-			if err := left.Merge(parts[1]); err != nil {
-				t.Fatalf("left merge AB: %v", err)
-			}
-			if err := left.Merge(parts[2]); err != nil {
-				t.Fatalf("left merge (AB)C: %v", err)
-			}
-			sameView(t, "(A+B)+C vs whole", left, whole)
-			if name != "streaming" {
-				// The full battery is chunking-invariant, so merged shards
-				// reproduce the whole-sample report exactly. The streaming
-				// battery's per-shard dichotomization is the documented
-				// approximation — the reason campaign sharding ships raw
-				// full-mode samples instead of merging streaming batteries.
-				if left.IID() != whole.IID() {
-					t.Fatalf("(A+B)+C IID %+v != whole %+v", left.IID(), whole.IID())
-				}
-			}
-		})
+// The full-summary frame is pinned byte for byte: coordinators and workers
+// from different builds interoperate only while this encoding and
+// SummaryWireVersion stay put. Changing the frame means bumping the version
+// and re-taking these bytes.
+func TestSummaryWireGoldenFrame(t *testing.T) {
+	golden := map[bool]string{
+		false: "5054534d0200000000000000010030000000000000000300000000000000000000002088e34000000000d087e340000000004089e34048e72062615b19cc",
+		true:  "5054534d0200000000000000010180010000000000000300000000000000000000002088e34000000000d087e340000000004089e34030033c0523fe4294",
+	}
+	for inc, want := range golden {
+		sum := NewFullSummary(inc)
+		sum.Push([]float64{40001, 39998.5})
+		sum.Push([]float64{40010})
+		enc, err := EncodeSummary(sum)
+		if err != nil {
+			t.Fatalf("incremental=%v: encode: %v", inc, err)
+		}
+		if got := hex.EncodeToString(enc); got != want {
+			t.Errorf("incremental=%v: frame changed:\n  got  %s\n  want %s", inc, got, want)
+		}
 	}
 }
 
 // Foreign versions, foreign magic, unknown kinds, truncation and trailing
-// garbage must all be rejected — never misdecoded.
+// garbage must all be rejected — never misdecoded — and the encoder refuses
+// every summary but a full one.
 func TestSummaryWireRejectsForeign(t *testing.T) {
+	stream := NewStreamingSummary(64)
+	stream.Push(gridSample(1, 100))
+	if _, err := EncodeSummary(stream); err == nil {
+		t.Error("encoder accepted a streaming summary")
+	}
+
 	sum := NewFullSummary(true)
 	sum.Push(gridSample(1, 500))
 	enc, err := EncodeSummary(sum)
@@ -180,22 +162,12 @@ func TestSummaryWireDetectsCorruption(t *testing.T) {
 }
 
 // The wire encoding serializes unexported state field by field, so any field
-// added to these structs silently vanishes from the wire unless this list —
+// added to this struct silently vanishes from the wire unless this list —
 // and SummaryWireVersion — is updated. Same discipline as
 // TestCanonicalEncodingFieldsPinned for core.AppendCanonical.
 func TestSummaryWireFieldsPinned(t *testing.T) {
 	pinned := map[reflect.Type][]string{
-		reflect.TypeOf(FullSummary{}):      {"sample", "sorted", "iid", "peak"},
-		reflect.TypeOf(StreamingSummary{}): {"budget", "n", "min", "max", "tailSorted", "sketch", "iid", "peak"},
-		reflect.TypeOf(QuantileSketch{}):   {"budget", "step", "vals", "counts", "n"},
-		reflect.TypeOf(IIDState{}): {
-			"series", "n", "stream", "sketch",
-			"firstCap", "firstRuns",
-			"shift", "sum", "sumSq", "cross",
-			"head", "window",
-			"runsMed", "hasMed", "scanned", "n1", "n2", "runs", "lastSign", "firstSign",
-			"firstSorted", "half",
-		},
+		reflect.TypeOf(FullSummary{}): {"sample", "sorted", "iid", "peak"},
 	}
 	for typ, want := range pinned {
 		var got []string

@@ -59,11 +59,10 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 // EncodingVersion-stamped encoding). Worker counts and the progress sink are
 // excluded — results are worker-count-invariant — so sessions differing only
 // in parallelism or observation fingerprint identically and share cached
-// results.
+// results. It is core.Config.Fingerprint, the identity shard workers check
+// specs against, so the two can never drift apart.
 func (s *Session) ConfigFingerprint() Fingerprint {
-	h := sha256.New()
-	h.Write(s.cfg.AppendCanonical(nil))
-	return sumFingerprint(h)
+	return Fingerprint(s.cfg.Fingerprint())
 }
 
 // FingerprintProgram fingerprints one analysis input: the program p on input

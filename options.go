@@ -1,10 +1,6 @@
 package pubtac
 
-import (
-	"time"
-
-	"pubtac/internal/core"
-)
+import "pubtac/internal/core"
 
 // ProgressEvent reports campaign growth for one analyzed path; see
 // WithProgress. Target can grow between events while MBPTA convergence
@@ -22,8 +18,6 @@ type sessionSettings struct {
 	scale      float64
 	capSet     bool
 	progress   func(ProgressEvent)
-	peerRetry  int           // -1 = unset
-	hedgeDelay time.Duration // -1 = unset
 }
 
 // WithConfig replaces the session's entire pipeline configuration (platform
@@ -134,27 +128,6 @@ func WithShards(n int) Option {
 	return func(s *sessionSettings) { s.cfg.Shards = n }
 }
 
-// WithPeerRetry bounds how many times the installed shard collector
-// dispatches one shard before the coordinator's local fallback recomputes
-// it (n <= 0 keeps the collector's own default, typically 3). The knob
-// reaches the collector through an optional TuneRetry method — the client
-// package's peer fabric implements it — and, like every sharding knob,
-// never enters config fingerprints: retries change where bytes are
-// computed, not what they are.
-func WithPeerRetry(n int) Option {
-	return func(s *sessionSettings) { s.peerRetry = n }
-}
-
-// WithHedgeDelay arms hedged shard dispatch: when the primary peer has
-// neither answered nor failed after d, the same shard races on a second
-// peer and the first valid summary wins (the loser is cancelled). Zero
-// disables hedging (the default — hedges spend duplicate work to cut tail
-// latency, so they are opt-in); negative keeps the collector's default.
-// Bit-identity is unaffected: both racers compute the same run range.
-func WithHedgeDelay(d time.Duration) Option {
-	return func(s *sessionSettings) { s.hedgeDelay = d }
-}
-
 // WithIIDHardFail promotes the i.i.d. admissibility warning to a hard
 // failure: analyses whose sample fails the battery (runs, Ljung-Box,
 // Kolmogorov-Smirnov at the configured Alpha) return an error wrapping
@@ -169,7 +142,7 @@ func WithIIDHardFail(on bool) Option {
 
 // defaultSettings returns the paper's evaluation setup at full scale.
 func defaultSettings() *sessionSettings {
-	return &sessionSettings{cfg: core.DefaultConfig(), scale: 1.0, peerRetry: -1, hedgeDelay: -1}
+	return &sessionSettings{cfg: core.DefaultConfig(), scale: 1.0}
 }
 
 // build finalizes the settings into a core configuration. The scaling
@@ -193,16 +166,6 @@ func (s *sessionSettings) build() core.Config {
 		cfg.MBPTA.Workers = s.workers
 	} else {
 		s.workers = cfg.MBPTA.Workers
-	}
-	// Thread the resilience knobs into the shard collector when it accepts
-	// them. They live outside core.Config because they cannot affect result
-	// bytes — only how hard the fabric tries before local fallback.
-	if s.cfg.Sharder != nil && (s.peerRetry > 0 || s.hedgeDelay >= 0) {
-		if t, ok := s.cfg.Sharder.(interface {
-			TuneRetry(int, time.Duration)
-		}); ok {
-			t.TuneRetry(s.peerRetry, s.hedgeDelay)
-		}
 	}
 	return cfg
 }
