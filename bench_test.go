@@ -391,9 +391,10 @@ func BenchmarkAblationTailFit(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCompiledReplay contrasts the compiled-trace fast path
-// against the uncompiled reference replay on the same campaign (the two
-// are bit-identical; see internal/proc's equivalence tests).
+// BenchmarkAblationCompiledReplay contrasts Run on the compiled replay (a
+// one-seed block of the batched replay) against the uncompiled reference
+// replay, one run at a time (the two are bit-identical; see internal/proc's
+// equivalence tests).
 func BenchmarkAblationCompiledReplay(b *testing.B) {
 	bm := malardalen.BS()
 	pubbed, _, err := pub.Transform(bm.Program)
@@ -417,12 +418,13 @@ func BenchmarkAblationCompiledReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBatchReplay contrasts the three campaign replay paths on
-// a 1000-run campaign of the pubbed bs path: the batched loop (BatchK seeds
-// per pass over the shared compiled stream, conflict-free seeds answered
-// analytically), a loop of per-seed compiled Runs, and the uncompiled
-// reference engine. All three produce bit-identical times (see
-// internal/proc's batch equivalence tests).
+// BenchmarkAblationBatchReplay contrasts three ways to run a 1000-run
+// campaign of the pubbed bs path: full blocks of the batched replay (BatchK
+// seeds per pass over the shared compiled stream, conflict-free seeds
+// answered analytically), a loop of Runs (one-seed blocks, each paying a
+// full block's placement work), and the uncompiled reference engine. All
+// three produce bit-identical times (see internal/proc's batch equivalence
+// tests).
 //
 //pubtac:bench
 func BenchmarkAblationBatchReplay(b *testing.B) {

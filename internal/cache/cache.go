@@ -91,14 +91,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Pin forces specific lines into a fixed set, bypassing the placement
-// policy. TAC uses pinning to measure the impact of an address group being
-// co-mapped into one set.
-type Pin struct {
-	Lines map[uint64]bool // line addresses to pin
-	Set   int             // destination set index
-}
-
 // Cache is a single set-associative cache instance. It is not safe for
 // concurrent use; simulation engines create one per goroutine.
 type Cache struct {
@@ -109,7 +101,6 @@ type Cache struct {
 	valid    []bool
 	lruTick  []uint64 // last-touch timestamp per way (LRU only)
 	tick     uint64
-	pin      *Pin
 	hits     uint64
 	misses   uint64
 	setMask  uint64
@@ -134,11 +125,8 @@ func New(cfg Config, seed uint64) *Cache {
 	return c
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // PlacementKey derives the placement-hash key that Reseed(seed) installs.
-// The batched campaign replay of package proc evaluates placements for many
+// The batched replay of package proc evaluates placements for a block of
 // run seeds without touching Cache objects; sharing the derivation here
 // keeps the two paths impossible to diverge.
 func PlacementKey(seed uint64) uint64 { return rng.Mix64(seed ^ 0xCAC4E) }
@@ -169,40 +157,8 @@ func (c *Cache) Flush() {
 	c.hits, c.misses, c.tick = 0, 0, 0
 }
 
-// SetPin installs (or clears, with nil) a forced placement.
-func (c *Cache) SetPin(p *Pin) { c.pin = p }
-
-// Pin returns the installed forced placement, nil when none. The batched
-// replay reads it once per seed block to reproduce SetOf's pin short-circuit
-// without a per-access lookup.
-func (c *Cache) Pin() *Pin { return c.pin }
-
-// Rand returns the replacement random stream of the current run. The
-// compiled replay draws victims from this generator so that its decisions
-// are bit-identical to AccessLine's and the post-run generator state
-// matches the reference engine exactly.
-func (c *Cache) Rand() *rng.Xoshiro256 { return c.rand }
-
-// RunState exposes the raw per-way state arrays (lines, valid, lruTick),
-// indexed by set*Ways+way. The compiled replay writes the end-of-run state
-// back through these slices so that the cache contents after a compiled run
-// are bit-identical to a reference replay. Callers must not resize the
-// slices.
-func (c *Cache) RunState() (lines []uint64, valid []bool, lruTick []uint64) {
-	return c.lines, c.valid, c.lruTick
-}
-
-// SetCounters overwrites the access counters; the compiled replay uses it
-// to report its hit/miss totals through the regular Hits/Misses accessors.
-func (c *Cache) SetCounters(tick, hits, misses uint64) {
-	c.tick, c.hits, c.misses = tick, hits, misses
-}
-
 // SetOf returns the set index the current run maps line to.
 func (c *Cache) SetOf(line uint64) int {
-	if c.pin != nil && c.pin.Lines[line] {
-		return c.pin.Set
-	}
 	if c.cfg.Placement == ModuloPlacement {
 		return int(line & c.setMask)
 	}

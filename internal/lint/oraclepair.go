@@ -14,10 +14,11 @@ import (
 // declaration whose doc comment carries "//pubtac:fastpath <name>" must be
 // matched by a "//pubtac:reference <name>" declaration in the same package,
 // and at least one of the package's test files must mention both declared
-// identifiers — the equivalence test that keeps the pair honest. The seed
-// corpus is the four pairs PRs 2-5 established by hand: compiled vs.
-// reference replay, batched vs. per-seed campaign, the incremental vs.
-// one-shot i.i.d. battery, and indexed vs. reference TAC enumeration.
+// identifiers — the equivalence test that keeps the pair honest. The
+// repository's pairs are the batched vs. uncompiled campaign replay, the
+// incremental vs. one-shot i.i.d. battery, the indexed vs. full-scan TAC
+// enumeration, the streaming vs. full-sample estimation summary and the
+// remote-sharded vs. local campaign collection.
 //
 // The test-mention requirement is only evaluated when the pass includes
 // test files (go vet analyzes each package twice, with and without its

@@ -93,8 +93,9 @@ type Progress func(done, target int)
 // worker simulates this many runs between cancellation checks and progress
 // reports. Small enough to cancel a campaign within milliseconds, large
 // enough that the atomic dispatch cost is invisible next to a trace replay.
-// It is a multiple of proc.BatchK so whole blocks stay on the batched
-// replay path (the engine replays BatchK seeds per pass over the stream).
+// It is a multiple of proc.BatchK so every replay block is full (the engine
+// replays BatchK seeds per pass over the stream; a shorter block costs a
+// full block's placement work).
 const collectBlock = 8 * proc.BatchK
 
 // Campaign is one measurement campaign's shared, immutable inputs: the

@@ -6,24 +6,24 @@ import (
 	"pubtac/internal/trace"
 )
 
-// This file implements the batched campaign replay: BatchK run seeds share
-// every pass over the compiled ID stream, with struct-of-arrays set state.
+// This file implements the batched replay, the engine's only compiled
+// replay: a block of up to BatchK run seeds shares every pass over the
+// compiled ID stream, with struct-of-arrays set state.
 //
-// A campaign replays one immutable CompiledTrace 10^5-10^6 times, and after
-// the per-seed compiled path the stream decode itself (token load, cache
-// select, loop control) dominates: it is paid once per seed even though the
-// stream never changes. The batch path replays BatchK seeds per pass, so
-// the decode is amortized across the block, and the per-seed state the
-// inner loop touches — set bases, set contents, replacement and jitter
-// generators, hit/miss counters — is laid out per seed so the K-wide inner
-// loop is straight-line over dense arrays.
+// A campaign replays one immutable CompiledTrace 10^5-10^6 times, and once
+// compilation has hoisted placement out of the access loop, the stream
+// decode itself (token load, cache select, loop control) dominates. A block
+// replays BatchK seeds per pass, so the decode is amortized across the
+// block, and the per-seed state the inner loop touches — set bases, set
+// contents, replacement and jitter generators, hit/miss counters — is laid
+// out per seed so the K-wide inner loop is straight-line over dense arrays.
 //
 // Two further consequences of batching:
 //
 //   - Placement is evaluated in one flat loop: for every distinct line, the
-//     per-seed placement hashes (the same pin, modulo and keyed-hash logic
-//     as cache.SetOf, with the pin and policy hoisted out) are computed for
-//     all BatchK seeds back to back.
+//     per-seed placement hashes (the same modulo and keyed-hash logic as
+//     cache.SetOf, with the policy hoisted out) are computed for all BatchK
+//     seeds back to back.
 //   - While computing placements, the block tracks per-seed set occupancy.
 //     A seed whose placement maps at most Ways distinct lines into every
 //     set can never evict, so its run is fully determined without touching
@@ -34,16 +34,21 @@ import (
 //     below capacity — the paper's platform on the evaluation benchmarks —
 //     most runs take the analytic path.
 //
+// A block shorter than BatchK (Run's single seed, a campaign's trailing
+// runs) still places all BatchK slots, so the placement loops keep their
+// constant bounds; the conflict bits of the slots past the block's length
+// are masked off, and those slots never replay or report.
+//
 // Every decision a replayed seed makes draws from the same generators in
-// the same order as a per-seed Run with that seed, so batch campaigns are
-// bit-identical to per-seed campaigns; batch_test.go enforces this against
-// both the per-seed compiled path and the uncompiled reference engine.
+// the same order as the reference replay with that seed, so results are
+// bit-identical to it; the equivalence tests in batch_test.go and
+// compile_test.go enforce this against the uncompiled reference engine.
 
-// BatchK is the number of campaign seeds replayed per pass over the
+// BatchK is the largest number of run seeds replayed per pass over the
 // compiled stream. Callers that split campaigns into blocks (package mbpta)
-// keep block sizes in multiples of BatchK so whole blocks stay on the
-// batched path. 8 seeds keep the per-block set state (BatchK copies of both
-// caches' contents) inside L1 alongside the stream.
+// keep block sizes in multiples of BatchK so every block is full. 8 seeds
+// keep the per-block set state (BatchK copies of both caches' contents)
+// inside L1 alongside the stream.
 const BatchK = 8
 
 // batchSide is the struct-of-arrays replay state of one cache for a block
@@ -60,72 +65,63 @@ type batchSide struct {
 	occ     []uint16 // [k*sets+set] distinct-line occupancy scratch
 }
 
-// batchState is an engine's batched-campaign scratch, reused across blocks.
+// batchState is an engine's batched-replay scratch, reused across blocks.
+// Callers fill seeds[:n] and read cycles[:n] back after runBlock.
 type batchState struct {
 	il, dl batchSide
 	jgens  [BatchK]rng.Xoshiro256 // per-seed miss-jitter streams
 	jsum   [BatchK]uint64         // per-seed accumulated jitter cycles
 	seeds  [BatchK]uint64
+	cycles [BatchK]uint64
 	active [BatchK]int32 // seeds that need a stream replay this block
 }
 
-// CampaignBatchInto is CampaignInto on the batched replay path: it fills
-// dst with runs offset.. of the campaign rooted at root, replaying BatchK
-// seeds per pass over the compiled stream and answering conflict-free seeds
-// analytically. Results are bit-identical to a loop of per-seed Runs. The
-// trailing len(dst)%BatchK runs go through the per-seed path; when the
-// length divides evenly, the last run's per-seed replay is deferred instead
-// (restoreCt/restoreSeed) and executed by materialize only if an accessor
-// actually observes the engine's post-campaign cache state — campaign
-// drivers never do, so back-to-back blocks pay nothing for state fidelity.
+// CampaignBatchInto is CampaignInto on the batched replay: it fills dst
+// with runs offset.. of the campaign rooted at root, replaying BatchK seeds
+// per pass over the compiled stream and answering conflict-free seeds
+// analytically. A trailing len(dst)%BatchK runs form one shorter block.
+// Results are bit-identical to the reference replay.
 //
 //pubtac:fastpath campaign
 func (e *Engine) CampaignBatchInto(tr trace.Trace, dst []float64, root uint64, offset int) {
-	n := len(dst)
-	if n == 0 {
+	if len(dst) == 0 {
 		return
 	}
 	ct := e.compiledFor(tr)
-	if e.batch == nil {
-		e.batch = new(batchState)
-	}
-	i := 0
-	for ; i+BatchK <= n; i += BatchK {
-		e.runBatchBlock(ct, dst[i:i+BatchK], root, offset+i)
-	}
-	for ; i < n; i++ {
-		dst[i] = float64(e.RunCompiled(ct, rng.Stream(root, offset+i)))
-	}
-	if n%BatchK == 0 {
-		e.pending = nil
-		e.restoreCt = ct
-		e.restoreSeed = rng.Stream(root, offset+n-1)
+	b := e.batch
+	for i := 0; i < len(dst); i += BatchK {
+		blk := dst[i:min(i+BatchK, len(dst))]
+		for k := range blk {
+			b.seeds[k] = rng.Stream(root, offset+i+k)
+		}
+		e.runBlock(ct, len(blk))
+		for k := range blk {
+			blk[k] = float64(b.cycles[k])
+		}
 	}
 }
 
-// runBatchBlock executes runs offset..offset+BatchK-1 into dst.
-func (e *Engine) runBatchBlock(ct *CompiledTrace, dst []float64, root uint64, offset int) {
+// runBlock replays the first n (1..BatchK) seeds of the engine's block
+// scratch and stores their execution times in cycles[:n].
+func (e *Engine) runBlock(ct *CompiledTrace, n int) {
 	b := e.batch
-	for k := range b.seeds {
-		b.seeds[k] = rng.Stream(root, offset+k)
-	}
-	conflict := b.il.placeBlock(&ct.il1, e.il1, &b.seeds, ilSeedSalt) |
-		b.dl.placeBlock(&ct.dl1, e.dl1, &b.seeds, dlSeedSalt)
+	conflict := b.il.placeBlock(&ct.il1, e.model.IL1.Placement == cache.RandomPlacement,
+		&b.seeds, ilSeedSalt)
+	conflict |= b.dl.placeBlock(&ct.dl1, e.model.DL1.Placement == cache.RandomPlacement,
+		&b.seeds, dlSeedSalt)
+	conflict &= 1<<n - 1
 
 	jitter := e.model.Lat.MissJitter
-	n := len(ct.stream)
+	accesses := len(ct.stream)
 	cold := len(ct.il1.lines) + len(ct.dl1.lines)
-	clean := e.cyclesFor(n, uint64(n-cold), uint64(cold), 0)
+	clean := e.cyclesFor(accesses, uint64(accesses-cold), uint64(cold), 0)
 
-	if jitter > 0 {
-		for k := 0; k < BatchK; k++ {
+	active := b.active[:0]
+	for k := 0; k < n; k++ {
+		if jitter > 0 {
 			b.jgens[k].Reseed(rng.Mix64(b.seeds[k] ^ jitterSeedSalt))
 			b.jsum[k] = 0
 		}
-	}
-
-	active := b.active[:0]
-	for k := 0; k < BatchK; k++ {
 		switch {
 		case conflict&(1<<k) != 0:
 			active = append(active, int32(k))
@@ -138,9 +134,9 @@ func (e *Engine) runBatchBlock(ct *CompiledTrace, dst []float64, root uint64, of
 			for i := 0; i < cold; i++ {
 				js += g.Uint64() % jitter
 			}
-			dst[k] = float64(clean + js)
+			b.cycles[k] = clean + js
 		default:
-			dst[k] = float64(clean)
+			b.cycles[k] = clean
 		}
 	}
 	if len(active) == 0 {
@@ -159,17 +155,27 @@ func (e *Engine) runBatchBlock(ct *CompiledTrace, dst []float64, root uint64, of
 		e.batchReplayGeneric(ct, active, jitter)
 	}
 	for _, k := range active {
-		dst[k] = float64(e.cyclesFor(n,
-			b.il.hits[k]+b.dl.hits[k], b.il.misses[k]+b.dl.misses[k], b.jsum[k]))
+		b.cycles[k] = e.cyclesFor(accesses,
+			b.il.hits[k]+b.dl.hits[k], b.il.misses[k]+b.dl.misses[k], b.jsum[k])
 	}
 }
 
+// cyclesFor converts classification counts into the additive timing model:
+// the in-order pipeline's cost is linear in hits and misses, so the replay
+// loops only classify accesses and the arithmetic happens once per run.
+// jitterCycles carries the per-miss randomized jitter accumulated in replay
+// order (zero when MissJitter is off).
+func (e *Engine) cyclesFor(n int, hits, misses, jitterCycles uint64) uint64 {
+	lat := e.model.Lat
+	return lat.Issue*uint64(n) + lat.Hit*hits + lat.Miss*misses + jitterCycles
+}
+
 // placeBlock sizes the side's scratch, computes every (line, seed) set base
-// — the same pin, modulo and keyed-hash logic as cache.SetOf, with pin and
-// policy hoisted out of the loop — and returns the bitmask of seeds whose
+// — the same modulo and keyed-hash logic as cache.SetOf, with the policy
+// hoisted out of the loop — and returns the bitmask of seeds whose
 // placement overflows some set's associativity (those must replay; the rest
 // cannot evict).
-func (bs *batchSide) placeBlock(side *compiledSide, c *cache.Cache,
+func (bs *batchSide) placeBlock(side *compiledSide, random bool,
 	seeds *[BatchK]uint64, salt uint64) uint32 {
 
 	nl := len(side.lines)
@@ -187,7 +193,6 @@ func (bs *batchSide) placeBlock(side *compiledSide, c *cache.Cache,
 	bs.lruTick = bs.lruTick[:nways*BatchK]
 	bs.occ = bs.occ[:side.sets*BatchK]
 
-	random := c.Config().Placement == cache.RandomPlacement
 	if random {
 		for k := 0; k < BatchK; k++ {
 			bs.keys[k] = cache.PlacementKey(rng.Mix64(seeds[k] ^ salt))
@@ -203,7 +208,6 @@ func (bs *batchSide) placeBlock(side *compiledSide, c *cache.Cache,
 		}
 	}
 
-	pin := c.Pin()
 	mask := uint64(side.sets - 1)
 	ways := int32(side.ways)
 	block := int32(nways)
@@ -214,21 +218,6 @@ func (bs *batchSide) placeBlock(side *compiledSide, c *cache.Cache,
 	}
 	for id, line := range side.lines {
 		row := id * BatchK
-		if pin != nil && pin.Lines[line] {
-			base := int32(pin.Set) * ways
-			for k := int32(0); k < BatchK; k++ {
-				bs.setBase[row+int(k)] = k*block + base
-			}
-			if trackOcc {
-				for k := 0; k < BatchK; k++ {
-					o := k*side.sets + pin.Set
-					if bs.occ[o]++; bs.occ[o] > maxOcc {
-						conflict |= 1 << k
-					}
-				}
-			}
-			continue
-		}
 		if !random {
 			set := int32(line & mask)
 			for k := int32(0); k < BatchK; k++ {
@@ -260,10 +249,12 @@ func (bs *batchSide) placeBlock(side *compiledSide, c *cache.Cache,
 
 // prepareReplay readies the side's state for the seeds that must replay:
 // replacement streams reseeded, counters cleared, and each active seed's
-// reachable sets invalidated (the replay touches no set outside its
-// setBase, mirroring sideState.prepare's sparse invalidation). lruTick
-// needs no reset for the same reason as in the per-seed path: LRU victims
-// are only chosen among ways filled this run.
+// state block invalidated. The replay touches no set outside the seed's
+// setBase, so when the trace has few distinct lines it is cheaper to clear
+// just their sets (duplicates are idempotent) than the whole block.
+// lruTick needs no reset: LRU victims are only ever chosen among ways
+// filled this run, whose ticks were all written this run (the reference
+// cache relies on the same property across its Flush).
 func (bs *batchSide) prepareReplay(side *compiledSide, seeds *[BatchK]uint64,
 	active []int32, salt uint64) {
 
@@ -290,10 +281,12 @@ func (bs *batchSide) prepareReplay(side *compiledSide, seeds *[BatchK]uint64,
 	}
 }
 
-// batchReplay2WayRandom is the batched form of replay2WayRandom (both
-// caches 2-way with random replacement, the paper's platform): per token,
-// the two-compare access runs for every active seed against that seed's
-// state block before the next token is decoded.
+// batchReplay2WayRandom is the specialized loop for the paper's platform —
+// both caches 2-way with random replacement. With the set base precomputed
+// per line, an access is two compares against the set's ways, and LRU
+// bookkeeping is skipped (random replacement never reads it). Per token,
+// the access runs for every active seed against that seed's state block
+// before the next token is decoded.
 func (e *Engine) batchReplay2WayRandom(ct *CompiledTrace, active []int32, jitter uint64) {
 	b := e.batch
 	il, dl := &b.il, &b.dl
@@ -348,9 +341,9 @@ func (e *Engine) batchReplay2WayRandom(ct *CompiledTrace, active []int32, jitter
 	}
 }
 
-// batchReplayGeneric is the batched form of replayGeneric: full reference
-// semantics (any associativity, random or LRU replacement) for every active
-// seed. The per-cache access tick is shared — it counts stream positions,
+// batchReplayGeneric handles every other policy combination (modulo
+// placement, LRU replacement, other associativities) with full reference
+// semantics for every active seed. The per-cache access tick is shared — it counts stream positions,
 // which are identical across seeds.
 func (e *Engine) batchReplayGeneric(ct *CompiledTrace, active []int32, jitter uint64) {
 	b := e.batch
@@ -379,8 +372,10 @@ func (e *Engine) batchReplayGeneric(ct *CompiledTrace, active []int32, jitter ui
 	}
 }
 
-// accessBatch replays one access for seed k with full reference semantics,
-// mirroring sideState.access against the seed's state block.
+// accessBatch replays one access for seed k against the seed's state block
+// with full reference semantics: cache.AccessLine's hit scan, fill of the
+// first empty way, and random or LRU victim choice. tick is the per-cache
+// access counter, already incremented for this access.
 func (bs *batchSide) accessBatch(k int32, id int32, ways int, lru bool, tick uint64) bool {
 	base := bs.setBase[int(id)*BatchK+int(k)]
 	for w := int32(0); w < int32(ways); w++ {

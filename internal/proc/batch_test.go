@@ -26,33 +26,26 @@ func wideTrace(gen *rng.Xoshiro256, n int) trace.Trace {
 	return tr
 }
 
-// assertCampaignsMatch compares a batched campaign against a per-seed
-// compiled campaign and the uncompiled reference engine, at several lengths
-// (covering partial blocks, exact blocks and multi-block campaigns) and a
-// non-zero offset.
-func assertCampaignsMatch(t *testing.T, label string, m Model, tr trace.Trace,
-	setup func(e *Engine)) {
+// assertCampaignsMatch compares a batched campaign against a loop of Runs
+// (one-seed blocks) and the uncompiled reference replay, at lengths that
+// cover a lone partial block, partial, exact and multi-block campaigns, and
+// a non-zero offset.
+func assertCampaignsMatch(t *testing.T, label string, m Model, tr trace.Trace) {
 	t.Helper()
-	build := func(ref bool) *Engine {
-		e := NewEngine(m)
-		e.UseReference(ref)
-		if setup != nil {
-			setup(e)
-		}
-		return e
-	}
 	const root = 0xBA7C4
 	for _, n := range []int{1, BatchK - 1, BatchK, BatchK + 3, 4 * BatchK, 4*BatchK + 5} {
 		for _, offset := range []int{0, 13} {
 			batch := make([]float64, n)
-			build(false).CampaignBatchInto(tr, batch, root, offset)
+			NewEngine(m).CampaignBatchInto(tr, batch, root, offset)
 			seed := make([]float64, n)
-			perSeed := build(false)
+			perSeed := NewEngine(m)
 			for i := range seed {
 				seed[i] = float64(perSeed.Run(tr, rng.Stream(root, offset+i)))
 			}
 			ref := make([]float64, n)
-			build(true).CampaignInto(tr, ref, root, offset)
+			refEng := NewEngine(m)
+			refEng.UseReference(true)
+			refEng.CampaignInto(tr, ref, root, offset)
 			for i := range batch {
 				if batch[i] != seed[i] || batch[i] != ref[i] {
 					t.Fatalf("%s: n=%d offset=%d run %d: batch %v, per-seed %v, reference %v",
@@ -66,8 +59,7 @@ func assertCampaignsMatch(t *testing.T, label string, m Model, tr trace.Trace,
 // TestBatchCampaignMatchesPerSeed is the bit-identity oracle of the batched
 // replay: for every placement/replacement combination, with and without
 // miss jitter, on both a conflict-heavy and a mostly-conflict-free trace,
-// batch campaigns must equal per-seed compiled campaigns and the reference
-// engine exactly.
+// batch campaigns must equal per-seed Runs and the reference replay exactly.
 func TestBatchCampaignMatchesPerSeed(t *testing.T) {
 	gen := rng.New(0xBA7C)
 	narrow := randomTrace(gen, 400) // few lines: mostly analytic path
@@ -76,8 +68,8 @@ func TestBatchCampaignMatchesPerSeed(t *testing.T) {
 		for _, jitter := range []uint64{0, 5} {
 			m := m
 			m.Lat.MissJitter = jitter
-			assertCampaignsMatch(t, "narrow", m, narrow, nil)
-			assertCampaignsMatch(t, "wide", m, wide, nil)
+			assertCampaignsMatch(t, "narrow", m, narrow)
+			assertCampaignsMatch(t, "wide", m, wide)
 		}
 	}
 }
@@ -90,59 +82,10 @@ func TestBatchCampaignHigherAssoc(t *testing.T) {
 	m := DefaultModel()
 	m.IL1.Ways, m.IL1.Sets = 4, 32
 	m.DL1.Ways, m.DL1.Sets = 4, 32
-	assertCampaignsMatch(t, "4way-random", m, tr, nil)
+	assertCampaignsMatch(t, "4way-random", m, tr)
 	m.IL1.Replacement = cache.LRUReplacement
 	m.DL1.Replacement = cache.LRUReplacement
-	assertCampaignsMatch(t, "4way-lru", m, tr, nil)
-}
-
-// TestBatchCampaignPinned covers TAC-style pinned campaigns: pins force a
-// line group into one set across every seed of the block, including pins
-// that overflow the associativity (forcing the replay path) and pins
-// combined with jitter.
-func TestBatchCampaignPinned(t *testing.T) {
-	gen := rng.New(0x9199)
-	tr := randomTrace(gen, 500)
-	m := DefaultModel()
-	pinOverflow := func(e *Engine) {
-		e.DL1().SetPin(&cache.Pin{Lines: map[uint64]bool{0: true, 1: true, 2: true}, Set: 7})
-	}
-	pinBoth := func(e *Engine) {
-		e.IL1().SetPin(&cache.Pin{Lines: map[uint64]bool{0: true, 1: true}, Set: 0})
-		e.DL1().SetPin(&cache.Pin{Lines: map[uint64]bool{3: true, 4: true, 5: true}, Set: 63})
-	}
-	assertCampaignsMatch(t, "pin-overflow", m, tr, pinOverflow)
-	assertCampaignsMatch(t, "pin-both", m, tr, pinBoth)
-	mj := m
-	mj.Lat.MissJitter = 3
-	assertCampaignsMatch(t, "pin-jitter", mj, tr, pinOverflow)
-}
-
-// TestBatchCampaignStateRestore verifies that after a batched campaign the
-// engine's observable cache state (miss counters, replay continuation) is
-// exactly that of a per-seed campaign's last run, for both exact-block and
-// partial-block campaign lengths.
-func TestBatchCampaignStateRestore(t *testing.T) {
-	gen := rng.New(0x57A7E)
-	tr := wideTrace(gen, 400)
-	cont := wideTrace(gen, 200)
-	for _, m := range policyCombos() {
-		for _, n := range []int{2 * BatchK, 2*BatchK + 3} {
-			fast := NewEngine(m)
-			ref := NewEngine(m)
-			ref.UseReference(true)
-			fast.CampaignInto(tr, make([]float64, n), 0xC0, 0)
-			ref.CampaignInto(tr, make([]float64, n), 0xC0, 0)
-			fi, fd := fast.Misses()
-			ri, rd := ref.Misses()
-			if fi != ri || fd != rd {
-				t.Fatalf("n=%d: post-campaign misses %d/%d, reference %d/%d", n, fi, fd, ri, rd)
-			}
-			if cf, cr := fast.Replay(cont), ref.Replay(cont); cf != cr {
-				t.Fatalf("n=%d: replay continuation %d cycles, reference %d", n, cf, cr)
-			}
-		}
-	}
+	assertCampaignsMatch(t, "4way-lru", m, tr)
 }
 
 // TestSharedCompiledConcurrentWorkers replays one shared CompiledTrace from

@@ -2,27 +2,24 @@ package proc
 
 import (
 	"pubtac/internal/cache"
-	"pubtac/internal/rng"
 	"pubtac/internal/trace"
 )
 
-// This file implements the compiled-trace fast path of the engine.
+// This file implements trace compilation, the front half of the compiled
+// replay.
 //
 // A trace is replayed 10^5-10^6 times per campaign, so per-access work
 // dominates the whole analysis. The reference replay pays, on every access:
-// a byte-address shift, a pin lookup, and a Mix64 placement hash — even
-// though under parametric random placement the set of a line is fixed for
-// the duration of a run. Compilation hoists all of that out of the run
-// loop: the trace is projected onto per-cache dense line IDs once, and each
-// run evaluates the placement of each *distinct* line once, replaying the
-// ID stream against flat ID-indexed set state.
-//
-// The compiled replay is bit-identical to the reference engine: it draws
-// replacement victims and miss jitter from the same generators in the same
-// order, and it writes the end-of-run cache state (contents, LRU
-// timestamps, hit/miss counters) back into the Cache objects, so Misses(),
-// pinning, and Run-followed-by-Replay behave exactly as before. The golden
-// and equivalence tests in golden_test.go and compile_test.go enforce this.
+// a byte-address shift and a Mix64 placement hash — even though under
+// parametric random placement the set of a line is fixed for the duration
+// of a run. Compilation hoists all of that out of the run loop: the trace
+// is projected onto per-cache dense line IDs once, and the batched replay
+// (batch.go) evaluates the placement of each *distinct* line once per run,
+// replaying the ID stream against flat ID-indexed set state. Replacement
+// victims and miss jitter are drawn from the same generators in the same
+// order as the reference replay, so cycles are bit-identical; the golden
+// and equivalence tests in golden_test.go, compile_test.go and
+// batch_test.go enforce this.
 
 // dataBit marks a stream token as a DL1 access; the low bits are the dense
 // line ID within that cache.
@@ -130,125 +127,6 @@ func Compile(tr trace.Trace, m Model) *CompiledTrace {
 	return ct
 }
 
-// sideState is an engine's per-cache replay scratch, reused across runs.
-type sideState struct {
-	setBase []int32  // line ID -> set*ways base index, computed once per run
-	content []int32  // sets*ways line IDs, invalidID = empty way
-	lruTick []uint64 // per-way last-touch tick (LRU replacement only)
-	hits    uint64
-	misses  uint64
-	sparse  bool // only the sets reachable from setBase were cleared
-}
-
-// prepare sizes the scratch for side and computes this run's placement of
-// every distinct line through cache.SetOf — the same pin, modulo and keyed
-// hash logic as the reference engine, evaluated once per distinct line
-// instead of once per access.
-func (ss *sideState) prepare(side *compiledSide, c *cache.Cache) {
-	if cap(ss.setBase) < len(side.lines) {
-		ss.setBase = make([]int32, len(side.lines))
-	}
-	ss.setBase = ss.setBase[:len(side.lines)]
-	nways := side.sets * side.ways
-	if cap(ss.content) < nways {
-		ss.content = make([]int32, nways)
-		ss.lruTick = make([]uint64, nways)
-	}
-	ss.content = ss.content[:nways]
-	ss.lruTick = ss.lruTick[:nways]
-
-	ways := int32(side.ways)
-	for id, line := range side.lines {
-		ss.setBase[id] = int32(c.SetOf(line)) * ways
-	}
-	// Invalidate only what this run can read: the replay touches no set
-	// outside setBase, so when the trace uses few distinct lines it is
-	// cheaper to clear their sets (duplicates are idempotent) than the
-	// whole array. writeBack skips unreachable sets under the same flag.
-	if ss.sparse = len(side.lines)*side.ways < nways; ss.sparse {
-		for _, base := range ss.setBase {
-			for w := int32(0); w < ways; w++ {
-				ss.content[base+w] = invalidID
-			}
-		}
-	} else {
-		for i := range ss.content {
-			ss.content[i] = invalidID
-		}
-	}
-	ss.hits, ss.misses = 0, 0
-	// lruTick needs no reset: LRU victims are only ever chosen among ways
-	// filled this run, whose ticks were all written this run (the reference
-	// engine relies on the same property across its Flush).
-}
-
-// access replays one access with the full reference semantics (any
-// associativity, random or LRU replacement). tick is the per-cache access
-// counter, already incremented for this access.
-func (ss *sideState) access(id int32, ways int, lru bool, rnd *rng.Xoshiro256, tick uint64) bool {
-	base := ss.setBase[id]
-	for w := int32(0); w < int32(ways); w++ {
-		if ss.content[base+w] == id {
-			ss.hits++
-			ss.lruTick[base+w] = tick
-			return true
-		}
-	}
-	ss.misses++
-	for w := int32(0); w < int32(ways); w++ {
-		if ss.content[base+w] == invalidID {
-			ss.content[base+w] = id
-			ss.lruTick[base+w] = tick
-			return false
-		}
-	}
-	victim := int32(0)
-	if !lru {
-		victim = int32(rnd.Intn(ways))
-	} else {
-		oldest := ss.lruTick[base]
-		for w := int32(1); w < int32(ways); w++ {
-			if ss.lruTick[base+w] < oldest {
-				oldest = ss.lruTick[base+w]
-				victim = w
-			}
-		}
-	}
-	ss.content[base+victim] = id
-	ss.lruTick[base+victim] = tick
-	return false
-}
-
-// writeBack installs the end-of-run compiled state into the Cache object,
-// making a compiled run indistinguishable from a reference replay: contents
-// and counters match exactly, and under LRU so do the per-way timestamps.
-// The engine calls it lazily — only when something actually reads the cache
-// state — so campaigns never pay for it.
-func (ss *sideState) writeBack(side *compiledSide, c *cache.Cache) {
-	lines, valid, lru := c.RunState()
-	install := func(idx int32) {
-		if id := ss.content[idx]; id >= 0 {
-			lines[idx] = side.lines[id]
-			valid[idx] = true
-			lru[idx] = ss.lruTick[idx]
-		}
-	}
-	if ss.sparse {
-		// Sets unreachable from setBase were neither cleared nor written;
-		// their scratch content is stale and must not be installed.
-		for _, base := range ss.setBase {
-			for w := int32(0); w < int32(side.ways); w++ {
-				install(base + w)
-			}
-		}
-	} else {
-		for idx := range ss.content {
-			install(int32(idx))
-		}
-	}
-	c.SetCounters(ss.hits+ss.misses, ss.hits, ss.misses)
-}
-
 // matches reports whether the projection was compiled for cache geometry
 // cfg (same sets, ways and line size — everything Compile depends on).
 func (cs *compiledSide) matches(cfg cache.Config) bool {
@@ -258,8 +136,8 @@ func (cs *compiledSide) matches(cfg cache.Config) bool {
 // SetCompiled installs ct, a shared compilation of tr, as this engine's
 // compiled form of tr. A CompiledTrace is immutable, so one compilation can
 // be handed to every campaign worker; each engine keeps only its private
-// per-seed replay scratch. It panics when ct was compiled for a different
-// cache geometry than the engine's model (programming error).
+// replay scratch. It panics when ct was compiled for a different cache
+// geometry than the engine's model (programming error).
 func (e *Engine) SetCompiled(ct *CompiledTrace, tr trace.Trace) {
 	if !ct.il1.matches(e.model.IL1) || !ct.dl1.matches(e.model.DL1) {
 		panic("proc: SetCompiled with a trace compiled for a different cache geometry")
@@ -279,145 +157,4 @@ func (e *Engine) compiledFor(tr trace.Trace) *CompiledTrace {
 	e.ct = Compile(tr, e.model)
 	e.ctTrace = tr
 	return e.ct
-}
-
-// RunCompiled executes ct as one program run with the given seed, exactly
-// like Run on the trace ct was compiled from. ct must have been compiled
-// for this engine's model.
-func (e *Engine) RunCompiled(ct *CompiledTrace, seed uint64) uint64 {
-	e.reseed(seed)
-	return e.replayCompiled(ct)
-}
-
-// materialize flushes the pending compiled run state into the Cache
-// objects. It is called lazily by every accessor that observes cache state
-// (Misses, IL1, DL1, Replay), so back-to-back campaign runs skip the
-// write-back entirely. A deferred batch-campaign restore (see
-// CampaignBatchInto) is executed first: it replays the campaign's last run
-// per-seed, which leaves its state pending here.
-func (e *Engine) materialize() {
-	if e.restoreCt != nil {
-		ct := e.restoreCt
-		e.restoreCt = nil
-		e.RunCompiled(ct, e.restoreSeed)
-	}
-	if e.pending == nil {
-		return
-	}
-	e.ils.writeBack(&e.pending.il1, e.il1)
-	e.dls.writeBack(&e.pending.dl1, e.dl1)
-	e.pending = nil
-}
-
-// replayCompiled replays ct against the freshly reseeded caches.
-//
-//pubtac:fastpath replay
-func (e *Engine) replayCompiled(ct *CompiledTrace) uint64 {
-	e.ils.prepare(&ct.il1, e.il1)
-	e.dls.prepare(&ct.dl1, e.dl1)
-
-	ilCfg, dlCfg := e.il1.Config(), e.dl1.Config()
-	var cycles uint64
-	if ilCfg.Ways == 2 && dlCfg.Ways == 2 &&
-		ilCfg.Replacement == cache.RandomReplacement &&
-		dlCfg.Replacement == cache.RandomReplacement {
-		cycles = e.replay2WayRandom(ct)
-	} else {
-		cycles = e.replayGeneric(ct)
-	}
-
-	e.pending = ct
-	return cycles
-}
-
-// cyclesFor converts classification counts into the additive timing model:
-// the in-order pipeline's cost is linear in hits and misses, so the replay
-// loops only classify accesses and the arithmetic happens once per run.
-// jitterCycles carries the per-miss randomized jitter accumulated in replay
-// order (zero when MissJitter is off).
-func (e *Engine) cyclesFor(n int, hits, misses, jitterCycles uint64) uint64 {
-	lat := e.model.Lat
-	return lat.Issue*uint64(n) + lat.Hit*hits + lat.Miss*misses + jitterCycles
-}
-
-// replay2WayRandom is the specialized loop for the paper's platform — both
-// caches 2-way with random replacement. With the set base precomputed per
-// line, an access is two compares against the set's ways; LRU bookkeeping
-// is skipped entirely (random replacement never reads it), and all state
-// lives in locals so the loop compiles to straight register code.
-func (e *Engine) replay2WayRandom(ct *CompiledTrace) uint64 {
-	jitter := e.model.Lat.MissJitter
-	ilSet, ilC := e.ils.setBase, e.ils.content
-	dlSet, dlC := e.dls.setBase, e.dls.content
-	ilRand, dlRand := e.il1.Rand(), e.dl1.Rand()
-	var ilHits, ilMisses, dlHits, dlMisses, jcycles uint64
-	for _, tok := range ct.stream {
-		if tok&dataBit == 0 {
-			id := int32(tok)
-			base := ilSet[id]
-			if ilC[base] == id || ilC[base+1] == id {
-				ilHits++
-				continue
-			}
-			ilMisses++
-			switch {
-			case ilC[base] == invalidID:
-				ilC[base] = id
-			case ilC[base+1] == invalidID:
-				ilC[base+1] = id
-			default:
-				ilC[base+int32(ilRand.Intn(2))] = id
-			}
-		} else {
-			id := int32(tok &^ dataBit)
-			base := dlSet[id]
-			if dlC[base] == id || dlC[base+1] == id {
-				dlHits++
-				continue
-			}
-			dlMisses++
-			switch {
-			case dlC[base] == invalidID:
-				dlC[base] = id
-			case dlC[base+1] == invalidID:
-				dlC[base+1] = id
-			default:
-				dlC[base+int32(dlRand.Intn(2))] = id
-			}
-		}
-		// Only reached on a miss (hits continue above).
-		if jitter > 0 {
-			jcycles += e.jitter.Uint64() % jitter
-		}
-	}
-	e.ils.hits, e.ils.misses = ilHits, ilMisses
-	e.dls.hits, e.dls.misses = dlHits, dlMisses
-	return e.cyclesFor(len(ct.stream), ilHits+dlHits, ilMisses+dlMisses, jcycles)
-}
-
-// replayGeneric handles every policy combination (modulo placement, LRU
-// replacement, other associativities) with full reference semantics.
-func (e *Engine) replayGeneric(ct *CompiledTrace) uint64 {
-	jitter := e.model.Lat.MissJitter
-	ilCfg, dlCfg := e.il1.Config(), e.dl1.Config()
-	ilLRU := ilCfg.Replacement == cache.LRUReplacement
-	dlLRU := dlCfg.Replacement == cache.LRUReplacement
-	ilRand, dlRand := e.il1.Rand(), e.dl1.Rand()
-	var ilTick, dlTick, jcycles uint64
-	for _, tok := range ct.stream {
-		var hit bool
-		if tok&dataBit == 0 {
-			ilTick++
-			hit = e.ils.access(int32(tok), ilCfg.Ways, ilLRU, ilRand, ilTick)
-		} else {
-			dlTick++
-			hit = e.dls.access(int32(tok&^dataBit), dlCfg.Ways, dlLRU, dlRand, dlTick)
-		}
-		if !hit && jitter > 0 {
-			jcycles += e.jitter.Uint64() % jitter
-		}
-	}
-	hits := e.ils.hits + e.dls.hits
-	misses := e.ils.misses + e.dls.misses
-	return e.cyclesFor(len(ct.stream), hits, misses, jcycles)
 }

@@ -40,31 +40,18 @@ func policyCombos() []Model {
 }
 
 // assertRunsMatch runs seeds through a compiled and a reference engine and
-// compares cycles and per-cache miss counts exactly: the equivalence test
-// for the replay oracle pair, driving replayCompiled against Replay through
-// the UseReference switch.
-func assertRunsMatch(t *testing.T, label string, m Model, tr trace.Trace,
-	setup func(e *Engine), seeds int) {
+// compares their cycles exactly: the Run-vs-reference oracle, driving Run's
+// one-seed block of the batched replay against the uncompiled replay
+// through the UseReference switch.
+func assertRunsMatch(t *testing.T, label string, m Model, tr trace.Trace, seeds int) {
 	t.Helper()
 	fast := NewEngine(m)
 	ref := NewEngine(m)
 	ref.UseReference(true)
-	if setup != nil {
-		setup(fast)
-		setup(ref)
-	}
 	for s := 0; s < seeds; s++ {
 		seed := rng.Stream(0xE9, s)
-		cf := fast.Run(tr, seed)
-		cr := ref.Run(tr, seed)
-		if cf != cr {
+		if cf, cr := fast.Run(tr, seed), ref.Run(tr, seed); cf != cr {
 			t.Fatalf("%s: seed %d: compiled %d cycles, reference %d", label, s, cf, cr)
-		}
-		fi, fd := fast.Misses()
-		ri, rd := ref.Misses()
-		if fi != ri || fd != rd {
-			t.Fatalf("%s: seed %d: compiled misses %d/%d, reference %d/%d",
-				label, s, fi, fd, ri, rd)
 		}
 	}
 }
@@ -74,13 +61,11 @@ func assertRunsMatch(t *testing.T, label string, m Model, tr trace.Trace,
 // randomized miss jitter.
 func TestCompiledMatchesReference(t *testing.T) {
 	gen := rng.New(0xC0DE)
-	for i, m := range policyCombos() {
+	for _, m := range policyCombos() {
 		for _, jitter := range []uint64{0, 5} {
 			m := m
 			m.Lat.MissJitter = jitter
-			tr := randomTrace(gen, 400)
-			assertRunsMatch(t, "combo", m, tr, nil, 25)
-			_ = i
+			assertRunsMatch(t, "combo", m, randomTrace(gen, 400), 25)
 		}
 	}
 }
@@ -92,73 +77,10 @@ func TestCompiledMatchesReferenceHigherAssoc(t *testing.T) {
 	m := DefaultModel()
 	m.IL1.Ways, m.IL1.Sets = 4, 32
 	m.DL1.Ways, m.DL1.Sets = 4, 32
-	assertRunsMatch(t, "4way-random", m, randomTrace(gen, 400), nil, 25)
+	assertRunsMatch(t, "4way-random", m, randomTrace(gen, 400), 25)
 	m.IL1.Replacement = cache.LRUReplacement
 	m.DL1.Replacement = cache.LRUReplacement
-	assertRunsMatch(t, "4way-lru", m, randomTrace(gen, 400), nil, 25)
-}
-
-// TestCompiledMatchesReferencePinned covers TAC-style pinned replays: a pin
-// forces a line group into one set, bypassing the placement policy, and the
-// compiled path must honor it identically.
-func TestCompiledMatchesReferencePinned(t *testing.T) {
-	gen := rng.New(0x9177)
-	tr := randomTrace(gen, 500)
-	m := DefaultModel()
-	pinDL := func(e *Engine) {
-		e.DL1().SetPin(&cache.Pin{Lines: map[uint64]bool{0: true, 1: true, 2: true}, Set: 7})
-	}
-	pinBoth := func(e *Engine) {
-		e.IL1().SetPin(&cache.Pin{Lines: map[uint64]bool{0: true, 1: true}, Set: 0})
-		e.DL1().SetPin(&cache.Pin{Lines: map[uint64]bool{3: true, 4: true, 5: true}, Set: 63})
-	}
-	assertRunsMatch(t, "pin-dl1", m, tr, pinDL, 25)
-	assertRunsMatch(t, "pin-both", m, tr, pinBoth, 25)
-	mj := m
-	mj.Lat.MissJitter = 3
-	assertRunsMatch(t, "pin-jitter", mj, tr, pinDL, 25)
-}
-
-// TestCompiledWriteBack verifies that a compiled Run leaves the caches in
-// the exact state a reference run would: a Replay continuing from that
-// state (no reseed) must produce identical cycles, and a pin installed
-// between runs of the same trace must take effect (placement is
-// re-evaluated per run even when the compilation is reused).
-func TestCompiledWriteBack(t *testing.T) {
-	gen := rng.New(0x3B)
-	tr := randomTrace(gen, 300)
-	cont := randomTrace(gen, 200)
-	for _, m := range policyCombos() {
-		fast := NewEngine(m)
-		ref := NewEngine(m)
-		ref.UseReference(true)
-		for s := 0; s < 10; s++ {
-			seed := rng.Stream(0x77, s)
-			if cf, cr := fast.Run(tr, seed), ref.Run(tr, seed); cf != cr {
-				t.Fatalf("run: %d vs %d", cf, cr)
-			}
-			if cf, cr := fast.Replay(cont), ref.Replay(cont); cf != cr {
-				t.Fatalf("seed %d: replay after compiled run %d cycles, after reference %d",
-					s, cf, cr)
-			}
-		}
-	}
-
-	// Same engine, same trace, pin installed mid-campaign.
-	fast := NewEngine(DefaultModel())
-	ref := NewEngine(DefaultModel())
-	ref.UseReference(true)
-	pin := &cache.Pin{Lines: map[uint64]bool{0: true, 1: true, 2: true}, Set: 5}
-	for s := 0; s < 6; s++ {
-		if s == 3 {
-			fast.DL1().SetPin(pin)
-			ref.DL1().SetPin(pin)
-		}
-		seed := rng.Stream(0x88, s)
-		if cf, cr := fast.Run(tr, seed), ref.Run(tr, seed); cf != cr {
-			t.Fatalf("pin mid-campaign, seed %d: %d vs %d", s, cf, cr)
-		}
-	}
+	assertRunsMatch(t, "4way-lru", m, randomTrace(gen, 400), 25)
 }
 
 // TestCompileStream sanity-checks the projection itself.
@@ -177,7 +99,7 @@ func TestCompileStream(t *testing.T) {
 
 // TestRunNoAllocs checks the no-allocation property of steady-state runs
 // (the jitter, placement and replacement generators are reseeded in place,
-// and the compiled scratch is reused).
+// and the block scratch is reused).
 func TestRunNoAllocs(t *testing.T) {
 	tr := goldenTrace()
 	e := NewEngine(DefaultModel())

@@ -64,8 +64,8 @@ func (m Model) Deterministic() Model {
 
 // Per-run seed derivation salts: one run seed fans out into independent
 // placement/replacement streams per cache plus the miss-jitter stream. The
-// batched campaign replay (batch.go) derives the same streams for many run
-// seeds at once, so these are named rather than inlined in reseed.
+// batched replay (batch.go) derives the same streams for a block of run
+// seeds at once, so these are named rather than inlined in Run.
 const (
 	ilSeedSalt     = 0x11
 	dlSeedSalt     = 0xDD
@@ -75,29 +75,20 @@ const (
 // Engine executes traces against one platform instance. It is not safe for
 // concurrent use; create one Engine per goroutine (they are cheap).
 type Engine struct {
-	model  Model
+	model Model
+
+	// The uncompiled reference replay's caches and jitter stream.
 	il1    *cache.Cache
 	dl1    *cache.Cache
 	jitter *rng.Xoshiro256
 
-	// Compiled-trace fast path (see compile.go): the last compiled trace,
-	// the trace it was compiled from (identity key), per-cache replay
-	// scratch, the compiled run whose end state has not yet been written
-	// back into the Cache objects, and the opt-out used by equivalence
-	// tests.
+	// The compiled replay (compile.go, batch.go): the last compiled trace,
+	// the trace it was compiled from (identity key), the batched replay
+	// scratch, and the opt-out used by equivalence tests.
 	ct        *CompiledTrace
 	ctTrace   trace.Trace
-	ils, dls  sideState
-	pending   *CompiledTrace
+	batch     *batchState
 	reference bool
-
-	// Batched campaign scratch (see batch.go), allocated on first use,
-	// plus the deferred last-run replay that reconciles the engine's cache
-	// state after a batch campaign whose final run stayed on the batched
-	// path: the run is only executed when an accessor observes the state.
-	batch       *batchState
-	restoreCt   *CompiledTrace
-	restoreSeed uint64
 }
 
 // NewEngine builds an execution engine for the model.
@@ -107,62 +98,43 @@ func NewEngine(m Model) *Engine {
 		il1:    cache.New(m.IL1, 0),
 		dl1:    cache.New(m.DL1, 1),
 		jitter: rng.New(2),
+		batch:  new(batchState),
 	}
 }
 
 // Model returns the engine's platform model.
 func (e *Engine) Model() Model { return e.model }
 
-// IL1 exposes the instruction cache (for pinning in TAC experiments). The
-// returned handle reflects the last run's state as of this call; after
-// another Run, call IL1 again rather than reading a retained pointer (the
-// compiled fast path writes run state back lazily, at accessor calls).
-func (e *Engine) IL1() *cache.Cache { e.materialize(); return e.il1 }
-
-// DL1 exposes the data cache (for pinning in TAC experiments). The same
-// retained-pointer caveat as IL1 applies.
-func (e *Engine) DL1() *cache.Cache { e.materialize(); return e.dl1 }
-
 // UseReference forces Run and Campaign through the uncompiled reference
-// replay when on is true. The compiled fast path is bit-identical (that is
+// replay when on is true. The batched replay is bit-identical (that is
 // what the equivalence tests assert, using this switch for the reference
 // arm); production code has no reason to disable it.
 func (e *Engine) UseReference(on bool) { e.reference = on }
-
-// reseed starts a new run: caches are flushed and the placement,
-// replacement and jitter streams are redrawn from the seed. All generators
-// are reseeded in place — a run performs no heap allocations. Any
-// not-yet-materialized compiled state is dropped, exactly as the flush
-// would erase it.
-func (e *Engine) reseed(seed uint64) {
-	e.pending = nil
-	e.restoreCt = nil
-	e.il1.Reseed(rng.Mix64(seed ^ ilSeedSalt))
-	e.dl1.Reseed(rng.Mix64(seed ^ dlSeedSalt))
-	e.jitter.Reseed(rng.Mix64(seed ^ jitterSeedSalt))
-}
 
 // Run executes tr as one program run with the given seed: caches are
 // flushed, the random placement and replacement streams are redrawn from the
 // seed, and the trace is replayed. It returns the execution time in cycles.
 //
-// Run replays through the compiled fast path (see compile.go), compiling tr
+// Run is a one-seed block of the batched replay (see batch.go), compiling tr
 // on first use and reusing the compilation across runs of the same trace;
 // results are bit-identical to the reference replay.
 func (e *Engine) Run(tr trace.Trace, seed uint64) uint64 {
-	e.reseed(seed)
 	if e.reference {
-		return e.Replay(tr)
+		e.il1.Reseed(rng.Mix64(seed ^ ilSeedSalt))
+		e.dl1.Reseed(rng.Mix64(seed ^ dlSeedSalt))
+		e.jitter.Reseed(rng.Mix64(seed ^ jitterSeedSalt))
+		return e.replay(tr)
 	}
-	return e.replayCompiled(e.compiledFor(tr))
+	e.batch.seeds[0] = seed
+	e.runBlock(e.compiledFor(tr), 1)
+	return e.batch.cycles[0]
 }
 
-// Replay replays tr against the current cache state without reseeding or
-// flushing, accumulating cycles. Use Run for whole-program measurements.
+// replay is the uncompiled reference replay: every access goes through the
+// Cache objects Run has just flushed and reseeded, accumulating cycles.
 //
-//pubtac:reference replay
-func (e *Engine) Replay(tr trace.Trace) uint64 {
-	e.materialize()
+//pubtac:reference campaign
+func (e *Engine) replay(tr trace.Trace) uint64 {
 	lat := e.model.Lat
 	var cycles uint64
 	for _, a := range tr {
@@ -185,12 +157,6 @@ func (e *Engine) Replay(tr trace.Trace) uint64 {
 	return cycles
 }
 
-// Misses returns the IL1 and DL1 miss counts of the last Run.
-func (e *Engine) Misses() (il1, dl1 uint64) {
-	e.materialize()
-	return e.il1.Misses(), e.dl1.Misses()
-}
-
 // Campaign runs tr n times with seeds derived from root via rng.Stream and
 // returns the execution times in run order. It is the basic measurement
 // campaign primitive; higher layers (mbpta) add convergence logic and
@@ -206,12 +172,8 @@ func (e *Engine) Campaign(tr trace.Trace, n int, root uint64) []float64 {
 // on (root, i), campaigns can be split across engines and goroutines with
 // bit-identical results.
 //
-// Unless UseReference is set, runs replay through the batched campaign path
-// (see batch.go): BatchK seeds share each pass over the compiled stream.
-// Results are bit-identical to a loop of per-seed Runs, and the engine's
-// cache state afterwards reflects the campaign's last run either way.
-//
-//pubtac:reference campaign
+// Unless UseReference is set, runs replay through the batched replay (see
+// CampaignBatchInto): BatchK seeds share each pass over the compiled stream.
 func (e *Engine) CampaignInto(tr trace.Trace, dst []float64, root uint64, offset int) {
 	if e.reference {
 		for i := range dst {

@@ -3,7 +3,6 @@ package proc
 import (
 	"testing"
 
-	"pubtac/internal/cache"
 	"pubtac/internal/stats"
 	"pubtac/internal/trace"
 )
@@ -16,9 +15,6 @@ func TestRunAllMisses(t *testing.T) {
 	want := uint64(4 * 25)
 	if cycles != want {
 		t.Fatalf("cycles = %d, want %d", cycles, want)
-	}
-	if _, d := e.Misses(); d != 4 {
-		t.Fatalf("DL1 misses = %d, want 4", d)
 	}
 }
 
@@ -40,10 +36,6 @@ func TestInstrAndDataUseSeparateCaches(t *testing.T) {
 	cycles := e.Run(tr, 2)
 	if cycles != 50 {
 		t.Fatalf("cycles = %d, want 50 (two cold misses)", cycles)
-	}
-	i, d := e.Misses()
-	if i != 1 || d != 1 {
-		t.Fatalf("misses = %d,%d want 1,1", i, d)
 	}
 }
 
@@ -107,22 +99,17 @@ func TestCampaignLengthAndOrderIndependence(t *testing.T) {
 }
 
 func TestPinnedConflictSlowsDown(t *testing.T) {
-	// Pin 3 hot lines into one DL1 set (2 ways): the run must be slower
-	// than the unpinned expectation.
+	// Three hot lines co-mapped into one 2-way DL1 set — forced here by a
+	// one-set DL1, the layout TAC prices — must be clearly slower than on
+	// the default 64-set DL1, where they almost never collide.
 	m := DefaultModel()
-	e := NewEngine(m)
 	hot := trace.Repeat(trace.D(0, 1*32, 2*32), 500)
+	baseMean := stats.Mean(NewEngine(m).Campaign(hot, 50, 11))
 
-	base := e.Campaign(hot, 50, 11)
-	baseMean := stats.Mean(base)
-
-	pinned := NewEngine(m)
-	pinned.DL1().SetPin(&cache.Pin{Lines: map[uint64]bool{0: true, 1: true, 2: true}, Set: 0})
-	pinnedTimes := pinned.Campaign(hot, 50, 11)
-	pinnedMean := stats.Mean(pinnedTimes)
-
-	if pinnedMean < baseMean*1.5 {
-		t.Fatalf("pinned conflict mean %.0f not clearly above baseline %.0f", pinnedMean, baseMean)
+	m.DL1.Sets = 1
+	conflictMean := stats.Mean(NewEngine(m).Campaign(hot, 50, 11))
+	if conflictMean < baseMean*1.5 {
+		t.Fatalf("co-mapped mean %.0f not clearly above baseline %.0f", conflictMean, baseMean)
 	}
 }
 

@@ -68,7 +68,8 @@ type Config struct {
 	ProbFloor float64
 
 	// BaselineSeeds and PinSeeds set how many random layouts are averaged
-	// for the baseline and the forced-placement impact estimate.
+	// for the baseline and the forced-placement impact estimate. Negative
+	// counts are rejected.
 	BaselineSeeds int
 	PinSeeds      int
 
@@ -143,12 +144,11 @@ func Analyze(tr trace.Trace, model proc.Model, cfg Config) (*Analysis, error) {
 }
 
 // AnalyzeCompiled is Analyze reusing ct, a shared compilation of tr for the
-// model (nil compiles one here). The baseline replays the compilation
-// per seed — same seeds as a campaign rooted at cfg.Seed, bit-identical
-// mean — and the default enumeration additionally reuses the
-// compilation's per-side dense line-ID projection for its posting-list
-// index; the group impact replays operate on per-group postings, never
-// the full trace.
+// model (nil compiles one here). The baseline is a campaign over the
+// compilation — BaselineSeeds runs rooted at cfg.Seed — and the default
+// enumeration additionally reuses the compilation's per-side dense line-ID
+// projection for its posting-list index; the group impact replays operate
+// on per-group postings, never the full trace.
 func AnalyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, cfg Config) (*Analysis, error) {
 	return analyzeCompiled(tr, ct, model, cfg, false)
 }
@@ -167,27 +167,25 @@ func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 	if cfg.HotLines < 2 {
 		return nil, fmt.Errorf("tac: HotLines %d too small", cfg.HotLines)
 	}
+	if cfg.BaselineSeeds < 0 || cfg.PinSeeds < 0 {
+		return nil, fmt.Errorf("tac: negative seed count (BaselineSeeds %d, PinSeeds %d)",
+			cfg.BaselineSeeds, cfg.PinSeeds)
+	}
 	a := &Analysis{}
 
-	// Baseline mean execution time over a handful of random layouts. The
-	// seeds are rng.Stream(cfg.Seed, 0..BaselineSeeds-1), i.e. exactly a
-	// BaselineSeeds-run campaign rooted at cfg.Seed. The compilation is
-	// built here when the caller doesn't share one: the baseline campaign
-	// replays it, and the indexed enumeration reuses its per-side dense
-	// line-ID projection instead of re-projecting the trace.
+	// Baseline mean execution time over a handful of random layouts: a
+	// BaselineSeeds-run campaign rooted at cfg.Seed, summed in run order.
+	// The compilation is built here when the caller doesn't share one: the
+	// baseline campaign replays it, and the indexed enumeration reuses its
+	// per-side dense line-ID projection instead of re-projecting the trace.
 	eng := proc.NewEngine(model)
 	if ct == nil {
 		ct = proc.Compile(tr, model)
 	}
 	eng.SetCompiled(ct, tr)
-	// Per-seed compiled runs rather than Engine.Campaign: run i of a
-	// campaign rooted at cfg.Seed is exactly RunCompiled with seed
-	// rng.Stream(cfg.Seed, i) (proc's batch oracle tests pin this), and the
-	// per-seed path skips the batch engine's block-sized scratch for what
-	// is only a handful of runs.
 	var sum float64
-	for i := 0; i < cfg.BaselineSeeds; i++ {
-		sum += float64(eng.RunCompiled(ct, rng.Stream(cfg.Seed, i)))
+	for _, t := range eng.Campaign(tr, cfg.BaselineSeeds, cfg.Seed) {
+		sum += t
 	}
 	a.BaselineMean = sum / float64(cfg.BaselineSeeds)
 	missCost := float64(model.Lat.Miss - model.Lat.Hit)

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"pubtac/internal/cache"
+	"pubtac/internal/malardalen"
 	"pubtac/internal/proc"
+	"pubtac/internal/pub"
 	"pubtac/internal/trace"
 )
 
@@ -232,6 +234,44 @@ func TestConfigValidation(t *testing.T) {
 	bad.HotLines = 1
 	if _, err := Analyze(tr, paperModel(), bad); err == nil {
 		t.Fatal("expected error for HotLines=1")
+	}
+	bad = DefaultConfig()
+	bad.BaselineSeeds = -1
+	if _, err := Analyze(tr, paperModel(), bad); err == nil {
+		t.Fatal("expected error for BaselineSeeds=-1")
+	}
+	bad = DefaultConfig()
+	bad.PinSeeds = -1
+	if _, err := Analyze(tr, paperModel(), bad); err == nil {
+		t.Fatal("expected error for PinSeeds=-1")
+	}
+}
+
+// TestBaselineMeanGolden pins the baseline mean of every benchmark's pubbed
+// default path on the paper's platform. The baseline is a campaign, so any
+// drift in its seeds, its summation order or the replay fails here.
+func TestBaselineMeanGolden(t *testing.T) {
+	want := map[string]float64{
+		"bs": 541, "cnt": 4159, "fir": 6179, "janne": 715, "crc": 11654, "edn": 4563,
+		"insertsort": 1266, "jfdctint": 1703, "matmult": 19045, "fdct": 1306, "ns": 16635,
+	}
+	bms := malardalen.All()
+	if len(bms) != len(want) {
+		t.Fatalf("%d benchmarks, want %d", len(bms), len(want))
+	}
+	for _, bm := range bms {
+		pubbed, _, err := pub.Transform(bm.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := pubbed.MustExec(bm.Default()).Trace
+		a, err := Analyze(tr, proc.DefaultModel(), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.BaselineMean != want[bm.Name] {
+			t.Errorf("%s: BaselineMean = %v, want %v", bm.Name, a.BaselineMean, want[bm.Name])
+		}
 	}
 }
 
