@@ -105,43 +105,18 @@ type Client struct {
 // Option configures a Client; see New.
 type Option func(*Client)
 
-// WithHTTPClient replaces the underlying *http.Client wholesale. It wins
-// over every other transport option.
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) { c.HTTP = hc }
-}
-
 // WithTransport replaces the underlying transport (keeping the default
 // client around it) — the hook the fault injector's RoundTripper plugs into.
 func WithTransport(rt http.RoundTripper) Option {
-	return func(c *Client) {
-		if c.HTTP == nil {
-			c.HTTP = defaultHTTPClient()
-		}
-		c.HTTP.Transport = rt
-	}
-}
-
-// WithHTTPTimeout bounds each whole HTTP exchange (connection, headers and
-// body) at d. The default is unbounded because two core calls are long-lived
-// by design — a waiting /v1/analyze holds its response until the campaign
-// finishes, and /v1/jobs/{id}/events streams SSE frames indefinitely — so an
-// overall timeout is opt-in; connection setup is always bounded (see New).
-func WithHTTPTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		if c.HTTP == nil {
-			c.HTTP = defaultHTTPClient()
-		}
-		c.HTTP.Timeout = d
-	}
+	return func(c *Client) { c.HTTP.Transport = rt }
 }
 
 // New returns a client for the daemon at baseURL. Unlike the zero
 // http.Client, the default client bounds connection setup (10s dial, 10s TLS
 // handshake) so a black-holed peer fails the dial instead of hanging a
 // campaign forever; response duration stays unbounded for the streaming
-// endpoints — bound it per call via ctx, WithHTTPTimeout, or the peer
-// fabric's per-attempt timeouts.
+// endpoints — bound it per call via ctx, or through the peer fabric's
+// per-attempt timeouts.
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{BaseURL: strings.TrimRight(baseURL, "/"), HTTP: defaultHTTPClient()}
 	for _, o := range opts {

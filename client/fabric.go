@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,98 +16,40 @@ import (
 	"pubtac/internal/rng"
 )
 
-// Clock is the time seam the fabric schedules against: wall time in
-// production (fault.Real), injected time in tests (fault.Fake).
-type Clock = fault.Clock
-
-// RetryPolicy tunes the peer fabric. The zero value of any field selects
-// that field's default (see DefaultRetryPolicy); AttemptTimeout and
-// HedgeDelay additionally accept a negative value meaning "disabled".
-type RetryPolicy struct {
-	// MaxAttempts bounds how many times one shard is dispatched before the
-	// fabric gives up and the coordinator's local fallback recomputes it.
-	// Each hedged race counts as one attempt.
-	MaxAttempts int
-	// BaseBackoff and MaxBackoff shape the capped exponential backoff
-	// between attempts. The realized wait is equal-jittered: uniformly in
-	// [d/2, d] for the deterministic exponential d, drawn from a seeded
-	// generator so a given fabric replays a given backoff schedule.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// AttemptTimeout bounds each dispatch to one peer; expired attempts
-	// count as peer failures and are retried. Negative disables.
-	AttemptTimeout time.Duration
-	// HedgeDelay is how long the primary dispatch runs alone before the
-	// same shard is raced on a second peer; the first valid full summary
-	// wins and the loser is cancelled. Zero or negative disables hedging.
-	HedgeDelay time.Duration
-	// Seed drives backoff jitter. Jitter only decorrelates retry storms —
-	// it never reaches result bytes — but seeding it keeps the whole
-	// fabric replayable alongside the fault injector's schedule.
-	Seed uint64
-	// BreakerThreshold consecutive failures open a peer's circuit breaker;
-	// the peer is skipped until BreakerCooldown elapses, then a single
-	// half-open probe decides whether it closes again.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-}
-
-// DefaultRetryPolicy is the fabric's starting point: three attempts, 50ms
-// base backoff capped at 2s, 5m per-attempt timeout, hedging off (opt in
-// via HedgeDelay — it spends duplicate work for tail latency), breaker
-// at 5 consecutive failures with a 5s cooldown.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:      3,
-		BaseBackoff:      50 * time.Millisecond,
-		MaxBackoff:       2 * time.Second,
-		AttemptTimeout:   5 * time.Minute,
-		HedgeDelay:       0,
-		BreakerThreshold: 5,
-		BreakerCooldown:  5 * time.Second,
-	}
-}
-
-// normalize fills zero fields with defaults and resolves the negative
-// "disabled" sentinels.
-func (p RetryPolicy) normalize() RetryPolicy {
-	def := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = def.MaxAttempts
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = def.BaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = def.MaxBackoff
-	}
-	if p.AttemptTimeout == 0 {
-		p.AttemptTimeout = def.AttemptTimeout
-	} else if p.AttemptTimeout < 0 {
-		p.AttemptTimeout = 0
-	}
-	if p.HedgeDelay < 0 {
-		p.HedgeDelay = 0
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = def.BreakerThreshold
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = def.BreakerCooldown
-	}
-	return p
-}
-
 // PeersConfig configures NewFabric beyond the peer URLs.
 type PeersConfig struct {
-	// Policy tunes retries, hedging and breakers; zero fields default.
-	Policy RetryPolicy
-	// Clock is the time source; nil means wall time (fault.Real).
-	Clock Clock
+	// MaxAttempts bounds how many times one shard is dispatched before the
+	// fabric gives up and the coordinator recomputes it locally. Each
+	// hedged race counts as one attempt. Zero or negative means 3.
+	MaxAttempts int
+	// HedgeDelay is how long the primary dispatch runs alone before the
+	// same shard is raced on a second peer; the first valid full summary
+	// wins and the loser is cancelled. Zero or negative disables hedging,
+	// which spends duplicate work for tail latency.
+	HedgeDelay time.Duration
 	// Transport, when non-nil, replaces every peer client's HTTP transport
 	// — the hook chaos testing plugs the fault injector into.
 	Transport http.RoundTripper
 }
+
+// The fabric's fixed schedule. Backoff between attempts is capped
+// exponential from baseBackoff to maxBackoff, equal-jittered: uniformly in
+// [d/2, d] for the deterministic exponential d, drawn from a generator
+// seeded with jitterSeed, so every fabric replays the same backoff schedule.
+// Jitter only decorrelates retry storms; it never reaches result bytes.
+// attemptTimeout bounds each dispatch to one peer; expired attempts count as
+// peer failures and are retried. breakerThreshold consecutive failures open
+// a peer's circuit breaker; the peer is skipped until breakerCooldown
+// elapses, then a single half-open probe decides whether it closes again.
+const (
+	defaultMaxAttempts = 3
+	baseBackoff        = 50 * time.Millisecond
+	maxBackoff         = 2 * time.Second
+	attemptTimeout     = 5 * time.Minute
+	breakerThreshold   = 5
+	breakerCooldown    = 5 * time.Second
+	jitterSeed         = 0x70656572666162 // "peerfab"
+)
 
 // Peers is a pubtac.ShardCollector over a set of pubtacd workers — the
 // resilient peer fabric. Each shard is dispatched with per-attempt
@@ -122,10 +65,15 @@ type PeersConfig struct {
 // recomputation in the coordinator. Peers is safe for concurrent use; the
 // zero value has no peers and fails every shard.
 type Peers struct {
-	peers  []*peer
-	policy RetryPolicy
-	clock  Clock
-	next   atomic.Uint64
+	peers       []*peer
+	maxAttempts int
+	hedgeDelay  time.Duration
+	next        atomic.Uint64
+
+	// clock and threshold are test seams: wall time and breakerThreshold
+	// in production, injected time and a lower threshold in tests.
+	clock     fault.Clock
+	threshold int
 
 	jmu  sync.Mutex
 	jrng *rng.SplitMix64
@@ -137,26 +85,28 @@ type Peers struct {
 	breakerOpens atomic.Uint64
 }
 
-// NewFabric returns a configured fabric over the given daemon base URLs;
-// empty strings are skipped.
+// NewFabric returns a configured fabric over the given daemon base URLs.
+// Whitespace around each URL is trimmed and empty ones are skipped, so a
+// flag value like "http://a:8761, http://b:8762" names two peers.
 func NewFabric(cfg PeersConfig, urls ...string) *Peers {
-	if cfg.Clock == nil {
-		cfg.Clock = fault.Real{}
-	}
 	p := &Peers{
-		policy: cfg.Policy.normalize(),
-		clock:  cfg.Clock,
+		maxAttempts: cfg.MaxAttempts,
+		hedgeDelay:  cfg.HedgeDelay,
+		clock:       fault.Real{},
+		threshold:   breakerThreshold,
+		jrng:        rng.NewSplitMix64(rng.Mix64(jitterSeed)),
 	}
-	p.jrng = rng.NewSplitMix64(rng.Mix64(p.policy.Seed ^ 0x70656572666162)) // "peerfab"
+	if p.maxAttempts <= 0 {
+		p.maxAttempts = defaultMaxAttempts
+	}
+	var opts []Option
+	if cfg.Transport != nil {
+		opts = append(opts, WithTransport(cfg.Transport))
+	}
 	for _, u := range urls {
-		if u == "" {
-			continue
+		if u = strings.TrimSpace(u); u != "" {
+			p.peers = append(p.peers, &peer{c: New(u, opts...)})
 		}
-		var opts []Option
-		if cfg.Transport != nil {
-			opts = append(opts, WithTransport(cfg.Transport))
-		}
-		p.peers = append(p.peers, &peer{c: New(u, opts...)})
 	}
 	return p
 }
@@ -223,7 +173,7 @@ func (p *Peers) CollectShard(ctx context.Context, spec pubtac.ShardSpec) ([]floa
 		return nil, fmt.Errorf("client: no shard peers configured")
 	}
 	var lastErr error
-	for attempt := 0; attempt < p.policy.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < p.maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -280,8 +230,8 @@ func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, 
 	inFlight := 1
 
 	var hedgeCh <-chan time.Time
-	if p.policy.HedgeDelay > 0 && len(p.peers) > 1 {
-		ch, stop := p.clock.After(p.policy.HedgeDelay)
+	if p.hedgeDelay > 0 && len(p.peers) > 1 {
+		ch, stop := p.clock.After(p.hedgeDelay)
 		defer stop()
 		hedgeCh = ch
 	}
@@ -338,12 +288,8 @@ func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, 
 // feeds the outcome to its breaker — unless the race was already decided
 // and this dispatch cancelled, which says nothing about the peer's health.
 func (p *Peers) dispatch(ctx context.Context, pr *peer, spec pubtac.ShardSpec) ([]float64, error) {
-	cctx := ctx
-	if p.policy.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, p.policy.AttemptTimeout)
-		defer cancel()
-	}
+	cctx, cancel := context.WithTimeout(ctx, attemptTimeout)
+	defer cancel()
 	runs, err := pr.c.CollectShard(cctx, spec)
 	if err != nil && ctx.Err() != nil {
 		pr.releaseProbe() // cancelled race loser: no verdict on the peer
@@ -387,12 +333,12 @@ func (p *Peers) record(pr *peer, err error) {
 		return
 	}
 	pr.fails++
-	if pr.state == breakerHalfOpen || pr.fails >= p.policy.BreakerThreshold {
+	if pr.state == breakerHalfOpen || pr.fails >= p.threshold {
 		if pr.state != breakerOpen {
 			p.breakerOpens.Add(1)
 		}
 		pr.state = breakerOpen
-		pr.openUntil = p.clock.Now().Add(p.policy.BreakerCooldown)
+		pr.openUntil = p.clock.Now().Add(breakerCooldown)
 		pr.probing = false
 	}
 }
@@ -404,9 +350,9 @@ func (p *Peers) backoffFor(retry int, lastErr error) time.Duration {
 	if retry > 16 {
 		retry = 16 // cap the shift well before overflow
 	}
-	d := p.policy.BaseBackoff << uint(retry)
-	if d > p.policy.MaxBackoff || d <= 0 {
-		d = p.policy.MaxBackoff
+	d := baseBackoff << uint(retry)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	p.jmu.Lock()
 	j := p.jrng.Next()

@@ -60,6 +60,15 @@ func shardHandler(t *testing.T, fail *atomic.Int64, status int, retryAfter strin
 	}
 }
 
+// fakeClockFabric is NewFabric on injected time: backoff sleeps return at
+// once and are recorded on the returned clock.
+func fakeClockFabric(cfg PeersConfig, urls ...string) (*Peers, *fault.Fake) {
+	p := NewFabric(cfg, urls...)
+	fc := &fault.Fake{}
+	p.clock = fc
+	return p, fc
+}
+
 // Permanent errors (409 foreign fingerprint, 400 bad range) fail the shard
 // on the first peer without walking the rest or retrying.
 func TestPeersFailFastOnPermanentError(t *testing.T) {
@@ -74,7 +83,7 @@ func TestPeersFailFastOnPermanentError(t *testing.T) {
 		defer ts.Close()
 		urls = append(urls, ts.URL)
 	}
-	p := NewFabric(PeersConfig{Clock: &fault.Fake{}}, urls...)
+	p, _ := fakeClockFabric(PeersConfig{}, urls...)
 	_, err := p.CollectShard(context.Background(), testSpec(0, 8))
 	if err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("err = %v, want HTTP 409", err)
@@ -95,8 +104,7 @@ func TestPeersRetryHonorsRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(shardHandler(t, &fail, http.StatusTooManyRequests, "2"))
 	defer ts.Close()
 
-	fc := &fault.Fake{}
-	p := NewFabric(PeersConfig{Clock: fc}, ts.URL)
+	p, fc := fakeClockFabric(PeersConfig{}, ts.URL)
 	spec := testSpec(4, 12)
 	runs, err := p.CollectShard(context.Background(), spec)
 	if err != nil {
@@ -119,24 +127,28 @@ func TestPeersRetryHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// The jittered backoff schedule is seeded: two fabrics with the same seed
-// replay the same sleeps, and every sleep is equal-jittered in [d/2, d].
+// The jittered backoff schedule is seeded: every fabric replays the same
+// sleeps, equal-jittered in [d/2, d], and the seed is the one fabrics have
+// always used, so the pinned schedule does not move.
 func TestPeersBackoffSeeded(t *testing.T) {
-	schedule := func(seed uint64) []time.Duration {
+	schedule := func() []time.Duration {
 		var fail atomic.Int64
 		fail.Store(2)
 		ts := httptest.NewServer(shardHandler(t, &fail, http.StatusInternalServerError, ""))
 		defer ts.Close()
-		fc := &fault.Fake{}
-		p := NewFabric(PeersConfig{Clock: fc, Policy: RetryPolicy{Seed: seed}}, ts.URL)
+		p, fc := fakeClockFabric(PeersConfig{}, ts.URL)
 		if _, err := p.CollectShard(context.Background(), testSpec(0, 4)); err != nil {
 			t.Fatal(err)
 		}
 		return fc.Sleeps()
 	}
-	a, b := schedule(7), schedule(7)
+	a, b := schedule(), schedule()
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("same seed, different backoff schedules: %v vs %v", a, b)
+		t.Errorf("two fabrics, different backoff schedules: %v vs %v", a, b)
+	}
+	want := []time.Duration{45614174, 58045721}
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("backoff schedule = %v, want the pinned %v", a, want)
 	}
 	wantLo := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond}
 	for i, d := range a {
@@ -144,8 +156,44 @@ func TestPeersBackoffSeeded(t *testing.T) {
 			t.Errorf("sleep %d = %v, want equal jitter in [%v, %v]", i, d, wantLo[i], 2*wantLo[i])
 		}
 	}
-	if c := schedule(8); reflect.DeepEqual(a, c) {
-		t.Errorf("different seeds, identical backoff schedules: %v", a)
+}
+
+// Peer URLs are trimmed: a space after the comma of a -peers list names the
+// second worker, not a peer whose every request fails to build. Shards
+// round-robin over both workers and none is retried.
+func TestNewFabricTrimsPeerURLs(t *testing.T) {
+	var hits [2]atomic.Int64
+	var urls []string
+	for i := range hits {
+		h := shardHandler(t, nil, 0, "")
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits[i].Add(1)
+			h(w, r)
+		}))
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	p, _ := fakeClockFabric(PeersConfig{}, strings.Split(" "+urls[0]+", "+urls[1]+" ,", ",")...)
+	if got := p.Shards(); got != 2 {
+		t.Fatalf("Shards() = %d, want 2 peers", got)
+	}
+	for i := 0; i < 4; i++ {
+		spec := testSpec(4*i, 4*i+4)
+		runs, err := p.CollectShard(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(runs, wantRuns(spec)) {
+			t.Errorf("shard %d: runs differ from the worker's sample", i)
+		}
+	}
+	if st := p.Stats(); st.Retries != 0 {
+		t.Errorf("Retries = %d, want 0", st.Retries)
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != 2 {
+			t.Errorf("worker %d served %d shards, want 2", i, got)
+		}
 	}
 }
 
@@ -163,9 +211,7 @@ func TestPeersHedgeBeatsStraggler(t *testing.T) {
 	healthy := httptest.NewServer(shardHandler(t, nil, 0, ""))
 	defer healthy.Close()
 
-	p := NewFabric(PeersConfig{
-		Policy: RetryPolicy{HedgeDelay: 5 * time.Millisecond},
-	}, straggler.URL, healthy.URL)
+	p := NewFabric(PeersConfig{HedgeDelay: 5 * time.Millisecond}, straggler.URL, healthy.URL)
 	spec := testSpec(0, 16)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -193,10 +239,8 @@ func TestPeersBreakerOpens(t *testing.T) {
 	good := httptest.NewServer(shardHandler(t, nil, 0, ""))
 	defer good.Close()
 
-	p := NewFabric(PeersConfig{
-		Clock:  &fault.Fake{},
-		Policy: RetryPolicy{BreakerThreshold: 2, MaxAttempts: 3},
-	}, bad.URL, good.URL)
+	p, _ := fakeClockFabric(PeersConfig{MaxAttempts: 3}, bad.URL, good.URL)
+	p.threshold = 2
 	for i := 0; i < 4; i++ {
 		if _, err := p.CollectShard(context.Background(), testSpec(i, i+4)); err != nil {
 			t.Fatalf("call %d: %v", i, err)

@@ -77,9 +77,8 @@ func main() {
 		opts = append(opts, pubtac.WithStreamingEstimation(*streamK))
 	}
 	if *peers != "" {
-		fabric := client.NewFabric(client.PeersConfig{
-			Policy: client.RetryPolicy{MaxAttempts: *peerRetry, HedgeDelay: *hedge},
-		}, strings.Split(*peers, ",")...)
+		fabric := client.NewFabric(client.PeersConfig{MaxAttempts: *peerRetry, HedgeDelay: *hedge},
+			strings.Split(*peers, ",")...)
 		opts = append(opts, pubtac.WithPeers(fabric))
 		if *shards > 0 {
 			opts = append(opts, pubtac.WithShards(*shards))

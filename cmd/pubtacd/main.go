@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"pubtac"
+	"pubtac/client"
 	"pubtac/internal/fault"
 	"pubtac/internal/pool"
 	"pubtac/internal/serve"
@@ -93,10 +94,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var peerList []string
-	if *peers != "" {
-		peerList = strings.Split(*peers, ",")
-	}
 	var peerTransport http.RoundTripper
 	if *chaos != "" {
 		spec, err := fault.ParseSpec(*chaos, *chaosSeed)
@@ -106,22 +103,24 @@ func main() {
 		peerTransport = fault.New(spec).RoundTripper(nil, nil)
 		log.Printf("CHAOS: injecting faults into outbound peer calls (%s, seed %d)", *chaos, *chaosSeed)
 	}
+	if *peers != "" {
+		fabric := client.NewFabric(client.PeersConfig{
+			MaxAttempts: *peerRetry, HedgeDelay: *hedge, Transport: peerTransport,
+		}, strings.Split(*peers, ",")...)
+		opts = append(opts, pubtac.WithPeers(fabric))
+		if *shards > 0 {
+			opts = append(opts, pubtac.WithShards(*shards))
+		}
+		log.Printf("coordinating campaigns over %d peers", fabric.Shards())
+	}
 	srv, err := serve.New(serve.Options{
 		Store:          store,
 		SessionOptions: opts,
 		MaxJobs:        *maxJobs,
-		Peers:          peerList,
-		Shards:         *shards,
-		PeerRetry:      *peerRetry,
-		HedgeDelay:     *hedge,
-		PeerTransport:  peerTransport,
 		ShardDeadline:  *deadline,
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if len(peerList) > 0 {
-		log.Printf("coordinating campaigns over %d peers", len(peerList))
 	}
 	if n, err := store.DiskLen(); err == nil {
 		log.Printf("store %s: %d persisted results", *dir, n)

@@ -218,11 +218,9 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 	}
 
 	root := mbpta.Seed(name+"/"+in.Name) ^ a.cfg.SeedSalt
-	if a.cfg.Sharder != nil {
-		// Both the convergence rounds and the TAC-demanded extension below
-		// collect through camp, so one SetRemote distributes them all.
-		camp.SetRemote(a.remoteCollector(name, in.Name, false, root))
-	}
+	// Both the convergence rounds and the TAC-demanded extension below
+	// collect through camp, so one distribute covers them all.
+	a.distribute(camp, name, in.Name, false, root)
 	mcfg := a.cfg.MBPTA
 	mcfg.Workers = workers
 	conv, err := camp.ConvergeCtx(ctx, mcfg, root,
@@ -373,9 +371,7 @@ func (a *Analyzer) AnalyzeOriginalCtx(ctx context.Context, p *program.Program,
 		mcfg.Workers = workers
 	}
 	camp := mbpta.NewCampaign(res.Trace, a.cfg.Model)
-	if a.cfg.Sharder != nil {
-		camp.SetRemote(a.remoteCollector(p.Name, in.Name, true, root))
-	}
+	a.distribute(camp, p.Name, in.Name, true, root)
 	conv, err := camp.ConvergeCtx(ctx, mcfg, root,
 		a.progressFn(p.Name, in.Name, "converge"))
 	if err != nil {

@@ -4,11 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
-	"sync"
 
 	"pubtac/internal/mbpta"
-	"pubtac/internal/pool"
 )
 
 // ShardSpec names one campaign shard for remote execution: which analysis
@@ -60,66 +57,26 @@ func (c Config) Fingerprint() [sha256.Size]byte {
 	return sha256.Sum256(c.AppendCanonical(nil))
 }
 
-// remoteCollector adapts the configured ShardCollector to one campaign's
-// mbpta.RangeCollector: it splits every requested range into contiguous
-// shards, dispatches them concurrently, copies successful shards into their
-// index-addressed slots, and reports failed shards as leftovers for
-// mbpta's local fallback. Shards never overlap and cover the range exactly,
-// so the filled sample is bit-identical to local collection no matter how
-// many shards, peers, or failures were involved.
-func (a *Analyzer) remoteCollector(name, input string, original bool, root uint64) mbpta.RangeCollector {
+// distribute makes camp collect through the configured ShardCollector, if
+// any: mbpta cuts every campaign range into Config.Shards contiguous shards
+// (Sharder.Shards() when unset), fetches each as a ShardSpec and recomputes
+// failed shards locally, so the filled sample is bit-identical to local
+// collection no matter how many shards, peers, or failures were involved.
+func (a *Analyzer) distribute(camp *mbpta.Campaign, name, input string, original bool, root uint64) {
 	sc := a.cfg.Sharder
+	if sc == nil {
+		return
+	}
+	k := a.cfg.Shards
+	if k <= 0 {
+		k = sc.Shards()
+	}
 	fp := a.cfg.Fingerprint()
 	cfgHex := hex.EncodeToString(fp[:])
-	return func(ctx context.Context, dst []float64, offset int) ([]mbpta.Range, error) {
-		n := len(dst)
-		k := a.cfg.Shards
-		if k <= 0 {
-			k = sc.Shards()
-		}
-		if k < 1 {
-			k = 1
-		}
-		if k > n {
-			k = n
-		}
-		var mu sync.Mutex
-		var leftover []mbpta.Range
-		g, gctx := pool.WithContext(ctx)
-		g.SetLimit(k)
-		for i := 0; i < k; i++ {
-			lo, hi := offset+i*n/k, offset+(i+1)*n/k
-			if lo == hi {
-				continue
-			}
-			g.Go(func() error {
-				spec := ShardSpec{
-					Config: cfgHex, Program: name, Input: input,
-					Original: original, Root: root, Lo: lo, Hi: hi,
-				}
-				runs, err := sc.CollectShard(gctx, spec)
-				if err != nil || len(runs) != hi-lo {
-					// Cancellation aborts the campaign; any other failure
-					// (peer down, foreign config, short reply) just demotes
-					// this shard to the local fallback.
-					if cerr := gctx.Err(); cerr != nil {
-						return cerr
-					}
-					mu.Lock()
-					leftover = append(leftover, mbpta.Range{Lo: lo, Hi: hi})
-					mu.Unlock()
-					return nil
-				}
-				copy(dst[lo-offset:hi-offset], runs)
-				return nil
-			})
-		}
-		if err := g.Wait(); err != nil {
-			return nil, err
-		}
-		// Deterministic fallback order regardless of which goroutine failed
-		// first (the fill itself is index-addressed either way).
-		sort.Slice(leftover, func(i, j int) bool { return leftover[i].Lo < leftover[j].Lo })
-		return leftover, nil
-	}
+	camp.SetRemote(func(ctx context.Context, r mbpta.Range) ([]float64, error) {
+		return sc.CollectShard(ctx, ShardSpec{
+			Config: cfgHex, Program: name, Input: input,
+			Original: original, Root: root, Lo: r.Lo, Hi: r.Hi,
+		})
+	}, k)
 }

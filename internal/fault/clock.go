@@ -12,9 +12,6 @@ import (
 // the detrand invariant honest — the one Real implementation below is the
 // single escape-audited wall-clock touchpoint, and tests drive the exact
 // same code deterministically through Fake.
-//
-// The client peer fabric re-exports it as client.Clock, so callers outside
-// the module can name the seam.
 type Clock interface {
 	// Now returns the current reading. Readings are only ever compared to
 	// each other (cooldown expiry), never stored in results.

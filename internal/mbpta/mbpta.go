@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"pubtac/internal/evt"
@@ -109,9 +108,11 @@ type Campaign struct {
 	Model    proc.Model
 	Compiled *proc.CompiledTrace
 
-	// remote, when set, collects run ranges on remote workers before the
-	// local engines fill whatever is left. See SetRemote.
-	remote RangeCollector
+	// fetch and shards, when set, collect every run range in shards on
+	// remote workers before the local engines fill the failed ones. See
+	// SetRemote.
+	fetch  func(ctx context.Context, r Range) ([]float64, error)
+	shards int
 
 	// referenceIID is a test seam: convergence searches on a full-sample
 	// summary recompute the one-shot stats.CheckIID battery every round
@@ -125,29 +126,23 @@ type Range struct {
 	Lo, Hi int
 }
 
-// RangeCollector fills dst — which holds runs offset..offset+len(dst)-1 of
-// the campaign — from somewhere other than the local engines (typically
-// remote workers executing CollectRangeCtx for sub-ranges), and returns the
-// absolute-index ranges it could NOT fill; the campaign recomputes those
-// locally. Because run i depends only on (root, i), it does not matter who
-// computes a run, only that slot i-offset ends up holding run i — which is
-// why any mix of remote and local collection stays bit-identical to a
-// purely local campaign. A RangeCollector should return an error only for
-// cancellation or conditions that invalidate the whole campaign; per-shard
-// failures are reported as leftover ranges instead (graceful degradation).
-type RangeCollector func(ctx context.Context, dst []float64, offset int) ([]Range, error)
-
-// SetRemote installs a remote range collector on the campaign: every
-// subsequent collection (convergence rounds, extensions, CollectCtx) first
-// offers the full range to rc and computes only the returned leftovers with
-// the local engines. collectLocal is the reference arm: with any rc — even
-// one that fails every shard — results are bit-identical to a campaign that
-// never left the process, which is the distributed oracle-pair contract.
-// SetRemote must be called before the campaign is shared between
-// goroutines; a nil rc restores purely local collection.
+// SetRemote distributes every subsequent collection (convergence rounds,
+// extensions, CollectCtx) of the campaign: each range is cut into shards
+// contiguous index ranges, fetch is called for all of them concurrently,
+// and every shard whose fetch fails or returns other than Hi-Lo runs is
+// recomputed by the local engines. fetch must return runs r.Lo..r.Hi-1 of
+// the campaign in run order; because run i depends only on (root, i), it
+// does not matter who computes a run, only that it lands in slot i.
+// collectLocal is the reference arm: with any fetch — even one that fails
+// every shard — results are bit-identical to a campaign that never left the
+// process, which is the distributed oracle-pair contract. SetRemote must be
+// called before the campaign is shared between goroutines; a nil fetch
+// restores purely local collection.
 //
 //pubtac:fastpath distributed
-func (c *Campaign) SetRemote(rc RangeCollector) { c.remote = rc }
+func (c *Campaign) SetRemote(fetch func(ctx context.Context, r Range) ([]float64, error), shards int) {
+	c.fetch, c.shards = fetch, shards
+}
 
 // NewCampaign compiles tr for the model once, for any number of subsequent
 // collections, convergence searches and extensions.
@@ -187,79 +182,71 @@ func (c *Campaign) CollectCtx(ctx context.Context, n int, root uint64,
 }
 
 // collectInto fills dst with runs offset..offset+len(dst)-1 of the campaign
-// rooted at root. Without a remote collector it is collectLocal; with one it
-// first offers the whole range to the remote arm and computes the returned
-// leftovers locally, which yields the same bytes either way.
+// rooted at root. Without a remote fetch it is collectLocal. With one it cuts
+// the n = len(dst) runs into k = min(max(shards, 1), n) contiguous shards,
+// shard i covering offset+i*n/k up to offset+(i+1)*n/k, fetches them
+// concurrently and recomputes the failed ones locally in index order, which
+// yields the same bytes either way.
 func (c *Campaign) collectInto(ctx context.Context, dst []float64, root uint64,
 	offset, workers int, progress Progress, target int) error {
-	if c.remote == nil {
+	if c.fetch == nil {
 		return c.collectLocal(ctx, dst, root, offset, workers, progress, target)
 	}
-	leftover, err := c.remote(ctx, dst, offset)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		// The collector failed outright (all peers down, say): degrade to a
-		// plain local campaign — correctness never depends on the remote arm.
-		return c.collectLocal(ctx, dst, root, offset, workers, progress, target)
-	}
-	leftover = normalizeRanges(leftover, offset, offset+len(dst))
-	remoteFilled := len(dst)
-	for _, r := range leftover {
-		remoteFilled -= r.Hi - r.Lo
-	}
-	if progress != nil && remoteFilled > 0 {
-		progress(offset+remoteFilled, target)
-	}
-	// Recompute the leftovers locally, in index order. Progress stays
-	// monotone: doneBase credits the remote-filled runs and every completed
-	// leftover range, and collectLocal's per-block reports are rebased from
-	// the range-local count onto it.
-	doneBase := offset + remoteFilled
-	for _, r := range leftover {
-		sub := dst[r.Lo-offset : r.Hi-offset]
-		var p Progress
-		if progress != nil {
-			base, lo := doneBase, r.Lo
-			p = func(done, tgt int) { progress(base+(done-lo), tgt) }
-		}
-		if err := c.collectLocal(ctx, sub, root, r.Lo, workers, p, target); err != nil {
-			return err
-		}
-		doneBase += r.Hi - r.Lo
-	}
-	return nil
-}
-
-// normalizeRanges clamps ranges to [lo, hi), drops empty ones, sorts by Lo
-// and merges overlaps, so a sloppy RangeCollector cannot make collectInto
-// recompute a run twice or step outside dst.
-func normalizeRanges(rs []Range, lo, hi int) []Range {
-	out := rs[:0]
-	for _, r := range rs {
-		if r.Lo < lo {
-			r.Lo = lo
-		}
-		if r.Hi > hi {
-			r.Hi = hi
-		}
-		if r.Lo < r.Hi {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lo < out[j].Lo })
-	merged := out[:0]
-	for _, r := range out {
-		if n := len(merged); n > 0 && r.Lo <= merged[n-1].Hi {
-			if r.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = r.Hi
+	n := len(dst)
+	k := min(max(c.shards, 1), n)
+	shards := make([]Range, k)
+	failed := make([]bool, k)
+	g, gctx := pool.WithContext(ctx)
+	g.SetLimit(k)
+	for i := range shards {
+		r := Range{Lo: offset + i*n/k, Hi: offset + (i+1)*n/k}
+		shards[i] = r
+		g.Go(func() error {
+			runs, err := c.fetch(gctx, r)
+			if err != nil || len(runs) != r.Hi-r.Lo {
+				// Cancellation aborts the campaign; any other failure (peer
+				// down, foreign config, short reply) only demotes this
+				// shard to the local engines.
+				if cerr := gctx.Err(); cerr != nil {
+					return cerr
+				}
+				failed[i] = true
+				return nil
 			}
+			copy(dst[r.Lo-offset:r.Hi-offset], runs)
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		return err
+	}
+	// Progress stays monotone: done first credits every fetched run, then
+	// each recomputed shard, onto which collectLocal's per-block reports
+	// are rebased from the shard-local count.
+	done := offset + n
+	for i, r := range shards {
+		if failed[i] {
+			done -= r.Hi - r.Lo
+		}
+	}
+	if progress != nil && done > offset {
+		progress(done, target)
+	}
+	for i, r := range shards {
+		if !failed[i] {
 			continue
 		}
-		merged = append(merged, r)
+		var p Progress
+		if progress != nil {
+			base := done
+			p = func(d, tgt int) { progress(base+(d-r.Lo), tgt) }
+		}
+		if err := c.collectLocal(ctx, dst[r.Lo-offset:r.Hi-offset], root, r.Lo, workers, p, target); err != nil {
+			return err
+		}
+		done += r.Hi - r.Lo
 	}
-	return merged
+	return nil
 }
 
 // collectLocal fills dst with runs offset..offset+len(dst)-1 of the campaign

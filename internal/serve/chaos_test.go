@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,18 +24,14 @@ func shardRoot(cfg pubtac.Config, prog, input string) uint64 {
 }
 
 // newDaemon builds a daemon over a fresh store with the given session
-// options, letting mod adjust the serve options (peers, chaos transport...).
-func newDaemon(t *testing.T, sopts []pubtac.Option, mod func(*serve.Options)) (*serve.Server, *httptest.Server) {
+// options.
+func newDaemon(t *testing.T, sopts []pubtac.Option) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	store, err := serve.NewStore(t.TempDir(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := serve.Options{Store: store, SessionOptions: sopts}
-	if mod != nil {
-		mod(&o)
-	}
-	srv, err := serve.New(o)
+	srv, err := serve.New(serve.Options{Store: store, SessionOptions: sopts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +41,12 @@ func newDaemon(t *testing.T, sopts []pubtac.Option, mod func(*serve.Options)) (*
 		srv.Close()
 	})
 	return srv, ts
+}
+
+// coordinatorOpts is sopts plus a peer fabric over urls that cuts every
+// campaign range into k shards: the session options of a coordinator daemon.
+func coordinatorOpts(sopts []pubtac.Option, cfg client.PeersConfig, k int, urls ...string) []pubtac.Option {
+	return append(slices.Clone(sopts), pubtac.WithPeers(client.NewFabric(cfg, urls...)), pubtac.WithShards(k))
 }
 
 // newStraggler serves a worker that accepts every shard and never answers:
@@ -81,9 +84,9 @@ func TestChaosCoordinatorBitIdentical(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			sopts := append(append([]pubtac.Option(nil), smallOpts()...), mode.extra...)
 
-			_, plainTS := newDaemon(t, sopts, nil)
-			_, w1TS := newDaemon(t, sopts, nil)
-			_, w2TS := newDaemon(t, sopts, nil)
+			_, plainTS := newDaemon(t, sopts)
+			_, w1TS := newDaemon(t, sopts)
+			_, w2TS := newDaemon(t, sopts)
 			straggler := newStraggler(t)
 
 			ctx := context.Background()
@@ -112,13 +115,11 @@ func TestChaosCoordinatorBitIdentical(t *testing.T) {
 					Corrupt:  90,
 					Truncate: 70,
 				})
-				coord, coordTS := newDaemon(t, sopts, func(o *serve.Options) {
-					o.Peers = topo.peers
-					o.Shards = topo.shards
-					o.PeerRetry = 4
-					o.HedgeDelay = 3 * time.Millisecond
-					o.PeerTransport = inj.RoundTripper(nil, nil)
-				})
+				coord, coordTS := newDaemon(t, coordinatorOpts(sopts, client.PeersConfig{
+					MaxAttempts: 4,
+					HedgeDelay:  3 * time.Millisecond,
+					Transport:   inj.RoundTripper(nil, nil),
+				}, topo.shards, topo.peers...))
 				sharded, _, err := client.New(coordTS.URL).AnalyzeRaw(ctx, req)
 				if err != nil {
 					t.Fatalf("%s: %v", topo.name, err)
@@ -155,16 +156,14 @@ func TestChaosScheduleReproducible(t *testing.T) {
 		t.Skip("runs full campaigns; not a -short test")
 	}
 	sopts := smallOpts()
-	_, wTS := newDaemon(t, sopts, nil)
+	_, wTS := newDaemon(t, sopts)
 
 	run := func() []fault.Event {
 		inj := fault.New(fault.Spec{Seed: 99, Drop: 150, Fail: 120})
-		_, coordTS := newDaemon(t, sopts, func(o *serve.Options) {
-			o.Peers = []string{wTS.URL}
-			o.Shards = 2
-			o.PeerRetry = 5
-			o.PeerTransport = inj.RoundTripper(nil, nil)
-		})
+		_, coordTS := newDaemon(t, coordinatorOpts(sopts, client.PeersConfig{
+			MaxAttempts: 5,
+			Transport:   inj.RoundTripper(nil, nil),
+		}, 2, wTS.URL))
 		if _, _, err := client.New(coordTS.URL).AnalyzeRaw(context.Background(), client.AnalyzeRequest{Bench: "bs"}); err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,7 +26,11 @@ type Options struct {
 	// fix the daemon's pipeline configuration (scale, model, seed,
 	// streaming, workers). The resolved configuration's fingerprint is half
 	// of every cache key, so two daemons with equal session options (modulo
-	// worker counts) serve each other's stores.
+	// worker counts and sharding) serve each other's stores. A
+	// pubtac.WithPeers option makes the daemon a campaign coordinator whose
+	// results, and so cache keys, are bit-identical to an unsharded
+	// daemon's; when its collector is a *client.Peers fabric, statusz
+	// reports it.
 	SessionOptions []pubtac.Option
 	// MaxJobs bounds concurrently computing analyses; further submissions
 	// queue. 0 selects 2. Each job internally parallelizes across the
@@ -35,24 +40,6 @@ type Options struct {
 	// (their results stay addressable through the store forever). 0
 	// selects 1024.
 	MaxJobHistory int
-	// Peers makes this daemon a campaign coordinator: every analysis
-	// campaign is sharded across these pubtacd base URLs (each serving
-	// POST /v1/shards under the SAME session configuration), with failed
-	// shards recomputed locally. Results — and therefore cache keys — are
-	// bit-identical to an unsharded daemon.
-	Peers []string
-	// Shards is the shard count per campaign range when Peers is set
-	// (0 = one shard per peer).
-	Shards int
-	// PeerRetry bounds dispatch attempts per shard before local fallback
-	// (0 = the peer fabric's default, 3).
-	PeerRetry int
-	// HedgeDelay arms hedged shard dispatch: after this long without an
-	// answer the shard races on a second peer (0 = off).
-	HedgeDelay time.Duration
-	// PeerTransport, when non-nil, replaces the outbound peer transport —
-	// the chaos-testing hook the fault injector's RoundTripper plugs into.
-	PeerTransport http.RoundTripper
 	// ShardDeadline bounds one POST /v1/shards computation; shards that
 	// exceed it fail with 503 and the coordinator retries elsewhere or
 	// recomputes locally (0 = no deadline).
@@ -146,34 +133,17 @@ func New(opts Options) (*Server, error) {
 		maxJobs = 2
 	}
 	probe := pubtac.NewSession(opts.SessionOptions...)
-	// Coordinator mode: shard campaigns across the peers. The sharding
-	// options ride on top of the session options but never reach the config
-	// fingerprint (sharded results are bit-identical to local ones), so a
-	// coordinator, its workers and a plain daemon all share cache keys.
-	baseOpts := append([]pubtac.Option(nil), opts.SessionOptions...)
-	var peers *client.Peers
-	if len(opts.Peers) > 0 {
-		peers = client.NewFabric(client.PeersConfig{
-			Policy: client.RetryPolicy{
-				MaxAttempts: opts.PeerRetry,
-				HedgeDelay:  opts.HedgeDelay,
-			},
-			Transport: opts.PeerTransport,
-		}, opts.Peers...)
-		baseOpts = append(baseOpts, pubtac.WithPeers(peers))
-		if opts.Shards > 0 {
-			baseOpts = append(baseOpts, pubtac.WithShards(opts.Shards))
-		}
-	}
+	cfg := probe.Config()
+	peers, _ := cfg.Sharder.(*client.Peers)
 	ctx, cancel := context.WithCancel(context.Background())
 	grp, gctx := pool.WithContext(ctx)
 	s := &Server{
 		mux:           http.NewServeMux(),
 		store:         opts.Store,
-		baseOpts:      baseOpts,
-		cfg:           probe.Config(),
+		baseOpts:      slices.Clone(opts.SessionOptions),
+		cfg:           cfg,
 		cfgFP:         probe.ConfigFingerprint(),
-		seedSalt:      probe.Config().SeedSalt,
+		seedSalt:      cfg.SeedSalt,
 		grp:           grp,
 		gctx:          gctx,
 		cancel:        cancel,

@@ -6,13 +6,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"pubtac"
 	"pubtac/client"
 	"pubtac/internal/mbpta"
-	"pubtac/internal/serve"
 )
 
 // localShardSample computes the expected bytes of a shard the way a worker
@@ -250,23 +248,9 @@ func TestCoordinatorWorkerBitIdentical(t *testing.T) {
 	// Worker daemon: same session options, serves POST /v1/shards.
 	worker, workerTS := newTestServer(t, t.TempDir())
 
-	// Coordinator daemon: same session options plus the peer list.
-	coordStore, err := serve.NewStore(t.TempDir(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := serve.New(serve.Options{
-		Store:          coordStore,
-		SessionOptions: smallOpts(),
-		Peers:          []string{workerTS.URL},
-		Shards:         3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS := httptest.NewServer(coord)
-	defer coordTS.Close()
-	defer coord.Close()
+	// Coordinator daemon: same session options plus a fabric over the
+	// worker.
+	coord, coordTS := newDaemon(t, coordinatorOpts(smallOpts(), client.PeersConfig{}, 3, workerTS.URL))
 
 	ctx := context.Background()
 	req := client.AnalyzeRequest{Bench: "bs"}

@@ -18,15 +18,13 @@ import (
 // benchmark, or — for a few test-only helpers — paper notation or test
 // support. Everything else exported must have a caller.
 var surfaceAllowlist = map[string]string{
-	"pubtac.Estimate":               "public API: names the estimate type PathAnalysis exposes",
-	"pubtac.TACAnalysis":            "public API: names the TAC result type PathAnalysis exposes",
-	"pubtac.If":                     "public API: structured IR builder for user programs",
-	"pubtac.While":                  "public API: structured IR builder for user programs",
-	"pubtac.WithConfig":             "public API: session option",
-	"pubtac.WithModel":              "public API: session option",
-	"pubtac.WithIIDHardFail":        "public API: session option",
-	"pubtac/client.WithHTTPClient":  "public API: client option",
-	"pubtac/client.WithHTTPTimeout": "public API: client option",
+	"pubtac.Estimate":        "public API: names the estimate type PathAnalysis exposes",
+	"pubtac.TACAnalysis":     "public API: names the TAC result type PathAnalysis exposes",
+	"pubtac.If":              "public API: structured IR builder for user programs",
+	"pubtac.While":           "public API: structured IR builder for user programs",
+	"pubtac.WithConfig":      "public API: session option",
+	"pubtac.WithModel":       "public API: session option",
+	"pubtac.WithIIDHardFail": "public API: session option",
 
 	"pubtac/internal/evt.FitExpTail":        "reference arm: slice fit behind FitExpTailSorted (TestSortedVariantsBitIdentical)",
 	"pubtac/internal/evt.FitExpTailAuto":    "reference arm: slice fit behind FitExpTailAutoSorted; also BenchmarkAblationTailFit",
