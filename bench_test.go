@@ -213,6 +213,28 @@ func BenchmarkCampaign1k(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignMatmult measures a 1000-run campaign of the pubbed
+// matmult default path on one engine. matmult's DL1 overflows a set in most
+// seeds, so this is the replay-bound shape that dominates paper-scale
+// batches, where BenchmarkCampaign1k's bs mostly takes the analytic path.
+//
+//pubtac:bench
+func BenchmarkCampaignMatmult(b *testing.B) {
+	bm := malardalen.MatMult()
+	pubbed, _, err := pub.Transform(bm.Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := pubbed.MustExec(bm.Default()).Trace
+	e := proc.NewEngine(proc.DefaultModel())
+	dst := make([]float64, 1000)
+	e.CampaignInto(tr, dst[:1], 0, 0) // compile outside the timed loop
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CampaignInto(tr, dst, uint64(i), 0)
+	}
+}
+
 // BenchmarkExecTrace measures raw trace generation for the largest
 // benchmark (matmult).
 //

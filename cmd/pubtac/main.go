@@ -60,6 +60,9 @@ func main() {
 		hedge     = flag.Duration("hedge-delay", 0, "race an unanswered shard on a second peer after this long (0 = off)")
 	)
 	flag.Parse()
+	if *peers == "" && (*shards != 0 || *peerRetry != 0 || *hedge != 0) {
+		log.Fatal("-shards, -peer-retry and -hedge-delay configure sharded collection; they need -peers")
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -75,6 +75,9 @@ func main() {
 		chaosSeed = flag.Uint64("chaos-seed", 1, "seed for the -chaos injection schedule (same seed, same schedule)")
 	)
 	flag.Parse()
+	if *peers == "" && (*shards != 0 || *peerRetry != 0 || *hedge != 0 || *chaos != "") {
+		log.Fatal("-shards, -peer-retry, -hedge-delay and -chaos configure outbound peer calls; they need -peers")
+	}
 
 	opts := []pubtac.Option{
 		pubtac.WithScale(*scale),

@@ -93,7 +93,7 @@ type Progress func(done, target int)
 // reports. Small enough to cancel a campaign within milliseconds, large
 // enough that the atomic dispatch cost is invisible next to a trace replay.
 // It is a multiple of proc.BatchK so every replay block is full (the engine
-// replays BatchK seeds per pass over the stream; a shorter block costs a
+// replays BatchK seeds per pass over a cache's IDs; a shorter block costs a
 // full block's placement work).
 const collectBlock = 8 * proc.BatchK
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pubtac/internal/cache"
+	"pubtac/internal/malardalen"
+	"pubtac/internal/pub"
 	"pubtac/internal/rng"
 	"pubtac/internal/trace"
 )
@@ -86,6 +88,106 @@ func TestBatchCampaignHigherAssoc(t *testing.T) {
 	m.IL1.Replacement = cache.LRUReplacement
 	m.DL1.Replacement = cache.LRUReplacement
 	assertCampaignsMatch(t, "4way-lru", m, tr)
+}
+
+// TestCampaignMatchesReferenceOnPaperPaths runs the campaign oracle on the
+// pubbed default paths of the 11 benchmarks. There one cache typically
+// overflows a set while the other stays conflict-free (matmult's DL1
+// against its IL1, for example), so each cache's replay must stand on its
+// own. CampaignInto must equal the reference replay run for run, with and
+// without miss jitter.
+func TestCampaignMatchesReferenceOnPaperPaths(t *testing.T) {
+	const root = 0x9A9E4
+	arms := []struct {
+		jitter      uint64
+		runs, short int
+	}{{0, 4096, 512}, {4, 1024, 128}}
+	for _, bm := range malardalen.All() {
+		pubbed, _, err := pub.Transform(bm.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := pubbed.MustExec(bm.Default()).Trace
+		ct := Compile(tr, DefaultModel())
+		for _, arm := range arms {
+			n := arm.runs
+			if testing.Short() {
+				n = arm.short
+			}
+			m := DefaultModel()
+			m.Lat.MissJitter = arm.jitter
+			e := NewEngine(m)
+			e.SetCompiled(ct, tr)
+			got := make([]float64, n)
+			e.CampaignInto(tr, got, root, 0)
+			ref := NewEngine(m)
+			ref.UseReference(true)
+			want := make([]float64, n)
+			ref.CampaignInto(tr, want, root, 0)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, jitter %d, run %d: batched %v, reference %v",
+						bm.Name, arm.jitter, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLineMissesMatchesCache checks LineMisses' per-line sums against a
+// cache.Cache reseeded per seed and driven line by line, for seed counts
+// that cover no block, partial, full and multi-block calls, on every
+// policy combination, both caches, and a trace with no instruction
+// accesses.
+func TestLineMissesMatchesCache(t *testing.T) {
+	gen := rng.New(0x11E5)
+	traces := []struct {
+		name string
+		tr   trace.Trace
+	}{
+		{"narrow", randomTrace(gen, 400)},
+		{"wide", wideTrace(gen, 600)},
+		{"data-only", trace.Repeat(trace.FromLetters("ABCDEFGHIJ", 32), 20)},
+	}
+	for _, m := range policyCombos() {
+		for _, tc := range traces {
+			e := NewEngine(m)
+			ct := Compile(tc.tr, m)
+			e.SetCompiled(ct, tc.tr)
+			for _, kind := range []trace.Kind{trace.Instr, trace.Data} {
+				cfg := m.DL1
+				if kind == trace.Instr {
+					cfg = m.IL1
+				}
+				for _, n := range []int{0, 1, 7, 8, 13} {
+					seeds := make([]uint64, n)
+					want := map[uint64]uint64{}
+					c := cache.New(cfg, 0)
+					for i := range seeds {
+						seeds[i] = rng.Stream(0x11E5, i)
+						c.Reseed(seeds[i])
+						for _, a := range tc.tr {
+							line := a.Addr >> cfg.LineShift()
+							if a.Kind == kind && !c.AccessLine(line) {
+								want[line]++
+							}
+						}
+					}
+					got := e.LineMisses(kind, seeds)
+					lines := ct.SideLines(kind)
+					if len(got) != len(lines) {
+						t.Fatalf("%s/%v/%d seeds: %d sums for %d lines", tc.name, kind, n, len(got), len(lines))
+					}
+					for id, l := range lines {
+						if got[id] != want[l] {
+							t.Fatalf("%s/%v/%d seeds: line %#x missed %d times, cache.Cache %d",
+								tc.name, kind, n, l, got[id], want[l])
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSharedCompiledConcurrentWorkers replays one shared CompiledTrace from

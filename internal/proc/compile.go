@@ -12,18 +12,14 @@ import (
 // dominates the whole analysis. The reference replay pays, on every access:
 // a byte-address shift and a Mix64 placement hash — even though under
 // parametric random placement the set of a line is fixed for the duration
-// of a run. Compilation hoists all of that out of the run loop: the trace
-// is projected onto per-cache dense line IDs once, and the batched replay
-// (batch.go) evaluates the placement of each *distinct* line once per run,
-// replaying the ID stream against flat ID-indexed set state. Replacement
-// victims and miss jitter are drawn from the same generators in the same
-// order as the reference replay, so cycles are bit-identical; the golden
-// and equivalence tests in golden_test.go, compile_test.go and
-// batch_test.go enforce this.
-
-// dataBit marks a stream token as a DL1 access; the low bits are the dense
-// line ID within that cache.
-const dataBit = 1 << 31
+// of a run. Compilation hoists all of that out of the run loop: each cache's
+// accesses are projected once onto that cache's dense line IDs, so the
+// batched replay (batch.go) evaluates the placement of each *distinct* line
+// once per run and replays each cache's ID sequence on its own against flat
+// ID-indexed set state. IL1 and DL1 share nothing within a run but the cycle
+// sum, so neither needs the other's accesses. Results are bit-identical to
+// the reference replay; the golden and equivalence tests in golden_test.go,
+// compile_test.go and batch_test.go enforce this.
 
 // invalidID is the sentinel stored in compiled set state for an empty way,
 // replacing the reference engine's separate valid[] array. Line IDs are
@@ -32,97 +28,82 @@ const dataBit = 1 << 31
 const invalidID = -1
 
 // CompiledTrace is a trace pre-projected onto the line geometry of a
-// platform model: per-cache distinct line addresses plus a stream of dense
-// line IDs. Compile once, replay many times; a CompiledTrace is immutable
-// and may be shared across engines and goroutines.
+// platform model: per cache, its distinct line addresses and its accesses as
+// dense line IDs. Compile once, replay many times; a CompiledTrace is
+// immutable and may be shared across engines and goroutines.
 type CompiledTrace struct {
-	il1    compiledSide
-	dl1    compiledSide
-	stream []uint32
+	il1 compiledSide
+	dl1 compiledSide
 }
 
 // compiledSide is the per-cache projection: the distinct line addresses in
-// first-appearance order (the dense ID of a line is its index), plus the
-// geometry it was compiled against.
+// first-appearance order (the dense ID of a line is its index), the cache's
+// accesses in trace order as dense IDs, and the geometry it was compiled
+// against.
 type compiledSide struct {
 	lines []uint64
+	ids   []int32
 	sets  int
 	ways  int
 	shift uint // byte-address-to-line shift the projection used
 }
 
-// Len returns the number of accesses in the compiled stream.
-func (ct *CompiledTrace) Len() int { return len(ct.stream) }
-
-// DistinctLines returns the number of distinct IL1 and DL1 lines.
-func (ct *CompiledTrace) DistinctLines() (il1, dl1 int) {
-	return len(ct.il1.lines), len(ct.dl1.lines)
+// side returns the projection of the cache serving accesses of kind k.
+func (ct *CompiledTrace) side(k trace.Kind) *compiledSide {
+	if k == trace.Instr {
+		return &ct.il1
+	}
+	return &ct.dl1
 }
+
+// Len returns the number of accesses in the compiled trace.
+func (ct *CompiledTrace) Len() int { return len(ct.il1.ids) + len(ct.dl1.ids) }
 
 // SideLines returns the distinct line addresses of one cache side in
 // first-appearance order — the dense ID of a line is its index. The slice
 // is the compilation's own and must be treated as read-only; package tac
 // builds its posting-list index on these IDs instead of re-projecting the
 // trace through a map of its own.
-func (ct *CompiledTrace) SideLines(k trace.Kind) []uint64 {
-	if k == trace.Instr {
-		return ct.il1.lines
-	}
-	return ct.dl1.lines
-}
+func (ct *CompiledTrace) SideLines(k trace.Kind) []uint64 { return ct.side(k).lines }
 
-// SideIDs appends the dense line IDs of one cache side, in stream order,
-// to dst and returns it — the side's line sequence in the ID space of
-// SideLines.
-func (ct *CompiledTrace) SideIDs(k trace.Kind, dst []int32) []int32 {
-	if k == trace.Instr {
-		for _, tok := range ct.stream {
-			if tok&dataBit == 0 {
-				dst = append(dst, int32(tok))
-			}
-		}
-		return dst
-	}
-	for _, tok := range ct.stream {
-		if tok&dataBit != 0 {
-			dst = append(dst, int32(tok&^dataBit))
-		}
-	}
-	return dst
-}
+// SideIDs returns the accesses of one cache side in trace order, as dense
+// line IDs in the ID space of SideLines. The slice is the compilation's own
+// and must be treated as read-only.
+func (ct *CompiledTrace) SideIDs(k trace.Kind) []int32 { return ct.side(k).ids }
 
 // Compile projects tr onto the cache geometry of m. The result replays
 // bit-identically to the reference engine on any engine built for the same
 // model.
 func Compile(tr trace.Trace, m Model) *CompiledTrace {
-	ilShift, dlShift := m.IL1.LineShift(), m.DL1.LineShift()
 	ct := &CompiledTrace{
-		il1:    compiledSide{sets: m.IL1.Sets, ways: m.IL1.Ways, shift: ilShift},
-		dl1:    compiledSide{sets: m.DL1.Sets, ways: m.DL1.Ways, shift: dlShift},
-		stream: make([]uint32, len(tr)),
+		il1: compiledSide{sets: m.IL1.Sets, ways: m.IL1.Ways, shift: m.IL1.LineShift()},
+		dl1: compiledSide{sets: m.DL1.Sets, ways: m.DL1.Ways, shift: m.DL1.LineShift()},
 	}
-	ilIDs := make(map[uint64]uint32)
-	dlIDs := make(map[uint64]uint32)
-	for i, a := range tr {
+	// A counting pass sizes both sequences exactly; append growth would
+	// copy and allocate several times over.
+	nInstr := 0
+	for _, a := range tr {
 		if a.Kind == trace.Instr {
-			line := a.Addr >> ilShift
-			id, ok := ilIDs[line]
-			if !ok {
-				id = uint32(len(ct.il1.lines))
-				ilIDs[line] = id
-				ct.il1.lines = append(ct.il1.lines, line)
-			}
-			ct.stream[i] = id
-		} else {
-			line := a.Addr >> dlShift
-			id, ok := dlIDs[line]
-			if !ok {
-				id = uint32(len(ct.dl1.lines))
-				dlIDs[line] = id
-				ct.dl1.lines = append(ct.dl1.lines, line)
-			}
-			ct.stream[i] = id | dataBit
+			nInstr++
 		}
+	}
+	ct.il1.ids = make([]int32, 0, nInstr)
+	ct.dl1.ids = make([]int32, 0, len(tr)-nInstr)
+	ilIDs := make(map[uint64]int32)
+	dlIDs := make(map[uint64]int32)
+	for _, a := range tr {
+		side, idOf := &ct.dl1, dlIDs
+		if a.Kind == trace.Instr {
+			side, idOf = &ct.il1, ilIDs
+		}
+		line := a.Addr >> side.shift
+		id, ok := idOf[line]
+		if !ok {
+			id = int32(len(side.lines))
+			idOf[line] = id
+			side.lines = append(side.lines, line)
+		}
+		side.ids = append(side.ids, id)
 	}
 	return ct
 }

@@ -91,7 +91,7 @@ func TestCompileStream(t *testing.T) {
 		t.Fatalf("Len = %d, want 6", ct.Len())
 	}
 	// 0x40 and 0x44 share a 32-byte line; 0 and 32 do not.
-	il, dl := ct.DistinctLines()
+	il, dl := len(ct.SideLines(trace.Instr)), len(ct.SideLines(trace.Data))
 	if il != 2 || dl != 2 {
 		t.Fatalf("distinct lines = %d/%d, want 2/2", il, dl)
 	}

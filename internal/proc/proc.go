@@ -62,10 +62,10 @@ func (m Model) Deterministic() Model {
 	return m
 }
 
-// Per-run seed derivation salts: one run seed fans out into independent
-// placement/replacement streams per cache plus the miss-jitter stream. The
-// batched replay (batch.go) derives the same streams for a block of run
-// seeds at once, so these are named rather than inlined in Run.
+// Per-run seed derivation salts: one run seed fans out into one cache seed
+// per cache (its placement key and replacement stream) plus the miss-jitter
+// stream. The batched replay (batch.go) derives the same streams for a block
+// of run seeds at once, so these are named rather than inlined in Run.
 const (
 	ilSeedSalt     = 0x11
 	dlSeedSalt     = 0xDD
@@ -77,7 +77,8 @@ const (
 type Engine struct {
 	model Model
 
-	// The uncompiled reference replay's caches and jitter stream.
+	// The uncompiled reference replay's caches, and the miss-jitter stream
+	// both replays reseed per run.
 	il1    *cache.Cache
 	dl1    *cache.Cache
 	jitter *rng.Xoshiro256
@@ -98,12 +99,9 @@ func NewEngine(m Model) *Engine {
 		il1:    cache.New(m.IL1, 0),
 		dl1:    cache.New(m.DL1, 1),
 		jitter: rng.New(2),
-		batch:  new(batchState),
+		batch:  &batchState{il: batchSide{cfg: m.IL1}, dl: batchSide{cfg: m.DL1}},
 	}
 }
-
-// Model returns the engine's platform model.
-func (e *Engine) Model() Model { return e.model }
 
 // UseReference forces Run and Campaign through the uncompiled reference
 // replay when on is true. The batched replay is bit-identical (that is
@@ -173,7 +171,8 @@ func (e *Engine) Campaign(tr trace.Trace, n int, root uint64) []float64 {
 // bit-identical results.
 //
 // Unless UseReference is set, runs replay through the batched replay (see
-// CampaignBatchInto): BatchK seeds share each pass over the compiled stream.
+// CampaignBatchInto): BatchK seeds share each pass over a cache's compiled
+// IDs.
 func (e *Engine) CampaignInto(tr trace.Trace, dst []float64, root uint64, offset int) {
 	if e.reference {
 		for i := range dst {

@@ -9,6 +9,7 @@ import (
 
 	"pubtac/internal/cache"
 	"pubtac/internal/pool"
+	"pubtac/internal/proc"
 	"pubtac/internal/rng"
 	"pubtac/internal/trace"
 )
@@ -33,16 +34,16 @@ const evalChunk = 8
 const minParallelGroups = 16
 
 // analyzeCacheIndexed enumerates and evaluates conflict groups for one
-// cache through the posting-list index, consuming the side's dense line-ID
-// projection (CompiledTrace.SideIDs/SideLines). It mirrors
-// analyzeCacheReference decision for decision; see the file comment for
-// why results are bit-identical.
+// cache through the posting-list index, built on the side's dense line-ID
+// projection in ct and on eng's per-line baseline replay (buildSideIndex).
+// It mirrors analyzeCacheReference decision for decision; see the file
+// comment for why results are bit-identical.
 //
 //pubtac:fastpath tac-enum
-func analyzeCacheIndexed(ids []int32, lines []uint64, kind trace.Kind, cfgC cache.Config, cfg Config,
-	missCost, baselineMean float64) []Group {
+func analyzeCacheIndexed(ct *proc.CompiledTrace, eng *proc.Engine, kind trace.Kind, cfgC cache.Config,
+	cfg Config, missCost, baselineMean float64) []Group {
 
-	sx := buildSideIndex(ids, lines, cfgC, cfg)
+	sx := buildSideIndex(ct, eng, kind, cfg)
 	h := len(sx.hot)
 	w := cfgC.Ways
 	maxK := w + 1 + cfg.MaxExtraWays

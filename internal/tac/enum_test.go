@@ -93,22 +93,20 @@ func adversarialTraces() []struct {
 	}
 }
 
-// denseIDs projects a line sequence onto first-appearance dense IDs, the
-// shape CompiledTrace.SideIDs/SideLines hand to the indexed enumeration.
-func denseIDs(seq []uint64) ([]int32, []uint64) {
-	ids := make([]int32, len(seq))
-	idOf := map[uint64]int32{}
-	var lines []uint64
+// indexSeq indexes a line sequence as a data cache the way analyzeCompiled
+// indexes a trace side: compiled by proc, with the per-line baseline from
+// an engine holding the compilation.
+func indexSeq(seq []uint64, cfgC cache.Config, cfg Config) *sideIndex {
+	tr := make(trace.Trace, len(seq))
 	for i, l := range seq {
-		id, ok := idOf[l]
-		if !ok {
-			id = int32(len(lines))
-			idOf[l] = id
-			lines = append(lines, l)
-		}
-		ids[i] = id
+		tr[i] = trace.Access{Addr: l * uint64(cfgC.LineBytes), Kind: trace.Data}
 	}
-	return ids, lines
+	m := proc.DefaultModel()
+	m.DL1 = cfgC
+	ct := proc.Compile(tr, m)
+	eng := proc.NewEngine(m)
+	eng.SetCompiled(ct, tr)
+	return buildSideIndex(ct, eng, trace.Data, cfg)
 }
 
 // sameAnalysis asserts bit-identity of every Analysis field the package
@@ -276,8 +274,7 @@ func TestPrefilterPrunesNeverInterleaved(t *testing.T) {
 	cfg := DefaultConfig()
 	cfgC := cache.Config{Sets: 8, Ways: 2, LineBytes: 32,
 		Placement: cache.RandomPlacement, Replacement: cache.RandomReplacement}
-	ids, lines := denseIDs(blocks)
-	sx := buildSideIndex(ids, lines, cfgC, cfg)
+	sx := indexSeq(blocks, cfgC, cfg)
 	for i, v := range sx.itl {
 		if v != 0 {
 			t.Fatalf("itl[%d] = %d, want 0 on a never-interleaved trace", i, v)
@@ -300,8 +297,7 @@ func TestSideIndexPostings(t *testing.T) {
 	seq := []uint64{10, 20, 10, 10, 30, 20, 10}
 	cfg := DefaultConfig()
 	cfgC := cache.DefaultL1()
-	ids, lines := denseIDs(seq)
-	sx := buildSideIndex(ids, lines, cfgC, cfg)
+	sx := indexSeq(seq, cfgC, cfg)
 	// Hot: A (4 accesses), B (2); C is accessed once and excluded.
 	if len(sx.hot) != 2 || sx.hot[0] != 10 || sx.hot[1] != 20 {
 		t.Fatalf("hot = %v", sx.hot)
@@ -336,8 +332,7 @@ func TestDenseBaselineMatchesMap(t *testing.T) {
 			}
 			cfg := DefaultConfig()
 			want := baselineLineMisses(seq, cfgC, cfg)
-			ids, lines := denseIDs(seq)
-			sx := buildSideIndex(ids, lines, cfgC, cfg)
+			sx := indexSeq(seq, cfgC, cfg)
 			for hi, l := range sx.hot {
 				if sx.base[hi] != want[l] {
 					t.Fatalf("%s/%s: line %#x baseline %v, reference %v",
@@ -374,8 +369,7 @@ func TestBatchedPinnedReplayMatchesReference(t *testing.T) {
 				var scratch []uint64
 				want := pinnedImpact(seq, lines, cfgC, cfg, &scratch)
 
-				ids, dlines := denseIDs(seq)
-				sx := buildSideIndex(ids, dlines, cfgC, cfg)
+				sx := indexSeq(seq, cfgC, cfg)
 				cand := make([]uint16, 0, k)
 				for _, l := range lines {
 					for hi, hl := range sx.hot {
@@ -410,8 +404,7 @@ func TestBoundDominatesImpact(t *testing.T) {
 		if len(seq) == 0 {
 			seq = lineSeq(tc.tr, trace.Instr, cfgC.LineBytes)
 		}
-		ids, lines := denseIDs(seq)
-		sx := buildSideIndex(ids, lines, cfgC, cfg)
+		sx := indexSeq(seq, cfgC, cfg)
 		missCost := 24.0
 		for k := cfgC.Ways + 1; k <= cfgC.Ways+2 && k <= len(sx.hot); k++ {
 			// Disable pruning (threshold -inf) so every candidate reaches

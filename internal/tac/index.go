@@ -3,8 +3,9 @@ package tac
 import (
 	"sort"
 
-	"pubtac/internal/cache"
+	"pubtac/internal/proc"
 	"pubtac/internal/rng"
+	"pubtac/internal/trace"
 )
 
 // This file builds the per-cache posting-list index behind the default
@@ -20,9 +21,9 @@ import (
 //     access of a. They feed the reuse-distance prefilter's per-group upper
 //     bound on forced-placement misses (see groupBound in enum.go).
 //   - dense baseline misses: the per-line baseline of the reference arm
-//     (baselineLineMisses), recorded into dense line-ID arrays instead of a
-//     map, with the cache replayed through the same flat-state loop as
-//     proc's compiled engine. Values are bit-identical to the map arm.
+//     (baselineLineMisses) — the same BaselineSeeds layouts, replayed by
+//     proc's per-cache replay (Engine.LineMisses) and read back per line ID
+//     instead of through a map. Values are bit-identical to the map arm.
 type sideIndex struct {
 	hot  []uint64 // hot line addresses (count-desc, addr-asc), as hotLines returns
 	occ  []int32  // per hot index: total accesses of the line
@@ -42,12 +43,13 @@ type sideIndex struct {
 	base []float64
 }
 
-// buildSideIndex indexes one cache side's line sequence under cfg. The
-// sequence arrives pre-projected as dense first-appearance line IDs (ids)
-// with their addresses (lines) — proc.Compile's per-side projection, shared
-// through CompiledTrace.SideIDs/SideLines so the map work is paid once per
-// trace, not re-done per analysis side.
-func buildSideIndex(ids []int32, lines []uint64, cfgC cache.Config, cfg Config) *sideIndex {
+// buildSideIndex indexes the line sequence of the cache serving accesses of
+// kind k. The sequence arrives pre-projected as proc.Compile's dense
+// first-appearance line IDs (CompiledTrace.SideIDs/SideLines), so the map
+// work is paid once per trace, and the baseline misses come from eng, an
+// engine holding ct, replaying the reference arm's layouts.
+func buildSideIndex(ct *proc.CompiledTrace, eng *proc.Engine, k trace.Kind, cfg Config) *sideIndex {
+	ids, lines := ct.SideIDs(k), ct.SideLines(k)
 	counts := make([]int32, len(lines))
 	for _, id := range ids {
 		counts[id]++
@@ -103,10 +105,18 @@ func buildSideIndex(ids []int32, lines []uint64, cfgC cache.Config, cfg Config) 
 		lastPos[b] = int32(i)
 	}
 
-	baseAll := baselineLineMissesDense(ids, lines, cfgC, cfg)
+	// Zero baseline seeds leave every mean at 0, as the map arm's empty map
+	// does.
 	sx.base = make([]float64, h)
-	for hi, id := range hotIDs {
-		sx.base[hi] = baseAll[id]
+	if n := cfg.BaselineSeeds; n > 0 {
+		seeds := make([]uint64, n)
+		for i := range seeds {
+			seeds[i] = rng.Stream(cfg.Seed^0xBA5E, i)
+		}
+		misses := eng.LineMisses(k, seeds)
+		for hi, id := range hotIDs {
+			sx.base[hi] = float64(misses[id]) / float64(n)
+		}
 	}
 	return sx
 }
@@ -133,140 +143,3 @@ func hotLinesDense(lines []uint64, counts []int32, n int) []int32 {
 	}
 	return sel
 }
-
-// baselineLineMissesDense is baselineLineMisses on dense line IDs: the same
-// BaselineSeeds random-layout replays of the full sequence, with the cache
-// semantics of cache.AccessLine inlined over flat ID-indexed set state (the
-// shape of proc's compiled replay) and the per-line miss counts recorded
-// into an array instead of a map. Placement keys, replacement draws and LRU
-// tie-breaks reproduce cache.Reseed/AccessLine exactly, so the returned
-// means are bit-identical to the reference arm's.
-func baselineLineMissesDense(ids []int32, lines []uint64, cfgC cache.Config, cfg Config) []float64 {
-	nl := len(lines)
-	counts := make([]int64, nl)
-	setBase := make([]int32, nl)
-	nways := cfgC.Sets * cfgC.Ways
-	content := make([]int32, nways)
-	var lruTick []uint64
-	lru := cfgC.Replacement == cache.LRUReplacement
-	if lru {
-		lruTick = make([]uint64, nways)
-	}
-	modulo := cfgC.Placement == cache.ModuloPlacement
-	mask := uint64(cfgC.Sets - 1)
-	ways := int32(cfgC.Ways)
-	var gen rng.Xoshiro256
-
-	// Occupancy scratch for the conflict-free shortcut: a seed whose
-	// placement maps at most Ways distinct lines into every set can never
-	// evict, so each line misses exactly once (its cold miss) and draws
-	// nothing — the counts are final without walking the stream, the same
-	// analytic answer proc's batched campaign gives such seeds.
-	trackOcc := nl <= nways
-	var occ []int16
-	if trackOcc {
-		occ = make([]int16, cfgC.Sets)
-	}
-
-	for s := 0; s < cfg.BaselineSeeds; s++ {
-		seed := rng.Stream(cfg.Seed^0xBA5E, s)
-		key := cache.PlacementKey(seed)
-		gen.Reseed(cache.ReplacementSeed(seed))
-		conflicted := true
-		if trackOcc {
-			for i := range occ {
-				occ[i] = 0
-			}
-			conflicted = false
-			for id, line := range lines {
-				var set int32
-				if modulo {
-					set = int32(line & mask)
-				} else {
-					set = int32(rng.Mix64(line^key) & mask)
-				}
-				setBase[id] = set * ways
-				if occ[set]++; occ[set] > int16(ways) {
-					conflicted = true
-				}
-			}
-		} else {
-			for id, line := range lines {
-				if modulo {
-					setBase[id] = int32(line&mask) * ways
-				} else {
-					setBase[id] = int32(rng.Mix64(line^key)&mask) * ways
-				}
-			}
-		}
-		if !conflicted {
-			for id := range counts {
-				counts[id]++
-			}
-			continue
-		}
-		for i := range content {
-			content[i] = invalidLine
-		}
-		// lruTick needs no reset: victims are only chosen among ways filled
-		// this run, whose ticks were all written this run (the same property
-		// cache.Flush and proc's compiled replay rely on).
-		var tick uint64
-	stream:
-		for _, id := range ids {
-			tick++
-			base := setBase[id]
-			for w := int32(0); w < ways; w++ {
-				if content[base+w] == id {
-					if lru {
-						lruTick[base+w] = tick
-					}
-					continue stream
-				}
-			}
-			counts[id]++
-			placed := false
-			for w := int32(0); w < ways; w++ {
-				if content[base+w] == invalidLine {
-					content[base+w] = id
-					if lru {
-						lruTick[base+w] = tick
-					}
-					placed = true
-					break
-				}
-			}
-			if placed {
-				continue
-			}
-			victim := int32(0)
-			if !lru {
-				victim = int32(gen.Intn(int(ways)))
-			} else {
-				oldest := lruTick[base]
-				for w := int32(1); w < ways; w++ {
-					if lruTick[base+w] < oldest {
-						oldest = lruTick[base+w]
-						victim = w
-					}
-				}
-			}
-			content[base+victim] = id
-			if lru {
-				lruTick[base+victim] = tick
-			}
-		}
-	}
-
-	out := make([]float64, nl)
-	if cfg.BaselineSeeds > 0 {
-		for id, c := range counts {
-			out[id] = float64(c) / float64(cfg.BaselineSeeds)
-		}
-	}
-	return out
-}
-
-// invalidLine is the empty-way sentinel of the dense replays (line IDs and
-// hot indices are non-negative).
-const invalidLine = -1

@@ -144,11 +144,13 @@ func Analyze(tr trace.Trace, model proc.Model, cfg Config) (*Analysis, error) {
 }
 
 // AnalyzeCompiled is Analyze reusing ct, a shared compilation of tr for the
-// model (nil compiles one here). The baseline is a campaign over the
-// compilation — BaselineSeeds runs rooted at cfg.Seed — and the default
-// enumeration additionally reuses the compilation's per-side dense line-ID
-// projection for its posting-list index; the group impact replays operate
-// on per-group postings, never the full trace.
+// model (nil compiles one here). One engine replays the compilation for
+// both baselines: the baseline mean is a campaign — BaselineSeeds runs
+// rooted at cfg.Seed — and the default enumeration's per-line baseline is
+// the same engine's per-cache replay (proc.Engine.LineMisses). That
+// enumeration also reads the compilation's per-side dense line IDs for its
+// posting-list index; the group impact replays operate on per-group
+// postings, never the full trace.
 func AnalyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, cfg Config) (*Analysis, error) {
 	return analyzeCompiled(tr, ct, model, cfg, false)
 }
@@ -177,7 +179,8 @@ func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 	// BaselineSeeds-run campaign rooted at cfg.Seed, summed in run order.
 	// The compilation is built here when the caller doesn't share one: the
 	// baseline campaign replays it, and the indexed enumeration reuses its
-	// per-side dense line-ID projection instead of re-projecting the trace.
+	// per-side dense line-ID projection instead of re-projecting the trace,
+	// and this engine for its per-line baseline.
 	eng := proc.NewEngine(model)
 	if ct == nil {
 		ct = proc.Compile(tr, model)
@@ -195,7 +198,6 @@ func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 	// space) fall back to the reference arm.
 	reference = reference || cfg.HotLines > math.MaxUint16
 
-	var idScratch []int32
 	for _, side := range []struct {
 		kind trace.Kind
 		cfgC cache.Config
@@ -213,12 +215,10 @@ func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 			}
 			groups = analyzeCacheReference(seq, side.kind, side.cfgC, cfg, missCost, a.BaselineMean)
 		} else {
-			idScratch = ct.SideIDs(side.kind, idScratch[:0])
-			if len(idScratch) == 0 {
+			if len(ct.SideIDs(side.kind)) == 0 {
 				continue
 			}
-			groups = analyzeCacheIndexed(idScratch, ct.SideLines(side.kind),
-				side.kind, side.cfgC, cfg, missCost, a.BaselineMean)
+			groups = analyzeCacheIndexed(ct, eng, side.kind, side.cfgC, cfg, missCost, a.BaselineMean)
 		}
 		a.Groups = append(a.Groups, groups...)
 	}
