@@ -235,6 +235,28 @@ func BenchmarkCampaignMatmult(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignNS measures a 1000-run campaign of the pubbed ns default
+// path on one engine. Every ns seed overflows a DL1 set, with about 29 of
+// its lines in overflowing sets (matmult has about 6), so this is the shape
+// where the misses-only replay does the most heap work per run.
+//
+//pubtac:bench
+func BenchmarkCampaignNS(b *testing.B) {
+	bm := malardalen.NS()
+	pubbed, _, err := pub.Transform(bm.Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := pubbed.MustExec(bm.Default()).Trace
+	e := proc.NewEngine(proc.DefaultModel())
+	dst := make([]float64, 1000)
+	e.CampaignInto(tr, dst[:1], 0, 0) // compile outside the timed loop
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CampaignInto(tr, dst, uint64(i), 0)
+	}
+}
+
 // BenchmarkExecTrace measures raw trace generation for the largest
 // benchmark (matmult).
 //

@@ -51,6 +51,9 @@ type xform struct {
 // first failing path cancels the rest; a cancelled ctx stops all running
 // campaigns promptly.
 func (a *Analyzer) AnalyzeBatch(ctx context.Context, jobs []Job, workers int) ([][]*PathAnalysis, error) {
+	if err := a.validateModel(); err != nil {
+		return nil, err
+	}
 	if workers <= 0 {
 		workers = a.cfg.MBPTA.Workers
 	}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 
+	"pubtac/internal/cache"
 	"pubtac/internal/mbpta"
 	"pubtac/internal/proc"
 	"pubtac/internal/program"
@@ -165,11 +166,28 @@ func (pa *PathAnalysis) PWCET(p float64) float64 { return pa.Full.PWCET(p) }
 // cancelled or expired context stops the measurement campaign promptly and
 // returns ctx.Err().
 func (a *Analyzer) AnalyzePathCtx(ctx context.Context, p *program.Program, in program.Input) (*PathAnalysis, error) {
+	if err := a.validateModel(); err != nil {
+		return nil, err
+	}
 	pubbed, rep, err := pub.Transform(p)
 	if err != nil {
 		return nil, fmt.Errorf("core: PUB failed on %s: %w", p.Name, err)
 	}
 	return a.analyzeOn(ctx, pubbed, p.Name, in, rep, 0)
+}
+
+// validateModel rejects a cache geometry the replay cannot build, before
+// an analysis entry point spends anything on PUB or replay.
+func (a *Analyzer) validateModel() error {
+	for _, c := range []struct {
+		name string
+		cfg  cache.Config
+	}{{"IL1", a.cfg.Model.IL1}, {"DL1", a.cfg.Model.DL1}} {
+		if err := c.cfg.Validate(); err != nil {
+			return fmt.Errorf("core: model %s: %w", c.name, err)
+		}
+	}
+	return nil
 }
 
 // progressFn adapts the configured event sink to mbpta's per-campaign
@@ -357,6 +375,9 @@ type OriginalAnalysis struct {
 // campaign.
 func (a *Analyzer) AnalyzeOriginalCtx(ctx context.Context, p *program.Program,
 	in program.Input, workers int) (*OriginalAnalysis, error) {
+	if err := a.validateModel(); err != nil {
+		return nil, err
+	}
 	res, err := p.Exec(in)
 	if err != nil {
 		return nil, fmt.Errorf("core: executing %s(%s): %w", p.Name, in.Name, err)

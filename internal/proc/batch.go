@@ -1,81 +1,69 @@
 package proc
 
 import (
+	"math"
+	"math/bits"
+
 	"pubtac/internal/cache"
 	"pubtac/internal/rng"
 	"pubtac/internal/trace"
 )
 
 // This file implements the batched replay, the engine's only compiled
-// replay: a block of up to BatchK seeds shares every pass over one cache's
-// compiled ID sequence, with struct-of-arrays set state.
+// replay. IL1 and DL1 each have their own placement key and replacement
+// stream, and a cache's victims are drawn in that cache's own access order,
+// so a run is two independent per-cache replays whose miss counts add up.
+// The per-cache replay works on cache seeds — the seeds cache.Cache.Reseed
+// takes — and counts misses per (line, seed): a campaign sums lines into
+// cycles; Engine.LineMisses sums seeds into per-line totals for package
+// tac's baseline. A block of up to BatchK seeds runs one cache in two steps:
 //
-// A campaign replays one immutable CompiledTrace 10^5-10^6 times, and once
-// compilation has hoisted placement out of the access loop, the sequence
-// decode itself (ID load, loop control) dominates. A block replays BatchK
-// seeds per pass, so the decode is amortized across the block, and the
-// per-seed state the inner loop touches — set bases, set contents,
-// replacement generators, miss counters — is laid out per seed so the
-// K-wide inner loop is straight-line over dense arrays.
+//   - Placement: for every distinct line, the per-seed set (cache.SetOf's
+//     logic, with the policy hoisted out) is computed for all BatchK seeds
+//     back to back, counting each seed's set occupancy. A seed that maps at
+//     most Ways lines into every set of the cache can never evict there, so
+//     each of its lines misses exactly once: it is answered analytically.
+//     With working sets well below capacity — the paper's platform on the
+//     evaluation benchmarks — most runs take this path on both caches.
+//     A block shorter than BatchK (Run's single seed, a campaign's trailing
+//     runs) still places all BatchK slots, so the loops keep constant
+//     bounds, and masks off the slots past its length.
+//   - Replay of the seeds that overflow a set. Under random replacement a
+//     hit changes no state and only an overflowing set can evict, so
+//     missReplay skips hits: a line whose set holds at most Ways lines
+//     takes one miss and draws no victim, and the lines of the overflowing
+//     sets jump from miss to miss through the posting lists. Under LRU a
+//     hit updates recency, so replayLRU walks the cache's whole ID sequence
+//     for the block's overflowing seeds at once.
 //
-// IL1 and DL1 each have their own placement key and replacement stream, and
-// a cache's victims are drawn in that cache's own access order, so a run is
-// two independent per-cache replays whose miss counts add up. The per-cache
-// replay works on cache seeds — the seeds cache.Cache.Reseed takes — and
-// counts misses per (line, seed): a campaign derives each cache's seeds from
-// its run seeds and sums lines into cycles; Engine.LineMisses sums seeds
-// into per-line totals for package tac's baseline.
-//
-// Three further consequences of batching:
-//
-//   - Placement is evaluated in one flat loop: for every distinct line, the
-//     per-seed placement hashes (the same modulo and keyed-hash logic as
-//     cache.SetOf, with the policy hoisted out) are computed for all BatchK
-//     seeds back to back.
-//   - While computing placements, the block tracks per-seed set occupancy.
-//     A seed whose placement maps at most Ways distinct lines into every
-//     set of a cache can never evict there, so every line of that cache
-//     misses exactly once: such seeds are answered analytically, and only
-//     the seeds that overflow a set of this cache replay its IDs. Under
-//     parametric random placement with working sets well below capacity —
-//     the paper's platform on the evaluation benchmarks — most runs take
-//     the analytic path on both caches.
-//   - Hits are never tracked (hits = accesses - misses), and miss jitter is
-//     drawn after the replay: the reference replay draws one jitter value
-//     per miss from the run's jitter stream, so the run's jitter is the sum
-//     of that stream's first misses draws.
-//
-// A block shorter than BatchK (Run's single seed, a campaign's trailing
-// runs) still places all BatchK slots, so the placement loops keep their
-// constant bounds; the conflict bits of the slots past the block's length
-// are masked off, and those slots never replay or report.
-//
-// Every decision a replayed seed makes draws from the same generators in
-// the same order as the reference replay with that seed, so results are
+// Hits are accesses minus misses, and miss jitter is drawn after the
+// replay: the reference replay draws one jitter value per miss from the
+// run's jitter stream, so the run's jitter is the sum of that stream's
+// first misses draws. Every miss of a replayed seed falls at the same
+// position, and every victim comes from the same generator in the same
+// order, as in the reference replay with that seed, so results are
 // bit-identical to it; the equivalence tests in batch_test.go and
-// compile_test.go enforce this against the uncompiled reference engine.
+// compile_test.go and FuzzCampaignMatchesReference enforce this.
 
-// BatchK is the largest number of seeds replayed per pass over a cache's
-// compiled IDs. Callers that split campaigns into blocks (package mbpta)
-// keep block sizes in multiples of BatchK so every block is full. 8 seeds
-// keep the per-block set state (BatchK copies of a cache's contents) inside
-// L1 alongside the IDs.
+// BatchK is the number of seeds whose placements one block evaluates
+// together. Callers that split campaigns into blocks (package mbpta) keep
+// block sizes in multiples of BatchK so every block is full. 8 seeds keep
+// the per-block set state (BatchK copies of a cache's contents) inside L1.
 const BatchK = 8
 
 // batchSide is the struct-of-arrays replay state of one cache for a block
 // of BatchK cache seeds. Slices indexed by [id*BatchK+k] hold per-line,
-// per-seed values; slices of BatchK contiguous per-seed blocks hold set
-// state.
+// per-seed values; the others hold BatchK contiguous per-seed blocks.
 type batchSide struct {
-	cfg     cache.Config           // the engine's configuration of this cache
-	keys    [BatchK]uint64         // per-seed placement hash keys
-	rands   [BatchK]rng.Xoshiro256 // per-seed replacement streams
-	active  [BatchK]int32          // seeds that replay this block
-	setBase []int32                // [id*BatchK+k] -> k*sets*ways + set*ways
-	misses  []uint32               // [id*BatchK+k] misses of line id (replayed seeds)
-	content []int32                // BatchK blocks of sets*ways line IDs
-	lruTick []uint64               // BatchK blocks of per-way ticks (LRU only)
-	occ     []uint16               // [k*sets+set] distinct-line occupancy scratch
+	cfg     cache.Config   // the engine's configuration of this cache
+	keys    [BatchK]uint64 // per-seed placement hash keys
+	rand    rng.Xoshiro256 // replacement stream of the seed being replayed
+	set     []int32        // [id*BatchK+k] -> k*sets + set of line id
+	misses  []uint32       // [id*BatchK+k] misses of line id (replayed seeds)
+	occ     []uint16       // [k*sets+set] distinct-line occupancy scratch
+	content []int32        // [(k*sets+set)*ways+way] set contents: a tag, 0 if empty
+	lruTick []uint64       // per-way ticks, laid out like content (LRU only)
+	ev      MissReplay     // the misses-only replay (random replacement)
 }
 
 // batchState is an engine's batched-replay scratch, reused across blocks.
@@ -87,10 +75,9 @@ type batchState struct {
 }
 
 // CampaignBatchInto is CampaignInto on the batched replay: it fills dst
-// with runs offset.. of the campaign rooted at root, replaying BatchK seeds
-// per pass over each cache's compiled IDs and answering conflict-free seeds
-// analytically. A trailing len(dst)%BatchK runs form one shorter block.
-// Results are bit-identical to the reference replay.
+// with runs offset.. of the campaign rooted at root, BatchK seeds per block
+// (a trailing len(dst)%BatchK runs form one shorter block). Results are
+// bit-identical to the reference replay.
 //
 //pubtac:fastpath campaign
 func (e *Engine) CampaignBatchInto(tr trace.Trace, dst []float64, root uint64, offset int) {
@@ -177,12 +164,9 @@ func (e *Engine) LineMisses(k trace.Kind, seeds []uint64) []uint64 {
 		n := copy(blk[:], seeds[i:])
 		replayed := bs.missBlock(side, &blk, n)
 		for id := range out {
-			for j := 0; j < n; j++ {
-				if replayed&(1<<j) == 0 {
-					out[id]++
-				} else {
-					out[id] += uint64(bs.misses[id*BatchK+j])
-				}
+			out[id] += uint64(n - bits.OnesCount32(replayed)) // one miss per analytic seed
+			for m := replayed; m != 0; m &= m - 1 {
+				out[id] += uint64(bs.misses[id*BatchK+bits.TrailingZeros32(m)])
 			}
 		}
 	}
@@ -198,43 +182,39 @@ func (bs *batchSide) missBlock(side *compiledSide, seeds *[BatchK]uint64, n int)
 	if conflict == 0 {
 		return 0
 	}
-	active := bs.active[:0]
-	for k := int32(0); k < int32(n); k++ {
-		if conflict&(1<<k) != 0 {
-			active = append(active, k)
-		}
+	if bs.cfg.Replacement == cache.LRUReplacement {
+		bs.replayLRU(side, conflict)
+		return conflict
 	}
-	bs.prepareReplay(side, seeds, active)
-	if bs.cfg.Ways == 2 && bs.cfg.Replacement == cache.RandomReplacement {
-		bs.replay2WayRandom(side.ids, active)
-	} else {
-		bs.replayGeneric(side.ids, active)
+	for m := conflict; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		bs.rand.Reseed(cache.ReplacementSeed(seeds[k]))
+		bs.replayOverflow(side, k)
 	}
 	return conflict
 }
 
-// placeBlock sizes the side's scratch, computes every (line, seed) set base
-// — the same modulo and keyed-hash logic as cache.SetOf, with the policy
-// hoisted out of the loop — and returns the bitmask of seeds whose
-// placement overflows some set's associativity (those must replay; the rest
-// cannot evict).
+// placeBlock sizes the side's scratch, computes every (line, seed) set —
+// the same modulo and keyed-hash logic as cache.SetOf, with the policy
+// hoisted out of the loop — counts each seed's set occupancy, and returns
+// the bitmask of seeds whose placement overflows some set's associativity
+// (those must replay; the rest cannot evict).
 func (bs *batchSide) placeBlock(side *compiledSide, seeds *[BatchK]uint64) uint32 {
 	nl := len(side.lines)
-	nways := side.sets * side.ways
-	if cap(bs.setBase) < nl*BatchK {
-		bs.setBase = make([]int32, nl*BatchK)
+	nsets := side.sets * BatchK
+	if cap(bs.set) < nl*BatchK {
+		bs.set = make([]int32, nl*BatchK)
 		bs.misses = make([]uint32, nl*BatchK)
 	}
-	bs.setBase = bs.setBase[:nl*BatchK]
+	bs.set = bs.set[:nl*BatchK]
 	bs.misses = bs.misses[:nl*BatchK]
-	if cap(bs.content) < nways*BatchK {
-		bs.content = make([]int32, nways*BatchK)
-		bs.lruTick = make([]uint64, nways*BatchK)
-		bs.occ = make([]uint16, side.sets*BatchK)
+	if cap(bs.occ) < nsets {
+		bs.occ = make([]uint16, nsets)
+		bs.content = make([]int32, nsets*side.ways)
 	}
-	bs.content = bs.content[:nways*BatchK]
-	bs.lruTick = bs.lruTick[:nways*BatchK]
-	bs.occ = bs.occ[:side.sets*BatchK]
+	bs.occ = bs.occ[:nsets]
+	bs.content = bs.content[:nsets*side.ways]
+	clear(bs.occ)
 
 	random := bs.cfg.Placement == cache.RandomPlacement
 	if random {
@@ -243,155 +223,271 @@ func (bs *batchSide) placeBlock(side *compiledSide, seeds *[BatchK]uint64) uint3
 		}
 	}
 
-	// More distinct lines than ways fit: the pigeonhole principle makes
-	// every seed conflicted, so skip the occupancy bookkeeping.
-	trackOcc := nl <= nways
-	if trackOcc {
-		for i := range bs.occ {
-			bs.occ[i] = 0
-		}
-	}
-
 	mask := uint64(side.sets - 1)
-	ways := int32(side.ways)
-	block := int32(nways)
-	maxOcc := uint16(side.ways)
+	sets := int32(side.sets)
+	maxOcc := uint16(min(side.ways, math.MaxUint16))
 	var conflict uint32
-	if !trackOcc {
-		conflict = (1 << BatchK) - 1
+	if len(side.lines) > math.MaxUint16 {
+		conflict = 1<<BatchK - 1 // a count may wrap; see overflows
 	}
 	for id, line := range side.lines {
 		row := id * BatchK
 		if !random {
 			set := int32(line & mask)
 			for k := int32(0); k < BatchK; k++ {
-				bs.setBase[row+int(k)] = k*block + set*ways
-			}
-			if trackOcc {
-				for k := 0; k < BatchK; k++ {
-					o := k*side.sets + int(set)
-					if bs.occ[o]++; bs.occ[o] > maxOcc {
-						conflict |= 1 << k
-					}
+				o := k*sets + set
+				bs.set[row+int(k)] = o
+				if bs.occ[o]++; bs.occ[o] > maxOcc {
+					conflict |= 1 << k
 				}
 			}
 			continue
 		}
-		for k := 0; k < BatchK; k++ {
-			set := int(rng.Mix64(line^bs.keys[k]) & mask)
-			bs.setBase[row+k] = int32(k)*block + int32(set)*ways
-			if trackOcc {
-				o := k*side.sets + set
-				if bs.occ[o]++; bs.occ[o] > maxOcc {
-					conflict |= 1 << k
-				}
+		for k := int32(0); k < BatchK; k++ {
+			o := k*sets + int32(rng.Mix64(line^bs.keys[k])&mask)
+			bs.set[row+int(k)] = o
+			if bs.occ[o]++; bs.occ[o] > maxOcc {
+				conflict |= 1 << k
 			}
 		}
 	}
 	return conflict
 }
 
-// prepareReplay readies the side's state for the seeds that must replay:
-// replacement streams reseeded, per-line miss counters cleared, and each
-// active seed's state block invalidated. The replay touches no set outside
-// the seed's setBase, so when the trace has few distinct lines it is
-// cheaper to clear just their sets (duplicates are idempotent) than the
-// whole block. lruTick needs no reset: LRU victims are only ever chosen
-// among ways filled this run, whose ticks were all written this run (the
-// reference cache relies on the same property across its Flush).
-func (bs *batchSide) prepareReplay(side *compiledSide, seeds *[BatchK]uint64, active []int32) {
-	nl := len(side.lines)
-	nways := side.sets * side.ways
+// overflows reports whether set o (k*sets + set) of the block holds more
+// lines than it has ways, as counted by the last placeBlock. With more
+// distinct lines than a uint16 count holds, a count may have wrapped, so
+// every set overflows: the replay stays exact, it just skips no set.
+func (bs *batchSide) overflows(side *compiledSide, o int32) bool {
+	return len(side.lines) > math.MaxUint16 || int(bs.occ[o]) > side.ways
+}
+
+// replayOverflow replays seed k of the block under random replacement, its
+// replacement stream already in bs.rand. A line whose set holds at most
+// Ways lines misses once and never evicts; the lines of the overflowing
+// sets go through the misses-only replay.
+func (bs *batchSide) replayOverflow(side *compiledSide, k int) {
+	ev := &bs.ev
+	ev.ln = ev.ln[:0]
+	for id := range side.lines {
+		o := bs.set[id*BatchK+k]
+		if !bs.overflows(side, o) {
+			bs.misses[id*BatchK+k] = 1
+			continue
+		}
+		base := o * int32(side.ways)
+		clear(bs.content[base : base+int32(side.ways)])
+		ev.add(side.off, int32(id), base)
+	}
+	ev.run(side.post, bs.content, side.ways, &bs.rand)
+	for _, l := range ev.ln {
+		bs.misses[int(l.id)*BatchK+k] = l.misses
+	}
+}
+
+// replayLRU walks the cache's ID sequence for the overflowing seeds in
+// conflict with full cache.AccessLine semantics under LRU replacement: the
+// hit scan, a fill of the first empty way, and the least recently used
+// victim. The tick is the access's position in the cache's sequence, which
+// is the same for every seed.
+func (bs *batchSide) replayLRU(side *compiledSide, conflict uint32) {
+	// lruTick needs no reset: victims are only ever chosen among ways
+	// filled this run, whose ticks were all written this run (the reference
+	// cache relies on the same property across its Flush).
+	if cap(bs.lruTick) < len(bs.content) {
+		bs.lruTick = make([]uint64, len(bs.content))
+	}
 	ways := int32(side.ways)
-	sparse := nl*side.ways < nways
-	for _, k := range active {
-		bs.rands[k].Reseed(cache.ReplacementSeed(seeds[k]))
-		for id := 0; id < nl; id++ {
-			bs.misses[id*BatchK+int(k)] = 0
-			if sparse {
-				base := bs.setBase[id*BatchK+int(k)]
-				for w := int32(0); w < ways; w++ {
-					bs.content[base+w] = invalidID
-				}
-			}
+	block := side.sets * side.ways
+	for m := conflict; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		for id := range side.lines {
+			bs.misses[id*BatchK+k] = 0
 		}
-		if !sparse {
-			blk := bs.content[int(k)*nways : (int(k)+1)*nways]
-			for i := range blk {
-				blk[i] = invalidID
-			}
-		}
+		clear(bs.content[k*block : (k+1)*block])
 	}
-}
 
-// replay2WayRandom is the specialized loop for the paper's platform — a
-// 2-way cache with random replacement. With the set base precomputed per
-// line, an access is two compares against the set's ways, and LRU
-// bookkeeping is skipped (random replacement never reads it). Per ID, the
-// access runs for every active seed against that seed's state block before
-// the next ID is decoded.
-func (bs *batchSide) replay2WayRandom(ids, active []int32) {
-	set, c, misses := bs.setBase, bs.content, bs.misses
-	for _, id := range ids {
-		row := int(id) * BatchK
-		for _, k := range active {
-			base := set[row+int(k)]
-			if c[base] == id || c[base+1] == id {
-				continue
-			}
-			misses[row+int(k)]++
-			switch {
-			case c[base] == invalidID:
-				c[base] = id
-			case c[base+1] == invalidID:
-				c[base+1] = id
-			default:
-				c[base+int32(bs.rands[k].Intn(2))] = id
-			}
-		}
-	}
-}
-
-// replayGeneric handles every other configuration (modulo placement, LRU
-// replacement, other associativities) with full cache.AccessLine semantics
-// for every active seed: the hit scan, a fill of the first empty way, and a
-// random or LRU victim. The LRU tick is the access's position in the
-// cache's sequence, which is the same for every seed.
-func (bs *batchSide) replayGeneric(ids, active []int32) {
-	ways := int32(bs.cfg.Ways)
-	lru := bs.cfg.Replacement == cache.LRUReplacement
 	c, ticks, misses := bs.content, bs.lruTick, bs.misses
-	for pos, id := range ids {
+	for pos, id := range side.ids {
 		tick := uint64(pos)
 		row := int(id) * BatchK
+		tag := id + 1
 	seeds:
-		for _, k := range active {
-			base := bs.setBase[row+int(k)]
+		for m := conflict; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros32(m)
+			base := bs.set[row+k] * ways
 			for w := int32(0); w < ways; w++ {
-				if c[base+w] == id {
+				if c[base+w] == tag {
 					ticks[base+w] = tick
 					continue seeds
 				}
 			}
-			misses[row+int(k)]++
+			misses[row+k]++
 			victim := int32(0)
-			for victim < ways && c[base+victim] != invalidID {
+			for victim < ways && c[base+victim] != 0 {
 				victim++
 			}
 			if victim == ways {
 				victim = 0
-				if lru {
-					for w := int32(1); w < ways; w++ {
-						if ticks[base+w] < ticks[base+victim] {
-							victim = w
-						}
+				for w := int32(1); w < ways; w++ {
+					if ticks[base+w] < ticks[base+victim] {
+						victim = w
 					}
-				} else {
-					victim = int32(bs.rands[k].Intn(int(ways)))
 				}
 			}
-			c[base+victim] = id
+			c[base+victim] = tag
 			ticks[base+victim] = tick
 		}
 	}
+}
+
+// MissReplay is the misses-only replay of random replacement over a list
+// of lines whose sets start empty. A hit changes no state, so the next miss
+// is the earliest next access of a line out of its set: those lines sit in
+// a min-heap keyed by that access. A miss fills its line's set, or, when
+// the set is full, evicts the victim its draw picks, and the evicted line
+// re-enters the heap at its first access after the miss, found by
+// bisecting its posting list. Misses and draws fall at the same positions,
+// in the same order, as in a walk of every access. The campaign replay
+// hands it a seed's lines in overflowing sets; PinnedMisses hands it a TAC
+// conflict group forced into one set.
+type MissReplay struct {
+	ln    []lineRun // the replayed lines
+	heap  []uint64  // out lines: next access position << 32 | index in ln
+	slots []int32   // the one set of PinnedMisses
+}
+
+// lineRun is one replayed line, its fields kept together so that a miss
+// reads one cache line per line it touches.
+type lineRun struct {
+	id, first, end int32 // the line's ID and its postings post[first:end]
+	base           int32 // first way of the line's set in the slots
+	cur            int32 // during a run: index in post of its last miss
+	misses         uint32
+}
+
+// add appends line id, whose set's ways start at base in the slots, to the
+// replayed lines; off holds the cache's posting offsets.
+func (r *MissReplay) add(off []int32, id, base int32) {
+	r.ln = append(r.ln, lineRun{id: id, first: off[id], end: off[id+1], base: base})
+}
+
+// run replays the added lines against slots, whose sets (ways ways from
+// each line's base) the caller has emptied, drawing victims from gen; post
+// holds the cache's posting lists. A way holds its line's index in r.ln
+// plus one, or 0 while empty. run leaves each line's miss count in r.ln and
+// returns their sum.
+func (r *MissReplay) run(post, slots []int32, ways int, gen *rng.Xoshiro256) int {
+	ln := r.ln
+	if cap(r.heap) < len(ln) {
+		r.heap = make([]uint64, len(ln))
+	}
+	h := r.heap[:len(ln)]
+	for i := range ln {
+		l := &ln[i]
+		l.cur, l.misses = l.first, 0
+		h[i] = uint64(post[l.first])<<32 | uint64(i)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	total := 0
+	for len(h) > 0 {
+		pos, i := int32(h[0]>>32), int32(uint32(h[0]))
+		l := &ln[i]
+		l.misses++
+		total++
+		base := int(l.base)
+		if slots[base+ways-1] == 0 {
+			// Ways fill in order, so the set has room: fill its first
+			// empty way, without a draw.
+			for slots[base] != 0 {
+				base++
+			}
+			slots[base] = i + 1
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			siftDown(h, 0)
+			continue
+		}
+		for {
+			v := base + gen.Intn(ways)
+			out := slots[v] - 1
+			slots[v] = i + 1
+			o := &ln[out]
+			// The evicted line re-enters at its first access after pos.
+			lo, hi := o.cur+1, o.end
+			for lo < hi {
+				if mid := int32(uint32(lo+hi) >> 1); post[mid] <= pos {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if lo == o.end {
+				h[0] = h[len(h)-1] // never accessed again
+				h = h[:len(h)-1]
+				siftDown(h, 0)
+				break
+			}
+			o.cur = lo
+			if len(h) > 1 {
+				h[0] = uint64(post[lo])<<32 | uint64(out)
+				siftDown(h, 0)
+				break
+			}
+			// The evicted line is the only one out, in a full set: its
+			// next access is the next miss, and it evicts from that set.
+			pos, i = post[lo], out
+			o.misses++
+			total++
+		}
+	}
+	return total
+}
+
+// PinnedMisses returns the miss count of the accesses of lines ids, summed
+// over one replay per generator in gens, as if all of the lines were mapped
+// into one set of ways ways under random replacement: package tac's
+// forced-placement event "these lines co-map". Each replay draws its
+// victims from a copy of its generator. off and post are the posting lists
+// of the lines' cache (CompiledTrace.SidePostings). Accesses to other lines
+// never touch that set, so only the misses of the group are visited.
+func (r *MissReplay) PinnedMisses(off, post, ids []int32, ways int, gens []rng.Xoshiro256) int {
+	r.ln = r.ln[:0]
+	for _, id := range ids {
+		r.add(off, id, 0)
+	}
+	if cap(r.slots) < ways {
+		r.slots = make([]int32, ways)
+	}
+	slots, total := r.slots[:ways], 0
+	for _, g := range gens {
+		clear(slots)
+		total += r.run(post, slots, ways, &g)
+	}
+	return total
+}
+
+// siftDown restores the min-heap order of h below position i, if any.
+func siftDown(h []uint64, i int) {
+	if i >= len(h) {
+		return
+	}
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if x <= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }

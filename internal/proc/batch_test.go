@@ -14,10 +14,14 @@ import (
 // wideTrace builds a pseudo-random trace over many distinct lines, so that
 // under random placement most seeds overflow some set and must replay the
 // stream (the analytic conflict-free path alone cannot answer the block).
-func wideTrace(gen *rng.Xoshiro256, n int) trace.Trace {
+func wideTrace(gen *rng.Xoshiro256, n int) trace.Trace { return lineTrace(gen, n, 220) }
+
+// lineTrace builds a pseudo-random trace of n accesses of both kinds over
+// up to lines distinct 32-byte lines.
+func lineTrace(gen *rng.Xoshiro256, n, lines int) trace.Trace {
 	tr := make(trace.Trace, n)
 	for i := range tr {
-		a := trace.Access{Addr: uint64(gen.Intn(220)) * 32}
+		a := trace.Access{Addr: uint64(gen.Intn(lines)) * 32}
 		if gen.Intn(3) == 0 {
 			a.Kind = trace.Instr
 		} else {
@@ -61,7 +65,8 @@ func assertCampaignsMatch(t *testing.T, label string, m Model, tr trace.Trace) {
 // TestBatchCampaignMatchesPerSeed is the bit-identity oracle of the batched
 // replay: for every placement/replacement combination, with and without
 // miss jitter, on both a conflict-heavy and a mostly-conflict-free trace,
-// batch campaigns must equal per-seed Runs and the reference replay exactly.
+// and on the shapes the misses-only replay owns, batch campaigns must equal
+// per-seed Runs and the reference replay exactly.
 func TestBatchCampaignMatchesPerSeed(t *testing.T) {
 	gen := rng.New(0xBA7C)
 	narrow := randomTrace(gen, 400) // few lines: mostly analytic path
@@ -74,10 +79,97 @@ func TestBatchCampaignMatchesPerSeed(t *testing.T) {
 			assertCampaignsMatch(t, "wide", m, wide)
 		}
 	}
+	for _, sh := range replayShapes(gen) {
+		for _, m := range shapeModels(sh) {
+			for _, jitter := range []uint64{0, 5} {
+				m.Lat.MissJitter = jitter
+				assertCampaignsMatch(t, sh.name, m, sh.tr)
+			}
+		}
+	}
 }
 
-// TestBatchCampaignHigherAssoc covers the generic batched loop with a 4-way
-// geometry (the specialized loop only handles 2-way random/random).
+// replayShape is a cache geometry and a trace for the misses-only replay
+// of random replacement, beyond the default platform.
+type replayShape struct {
+	name       string
+	sets, ways int
+	tr         trace.Trace
+}
+
+// replayShapes covers associativity that is not a power of two, traces
+// with more distinct lines than sets × ways (every seed overflows), a
+// 1-set cache, and lines of an overflowing set evicted after their last
+// access, so that their posting lists run out.
+func replayShapes(gen *rng.Xoshiro256) []replayShape {
+	// D..H are accessed once each, then A, B and C take over the one set:
+	// every line D..H is evicted after its last access.
+	runOut := trace.Concat(trace.FromLetters("ABCDEFGH", 32),
+		trace.Repeat(trace.FromLetters("ABCAB", 32), 30), trace.I(0, 32, 64, 96, 0, 32))
+	return []replayShape{
+		{"3-way-16-sets", 16, 3, lineTrace(gen, 600, 40)},
+		{"over-capacity", 4, 2, lineTrace(gen, 400, 24)},
+		{"1-set", 1, 3, lineTrace(gen, 300, 6)},
+		{"postings-run-out", 1, 2, runOut},
+	}
+}
+
+// shapeModels returns the models of a replay shape: its geometry on both
+// caches, random replacement, under both placements.
+func shapeModels(sh replayShape) []Model {
+	var out []Model
+	for _, p := range []cache.PlacementPolicy{cache.RandomPlacement, cache.ModuloPlacement} {
+		m := DefaultModel()
+		for _, c := range []*cache.Config{&m.IL1, &m.DL1} {
+			c.Sets, c.Ways, c.Placement = sh.sets, sh.ways, p
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestPlaceBlockFlagsOverflowingSets pins the set accounting the replay
+// relies on against cache.Cache.SetOf: placeBlock flags exactly the seeds
+// that map more than Ways lines into some set, and overflows holds for
+// exactly those sets. A set holding Ways lines never evicts, so it must not
+// count as overflowing.
+func TestPlaceBlockFlagsOverflowingSets(t *testing.T) {
+	gen := rng.New(0x0CC)
+	for _, sh := range replayShapes(gen) {
+		for _, m := range shapeModels(sh) {
+			ct := Compile(sh.tr, m)
+			bs := &batchSide{cfg: m.DL1}
+			side := &ct.dl1
+			var seeds [BatchK]uint64
+			for k := range seeds {
+				seeds[k] = gen.Uint64()
+			}
+			conflict := bs.placeBlock(side, &seeds)
+			for k, seed := range seeds {
+				c := cache.New(m.DL1, seed)
+				occ := map[int]int{}
+				for _, line := range side.lines {
+					occ[c.SetOf(line)]++
+				}
+				over := false
+				for set := 0; set < side.sets; set++ {
+					want := occ[set] > side.ways
+					over = over || want
+					if got := bs.overflows(side, int32(k*side.sets+set)); got != want {
+						t.Fatalf("%s: seed %d set %d holds %d lines of %d ways: overflows = %v",
+							sh.name, k, set, occ[set], side.ways, got)
+					}
+				}
+				if got := conflict&(1<<k) != 0; got != over {
+					t.Fatalf("%s: seed %d conflict bit %v, want %v", sh.name, k, got, over)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchCampaignHigherAssoc covers a 4-way geometry under both
+// replacement policies.
 func TestBatchCampaignHigherAssoc(t *testing.T) {
 	gen := rng.New(0x4A55)
 	tr := wideTrace(gen, 500)
@@ -137,8 +229,8 @@ func TestCampaignMatchesReferenceOnPaperPaths(t *testing.T) {
 // TestLineMissesMatchesCache checks LineMisses' per-line sums against a
 // cache.Cache reseeded per seed and driven line by line, for seed counts
 // that cover no block, partial, full and multi-block calls, on every
-// policy combination, both caches, and a trace with no instruction
-// accesses.
+// policy combination, both caches, a trace with no instruction accesses,
+// and the shapes the misses-only replay owns.
 func TestLineMissesMatchesCache(t *testing.T) {
 	gen := rng.New(0x11E5)
 	traces := []struct {
@@ -151,43 +243,111 @@ func TestLineMissesMatchesCache(t *testing.T) {
 	}
 	for _, m := range policyCombos() {
 		for _, tc := range traces {
-			e := NewEngine(m)
-			ct := Compile(tc.tr, m)
-			e.SetCompiled(ct, tc.tr)
-			for _, kind := range []trace.Kind{trace.Instr, trace.Data} {
-				cfg := m.DL1
-				if kind == trace.Instr {
-					cfg = m.IL1
-				}
-				for _, n := range []int{0, 1, 7, 8, 13} {
-					seeds := make([]uint64, n)
-					want := map[uint64]uint64{}
-					c := cache.New(cfg, 0)
-					for i := range seeds {
-						seeds[i] = rng.Stream(0x11E5, i)
-						c.Reseed(seeds[i])
-						for _, a := range tc.tr {
-							line := a.Addr >> cfg.LineShift()
-							if a.Kind == kind && !c.AccessLine(line) {
-								want[line]++
-							}
-						}
-					}
-					got := e.LineMisses(kind, seeds)
-					lines := ct.SideLines(kind)
-					if len(got) != len(lines) {
-						t.Fatalf("%s/%v/%d seeds: %d sums for %d lines", tc.name, kind, n, len(got), len(lines))
-					}
-					for id, l := range lines {
-						if got[id] != want[l] {
-							t.Fatalf("%s/%v/%d seeds: line %#x missed %d times, cache.Cache %d",
-								tc.name, kind, n, l, got[id], want[l])
-						}
-					}
-				}
+			for _, n := range []int{0, 1, 7, 8, 13} {
+				assertLineMissesMatch(t, tc.name, m, tc.tr, n)
 			}
 		}
 	}
+	for _, sh := range replayShapes(gen) {
+		for _, m := range shapeModels(sh) {
+			for _, n := range []int{1, 13} {
+				assertLineMissesMatch(t, sh.name, m, sh.tr, n)
+			}
+		}
+	}
+}
+
+// assertLineMissesMatch compares LineMisses over n seeds with the per-line
+// miss sums of a cache.Cache reseeded per seed, on both caches.
+func assertLineMissesMatch(t *testing.T, label string, m Model, tr trace.Trace, n int) {
+	t.Helper()
+	e := NewEngine(m)
+	ct := Compile(tr, m)
+	e.SetCompiled(ct, tr)
+	for _, kind := range []trace.Kind{trace.Instr, trace.Data} {
+		cfg := m.DL1
+		if kind == trace.Instr {
+			cfg = m.IL1
+		}
+		seeds := make([]uint64, n)
+		want := map[uint64]uint64{}
+		c := cache.New(cfg, 0)
+		for i := range seeds {
+			seeds[i] = rng.Stream(0x11E5, i)
+			c.Reseed(seeds[i])
+			for _, a := range tr {
+				line := a.Addr >> cfg.LineShift()
+				if a.Kind == kind && !c.AccessLine(line) {
+					want[line]++
+				}
+			}
+		}
+		got := e.LineMisses(kind, seeds)
+		lines := ct.SideLines(kind)
+		if len(got) != len(lines) {
+			t.Fatalf("%s/%v/%d seeds: %d sums for %d lines", label, kind, n, len(got), len(lines))
+		}
+		for id, l := range lines {
+			if got[id] != want[l] {
+				t.Fatalf("%s/%v/%d seeds: line %#x missed %d times, cache.Cache %d",
+					label, kind, n, l, got[id], want[l])
+			}
+		}
+	}
+}
+
+// FuzzCampaignMatchesReference drives the replay with fuzzed traces and
+// geometries. The first two bytes pick the cache geometry (sets in {1, 2,
+// 4, 8, 16}, ways in 1..4), the placement, the replacement and the miss
+// jitter (0 or 3); every further byte, up to 512, is one access: the low
+// six bits pick one of 64 lines, bit 6 the cache. A campaign of 2·BatchK+3
+// runs must equal the reference replay run for run, and LineMisses must
+// equal a reseeded cache.Cache's per-line sums.
+func FuzzCampaignMatchesReference(f *testing.F) {
+	f.Add([]byte{0x00, 0x00}, uint64(1))
+	f.Add(append([]byte{0x0A, 0x00}, []byte("ABCDEFGHABABCDABCABAB")...), uint64(2))
+	f.Add(append([]byte{0x09, 0x04}, []byte("the quick brown fox jumps over the lazy dog")...), uint64(3))
+	f.Add(append([]byte{0x1B, 0x01}, []byte("\x00\x10\x20\x30\x40\x50\x00\x10\x20\x40\x50\x30\x00")...), uint64(4))
+	f.Add(append([]byte{0x14, 0x06}, []byte("@ABC@ABC@ABD@ABE@ABFGHIJKLMNOP@A@B@C")...), uint64(5))
+	f.Add(append([]byte{0x03, 0x03}, []byte("0123456789:;<=>?0123456789")...), uint64(6))
+	f.Fuzz(func(t *testing.T, data []byte, root uint64) {
+		if len(data) < 2 {
+			return
+		}
+		geo, pol := data[0], data[1]
+		m := DefaultModel()
+		for _, c := range []*cache.Config{&m.IL1, &m.DL1} {
+			c.Sets = 1 << (geo % 5)
+			c.Ways = 1 + int(geo>>3)%4
+			c.Placement = cache.PlacementPolicy(pol & 1)
+			c.Replacement = cache.ReplacementPolicy(pol >> 1 & 1)
+		}
+		if pol&4 != 0 {
+			m.Lat.MissJitter = 3
+		}
+		data = data[2:min(len(data), 2+512)]
+		tr := make(trace.Trace, len(data))
+		for i, b := range data {
+			tr[i] = trace.Access{Addr: uint64(b&63) * 32, Kind: trace.Data}
+			if b&64 != 0 {
+				tr[i].Kind = trace.Instr
+			}
+		}
+
+		const n = 2*BatchK + 3
+		got := make([]float64, n)
+		NewEngine(m).CampaignInto(tr, got, root, 0)
+		ref := NewEngine(m)
+		ref.UseReference(true)
+		want := make([]float64, n)
+		ref.CampaignInto(tr, want, root, 0)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: run %d: batched %v, reference %v", m, i, got[i], want[i])
+			}
+		}
+		assertLineMissesMatch(t, "fuzz", m, tr, n)
+	})
 }
 
 // TestSharedCompiledConcurrentWorkers replays one shared CompiledTrace from

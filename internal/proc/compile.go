@@ -6,31 +6,26 @@ import (
 )
 
 // This file implements trace compilation, the front half of the compiled
-// replay.
+// replay. A trace is replayed 10^5-10^6 times per campaign, and the
+// reference replay pays a byte-address shift and a Mix64 placement hash on
+// every access, although under parametric random placement a line's set is
+// fixed for a run. Compilation projects each cache's accesses once onto
+// that cache's dense line IDs, so the batched replay (batch.go) places each
+// *distinct* line once per run, and each cache is compiled and replayed on
+// its own: IL1 and DL1 share nothing within a run but the cycle sum.
 //
-// A trace is replayed 10^5-10^6 times per campaign, so per-access work
-// dominates the whole analysis. The reference replay pays, on every access:
-// a byte-address shift and a Mix64 placement hash — even though under
-// parametric random placement the set of a line is fixed for the duration
-// of a run. Compilation hoists all of that out of the run loop: each cache's
-// accesses are projected once onto that cache's dense line IDs, so the
-// batched replay (batch.go) evaluates the placement of each *distinct* line
-// once per run and replays each cache's ID sequence on its own against flat
-// ID-indexed set state. IL1 and DL1 share nothing within a run but the cycle
-// sum, so neither needs the other's accesses. Results are bit-identical to
-// the reference replay; the golden and equivalence tests in golden_test.go,
-// compile_test.go and batch_test.go enforce this.
-
-// invalidID is the sentinel stored in compiled set state for an empty way,
-// replacing the reference engine's separate valid[] array. Line IDs are
-// dense non-negative ints, so a single comparison covers both "occupied by
-// another line" and "empty".
-const invalidID = -1
+// Each cache also gets posting lists: per line, the ascending positions of
+// its accesses in the cache's ID sequence, at 4 bytes per access. With
+// them the replay of random replacement jumps from miss to miss instead of
+// walking every access, and package tac's index and pinned replay read the
+// same lists. Results are bit-identical to the reference replay; the tests
+// in golden_test.go, compile_test.go and batch_test.go enforce this.
 
 // CompiledTrace is a trace pre-projected onto the line geometry of a
-// platform model: per cache, its distinct line addresses and its accesses as
-// dense line IDs. Compile once, replay many times; a CompiledTrace is
-// immutable and may be shared across engines and goroutines.
+// platform model: per cache, its distinct line addresses, its accesses as
+// dense line IDs and each line's posting list. Compile once, replay many
+// times; a CompiledTrace is immutable and may be shared across engines and
+// goroutines.
 type CompiledTrace struct {
 	il1 compiledSide
 	dl1 compiledSide
@@ -38,11 +33,13 @@ type CompiledTrace struct {
 
 // compiledSide is the per-cache projection: the distinct line addresses in
 // first-appearance order (the dense ID of a line is its index), the cache's
-// accesses in trace order as dense IDs, and the geometry it was compiled
-// against.
+// accesses in trace order as dense IDs, the posting lists, and the geometry
+// it was compiled against.
 type compiledSide struct {
 	lines []uint64
 	ids   []int32
+	off   []int32 // line id's positions in ids are post[off[id]:off[id+1]]
+	post  []int32 // concatenated posting lists, each ascending
 	sets  int
 	ways  int
 	shift uint // byte-address-to-line shift the projection used
@@ -66,10 +63,14 @@ func (ct *CompiledTrace) Len() int { return len(ct.il1.ids) + len(ct.dl1.ids) }
 // trace through a map of its own.
 func (ct *CompiledTrace) SideLines(k trace.Kind) []uint64 { return ct.side(k).lines }
 
-// SideIDs returns the accesses of one cache side in trace order, as dense
-// line IDs in the ID space of SideLines. The slice is the compilation's own
-// and must be treated as read-only.
-func (ct *CompiledTrace) SideIDs(k trace.Kind) []int32 { return ct.side(k).ids }
+// SidePostings returns the posting lists of one cache side: the accesses of
+// line id (in the ID space of SideLines) sit at the ascending positions
+// post[off[id]:off[id+1]] of the side's access sequence. Both slices are
+// the compilation's own and must be treated as read-only.
+func (ct *CompiledTrace) SidePostings(k trace.Kind) (off, post []int32) {
+	cs := ct.side(k)
+	return cs.off, cs.post
+}
 
 // Compile projects tr onto the cache geometry of m. The result replays
 // bit-identically to the reference engine on any engine built for the same
@@ -105,7 +106,30 @@ func Compile(tr trace.Trace, m Model) *CompiledTrace {
 		}
 		side.ids = append(side.ids, id)
 	}
+	ct.il1.index()
+	ct.dl1.index()
 	return ct
+}
+
+// index builds the side's posting lists from its ID sequence: a counting
+// pass sizes each list, and a second pass fills each list through its
+// start offset, which leaves every offset at the next list's start until
+// one shift puts them back.
+func (cs *compiledSide) index() {
+	cs.off = make([]int32, len(cs.lines)+1)
+	for _, id := range cs.ids {
+		cs.off[id+1]++
+	}
+	for id := range cs.lines {
+		cs.off[id+1] += cs.off[id]
+	}
+	cs.post = make([]int32, len(cs.ids))
+	for pos, id := range cs.ids {
+		cs.post[cs.off[id]] = int32(pos)
+		cs.off[id]++
+	}
+	copy(cs.off[1:], cs.off)
+	cs.off[0] = 0
 }
 
 // matches reports whether the projection was compiled for cache geometry

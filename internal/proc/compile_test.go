@@ -70,8 +70,8 @@ func TestCompiledMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesReferenceHigherAssoc covers the generic replay loop
-// with a 4-way geometry (the specialized loop only handles 2-way random).
+// TestCompiledMatchesReferenceHigherAssoc covers a 4-way geometry under
+// both replacement policies.
 func TestCompiledMatchesReferenceHigherAssoc(t *testing.T) {
 	gen := rng.New(0xA550C)
 	m := DefaultModel()

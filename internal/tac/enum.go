@@ -3,7 +3,6 @@ package tac
 import (
 	"context"
 	"math"
-	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -15,15 +14,16 @@ import (
 )
 
 // This file is the default group enumeration: candidates are screened by a
-// reuse-distance prefilter computed from the posting-list index (index.go),
-// survivors replay their subsequence once — all PinSeeds replacement
-// streams batched into a single k-way merge pass over the postings — and,
-// when Config.Workers allows, surviving groups fan out over a bounded
-// worker pool with deterministic ordered collection. The produced Analysis
-// is bit-identical to the reference enumeration (tac.go): the prefilter
-// bound provably dominates the replayed impact, so it only discards groups
-// the relevance threshold would discard anyway, and every replacement draw
-// of a surviving group's replay reproduces the reference order.
+// reuse-distance prefilter computed from the index (index.go), survivors
+// replay once per PinSeeds replacement stream through proc's misses-only
+// replay with every group line in one set (proc.MissReplay.PinnedMisses, on
+// the compilation's posting lists), and, when Config.Workers allows,
+// surviving groups fan out over a bounded worker pool with deterministic
+// ordered collection. The produced Analysis is bit-identical to the
+// reference enumeration (tac.go): the prefilter bound provably dominates
+// the replayed impact, so it only discards groups the relevance threshold
+// would discard anyway, and every replacement draw of a surviving group's
+// replay reproduces the reference order.
 
 // evalChunk is the work-stealing granularity of the parallel evaluation:
 // workers claim this many surviving groups per atomic fetch.
@@ -194,7 +194,7 @@ func (sx *sideIndex) evalCands(cands []uint16, bounds []float64, k, ways int, cf
 		workers = (n + evalChunk - 1) / evalChunk
 	}
 	if workers <= 1 || n < minParallelGroups {
-		st := newPinState(cfg, ways, k)
+		st := newPinState(cfg)
 		for i := 0; i < n; i++ {
 			impacts[i] = st.eval(sx, cands[i*k:(i+1)*k], ways, cfg)
 		}
@@ -216,7 +216,7 @@ func (sx *sideIndex) evalCands(cands []uint16, bounds []float64, k, ways int, cf
 	g.SetLimit(workers)
 	for t := 0; t < workers; t++ {
 		g.Go(func() error {
-			st := newPinState(cfg, ways, k)
+			st := newPinState(cfg)
 			for {
 				lo := int(next.Add(evalChunk)) - evalChunk
 				if lo >= n {
@@ -238,141 +238,37 @@ func (sx *sideIndex) evalCands(cands []uint16, bounds []float64, k, ways int, cf
 	return impacts
 }
 
-// pinState is one evaluator's scratch for the batched pinned replay: the
-// per-seed initial replacement-stream states (derived once, copied per
-// group instead of re-hashed), the pinned set's slot-to-line map and the
-// per-line posting cursors. One instance serves any number of groups;
-// parallel workers each own one.
+// pinState is one evaluator's scratch for the pinned replay: the per-seed
+// initial replacement-stream states (derived once, copied per group instead
+// of re-hashed), the current group's line IDs and the replay's scratch. One
+// instance serves any number of groups; parallel workers each own one.
 type pinState struct {
-	init  []rng.Xoshiro256 // per pin seed: replacement stream's initial state
-	gen   rng.Xoshiro256   // working stream of the current (group, seed)
-	slots []int32          // pinned set: slot -> group line (index into cand)
-	cur   []int32          // per group line: posting cursor
-	end   []int32          // per group line: posting end (group-constant)
-	next  []int32          // per group line: cached next position (exhausted when done)
+	init   []rng.Xoshiro256 // per pin seed: replacement stream's initial state
+	ids    []int32          // the current group's line IDs
+	replay proc.MissReplay
 }
 
-// exhausted marks a drained posting cursor; it compares above every real
-// position.
-const exhausted = int32(math.MaxInt32)
-
-func newPinState(cfg Config, ways, k int) *pinState {
-	st := &pinState{
-		init:  make([]rng.Xoshiro256, cfg.PinSeeds),
-		slots: make([]int32, ways),
-		cur:   make([]int32, k),
-		end:   make([]int32, k),
-		next:  make([]int32, k),
-	}
+func newPinState(cfg Config) *pinState {
+	st := &pinState{init: make([]rng.Xoshiro256, cfg.PinSeeds)}
 	for s := range st.init {
 		st.init[s].Reseed(rng.Stream(cfg.Seed^0x51AC, s))
 	}
 	return st
 }
 
-// eval replays the group's subsequence against a single pinned set of ways
+// eval replays the group's accesses against a single pinned set of ways
 // ways with random replacement and returns the mean miss count over the
 // PinSeeds replacement streams — pinnedImpact's event "all group lines
 // co-mapped", computed from the postings instead of a materialized
-// subsequence.
-//
-// The replay is event-driven: an access can only miss when its line is
-// currently out of the set, and accesses to in-set lines change nothing
-// (random replacement keeps no recency state), so each seed jumps straight
-// from miss to miss — the earliest next posting among the out lines — and
-// never touches the subsequence's hits. Misses happen at the same
-// positions, and victims are drawn from the same stream in the same order,
-// as in the reference scan, so the mean is bit-identical.
+// subsequence. proc's misses-only replay visits only the group's misses,
+// at the same positions and with the same draws as the reference scan, and
+// integer miss totals sum exactly in a float64, so the mean is
+// bit-identical.
 func (st *pinState) eval(sx *sideIndex, cand []uint16, ways int, cfg Config) float64 {
-	k := len(cand)
-	post := sx.post
-	for j, hi := range cand {
-		st.end[j] = sx.off[hi+1]
+	st.ids = st.ids[:0]
+	for _, hi := range cand {
+		st.ids = append(st.ids, sx.ids[hi])
 	}
-	var total float64
-	for s := range st.init {
-		st.gen = st.init[s]
-		for j, hi := range cand {
-			c := sx.off[hi]
-			st.cur[j] = c
-			st.next[j] = post[c] // postings are non-empty (hot lines have >= 2 accesses)
-		}
-		out := uint64(1)<<k - 1 // lines not in the set; initially all
-		setLen := 0
-		pos := int32(-1)
-		misses := 0
-		for out != 0 {
-			if setLen == ways && out&(out-1) == 0 {
-				// Exactly one line out (always the case once a k = W+1
-				// group is warm): every event is a miss on that line, and
-				// the victim it evicts becomes the next out line — a
-				// two-array chase with no mask bookkeeping. The replay ends
-				// when the current out line is never accessed again: all
-				// other lines sit in the set, so no further miss is
-				// possible.
-				b := bits.TrailingZeros64(out)
-				c, end := st.cur[b], st.end[b]
-				for {
-					for c < end && post[c] <= pos {
-						c++
-					}
-					if c >= end {
-						break
-					}
-					pos = post[c]
-					misses++
-					v := st.gen.Intn(ways)
-					evicted := st.slots[v]
-					st.slots[v] = int32(b)
-					st.cur[b] = c
-					b = int(evicted)
-					c, end = st.cur[b], st.end[b]
-				}
-				break
-			}
-			// Next event: the earliest access at a position > pos among the
-			// out lines. next caches each line's upcoming position; it goes
-			// stale only while a line sits in the set, so the catch-up walk
-			// runs once per eviction and cursors only ever move forward.
-			bestLine := -1
-			best := exhausted
-			for m := out; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m)
-				n := st.next[b]
-				if n <= pos {
-					c, end := st.cur[b], st.end[b]
-					for c < end && post[c] <= pos {
-						c++
-					}
-					st.cur[b] = c
-					if c < end {
-						n = post[c]
-					} else {
-						n = exhausted
-					}
-					st.next[b] = n
-				}
-				if n < best {
-					bestLine, best = b, n
-				}
-			}
-			if bestLine < 0 {
-				break
-			}
-			pos = best
-			misses++
-			if setLen < ways {
-				st.slots[setLen] = int32(bestLine)
-				setLen++
-				out &^= 1 << bestLine
-			} else {
-				v := st.gen.Intn(ways)
-				evicted := st.slots[v]
-				st.slots[v] = int32(bestLine)
-				out = out&^(1<<bestLine) | 1<<uint(evicted)
-			}
-		}
-		total += float64(misses)
-	}
-	return total / float64(cfg.PinSeeds)
+	total := st.replay.PinnedMisses(sx.off, sx.post, st.ids, ways, st.init)
+	return float64(total) / float64(cfg.PinSeeds)
 }

@@ -305,9 +305,11 @@ func TestSideIndexPostings(t *testing.T) {
 	if sx.occ[0] != 4 || sx.occ[1] != 2 {
 		t.Fatalf("occ = %v", sx.occ)
 	}
-	wantPost := []int32{0, 2, 3, 6, 1, 5}
-	if !reflect.DeepEqual(sx.post, wantPost) {
-		t.Fatalf("post = %v, want %v", sx.post, wantPost)
+	for hi, want := range [][]int32{{0, 2, 3, 6}, {1, 5}} {
+		id := sx.ids[hi]
+		if got := sx.post[sx.off[id]:sx.off[id+1]]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("postings of hot line %d = %v, want %v", hi, got, want)
+		}
 	}
 	// A's gaps: (0,2) contains B@1; (2,3) empty; (3,6) contains B@5.
 	// B's gap: (1,5) contains A@2,3 (counted once).
@@ -343,9 +345,10 @@ func TestDenseBaselineMatchesMap(t *testing.T) {
 	}
 }
 
-// TestBatchedPinnedReplayMatchesReference drives the struct-of-arrays
-// pinned replay directly against the reference pinnedImpact on seeded
-// random subsequences, across associativities and pin-seed counts.
+// TestBatchedPinnedReplayMatchesReference drives the pinned replay
+// (pinState.eval over proc's misses-only replay) directly against the
+// reference pinnedImpact on seeded random subsequences, across
+// associativities and pin-seed counts.
 func TestBatchedPinnedReplayMatchesReference(t *testing.T) {
 	gen := rng.New(0x5EED)
 	for _, ways := range []int{1, 2, 4} {
@@ -381,7 +384,7 @@ func TestBatchedPinnedReplayMatchesReference(t *testing.T) {
 				if len(cand) != k {
 					continue // a group line happened not to be hot; skip trial
 				}
-				st := newPinState(cfg, ways, k)
+				st := newPinState(cfg)
 				got := st.eval(sx, cand, ways, cfg)
 				if got != want {
 					t.Fatalf("ways=%d seeds=%d trial=%d: batched %v, reference %v",
@@ -410,7 +413,7 @@ func TestBoundDominatesImpact(t *testing.T) {
 			// Disable pruning (threshold -inf) so every candidate reaches
 			// the replay with its bound attached.
 			cands, bounds, baseSums := sx.enumerate(k, missCost, math.Inf(-1), true, nil, nil, nil)
-			st := newPinState(cfg, cfgC.Ways, k)
+			st := newPinState(cfg)
 			for i := range bounds {
 				impact := (st.eval(sx, cands[i*k:(i+1)*k], cfgC.Ways, cfg) - baseSums[i]) * missCost
 				if impact > bounds[i] {

@@ -8,27 +8,29 @@ import (
 	"pubtac/internal/trace"
 )
 
-// This file builds the per-cache posting-list index behind the default
-// group enumeration (enum.go). The reference enumeration pays a full scan
-// of the side's line sequence for every candidate group; the index is built
-// once per side and gives three things:
+// This file builds the per-cache index behind the default group
+// enumeration (enum.go). The reference enumeration pays a full scan of the
+// side's line sequence for every candidate group; the index is built once
+// per side on proc's compilation and gives three things:
 //
-//   - postings: per hot line, the ascending positions of its accesses. A
-//     group's subsequence is a k-way merge of its lines' postings — O(|sub|)
-//     per group instead of O(|seq|).
+//   - postings: per line, the ascending positions of its accesses — the
+//     compilation's own posting lists (CompiledTrace.SidePostings), which
+//     the pinned replay (proc.MissReplay.PinnedMisses) walks miss by miss
+//     instead of scanning a group's subsequence.
 //   - pairwise interleaving counts: itl[a][b] counts the accesses of b whose
 //     reuse gap (since the previous access of b) contains at least one
 //     access of a. They feed the reuse-distance prefilter's per-group upper
-//     bound on forced-placement misses (see groupBound in enum.go).
+//     bound on forced-placement misses (see enumerate in enum.go).
 //   - dense baseline misses: the per-line baseline of the reference arm
 //     (baselineLineMisses) — the same BaselineSeeds layouts, replayed by
 //     proc's per-cache replay (Engine.LineMisses) and read back per line ID
 //     instead of through a map. Values are bit-identical to the map arm.
 type sideIndex struct {
 	hot  []uint64 // hot line addresses (count-desc, addr-asc), as hotLines returns
+	ids  []int32  // per hot index: the line's dense ID in the compilation
 	occ  []int32  // per hot index: total accesses of the line
-	off  []int32  // posting offsets: hot line h occupies post[off[h]:off[h+1]]
-	post []int32  // concatenated postings (positions in the side's line sequence)
+	off  []int32  // the compilation's posting lists: line id's accesses
+	post []int32  // sit at post[off[id]:off[id+1]]
 
 	// itl[a*H+b] counts the non-first accesses of hot line b whose reuse gap
 	// contains >= 1 access of hot line a (a != b). An access of b can only
@@ -43,66 +45,42 @@ type sideIndex struct {
 	base []float64
 }
 
-// buildSideIndex indexes the line sequence of the cache serving accesses of
-// kind k. The sequence arrives pre-projected as proc.Compile's dense
-// first-appearance line IDs (CompiledTrace.SideIDs/SideLines), so the map
+// buildSideIndex indexes the accesses of the cache serving kind k. They
+// arrive as proc.Compile's dense first-appearance line IDs and posting
+// lists (CompiledTrace.SideLines and SidePostings), so the map and posting
 // work is paid once per trace, and the baseline misses come from eng, an
 // engine holding ct, replaying the reference arm's layouts.
 func buildSideIndex(ct *proc.CompiledTrace, eng *proc.Engine, k trace.Kind, cfg Config) *sideIndex {
-	ids, lines := ct.SideIDs(k), ct.SideLines(k)
-	counts := make([]int32, len(lines))
-	for _, id := range ids {
-		counts[id]++
-	}
-
-	hotIDs := hotLinesDense(lines, counts, cfg.HotLines)
+	lines := ct.SideLines(k)
+	off, post := ct.SidePostings(k)
+	hotIDs := hotLinesDense(lines, off, cfg.HotLines)
 	h := len(hotIDs)
-	sx := &sideIndex{hot: make([]uint64, h)}
-
-	// hotOf maps a dense line ID to its hot index (-1 when not hot).
-	hotOf := make([]int32, len(lines))
-	for i := range hotOf {
-		hotOf[i] = -1
-	}
-	sx.occ = make([]int32, h)
+	sx := &sideIndex{hot: make([]uint64, h), ids: hotIDs, occ: make([]int32, h), off: off, post: post}
 	for hi, id := range hotIDs {
 		sx.hot[hi] = lines[id]
-		hotOf[id] = int32(hi)
-		sx.occ[hi] = counts[id]
+		sx.occ[hi] = off[id+1] - off[id]
 	}
 
-	// Postings, allocated exactly from the occurrence counts.
-	sx.off = make([]int32, h+1)
-	for hi := range sx.occ {
-		sx.off[hi+1] = sx.off[hi] + sx.occ[hi]
-	}
-	sx.post = make([]int32, sx.off[h])
-	next := make([]int32, h)
-	copy(next, sx.off[:h])
-
-	// Pairwise interleaving in the same pass: lastPos[a] is the position of
-	// a's latest access, so a appears in b's reuse gap (p, i) exactly when
-	// lastPos[a] > p at the time b is accessed.
+	// Pairwise interleaving: a appears in the reuse gap (p, q) of b when
+	// a's first access after p comes before q. Both posting lists ascend,
+	// so one cursor into a's list serves all of b's gaps.
 	sx.itl = make([]int32, h*h)
-	lastPos := make([]int32, h)
-	for i := range lastPos {
-		lastPos[i] = -1
-	}
-	for i, id := range ids {
-		b := hotOf[id]
-		if b < 0 {
-			continue
-		}
-		sx.post[next[b]] = int32(i)
-		next[b]++
-		if p := lastPos[b]; p >= 0 {
-			for a := 0; a < h; a++ {
-				if int32(a) != b && lastPos[a] > p {
-					sx.itl[a*h+int(b)]++
+	for b, bid := range hotIDs {
+		pb := post[off[bid]:off[bid+1]]
+		for a, aid := range hotIDs {
+			if a == b {
+				continue
+			}
+			pa, c := post[off[aid]:off[aid+1]], 0
+			for j := 1; j < len(pb); j++ {
+				for c < len(pa) && pa[c] < pb[j-1] {
+					c++
+				}
+				if c < len(pa) && pa[c] < pb[j] {
+					sx.itl[a*h+b]++
 				}
 			}
 		}
-		lastPos[b] = int32(i)
 	}
 
 	// Zero baseline seeds leave every mean at 0, as the map arm's empty map
@@ -121,20 +99,22 @@ func buildSideIndex(ct *proc.CompiledTrace, eng *proc.Engine, k trace.Kind, cfg 
 	return sx
 }
 
-// hotLinesDense is hotLines on dense per-line counts: the IDs of up to n
-// of the most frequently accessed lines, count-descending with ties broken
-// by address, lines accessed once excluded. Selection and order are
-// identical to the reference arm's map-based helper.
-func hotLinesDense(lines []uint64, counts []int32, n int) []int32 {
+// hotLinesDense is hotLines on dense lines, whose access counts are the
+// lengths of their posting lists (off): the IDs of up to n of the most
+// frequently accessed lines, count-descending with ties broken by address,
+// lines accessed once excluded. Selection and order are identical to the
+// reference arm's map-based helper.
+func hotLinesDense(lines []uint64, off []int32, n int) []int32 {
+	count := func(id int32) int32 { return off[id+1] - off[id] }
 	sel := make([]int32, 0, len(lines))
 	for id := range lines {
-		if counts[id] >= 2 {
+		if count(int32(id)) >= 2 {
 			sel = append(sel, int32(id))
 		}
 	}
 	sort.Slice(sel, func(i, j int) bool {
-		if counts[sel[i]] != counts[sel[j]] {
-			return counts[sel[i]] > counts[sel[j]]
+		if ci, cj := count(sel[i]), count(sel[j]); ci != cj {
+			return ci > cj
 		}
 		return lines[sel[i]] < lines[sel[j]]
 	})

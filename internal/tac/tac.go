@@ -148,9 +148,9 @@ func Analyze(tr trace.Trace, model proc.Model, cfg Config) (*Analysis, error) {
 // both baselines: the baseline mean is a campaign — BaselineSeeds runs
 // rooted at cfg.Seed — and the default enumeration's per-line baseline is
 // the same engine's per-cache replay (proc.Engine.LineMisses). That
-// enumeration also reads the compilation's per-side dense line IDs for its
-// posting-list index; the group impact replays operate on per-group
-// postings, never the full trace.
+// enumeration also reads the compilation's per-side dense line IDs and
+// posting lists for its index; the group impact replays visit only a
+// group's misses, never the full trace.
 func AnalyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, cfg Config) (*Analysis, error) {
 	return analyzeCompiled(tr, ct, model, cfg, false)
 }
@@ -202,20 +202,15 @@ func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 		kind trace.Kind
 		cfgC cache.Config
 	}{{trace.Instr, model.IL1}, {trace.Data, model.DL1}} {
-		// The event-driven pinned replay tracks out-of-set lines in a
-		// 64-bit mask; wider groups (absurd geometry) take the reference
-		// arm too.
-		useRef := reference ||
-			(side.cfgC.Ways+1+cfg.MaxExtraWays > 64 && cfg.HotLines > 64)
 		var groups []Group
-		if useRef {
+		if reference {
 			seq := lineSeq(tr, side.kind, side.cfgC.LineBytes)
 			if len(seq) == 0 {
 				continue
 			}
 			groups = analyzeCacheReference(seq, side.kind, side.cfgC, cfg, missCost, a.BaselineMean)
 		} else {
-			if len(ct.SideIDs(side.kind)) == 0 {
+			if len(ct.SideLines(side.kind)) == 0 {
 				continue
 			}
 			groups = analyzeCacheIndexed(ct, eng, side.kind, side.cfgC, cfg, missCost, a.BaselineMean)

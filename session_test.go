@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,6 +280,60 @@ func TestSessionBatchRejectsInputlessJob(t *testing.T) {
 	}
 	if _, err := s.AnalyzeBatch(context.Background(), nil); err == nil {
 		t.Fatal("expected error for an empty batch")
+	}
+}
+
+// TestSessionRejectsInvalidModel checks that an unusable cache geometry
+// comes back from every analysis entry point as an error naming the cache,
+// instead of a panic inside the replay.
+func TestSessionRejectsInvalidModel(t *testing.T) {
+	bench, err := pubtac.Benchmark("bs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(*pubtac.Model)
+	}{
+		{"DL1 sets 48", "DL1", func(m *pubtac.Model) { m.DL1.Sets = 48 }},
+		{"IL1 ways 0", "IL1", func(m *pubtac.Model) { m.IL1.Ways = 0 }},
+		{"DL1 line 24", "DL1", func(m *pubtac.Model) { m.DL1.LineBytes = 24 }},
+	} {
+		m := pubtac.DefaultModel()
+		tc.mutate(&m)
+		s := pubtac.NewSession(pubtac.WithConfig(sessionTestConfig()), pubtac.WithModel(m))
+		ctx := context.Background()
+		entries := []struct {
+			name string
+			call func() error
+		}{
+			{"AnalyzePath", func() error {
+				_, err := s.AnalyzePath(ctx, bench.Program, bench.Default())
+				return err
+			}},
+			{"AnalyzeOriginal", func() error {
+				_, err := s.AnalyzeOriginal(ctx, bench.Program, bench.Default())
+				return err
+			}},
+			{"AnalyzeBatch", func() error {
+				_, err := s.AnalyzeBatch(ctx, []pubtac.Job{{Program: bench.Program, Inputs: bench.Inputs[:1]}})
+				return err
+			}},
+		}
+		for _, entry := range entries {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s with %s panicked: %v", entry.name, tc.name, r)
+					}
+				}()
+				return entry.call()
+			}()
+			if err == nil || !strings.Contains(err.Error(), "model "+tc.want) ||
+				strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("%s with %s: error %v, want a model %s validation error", entry.name, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 
