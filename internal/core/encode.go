@@ -31,6 +31,11 @@ const EncodingVersion = 2
 //     which is also what lets a worker verify a ShardSpec against its own
 //     fingerprint.
 //
+// The streaming budget is encoded as mbpta.Config.EffectiveStreamBudget
+// resolves it, not as given: budgets that run identically (0, -1 and the
+// default; any two below the floor; any budget without streaming) share
+// keys.
+//
 // IIDHardFail is included even though it never changes result values — it
 // changes whether a result exists at all (an inadmissible battery becomes an
 // error), so a hard-fail session must not be served a result cached by a
@@ -64,7 +69,7 @@ func (c Config) AppendCanonical(b []byte) []byte {
 	b = appendInt(b, "mbpta.stablerounds", c.MBPTA.StableRounds)
 	b = appendFloat(b, "mbpta.alpha", c.MBPTA.Alpha)
 	b = appendBool(b, "mbpta.streaming", c.MBPTA.Streaming)
-	b = appendInt(b, "mbpta.streambudget", c.MBPTA.StreamBudget)
+	b = appendInt(b, "mbpta.streambudget", c.MBPTA.EffectiveStreamBudget())
 
 	// tac.Config (Workers excluded).
 	b = appendFloat(b, "tac.missprob", c.TAC.MissProb)

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"pubtac/internal/cache"
+	"pubtac/internal/mbpta"
 	"pubtac/internal/proc"
+	"pubtac/internal/stats"
 )
 
 // TestCanonicalEncodingFieldsPinned pins the field list of every struct that
@@ -82,6 +84,29 @@ func TestCanonicalEncodingStability(t *testing.T) {
 	cfg.Sharder = nopSharder{}
 	if !bytes.Equal(a, cfg.AppendCanonical(nil)) {
 		t.Fatal("sharding knobs leaked into the canonical encoding")
+	}
+
+	// The encoding hashes the streaming budget in use, not as given: a
+	// budget <= 0 means the default and a small one is floored, so
+	// equivalent budgets share keys (and shards), and a budget without
+	// streaming is never read.
+	budget := func(streaming bool, k int) []byte {
+		cfg := DefaultConfig()
+		cfg.MBPTA.Streaming, cfg.MBPTA.StreamBudget = streaming, k
+		return cfg.AppendCanonical(nil)
+	}
+	for i, same := range [][2][]byte{
+		{a, budget(false, 512)},
+		{budget(true, 0), budget(true, -1)},
+		{budget(true, 0), budget(true, mbpta.DefaultStreamBudget)},
+		{budget(true, 10), budget(true, stats.MinStreamBudget)},
+	} {
+		if !bytes.Equal(same[0], same[1]) {
+			t.Errorf("equivalent budget pair %d encodes differently", i)
+		}
+	}
+	if bytes.Equal(budget(true, 0), budget(true, 64)) {
+		t.Error("distinct streaming budgets encode identically")
 	}
 
 	// Every encoded knob must perturb the encoding. One representative per

@@ -8,11 +8,11 @@ import (
 
 func TestCompositeDominatesSample(t *testing.T) {
 	xs := expSample(10000, 0.01, 500, 77)
-	tail, err := FitExpTail(xs, 100)
+	tail, err := fitExpTail(xs, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewComposite(xs, tail)
+	c := NewSummaryComposite(stats.NewECDF(xs), tail)
 	// At every empirical exceedance level, the curve is at least the
 	// empirical quantile.
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 0.9999} {
@@ -28,11 +28,11 @@ func TestCompositeDominatesSample(t *testing.T) {
 
 func TestCompositeMonotone(t *testing.T) {
 	xs := expSample(5000, 0.05, 100, 3)
-	tail, err := FitExpTail(xs, 50)
+	tail, err := fitExpTail(xs, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewComposite(xs, tail)
+	c := NewSummaryComposite(stats.NewECDF(xs), tail)
 	prev := 0.0
 	for _, p := range []float64{0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-6, 1e-9, 1e-12} {
 		v := c.ValueAt(p)
@@ -45,11 +45,11 @@ func TestCompositeMonotone(t *testing.T) {
 
 func TestCompositeExceedanceConsistency(t *testing.T) {
 	xs := expSample(5000, 0.05, 100, 9)
-	tail, err := FitExpTail(xs, 50)
+	tail, err := fitExpTail(xs, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewComposite(xs, tail)
+	c := NewSummaryComposite(stats.NewECDF(xs), tail)
 	// ExceedanceOf at a value beyond the sample max follows the tail.
 	x := stats.Max(xs) + 100
 	if got, want := c.ExceedanceOf(x), tail.ExceedanceOf(x); got != want {
@@ -63,11 +63,11 @@ func TestCompositeExceedanceConsistency(t *testing.T) {
 
 func TestCompositeEdgeProbabilities(t *testing.T) {
 	xs := expSample(1000, 0.05, 100, 5)
-	tail, err := FitExpTail(xs, 50)
+	tail, err := fitExpTail(xs, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewComposite(xs, tail)
+	c := NewSummaryComposite(stats.NewECDF(xs), tail)
 	// p >= 1: lowest observed value.
 	if v := c.ValueAt(1); v > stats.Min(xs)+1e-9 && v != tail.ValueAt(1) {
 		// Composite takes max(emp, tail); with p=1 the empirical branch is

@@ -54,27 +54,13 @@ type ExpTail struct {
 	Excesses int     // number of exceedances above U
 }
 
-// FitExpTail fits an exponential tail above the threshold that leaves
-// tailCount exceedances (a common choice is 50..200, or ~5% of the sample).
-// It returns ErrSampleTooSmall when fewer than 10 exceedances are available
-// or the excesses are degenerate.
-func FitExpTail(sample []float64, tailCount int) (*ExpTail, error) {
-	return FitExpTailSorted(stats.SortedCopy(sample), tailCount)
-}
-
-// FitExpTailSorted is FitExpTail over an already ascending-sorted sample.
-// All candidate tails of a threshold scan share one sort through this
-// entry point (the scan used to pay one copy + sort per candidate).
-func FitExpTailSorted(sorted []float64, tailCount int) (*ExpTail, error) {
-	return fitExpTailUpper(sorted, len(sorted), tailCount)
-}
-
-// fitExpTailUpper fits the exponential tail from the top of sortedUpper, an
+// fitExpTailUpper fits an exponential tail above the threshold that leaves
+// tailCount exceedances, reading it off the top of sortedUpper: an
 // ascending-sorted slice holding at least the top tailCount+1 order
-// statistics of a sample of total size n. With sortedUpper the whole sorted
-// sample this is exactly FitExpTailSorted; with a top-K reservoir it is the
-// same arithmetic on the same order statistics, so the fit is bit-identical
-// whenever the reservoir covers the window.
+// statistics of a sample of total size n. The whole sorted sample and a
+// top-K reservoir covering the window hold the same order statistics, so
+// the fit is bit-identical on either. It returns ErrSampleTooSmall when
+// fewer than 10 exceedances are available.
 func fitExpTailUpper(sortedUpper []float64, n, tailCount int) (*ExpTail, error) {
 	if n < 20 || tailCount < 10 {
 		return nil, ErrSampleTooSmall
@@ -210,8 +196,9 @@ func (g *Gumbel) String() string {
 	return fmt.Sprintf("Gumbel{loc=%.1f scale=%.2f block=%d n=%d}", g.Loc, g.Scale, g.Block, g.N)
 }
 
-// FitExpTailAuto fits exponential tails over a range of candidate tail
-// sizes and selects the threshold by the MBPTA-CV exponentiality criterion.
+// FitExpTailAutoSummary fits exponential tails over a range of candidate
+// tail sizes on a stats.SampleView and selects the threshold by the
+// MBPTA-CV exponentiality criterion.
 //
 // Policy: the SMALLEST candidate tail whose CV test accepts exponentiality
 // wins; when no candidate is accepted, the candidate with CV closest to 1
@@ -222,17 +209,16 @@ func (g *Gumbel) String() string {
 // the responsibility of the campaign size (TAC), not of the fit — and the
 // composite curve already upper-bounds everything observed.
 // Candidates grow geometrically from minTail to maxTail.
-func FitExpTailAuto(sample []float64, minTail, maxTail int) (*ExpTail, CVTest, error) {
-	return FitExpTailAutoSorted(stats.SortedCopy(sample), minTail, maxTail)
-}
-
-// FitExpTailAutoSorted is FitExpTailAuto over an already ascending-sorted
-// sample: the sort is shared by every candidate fit and CV test, turning
-// the threshold scan from O(candidates · n log n) into one O(n log n) sort
-// (done by the caller, or incrementally maintained across campaign rounds)
-// plus O(tail) work per candidate.
-func FitExpTailAutoSorted(sorted []float64, minTail, maxTail int) (*ExpTail, CVTest, error) {
-	n := len(sorted)
+//
+// The scan reads only the view's exact upper tail (TailSorted), so it works
+// identically on the full sample's view and on a streaming view whose
+// reservoir covers the search window: the two are bit-identical whenever
+// maxTail+1 observations fit the reservoir. Otherwise the window is clamped
+// to the reservoir (a smaller, still-valid scan — the documented
+// budget/accuracy trade of the streaming arm).
+func FitExpTailAutoSummary(v stats.SampleView, minTail, maxTail int) (*ExpTail, CVTest, error) {
+	n := v.N()
+	tail := v.TailSorted()
 	if maxTail > n/2 {
 		maxTail = n / 2
 	}
@@ -242,6 +228,12 @@ func FitExpTailAutoSorted(sorted []float64, minTail, maxTail int) (*ExpTail, CVT
 	if maxTail < minTail {
 		maxTail = minTail
 	}
+	if maxTail > len(tail)-1 {
+		maxTail = len(tail) - 1
+	}
+	if maxTail < minTail {
+		minTail = maxTail
+	}
 	var bestFit *ExpTail
 	var bestCV CVTest
 	bestScore := math.Inf(1)
@@ -249,9 +241,9 @@ func FitExpTailAutoSorted(sorted []float64, minTail, maxTail int) (*ExpTail, CVT
 		if tc > maxTail {
 			tc = maxTail
 		}
-		fit, err := FitExpTailSorted(sorted, tc)
+		fit, err := fitExpTailUpper(tail, n, tc)
 		if err == nil {
-			cv := CheckCVSorted(sorted, tc)
+			cv := checkCVUpper(tail, n, tc)
 			if cv.Accepted() {
 				// Smallest accepted threshold: done.
 				return fit, cv, nil
@@ -260,7 +252,7 @@ func FitExpTailAutoSorted(sorted []float64, minTail, maxTail int) (*ExpTail, CVT
 				bestScore, bestFit, bestCV = score, fit, cv
 			}
 		}
-		if tc == maxTail {
+		if tc >= maxTail {
 			break
 		}
 	}
@@ -283,26 +275,12 @@ type CVTest struct {
 // Accepted reports whether the tail is compatible with an exponential model.
 func (c CVTest) Accepted() bool { return c.CV >= c.Lo && c.CV <= c.Hi }
 
-// CheckCV runs the CV exponentiality test on the top tailCount values of
-// sample, with a 99% confidence band (z=2.5758).
-func CheckCV(sample []float64, tailCount int) CVTest {
-	return CheckCVSorted(stats.SortedCopy(sample), tailCount)
-}
-
-// CheckCVSorted is CheckCV over an already ascending-sorted sample. The
-// top-(tailCount+1) order statistics are read off the end of the slice
-// instead of being extracted by a full reverse sort, and the excess moments
-// are accumulated in the same largest-first order the reverse-sorted
-// implementation used, so the result is bit-identical.
-func CheckCVSorted(sorted []float64, tailCount int) CVTest {
-	return checkCVUpper(sorted, len(sorted), tailCount)
-}
-
-// checkCVUpper runs the CV test off the top of sortedUpper, an
-// ascending-sorted slice holding at least the top tailCount+1 order
-// statistics of a sample of total size n. The excess moments are accumulated
-// largest-first exactly as CheckCVSorted does, so a reservoir covering the
-// window yields a bit-identical test.
+// checkCVUpper runs the CV exponentiality test on the top tailCount values
+// of a sample of total size n, with a 99% confidence band (z=2.5758),
+// reading them off the top of sortedUpper: an ascending-sorted slice holding
+// at least the top tailCount+1 order statistics. The excess moments are
+// accumulated largest-first, so the whole sorted sample and a reservoir
+// covering the window yield a bit-identical test.
 func checkCVUpper(sortedUpper []float64, n, tailCount int) CVTest {
 	k := tailCount + 1
 	if k > n {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pubtac/internal/rng"
+	"pubtac/internal/stats"
 )
 
 // expSample draws n values from an exponential distribution with the given
@@ -22,9 +23,21 @@ func expSample(n int, rate, loc float64, seed uint64) []float64 {
 	return xs
 }
 
+// fitExpTail fits the exponential tail that leaves tailCount exceedances
+// to an unsorted sample, through the kernel FitExpTailAutoSummary scans with.
+func fitExpTail(sample []float64, tailCount int) (*ExpTail, error) {
+	return fitExpTailUpper(stats.SortedCopy(sample), len(sample), tailCount)
+}
+
+// checkCV runs the CV test on the top tailCount values of an unsorted
+// sample, through the kernel FitExpTailAutoSummary scans with.
+func checkCV(sample []float64, tailCount int) CVTest {
+	return checkCVUpper(stats.SortedCopy(sample), len(sample), tailCount)
+}
+
 func TestFitExpTailRecoversRate(t *testing.T) {
 	xs := expSample(50000, 0.01, 1000, 42)
-	fit, err := FitExpTail(xs, 500)
+	fit, err := fitExpTail(xs, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +50,7 @@ func TestFitExpTailRecoversRate(t *testing.T) {
 
 func TestExpTailValueExceedanceRoundTrip(t *testing.T) {
 	xs := expSample(20000, 0.05, 500, 7)
-	fit, err := FitExpTail(xs, 200)
+	fit, err := fitExpTail(xs, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +65,7 @@ func TestExpTailValueExceedanceRoundTrip(t *testing.T) {
 
 func TestExpTailMonotone(t *testing.T) {
 	xs := expSample(20000, 0.05, 500, 8)
-	fit, err := FitExpTail(xs, 200)
+	fit, err := fitExpTail(xs, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +86,7 @@ func TestExpTailUpperBoundsEmpirical(t *testing.T) {
 	// The fitted tail at the empirical max's exceedance level should be at
 	// or above the observed maximum most of the time for exponential data.
 	xs := expSample(50000, 0.01, 0, 11)
-	fit, err := FitExpTail(xs, 500)
+	fit, err := fitExpTail(xs, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +103,10 @@ func TestExpTailUpperBoundsEmpirical(t *testing.T) {
 }
 
 func TestFitExpTailErrors(t *testing.T) {
-	if _, err := FitExpTail([]float64{1, 2, 3}, 50); err == nil {
+	if _, err := fitExpTail([]float64{1, 2, 3}, 50); err == nil {
 		t.Fatal("expected error on tiny sample")
 	}
-	if _, err := FitExpTail(expSample(100, 1, 0, 1), 5); err == nil {
+	if _, err := fitExpTail(expSample(100, 1, 0, 1), 5); err == nil {
 		t.Fatal("expected error on tiny tail")
 	}
 }
@@ -103,7 +116,7 @@ func TestFitExpTailDegenerateSample(t *testing.T) {
 	for i := range xs {
 		xs[i] = 100 // constant
 	}
-	fit, err := FitExpTail(xs, 50)
+	fit, err := fitExpTail(xs, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +181,7 @@ func TestFitGumbelErrors(t *testing.T) {
 
 func TestCheckCVExponential(t *testing.T) {
 	xs := expSample(50000, 0.02, 300, 21)
-	cv := CheckCV(xs, 500)
+	cv := checkCV(xs, 500)
 	if !cv.Accepted() {
 		t.Fatalf("CV test rejected exponential data: %+v", cv)
 	}
@@ -185,14 +198,14 @@ func TestCheckCVUniformTail(t *testing.T) {
 	for i := range xs {
 		xs[i] = gen.Float64() * 1000
 	}
-	cv := CheckCV(xs, 1000)
+	cv := checkCV(xs, 1000)
 	if cv.CV > 0.9 {
 		t.Fatalf("CV = %v for uniform tail, want < 0.9", cv.CV)
 	}
 }
 
 func TestCheckCVTinySample(t *testing.T) {
-	cv := CheckCV([]float64{1, 2}, 10)
+	cv := checkCV([]float64{1, 2}, 10)
 	if !cv.Accepted() {
 		t.Fatal("tiny sample should be vacuously accepted")
 	}
@@ -202,7 +215,7 @@ func TestExpTailVsGumbelAgreeOnExponentialData(t *testing.T) {
 	// Both models fitted to the same heavy sample should give pWCETs within
 	// a reasonable factor at p=1e-9 (they are different approximations).
 	xs := expSample(100000, 0.01, 1000, 31)
-	et, err := FitExpTail(xs, 1000)
+	et, err := fitExpTail(xs, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 )
 
 // Sortedview checks the sorted-view contract of the estimation entry
-// points: a slice parameter whose name contains "sorted" (FitExpTailSorted,
-// CheckIIDSorted, IIDState.ReportSorted, MergeSorted, ...) declares an
-// ascending-sorted precondition, and the stats layer deliberately does not
-// re-verify it on every call (that would erase the sort-once win). This
+// points: a slice parameter whose name contains "sorted" (CheckIIDSorted,
+// IIDState.ReportSorted, MergeSorted, evt's fitExpTailUpper, ...) declares
+// an ascending-sorted precondition, and the stats layer deliberately does
+// not re-verify it on every call (that would erase the sort-once win). This
 // analyzer traces each argument at such a position back to a sorted source:
 //
 //   - a call to a function or method whose name contains "sorted" (but not
@@ -27,9 +27,9 @@ import (
 //   - a call to a same-package helper all of whose return statements are
 //     themselves sorted sources (taint through return: a merge helper
 //     propagates provenance even without a Sorted-ish name);
-//   - a field or method whose name contains "sorted" (mbpta's
-//     Convergence.Sorted, ECDF's e.sorted — named fields carry the
-//     invariant the same way named parameters do);
+//   - a field or method whose name contains "sorted" (FullSummary's and
+//     ECDF's s.sorted, StreamingSummary's tailSorted — named fields carry
+//     the invariant the same way named parameters do);
 //   - a slice sorted in place by sort.Float64s / sort.Sort / slices.Sort;
 //   - a composite literal whose elements are constants in ascending order,
 //     or a nil slice (trivially sorted);
@@ -173,7 +173,7 @@ func (tr *tracer) sortedSource(e ast.Expr) bool {
 		return false
 	case *ast.SelectorExpr:
 		// A field or method value whose name carries the invariant
-		// (Convergence.Sorted, ECDF's unexported e.sorted).
+		// (ECDF's unexported e.sorted, StreamingSummary's tailSorted).
 		return strings.Contains(strings.ToLower(e.Sel.Name), "sorted")
 	case *ast.CompositeLit:
 		return tr.ascendingLiteral(e)

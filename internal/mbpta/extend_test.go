@@ -45,24 +45,3 @@ func TestExtendToMatchesCollect(t *testing.T) {
 		t.Fatalf("shrinking target: got n %d err %v, want the summary unchanged", sum.N(), err)
 	}
 }
-
-// TestNewEstimateSortedMatchesUnsorted checks the sorted-view estimation
-// path end to end: same tail, same CV diagnostics, same curve values.
-func TestNewEstimateSortedMatchesUnsorted(t *testing.T) {
-	tr := trace.Repeat(trace.FromLetters("ABCDEFGHIJKL", 32), 40)
-	sample := Collect(tr, proc.DefaultModel(), 2000, 3, 0)
-	cfg := DefaultConfig()
-	a, errA := NewEstimate(sample, cfg)
-	b, errB := NewEstimateSorted(sample, stats.SortedCopy(sample), cfg)
-	if errA != nil || errB != nil {
-		t.Fatalf("estimate errors: %v / %v", errA, errB)
-	}
-	if *a.Tail != *b.Tail || a.CV != b.CV {
-		t.Fatalf("tail/CV mismatch: %+v %+v vs %+v %+v", a.Tail, a.CV, b.Tail, b.CV)
-	}
-	for _, p := range []float64{1e-3, 1e-6, 1e-9, 1e-12, 1e-15} {
-		if a.PWCET(p) != b.PWCET(p) {
-			t.Fatalf("PWCET(%g): %v vs %v", p, a.PWCET(p), b.PWCET(p))
-		}
-	}
-}

@@ -23,22 +23,21 @@ func closeTest(a, b stats.TestResult, tol float64) bool {
 
 // TestIncrementalBatteryEstimateMatchesSorted: estimating from a full
 // summary whose incremental battery was fed the whole sample reproduces
-// NewEstimateSorted — identical fit, curve and CV, with the battery report
-// matching the one-shot reference (runs/KS bit-identically, Ljung-Box to
-// reassociation error).
+// NewEstimate over the adopted sorted sample — identical fit, curve and CV,
+// with the battery report matching the one-shot reference (runs/KS
+// bit-identically, Ljung-Box to reassociation error).
 func TestIncrementalBatteryEstimateMatchesSorted(t *testing.T) {
 	tr := loopTrace(10, 80)
 	sample := Collect(tr, proc.DefaultModel(), 2000, 17, 0)
 	cfg := DefaultConfig()
-	sorted := stats.SortedCopy(sample)
 
-	ref, err := NewEstimateSorted(sample, sorted, cfg)
+	ref, err := NewEstimate(sample, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := new(stats.IIDState)
-	st.Push(sample)
-	inc, err := NewEstimateSummary(stats.AdoptFullSummary(sample, sorted, st), cfg)
+	sum := stats.NewFullSummary(true)
+	sum.Push(sample)
+	inc, err := NewEstimateSummary(sum, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,22 @@ type Config struct {
 // while bounding the estimation layer to a few hundred KiB per path.
 const DefaultStreamBudget = 8192
 
+// EffectiveStreamBudget returns the streaming budget a campaign under c
+// runs with: 0 when c is not streaming, else StreamBudget (or
+// DefaultStreamBudget when it is <= 0) floored at stats.MinStreamBudget.
+// Configs with the same effective budget produce the same results, so this
+// is also the value cache keys hash.
+func (c Config) EffectiveStreamBudget() int {
+	if !c.Streaming {
+		return 0
+	}
+	b := c.StreamBudget
+	if b <= 0 {
+		b = DefaultStreamBudget
+	}
+	return max(b, stats.MinStreamBudget)
+}
+
 // DefaultConfig returns the configuration used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
@@ -314,7 +330,7 @@ type Estimate struct {
 	// retain the sample; use View for the quantities that remain.
 	Sample []float64
 	// View is the sample summary snapshot behind the estimate: size, min,
-	// max, exact upper tail and (possibly sketch-resolved) body quantiles.
+	// max, exact upper tail and (possibly sketch-resolved) body ranks.
 	// Always non-nil.
 	View stats.SampleView
 	IID  stats.IIDReport
@@ -328,28 +344,19 @@ var ErrSampleTooSmall = errors.New("mbpta: sample too small for a pWCET estimate
 // is the standard MBPTA composite: empirical ECCDF within the measured
 // range, exponential-tail extrapolation beyond it. The tail threshold is
 // selected by the CV criterion, scanning candidate tail sizes from
-// cfg.TailCount up to a fifth of the sample.
+// cfg.TailCount up to a fifth of the sample. sample stays in run order (the
+// i.i.d. battery, here the one-shot reference, needs it) and is adopted by
+// the estimate: the caller must not modify it afterwards.
 func NewEstimate(sample []float64, cfg Config) (*Estimate, error) {
-	return NewEstimateSorted(sample, stats.SortedCopy(sample), cfg)
-}
-
-// NewEstimateSorted is NewEstimate for callers that already hold an
-// ascending-sorted view of sample. The single sort is shared by every
-// candidate tail fit, every CV test, the empirical ECCDF and the runs-test
-// median of the i.i.d. battery; sorted is adopted by the estimate and must
-// not be modified afterwards. sample stays in run order (the i.i.d. battery
-// needs it), and the battery is the one-shot reference.
-func NewEstimateSorted(sample, sorted []float64, cfg Config) (*Estimate, error) {
-	return NewEstimateSummary(stats.AdoptFullSummary(sample, sorted, nil), cfg)
+	return NewEstimateSummary(stats.AdoptFullSummary(sample, stats.SortedCopy(sample)), cfg)
 }
 
 // NewEstimateSummary fits a pWCET model to the sample behind a
 // stats.SampleSummary: the tail fit, CV test, composite curve and
 // admissibility battery all read the summary, so the one entry point serves
-// both the retained-sample reference arm (bit-identical to
-// NewEstimateSorted) and the bounded-memory streaming arm. The estimate
-// holds an immutable snapshot of the summary; the caller may keep pushing
-// runs into it afterwards.
+// both the retained-sample reference arm and the bounded-memory streaming
+// arm. The estimate holds an immutable snapshot of the summary; the caller
+// may keep pushing runs into it afterwards.
 func NewEstimateSummary(sum stats.SampleSummary, cfg Config) (*Estimate, error) {
 	v := sum.View()
 	tail, cv, err := evt.FitExpTailAutoSummary(v, cfg.TailCount, v.N()/5)
@@ -462,11 +469,7 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
 // full-sample reference summary with the incremental i.i.d. battery.
 func NewSummary(cfg Config) stats.SampleSummary {
 	if cfg.Streaming {
-		b := cfg.StreamBudget
-		if b <= 0 {
-			b = DefaultStreamBudget
-		}
-		return stats.NewStreamingSummary(b)
+		return stats.NewStreamingSummary(cfg.EffectiveStreamBudget())
 	}
 	return stats.NewFullSummary(true)
 }

@@ -5,7 +5,8 @@ import "sort"
 // ECDF is an empirical cumulative distribution function built from a sample.
 // It supports both cumulative probabilities F(x) = P[X <= x] and exceedance
 // (complementary) probabilities 1 - F(x), the representation used for pWCET
-// curves in the MBPTA literature.
+// curves in the MBPTA literature. It is also the full sample's SampleView:
+// every query is exact.
 type ECDF struct {
 	sorted []float64 // ascending
 }
@@ -21,8 +22,8 @@ func NewECDF(sample []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
+// N returns the sample size.
+func (e *ECDF) N() int { return len(e.sorted) }
 
 // Min returns the smallest sample value.
 func (e *ECDF) Min() float64 { return e.sorted[0] }
@@ -30,15 +31,24 @@ func (e *ECDF) Min() float64 { return e.sorted[0] }
 // Max returns the largest sample value.
 func (e *ECDF) Max() float64 { return e.sorted[len(e.sorted)-1] }
 
-// P returns the empirical P[X <= x].
-func (e *ECDF) P(x float64) float64 {
-	// Number of sample values <= x.
+// TailSorted returns the whole ascending-sorted sample: a full view's exact
+// tail is the sample itself. The returned slice must not be modified.
+func (e *ECDF) TailSorted() []float64 { return e.sorted }
+
+// FromTop returns the k-th largest sample value (1 <= k <= N).
+func (e *ECDF) FromTop(k int) float64 { return e.sorted[len(e.sorted)-k] }
+
+// CountLE returns the number of sample values <= x.
+func (e *ECDF) CountLE(x float64) int {
 	n := sort.SearchFloat64s(e.sorted, x)
 	for n < len(e.sorted) && e.sorted[n] == x {
 		n++
 	}
-	return float64(n) / float64(len(e.sorted))
+	return n
 }
+
+// P returns the empirical P[X <= x].
+func (e *ECDF) P(x float64) float64 { return float64(e.CountLE(x)) / float64(len(e.sorted)) }
 
 // Exceedance returns the empirical exceedance probability P[X > x], the
 // quantity plotted on the y axis of an ECCDF / pWCET figure.
@@ -46,10 +56,6 @@ func (e *ECDF) Exceedance(x float64) float64 { return 1 - e.P(x) }
 
 // Quantile returns the q-th quantile of the underlying sample.
 func (e *ECDF) Quantile(q float64) float64 { return QuantileSorted(e.sorted, q) }
-
-// Sorted returns the ascending-sorted sample backing the ECDF. The returned
-// slice must not be modified.
-func (e *ECDF) Sorted() []float64 { return e.sorted }
 
 // ECCDFPoint is one (value, exceedance-probability) coordinate of an ECCDF.
 type ECCDFPoint struct {

@@ -144,7 +144,7 @@ func TestAutocorrelation(t *testing.T) {
 
 func TestECDFBasics(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 3})
-	if e.Len() != 4 || e.Min() != 1 || e.Max() != 3 {
+	if e.N() != 4 || e.Min() != 1 || e.Max() != 3 {
 		t.Fatal("ECDF metadata wrong")
 	}
 	cases := []struct{ x, p float64 }{

@@ -1,12 +1,10 @@
 package stats
 
-import "sort"
-
 // SampleView is the read-only, point-in-time face of a sample summary: the
 // quantities the estimation pipeline (tail fit, CV test, composite curve)
 // reads. Order statistics follow the full-sample conventions: FromTop(1) is
 // the maximum, FromTop(k) the k-th largest, CountLE(x)/N() the empirical
-// CDF.
+// CDF. The full sample's view is its *ECDF.
 type SampleView interface {
 	// N returns the number of observations summarized.
 	N() int
@@ -27,17 +25,12 @@ type SampleView interface {
 	// quantized-exact (counts of the bucket-quantized sample) after the
 	// sketch has coarsened.
 	CountLE(x float64) int
-	// Quantile returns the type-7 interpolated q-th quantile, with value
-	// resolution bounded by the sketch step on streaming views.
-	Quantile(q float64) float64
-	// Bytes returns the retained memory behind the view, in bytes.
-	Bytes() int
 }
 
 // SampleSummary owns everything the estimation pipeline needs from a
-// measurement campaign's sample: the sorted-view order statistics the tail
-// fit and composite curve read, the median the admissibility battery
-// dichotomizes at, and the battery itself. Blocks are pushed in run order.
+// measurement campaign's sample: the run count, point-in-time views for the
+// tail fit and composite curve, and the admissibility battery. Blocks are
+// pushed in run order.
 //
 // Two implementations exist: FullSummary retains the sample (the reference
 // arm) and StreamingSummary holds memory independent of the run count (the
@@ -48,7 +41,8 @@ type SampleView interface {
 // median, so its report depends on the block boundaries (which is why mbpta
 // pushes streaming campaigns in fixed-size chunks).
 type SampleSummary interface {
-	SampleView
+	// N returns the number of observations pushed.
+	N() int
 	// Push appends a block of runs, in run order.
 	Push(block []float64)
 	// IID reports the admissibility battery over everything pushed.
@@ -63,8 +57,9 @@ type SampleSummary interface {
 // FullSummary is the retained-sample reference arm of the estimation
 // pipeline: the run-ordered sample plus an incrementally merged
 // ascending-sorted view, exactly the state the convergence loop historically
-// threaded by hand. Every SampleView query is exact. Memory grows linearly
-// with the run count — the scaling wall the streaming arm removes.
+// threaded by hand. Its View, an ECDF, answers every query exactly. Memory
+// grows linearly with the run count — the scaling wall the streaming arm
+// removes.
 //
 //pubtac:reference summary
 type FullSummary struct {
@@ -87,12 +82,12 @@ func NewFullSummary(incrementalIID bool) *FullSummary {
 	return s
 }
 
-// AdoptFullSummary wraps an existing run-ordered sample, its
-// ascending-sorted view and (optionally) the battery fed exactly that
-// sample, without copying. The slices are adopted: the caller must not
-// modify them afterwards.
-func AdoptFullSummary(sample, sorted []float64, iid *IIDState) *FullSummary {
-	s := &FullSummary{sample: sample, sorted: sorted, iid: iid}
+// AdoptFullSummary wraps an existing run-ordered sample and its
+// ascending-sorted view without copying; IID runs the one-shot reference
+// battery. The slices are adopted: the caller must not modify them
+// afterwards.
+func AdoptFullSummary(sample, sorted []float64) *FullSummary {
+	s := &FullSummary{sample: sample, sorted: sorted}
 	s.peak = s.Bytes()
 	return s
 }
@@ -115,9 +110,6 @@ func (s *FullSummary) Push(block []float64) {
 // Sample returns the retained run-ordered sample (read-only).
 func (s *FullSummary) Sample() []float64 { return s.sample }
 
-// Sorted returns the retained ascending-sorted view (read-only).
-func (s *FullSummary) Sorted() []float64 { return s.sorted }
-
 // IID reports the admissibility battery: incremental when maintained,
 // one-shot reference otherwise.
 func (s *FullSummary) IID() IIDReport {
@@ -127,22 +119,16 @@ func (s *FullSummary) IID() IIDReport {
 	return CheckIIDSorted(s.sample, s.sorted)
 }
 
-// View snapshots the current sorted view. Pushes replace (never mutate) the
-// sorted slice, so the snapshot stays valid as the summary grows.
-func (s *FullSummary) View() SampleView { return fullView{sorted: s.sorted} }
+// View snapshots the current sorted view as an ECDF. Pushes replace (never
+// mutate) the sorted slice, so the snapshot stays valid as the summary
+// grows.
+func (s *FullSummary) View() SampleView { return &ECDF{sorted: s.sorted} }
 
 // PeakBytes returns the high-water retained memory across pushes.
 func (s *FullSummary) PeakBytes() int { return s.peak }
 
-func (s *FullSummary) N() int                { return len(s.sample) }
-func (s *FullSummary) Min() float64          { return fullView{sorted: s.sorted}.Min() }
-func (s *FullSummary) Max() float64          { return fullView{sorted: s.sorted}.Max() }
-func (s *FullSummary) TailSorted() []float64 { return s.sorted }
-func (s *FullSummary) FromTop(k int) float64 { return fullView{sorted: s.sorted}.FromTop(k) }
-func (s *FullSummary) CountLE(x float64) int { return fullView{sorted: s.sorted}.CountLE(x) }
-func (s *FullSummary) Quantile(q float64) float64 {
-	return fullView{sorted: s.sorted}.Quantile(q)
-}
+// N returns the number of runs pushed.
+func (s *FullSummary) N() int { return len(s.sample) }
 
 // Bytes counts the retained sample, sorted view and battery state.
 func (s *FullSummary) Bytes() int {
@@ -153,31 +139,6 @@ func (s *FullSummary) Bytes() int {
 	return b
 }
 
-// fullView is a snapshot over an immutable ascending-sorted sample.
-type fullView struct {
-	sorted []float64
-}
-
-func (v fullView) N() int                { return len(v.sorted) }
-func (v fullView) Min() float64          { return v.sorted[0] }
-func (v fullView) Max() float64          { return v.sorted[len(v.sorted)-1] }
-func (v fullView) TailSorted() []float64 { return v.sorted }
-
-func (v fullView) FromTop(k int) float64 { return v.sorted[len(v.sorted)-k] }
-
-// CountLE mirrors ECDF.P's count (binary search plus the tie walk) so
-// composite curves built on a view are bit-identical to ECDF-backed ones.
-func (v fullView) CountLE(x float64) int {
-	n := sort.SearchFloat64s(v.sorted, x)
-	for n < len(v.sorted) && v.sorted[n] == x {
-		n++
-	}
-	return n
-}
-
-func (v fullView) Quantile(q float64) float64 { return QuantileSorted(v.sorted, q) }
-func (v fullView) Bytes() int                 { return len(v.sorted) * 8 }
-
 // MinStreamBudget floors the streaming budget: below this the reservoir
 // cannot cover even the minimum tail-fit window plus headroom.
 const MinStreamBudget = 64
@@ -187,16 +148,16 @@ const MinStreamBudget = 64
 // population, and the streaming admissibility battery. Retained
 // memory is O(budget), independent of the run count.
 //
-// Exactness contract vs. FullSummary (the reference arm; see the
-// equivalence tests):
+// Exactness contract of its View vs. FullSummary's (the reference arm; see
+// the equivalence tests):
 //
 //   - TailSorted/FromTop within the reservoir, Min, Max, N: bit-identical
 //     always. The tail fit and CV test read only these, so estimates are
 //     bit-identical whenever the reservoir covers the auto-fit search
 //     window (n/5 <= budget-1; beyond it the window is clamped to the
 //     reservoir).
-//   - Quantile/CountLE: bit-identical while the population has at most
-//     budget distinct values (integer cycle grids in practice); otherwise
+//   - CountLE and FromTop below the reservoir: bit-identical while the
+//     population has at most budget distinct values (integer cycle grids in practice); otherwise
 //     value resolution is bounded by the sketch step < 2·span/(budget-1).
 //   - IID: bit-identical while n <= 2·budget, the sketch is exact and the
 //     running median never moves; past that the documented streaming
@@ -274,30 +235,8 @@ func (s *StreamingSummary) View() SampleView {
 // PeakBytes returns the high-water retained memory across pushes.
 func (s *StreamingSummary) PeakBytes() int { return s.peak }
 
+// N returns the number of runs pushed.
 func (s *StreamingSummary) N() int { return s.n }
-
-func (s *StreamingSummary) Min() float64 {
-	if s.n == 0 {
-		panic(ErrEmptySample)
-	}
-	return s.min
-}
-
-func (s *StreamingSummary) Max() float64 {
-	if s.n == 0 {
-		panic(ErrEmptySample)
-	}
-	return s.max
-}
-
-func (s *StreamingSummary) TailSorted() []float64 { return s.tailSorted }
-
-func (s *StreamingSummary) FromTop(k int) float64 {
-	return fromTopStream(s.tailSorted, s.sketch, s.n, k)
-}
-
-func (s *StreamingSummary) CountLE(x float64) int      { return s.sketch.CountLE(x) }
-func (s *StreamingSummary) Quantile(q float64) float64 { return s.sketch.Quantile(q) }
 
 // Bytes counts the reservoir, sketch and battery state.
 func (s *StreamingSummary) Bytes() int {
@@ -317,30 +256,18 @@ func (v *streamView) Min() float64          { return v.min }
 func (v *streamView) Max() float64          { return v.max }
 func (v *streamView) TailSorted() []float64 { return v.tailSorted }
 func (v *streamView) CountLE(x float64) int { return v.sketch.CountLE(x) }
-func (v *streamView) Quantile(q float64) float64 {
-	return v.sketch.Quantile(q)
-}
 
+// FromTop resolves the k-th largest observation: exact off the reservoir
+// while k is within it (tailSorted[len-k] is the true sorted[n-k] because the
+// reservoir holds the n-largest multiset), by sketch rank below it.
 func (v *streamView) FromTop(k int) float64 {
-	return fromTopStream(v.tailSorted, v.sketch, v.n, k)
-}
-
-func (v *streamView) Bytes() int {
-	return len(v.tailSorted)*8 + v.sketch.Bytes() + 32
-}
-
-// fromTopStream resolves the k-th largest observation: exact off the
-// reservoir while k is within it (tailSorted[len-k] is the true sorted[n-k]
-// because the reservoir holds the n-largest multiset), by sketch rank below
-// it.
-func fromTopStream(tailSorted []float64, sketch *QuantileSketch, n, k int) float64 {
-	if k < 1 || k > n {
+	if k < 1 || k > v.n {
 		panic(ErrEmptySample)
 	}
-	if k <= len(tailSorted) {
-		return tailSorted[len(tailSorted)-k]
+	if k <= len(v.tailSorted) {
+		return v.tailSorted[len(v.tailSorted)-k]
 	}
-	return sketch.orderStat(n - k)
+	return v.sketch.orderStat(v.n - k)
 }
 
 // mergeTopK merges two ascending-sorted slices and keeps the k largest

@@ -52,7 +52,7 @@ func pushBlocks(sum SampleSummary, xs []float64, block int) {
 }
 
 // sameView asserts bit-identity of the estimation surface two views expose:
-// size, extremes, the exact upper tail, rank and quantile queries.
+// size, extremes, the exact upper tail, and rank queries.
 func sameView(t *testing.T, label string, a, b SampleView) {
 	t.Helper()
 	if a.N() != b.N() {
@@ -70,18 +70,26 @@ func sameView(t *testing.T, label string, a, b SampleView) {
 		if ta[len(ta)-i] != tb[len(tb)-i] {
 			t.Fatalf("%s: TailSorted from top %d: %v != %v", label, i, ta[len(ta)-i], tb[len(tb)-i])
 		}
+	}
+	for i := 1; i <= a.N(); i = i*2 + 1 {
 		if a.FromTop(i) != b.FromTop(i) {
 			t.Fatalf("%s: FromTop(%d): %v != %v", label, i, a.FromTop(i), b.FromTop(i))
 		}
 	}
-	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1} {
-		if a.Quantile(q) != b.Quantile(q) {
-			t.Fatalf("%s: Quantile(%v): %v != %v", label, q, a.Quantile(q), b.Quantile(q))
-		}
-	}
-	for _, x := range []float64{0, a.Min() - 1, a.Min(), a.Quantile(0.5), a.Max(), a.Max() + 1} {
+	for _, x := range []float64{0, a.Min() - 1, a.Min(), a.FromTop((a.N() + 1) / 2), a.Max(), a.Max() + 1} {
 		if a.CountLE(x) != b.CountLE(x) {
 			t.Fatalf("%s: CountLE(%v): %d != %d", label, x, a.CountLE(x), b.CountLE(x))
+		}
+	}
+}
+
+// sameQuantiles asserts that the streaming sketch reproduces the full
+// sample's type-7 quantiles bit for bit (the battery's median reads them).
+func sameQuantiles(t *testing.T, label string, full *FullSummary, stream *StreamingSummary) {
+	t.Helper()
+	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1} {
+		if f, s := QuantileSorted(full.sorted, q), stream.sketch.Quantile(q); f != s {
+			t.Fatalf("%s: Quantile(%v): %v != %v", label, q, f, s)
 		}
 	}
 }
@@ -119,8 +127,8 @@ func TestStreamingSummaryMatchesFullSummary(t *testing.T) {
 			if stream.Bytes() == 0 || stream.PeakBytes() < stream.Bytes() {
 				t.Fatalf("memory accounting: bytes %d, peak %d", stream.Bytes(), stream.PeakBytes())
 			}
-			sameView(t, "summary", full, stream)
 			sameView(t, "view", full.View(), stream.View())
+			sameQuantiles(t, "summary", full, stream)
 
 			fi, si := full.IID(), stream.IID()
 			if c.exactRuns && !sameResult(fi.Runs, si.Runs) {
@@ -166,19 +174,16 @@ func TestStreamingSummaryTailMatchesBeyondReservoir(t *testing.T) {
 	pushBlocks(full, xs, 512)
 	pushBlocks(stream, xs, 512)
 
-	if got := len(stream.TailSorted()); got != MinStreamBudget {
+	vf, vs := full.View(), stream.View()
+	if got := len(vs.TailSorted()); got != MinStreamBudget {
 		t.Fatalf("reservoir holds %d values, want %d", got, MinStreamBudget)
 	}
 	for k := 1; k <= len(xs); k = k*3 + 1 {
-		if full.FromTop(k) != stream.FromTop(k) {
-			t.Fatalf("FromTop(%d): %v != %v", k, full.FromTop(k), stream.FromTop(k))
+		if vf.FromTop(k) != vs.FromTop(k) {
+			t.Fatalf("FromTop(%d): %v != %v", k, vf.FromTop(k), vs.FromTop(k))
 		}
 	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		if full.Quantile(q) != stream.Quantile(q) {
-			t.Fatalf("Quantile(%v): %v != %v", q, full.Quantile(q), stream.Quantile(q))
-		}
-	}
+	sameQuantiles(t, "beyond-reservoir", full, stream)
 }
 
 // TestStreamingSummaryDegenerateInputs: constant and tie-heavy samples, and
@@ -192,8 +197,9 @@ func TestStreamingSummaryDegenerateInputs(t *testing.T) {
 			xs[i] = 7
 		}
 		pushBlocks(s, xs, 100)
-		if s.Min() != 7 || s.Max() != 7 || s.Quantile(0.5) != 7 || s.FromTop(300) != 7 {
-			t.Fatalf("constant summary broken: %v %v %v", s.Min(), s.Max(), s.Quantile(0.5))
+		v := s.View()
+		if v.Min() != 7 || v.Max() != 7 || s.sketch.Quantile(0.5) != 7 || v.FromTop(300) != 7 {
+			t.Fatalf("constant summary broken: %v %v %v", v.Min(), v.Max(), s.sketch.Quantile(0.5))
 		}
 		rep := s.IID()
 		if !rep.Passed(0.05) {
@@ -210,7 +216,8 @@ func TestStreamingSummaryDegenerateInputs(t *testing.T) {
 		stream := NewStreamingSummary(1024)
 		full.Push(xs) // single block: medians coincide by construction
 		stream.Push(xs)
-		sameView(t, "ties", full, stream)
+		sameView(t, "ties", full.View(), stream.View())
+		sameQuantiles(t, "ties", full, stream)
 		fi, si := full.IID(), stream.IID()
 		if !sameResult(fi.Runs, si.Runs) || !sameResult(fi.Identical, si.Identical) {
 			t.Fatalf("tie-heavy battery diverged: %+v vs %+v", fi, si)
@@ -222,9 +229,10 @@ func TestStreamingSummaryDegenerateInputs(t *testing.T) {
 		stream := NewStreamingSummary(64)
 		pushBlocks(full, xs, 8)
 		pushBlocks(stream, xs, 8)
-		sameView(t, "small", full, stream)
-		if len(stream.TailSorted()) != len(xs) {
-			t.Fatalf("reservoir should hold the whole small sample: %d", len(stream.TailSorted()))
+		sameView(t, "small", full.View(), stream.View())
+		sameQuantiles(t, "small", full, stream)
+		if len(stream.tailSorted) != len(xs) {
+			t.Fatalf("reservoir should hold the whole small sample: %d", len(stream.tailSorted))
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
@@ -268,7 +276,7 @@ func TestStreamingSummaryMemoryBounded(t *testing.T) {
 	}
 	// The sketch coarsened but its resolution stays within the documented
 	// bound: step < 2·span/(budget-1).
-	span := s.Max() - s.Min()
+	span := s.max - s.min
 	if step := s.sketch.Step(); step <= 0 || step >= 2*span/float64(budget-1) {
 		t.Fatalf("sketch step %v outside (0, %v)", step, 2*span/float64(budget-1))
 	}

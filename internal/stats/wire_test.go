@@ -22,7 +22,7 @@ func wireArms() map[string]func() *FullSummary {
 // encoding itself, byte for byte.
 func sameSummary(t *testing.T, label string, a, b SampleSummary) {
 	t.Helper()
-	sameView(t, label, a, b)
+	sameView(t, label, a.View(), b.View())
 	if a.IID() != b.IID() {
 		t.Fatalf("%s: IID report %+v != %+v", label, a.IID(), b.IID())
 	}

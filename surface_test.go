@@ -26,10 +26,6 @@ var surfaceAllowlist = map[string]string{
 	"pubtac.WithModel":       "public API: session option",
 	"pubtac.WithIIDHardFail": "public API: session option",
 
-	"pubtac/internal/evt.FitExpTail":        "reference arm: slice fit behind FitExpTailSorted (TestSortedVariantsBitIdentical)",
-	"pubtac/internal/evt.FitExpTailAuto":    "reference arm: slice fit behind FitExpTailAutoSorted; also BenchmarkAblationTailFit",
-	"pubtac/internal/evt.CheckCV":           "reference arm: slice CV test behind CheckCVSorted (TestSortedVariantsBitIdentical)",
-	"pubtac/internal/evt.NewComposite":      "reference arm: the ECDF-backed composite SummaryComposite replicates",
 	"pubtac/internal/evt.FitGumbel":         "gated benchmark: BenchmarkAblationTailFit's block-maxima arm",
 	"pubtac/internal/stats.CheckIID":        "reference arm: one-shot battery of the iid oracle pair",
 	"pubtac/internal/stats.Autocorrelation": "reference arm: per-lag oracle for AutocorrelationsTo",
