@@ -8,9 +8,13 @@ package pubtac_test
 import (
 	"context"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"pubtac"
+	"pubtac/client"
 	"pubtac/internal/cache"
 	"pubtac/internal/evt"
 	"pubtac/internal/experiment"
@@ -19,6 +23,7 @@ import (
 	"pubtac/internal/proc"
 	"pubtac/internal/pub"
 	"pubtac/internal/rng"
+	"pubtac/internal/serve"
 	"pubtac/internal/stats"
 	"pubtac/internal/tac"
 	"pubtac/internal/trace"
@@ -267,6 +272,45 @@ func BenchmarkExecTrace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bm.Program.MustExec(in)
+	}
+}
+
+// BenchmarkServeHit measures a memory hit through the daemon's handler:
+// request decoding, resolution and key derivation through the registry
+// table, the store read and the response, with no analysis. Each request
+// is analyzed once before timing, so every timed request is a hit.
+//
+//pubtac:bench
+func BenchmarkServeHit(b *testing.B) {
+	store, err := serve.NewStore(b.TempDir(), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(serve.Options{Store: store, SessionOptions: []pubtac.Option{pubtac.WithScale(benchScale)}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	for _, c := range []struct{ name, body string }{
+		{"bs-multipath", `{"bench": "bs", "multipath": true, "wait": true}`},
+		{"matmult", `{"bench": "matmult", "wait": true}`},
+	} {
+		post := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(c.body)))
+			return rec
+		}
+		if rec := post(); rec.Code != http.StatusOK {
+			b.Fatalf("%s: warm-up status %d: %s", c.name, rec.Code, rec.Body)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if rec := post(); rec.Header().Get(client.HeaderCache) != "hit" {
+					b.Fatalf("request %d not served from the store (status %d)", i, rec.Code)
+				}
+			}
+		})
 	}
 }
 

@@ -52,3 +52,44 @@ func TestBatchResultGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestKeyGolden pins content-key bytes: every deployed daemon's disk tier is
+// addressed by them, so a change to FingerprintProgram, JobKey or
+// AnalysisKey that moves any digest below orphans every stored result.
+func TestKeyGolden(t *testing.T) {
+	bs, err := pubtac.Benchmark("bs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := pubtac.Benchmark("matmult")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobKey := func(j pubtac.Job, seed uint64) pubtac.Fingerprint {
+		t.Helper()
+		k, err := j.Key(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	bsDefault := pubtac.Job{Program: bs.Program, Inputs: []pubtac.Input{bs.Default()}}
+	mmDefault := pubtac.Job{Program: mm.Program, Inputs: []pubtac.Input{mm.Default()}}
+	s := pubtac.NewSession()
+	for _, c := range []struct {
+		name string
+		got  pubtac.Fingerprint
+		want string
+	}{
+		{"bs", jobKey(bsDefault, 0), "5f606e8fa69c4366540fde6f310e65fdb32c49fc43d0008f0988960ca0ca8950"},
+		{"bs-multipath", jobKey(pubtac.Job{Program: bs.Program, Inputs: bs.Inputs}, 0),
+			"d152d981eb100dc8efeae5eba7bb00e9857e4d2bbfe91ae1ff3c86653aaec266"},
+		{"matmult-seed7", jobKey(mmDefault, 7), "31b3ba265b14417a1b85ebafd95ec0ebf294316f027de0d87169ab26bff77609"},
+		{"batch", pubtac.AnalysisKey(s.ConfigFingerprint(), jobKey(bsDefault, 0), jobKey(mmDefault, 0)),
+			"5feacbd8a15c9ead84f024eae9215f3f335215801394288a84a1255e07f02b6c"},
+	} {
+		if got := c.got.String(); got != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
+		}
+	}
+}

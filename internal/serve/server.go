@@ -57,16 +57,12 @@ type Server struct {
 	cfg      pubtac.Config // resolved session config (shard verification)
 	cfgFP    pubtac.Fingerprint
 	seedSalt uint64
+	table    registry // requests and shard specs resolve through it
 
 	// Worker side of distributed sharding: shardSem bounds concurrently
-	// computing shards (same budget as jobs), shardCamps caches compiled
-	// campaigns per (program, input, original) so repeated shard rounds of
-	// one campaign pay trace compilation once. The key space is the
-	// benchmark registry — small and fixed — so the cache is unbounded.
+	// computing shards (same budget as jobs).
 	shardSem      chan struct{}
 	shardDeadline time.Duration
-	shardMu       sync.Mutex
-	shardCamps    map[string]*mbpta.Campaign
 
 	// peers is the coordinator's resilient fabric (nil on plain daemons
 	// and workers); held for statusz visibility into retries and hedges.
@@ -100,7 +96,8 @@ type job struct {
 
 	mu     sync.Mutex
 	events []pubtac.ProgressEvent
-	notify chan struct{} // closed and replaced on every append/finish
+	logged map[progressSeries]int // last percentage logged per series
+	notify chan struct{}          // closed and replaced on every append/finish
 	done   bool
 	body   []byte
 	errMsg string
@@ -123,7 +120,9 @@ type ServerStats struct {
 
 // New builds a Server. The session options are resolved once to derive the
 // daemon's config fingerprint; every job session is built from the same
-// options plus its progress sink, so all jobs share that fingerprint.
+// options plus its progress sink, so all jobs share that fingerprint. New
+// also builds the registry table, fingerprinting every registry input once
+// (about 10 ms).
 func New(opts Options) (*Server, error) {
 	if opts.Store == nil {
 		return nil, fmt.Errorf("serve: Options.Store is required")
@@ -134,6 +133,10 @@ func New(opts Options) (*Server, error) {
 	}
 	probe := pubtac.NewSession(opts.SessionOptions...)
 	cfg := probe.Config()
+	table, err := newRegistry(cfg.SeedSalt)
+	if err != nil {
+		return nil, fmt.Errorf("serve: building the registry table: %w", err)
+	}
 	peers, _ := cfg.Sharder.(*client.Peers)
 	ctx, cancel := context.WithCancel(context.Background())
 	grp, gctx := pool.WithContext(ctx)
@@ -144,6 +147,7 @@ func New(opts Options) (*Server, error) {
 		cfg:           cfg,
 		cfgFP:         probe.ConfigFingerprint(),
 		seedSalt:      cfg.SeedSalt,
+		table:         table,
 		grp:           grp,
 		gctx:          gctx,
 		cancel:        cancel,
@@ -151,7 +155,6 @@ func New(opts Options) (*Server, error) {
 		shardSem:      make(chan struct{}, maxJobs),
 		shardDeadline: opts.ShardDeadline,
 		peers:         peers,
-		shardCamps:    make(map[string]*mbpta.Campaign),
 		closed:        make(chan struct{}),
 		jobs:          make(map[string]*job),
 		byKey:         make(map[pubtac.Fingerprint]*job),
@@ -210,66 +213,20 @@ func (s *Server) Close() error {
 	return s.grp.Wait()
 }
 
-// resolve turns a wire request into concrete analysis jobs. The two request
-// forms normalize to one job list; resolution is pure (fresh benchmark
-// instances per call), so concurrent requests share nothing.
-func resolve(req client.AnalyzeRequest) ([]pubtac.Job, error) {
-	specs := req.Jobs
-	if req.Bench != "" {
-		if len(specs) > 0 {
-			return nil, fmt.Errorf("request mixes the single-benchmark form (bench) with the batch form (jobs)")
-		}
-		spec := client.JobSpec{Bench: req.Bench, Multipath: req.Multipath}
-		if req.Input != "" {
-			if req.Multipath {
-				return nil, fmt.Errorf("input and multipath are mutually exclusive")
-			}
-			spec.Inputs = []string{req.Input}
-		}
-		specs = []client.JobSpec{spec}
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("empty request: set bench or jobs")
-	}
-	jobs := make([]pubtac.Job, 0, len(specs))
-	for _, spec := range specs {
-		b, err := pubtac.Benchmark(spec.Bench)
-		if err != nil {
-			return nil, err
-		}
-		j := pubtac.Job{Program: b.Program}
-		switch {
-		case spec.Multipath:
-			j.Inputs = b.Inputs
-		case len(spec.Inputs) > 0:
-			for _, name := range spec.Inputs {
-				in, err := b.Input(name)
-				if err != nil {
-					return nil, err
-				}
-				j.Inputs = append(j.Inputs, in)
-			}
-		default:
-			j.Inputs = []pubtac.Input{b.Default()}
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
-}
-
-// keyOf derives the request's content address under this server's
-// configuration — the same derivation a client performs with
-// pubtac.AnalysisKey.
-func (s *Server) keyOf(jobs []pubtac.Job) (pubtac.Fingerprint, error) {
+// keyOf derives the content address of resolved jobs under this server's
+// configuration: the derivation a client performs with Job.Key and
+// pubtac.AnalysisKey, over the table's stored fingerprints.
+func (s *Server) keyOf(jobs []tableJob) pubtac.Fingerprint {
 	keys := make([]pubtac.Fingerprint, len(jobs))
+	var fps []pubtac.Fingerprint
 	for i, j := range jobs {
-		k, err := j.Key(s.seedSalt)
-		if err != nil {
-			return pubtac.Fingerprint{}, err
+		fps = fps[:0]
+		for _, e := range j.inputs {
+			fps = append(fps, e.fp)
 		}
-		keys[i] = k
+		keys[i] = pubtac.JobKey(fps...)
 	}
-	return pubtac.AnalysisKey(s.cfgFP, keys...), nil
+	return pubtac.AnalysisKey(s.cfgFP, keys...)
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -283,16 +240,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	jobs, err := resolve(req)
+	jobs, err := s.table.resolve(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, err := s.keyOf(jobs)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	key := s.keyOf(jobs)
 
 	if body, tier, ok := s.store.Get(key); ok {
 		if req.Wait {
@@ -328,7 +281,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // when none exists. joined reports that an identical submission was already
 // running — the singleflight path: concurrent identical submissions compute
 // once and all observe the same job.
-func (s *Server) startOrJoin(key pubtac.Fingerprint, jobs []pubtac.Job) (*job, bool) {
+func (s *Server) startOrJoin(key pubtac.Fingerprint, jobs []tableJob) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.byKey[key]; ok {
@@ -352,10 +305,11 @@ func (s *Server) startOrJoin(key pubtac.Fingerprint, jobs []pubtac.Job) (*job, b
 }
 
 // run executes one analysis job end to end: a fresh session wired to the
-// job's event log, the batch over the server's pool context, persistence,
-// and completion. Panics are contained to the job (a panicking task would
-// otherwise cancel the group and with it every other running job).
-func (s *Server) run(j *job, jobs []pubtac.Job) {
+// job's event log, the batch on the table's programs over the server's pool
+// context, persistence, and completion. Panics are contained to the job (a
+// panicking task would otherwise cancel the group and with it every other
+// running job).
+func (s *Server) run(j *job, jobs []tableJob) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	defer func() {
@@ -369,7 +323,7 @@ func (s *Server) run(j *job, jobs []pubtac.Job) {
 	}
 	opts := append(append([]pubtac.Option(nil), s.baseOpts...), pubtac.WithProgress(j.emit))
 	session := pubtac.NewSession(opts...)
-	batch, err := session.AnalyzeBatch(s.gctx, jobs)
+	batch, err := session.AnalyzeBatch(s.gctx, pipelineJobs(jobs))
 	if err != nil {
 		s.finish(j, nil, err)
 		return
@@ -408,14 +362,41 @@ func (s *Server) finish(j *job, body []byte, err error) {
 	s.mu.Unlock()
 }
 
-// emit appends a progress event and wakes every watcher. The session
+// progressSeries is one series of a job's progress log: one phase of one
+// path's campaign toward one target.
+type progressSeries struct {
+	program, input, phase string
+	target                int
+}
+
+// emit logs a progress event and wakes every watcher. The log is bounded,
+// because core reports one event per 64-run block and finished jobs keep
+// their logs: a converge or campaign event is logged only when it opens its
+// series, reaches the target, or raises the series' percentage
+// ⌊100·Done/Target⌋ above the last one logged, so a series logs at most 101
+// events. Warnings and done events are always logged. The session
 // serializes calls, so only watchers race with it — hence the lock.
 func (j *job) emit(ev pubtac.ProgressEvent) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	if ev.Phase == "converge" || ev.Phase == "campaign" {
+		series := progressSeries{ev.Program, ev.Input, ev.Phase, ev.Target}
+		pct := 100
+		if ev.Target > 0 {
+			pct = 100 * ev.Done / ev.Target
+		}
+		last, seen := j.logged[series]
+		if seen && ev.Done < ev.Target && pct <= last {
+			return
+		}
+		if j.logged == nil {
+			j.logged = make(map[progressSeries]int)
+		}
+		j.logged[series] = pct
+	}
 	j.events = append(j.events, ev)
 	close(j.notify)
 	j.notify = make(chan struct{})
-	j.mu.Unlock()
 }
 
 // wait blocks until the job completes, the request context is cancelled, or
@@ -611,51 +592,20 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	w.Write(enc)
 }
 
-// campaignFor resolves and compiles the campaign a shard spec names,
-// caching it per (program, input, original): repeated shard rounds of one
-// campaign — every convergence round produces a fresh round of specs — pay
-// benchmark resolution, PUB and trace compilation once.
+// campaignFor returns the compiled campaign a shard spec names, from the
+// registry table: repeated shard rounds of one campaign — every convergence
+// round produces a fresh round of specs — pay PUB and trace compilation
+// once.
 func (s *Server) campaignFor(spec pubtac.ShardSpec) (*mbpta.Campaign, error) {
-	origin := "pub"
-	if spec.Original {
-		origin = "orig"
-	}
-	ck := spec.Program + "\x00" + spec.Input + "\x00" + origin
-	s.shardMu.Lock()
-	camp, ok := s.shardCamps[ck]
-	s.shardMu.Unlock()
-	if ok {
-		return camp, nil
-	}
-
-	b, err := pubtac.Benchmark(spec.Program)
+	be, err := s.table.lookup(spec.Program)
 	if err != nil {
 		return nil, err
 	}
-	p := b.Program
-	if !spec.Original {
-		if p, _, err = pubtac.Transform(p); err != nil {
-			return nil, fmt.Errorf("PUB on %s: %w", spec.Program, err)
-		}
-	}
-	in, err := b.Input(spec.Input)
+	e, err := be.input(spec.Input)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Exec(in)
-	if err != nil {
-		return nil, fmt.Errorf("executing %s(%s): %w", spec.Program, spec.Input, err)
-	}
-	camp = mbpta.NewCampaign(res.Trace, s.cfg.Model)
-
-	s.shardMu.Lock()
-	if cached, ok := s.shardCamps[ck]; ok {
-		camp = cached // a concurrent request built it first; share theirs
-	} else {
-		s.shardCamps[ck] = camp
-	}
-	s.shardMu.Unlock()
-	return camp, nil
+	return e.campaign(be.bench, spec.Original, s.cfg.Model)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

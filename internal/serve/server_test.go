@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -191,6 +192,174 @@ func TestServerKeyMatchesClientDerivation(t *testing.T) {
 	}
 	if _, found, err := c.Result(ctx, pubtac.Fingerprint{}.String()); err != nil || found {
 		t.Fatalf("zero key: found=%v err=%v, want clean not-found", found, err)
+	}
+}
+
+// TestServerKeyTable: the keys the daemon derives from its registry table
+// are the keys Job.Key and AnalysisKey give over fresh registry instances,
+// for every single-input request, every multipath request and a batch that
+// names a benchmark twice, under a non-zero seed salt.
+func TestServerKeyTable(t *testing.T) {
+	store, err := serve.NewStore(t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 7
+	srv, err := serve.New(serve.Options{Store: store, SessionOptions: append(smallOpts(), pubtac.WithSeed(seed))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	c := client.New(ts.URL)
+	fresh := func(name string) *pubtac.Bench {
+		t.Helper()
+		b, err := pubtac.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	check := func(req client.AnalyzeRequest, jobs ...pubtac.Job) {
+		t.Helper()
+		keys := make([]pubtac.Fingerprint, len(jobs))
+		for i, j := range jobs {
+			k, err := j.Key(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[i] = k
+		}
+		sub, err := c.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		if want := pubtac.AnalysisKey(srv.ConfigFingerprint(), keys...); sub.Key != want.String() {
+			t.Errorf("%+v: daemon key %s, fresh-instance key %s", req, sub.Key, want)
+		}
+	}
+
+	singles, multis := 0, 0
+	for _, b := range pubtac.Benchmarks() {
+		for _, in := range b.Inputs {
+			f := fresh(b.Name)
+			fin, err := f.Input(in.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(client.AnalyzeRequest{Bench: b.Name, Input: in.Name},
+				pubtac.Job{Program: f.Program, Inputs: []pubtac.Input{fin}})
+			singles++
+		}
+		if len(b.Inputs) > 1 {
+			f := fresh(b.Name)
+			check(client.AnalyzeRequest{Bench: b.Name, Multipath: true}, pubtac.Job{Program: f.Program, Inputs: f.Inputs})
+			multis++
+		}
+	}
+	if singles != 33 || multis != 6 {
+		t.Fatalf("checked %d single-input and %d multipath requests, want 33 and 6", singles, multis)
+	}
+
+	bs1, cnt, bs2 := fresh("bs"), fresh("cnt"), fresh("bs")
+	v3, err := bs1.Input("v3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(client.AnalyzeRequest{Jobs: []client.JobSpec{
+		{Bench: "bs", Inputs: []string{"v3"}}, {Bench: "cnt"}, {Bench: "bs", Multipath: true},
+	}},
+		pubtac.Job{Program: bs1.Program, Inputs: []pubtac.Input{v3}},
+		pubtac.Job{Program: cnt.Program, Inputs: []pubtac.Input{cnt.Default()}},
+		pubtac.Job{Program: bs2.Program, Inputs: bs2.Inputs})
+}
+
+// TestServerConcurrentColdAndHits: two cold analyses of one benchmark run on
+// the registry table's shared program while hits on the same benchmark
+// resolve through the table. CI runs it under the race detector.
+func TestServerConcurrentColdAndHits(t *testing.T) {
+	srv, ts := newTestServer(t, t.TempDir())
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	warm := client.AnalyzeRequest{Bench: "bs"}
+	want, _, err := c.AnalyzeRaw(ctx, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cold := []client.AnalyzeRequest{{Bench: "bs", Input: "v3"}, {Bench: "bs", Input: "v5"}}
+	errs := make([]error, len(cold))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, req := range cold {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, cached, err := c.AnalyzeRaw(ctx, req)
+			if err == nil && cached {
+				err = fmt.Errorf("cold request %+v served from the store", req)
+			}
+			errs[i] = err
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for hits := 0; ; hits++ {
+		select {
+		case <-done:
+			if hits == 0 {
+				t.Fatal("no hit was served while the cold requests ran")
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := srv.Stats(); st.Computed != 3 {
+				t.Fatalf("computed = %d analyses, want 3 (one warm-up, two cold)", st.Computed)
+			}
+			return
+		default:
+		}
+		body, cached, err := c.AnalyzeRaw(ctx, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cached || !bytes.Equal(body, want) {
+			t.Fatalf("hit %d: cached=%v, body equal=%v", hits, cached, bytes.Equal(body, want))
+		}
+	}
+}
+
+// TestServerHitRunsNoPipeline: a memory hit resolves its request through the
+// registry table and reads the store, with no IR build, PUB, Exec or trace
+// hash. Deriving a key through the pipeline costs hundreds of allocations
+// per input vector, so the bound of 100 catches any of it on the hit path.
+func TestServerHitRunsNoPipeline(t *testing.T) {
+	srv, _ := newTestServer(t, t.TempDir())
+	for _, body := range []string{
+		`{"bench": "bs", "multipath": true, "wait": true}`,
+		`{"bench": "matmult", "wait": true}`,
+	} {
+		post := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body)))
+			return rec
+		}
+		if rec := post(); rec.Code != http.StatusOK {
+			t.Fatalf("%s: warm-up status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec := post(); rec.Header().Get(client.HeaderCache) != "hit" || rec.Header().Get(client.HeaderTier) != serve.TierMem {
+			t.Fatalf("%s: second request not a memory hit (headers %v)", body, rec.Header())
+		}
+		if allocs := testing.AllocsPerRun(50, func() { post() }); allocs > 100 {
+			t.Errorf("%s: a memory hit took %.0f allocations, want at most 100", body, allocs)
+		}
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 // The pipeline is a deterministic function of (program IR, configuration,
 // campaign seed), so equal fingerprints imply bit-identical results — the
 // property the analysis service's result store is keyed on. Clients and
-// servers derive fingerprints through the same three entry points
-// (Session.ConfigFingerprint, FingerprintProgram, Job.Key) and therefore
-// agree on keys without exchanging anything but the hash.
+// servers derive fingerprints through the same entry points
+// (Session.ConfigFingerprint, FingerprintProgram, Job.Key or JobKey, and
+// AnalysisKey) and therefore agree on keys without exchanging anything but
+// the hash.
 type Fingerprint [sha256.Size]byte
 
 // String returns the fingerprint as lowercase hex.
@@ -107,8 +108,8 @@ func FingerprintProgram(p *Program, in Input, seed uint64) (Fingerprint, error) 
 	return sumFingerprint(h), nil
 }
 
-// Key fingerprints the job under campaign seed salt seed: the ordered
-// combination of FingerprintProgram over every input vector. Combined with
+// Key fingerprints the job under campaign seed salt seed: JobKey over
+// FingerprintProgram of every input vector, in order. Combined with
 // Session.ConfigFingerprint via AnalysisKey it addresses the job's full
 // result content.
 func (j Job) Key(seed uint64) (Fingerprint, error) {
@@ -118,16 +119,29 @@ func (j Job) Key(seed uint64) (Fingerprint, error) {
 	if len(j.Inputs) == 0 {
 		return Fingerprint{}, fmt.Errorf("pubtac: job key: %s has no inputs", j.Program.Name)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "pubtac-job-v%d;", core.EncodingVersion)
-	for _, in := range j.Inputs {
+	fps := make([]Fingerprint, len(j.Inputs))
+	for i, in := range j.Inputs {
 		fp, err := FingerprintProgram(j.Program, in, seed)
 		if err != nil {
 			return Fingerprint{}, err
 		}
+		fps[i] = fp
+	}
+	return JobKey(fps...), nil
+}
+
+// JobKey combines the program fingerprints of a job's input vectors, in
+// input order, into the job's key. It is Job.Key's combiner, exposed for a
+// caller that already holds the FingerprintProgram values: the pubtacd
+// daemon computes them once per registry input and derives every request's
+// key from them.
+func JobKey(programs ...Fingerprint) Fingerprint {
+	h := sha256.New()
+	fmt.Fprintf(h, "pubtac-job-v%d;", core.EncodingVersion)
+	for _, fp := range programs {
 		h.Write(fp[:])
 	}
-	return sumFingerprint(h), nil
+	return sumFingerprint(h)
 }
 
 // AnalysisKey derives the content-addressed cache key of a batch analysis:
