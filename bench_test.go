@@ -318,9 +318,9 @@ func BenchmarkServeHit(b *testing.B) {
 // incremental battery at the convergence loop's steady state: n = 100k
 // collected runs, 1k-run increments. The one-shot arm re-scans and re-sorts
 // the full sample every round (the last remaining per-round O(n·lags) cost
-// after the batched replay); the incremental arm pushes the increment,
-// merges the sorted view — as the convergence loop already does for the
-// tail fit — and re-reports.
+// after the batched replay); the incremental arm pushes the increment into
+// a full summary, which merges its sorted view — as the convergence loop
+// already does for the tail fit — and re-reports.
 //
 //pubtac:bench
 func BenchmarkCheckIID(b *testing.B) {
@@ -339,23 +339,19 @@ func BenchmarkCheckIID(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) {
 		extra := xs[n:]
-		var st *stats.IIDState
-		var sorted []float64
+		var sum *stats.FullSummary
 		reset := func() {
-			st = new(stats.IIDState)
-			st.Push(xs[:n])
-			sorted = stats.SortedCopy(xs[:n])
-			st.ReportSorted(sorted)
+			sum = stats.NewFullSummary(true)
+			sum.Push(xs[:n])
+			sum.IID()
 		}
 		reset()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			j := i % (len(extra) / inc) * inc
-			blk := extra[j : j+inc]
-			st.Push(blk)
-			sorted = stats.MergeSorted(sorted, stats.SortedCopy(blk))
-			st.ReportSorted(sorted)
-			if st.N() >= 2*n {
+			sum.Push(extra[j : j+inc])
+			sum.IID()
+			if sum.N() >= 2*n {
 				// Keep the battery pinned near the nominal sample size:
 				// rebuild outside the timer once the campaign doubled.
 				b.StopTimer()

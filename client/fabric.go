@@ -23,9 +23,10 @@ type PeersConfig struct {
 	// hedged race counts as one attempt. Zero or negative means 3.
 	MaxAttempts int
 	// HedgeDelay is how long the primary dispatch runs alone before the
-	// same shard is raced on a second peer; the first valid full summary
-	// wins and the loser is cancelled. Zero or negative disables hedging,
-	// which spends duplicate work for tail latency.
+	// same shard is raced on a second peer; the first verdict, a valid full
+	// summary or a failure, ends the race and the other dispatch is
+	// cancelled. Zero or negative disables hedging, which spends duplicate
+	// work for tail latency.
 	HedgeDelay time.Duration
 	// Transport, when non-nil, replaces every peer client's HTTP transport
 	// — the hook chaos testing plugs the fault injector into.
@@ -207,17 +208,24 @@ type attemptResult struct {
 }
 
 // attempt runs one (possibly hedged) dispatch round: the primary peer
-// starts immediately; if a hedge delay is configured and the primary has
-// neither answered nor failed when it elapses, the same spec races on a
-// second peer and the first valid summary wins, cancelling the loser.
+// starts immediately; if a hedge delay is configured and the primary has not
+// answered when it elapses, the same spec races on a second peer. The first
+// verdict ends the round and cancels the other racer: a valid summary wins,
+// and a failure goes back to CollectShard's retry loop (backoff, fresh peer
+// pick) instead of waiting out a silent straggler. When the hedge timer
+// finds no admissible second peer it re-arms, so the straggler is raced as
+// soon as a breaker lets a peer back in.
 func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, error) {
 	primary := p.pick(nil)
 	if primary == nil {
 		return nil, errAllPeersOpen
 	}
 	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	g, _ := pool.WithContext(actx)
+	defer func() {
+		cancel()
+		g.Wait()
+	}()
 	results := make(chan attemptResult, 2) // buffered: a loser's send never blocks
 	launch := func(pr *peer, hedged bool) {
 		g.Go(func() error {
@@ -227,61 +235,32 @@ func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, 
 		})
 	}
 	launch(primary, false)
-	inFlight := 1
 
 	var hedgeCh <-chan time.Time
+	stopHedge := func() bool { return false }
+	defer func() { stopHedge() }()
 	if p.hedgeDelay > 0 && len(p.peers) > 1 {
-		ch, stop := p.clock.After(p.hedgeDelay)
-		defer stop()
-		hedgeCh = ch
+		hedgeCh, stopHedge = p.clock.After(p.hedgeDelay)
 	}
-
-	var firstErr error
-	for inFlight > 0 {
+	for {
 		select {
 		case res := <-results:
-			inFlight--
-			if res.err == nil {
-				if res.hedged {
-					p.hedgeWins.Add(1)
-				}
-				cancel()
-				g.Wait()
-				return res.runs, nil
+			if res.err == nil && res.hedged {
+				p.hedgeWins.Add(1)
 			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if permanentErr(res.err) {
-				cancel()
-				g.Wait()
-				return nil, res.err
-			}
-			// The hedge failed while the primary is still silent. Waiting
-			// out a potential straggler on the strength of a dead hedge is
-			// how attempts pin themselves to the attempt timeout; fail the
-			// round instead and let the retry loop re-dispatch — backoff,
-			// fresh peer pick — while this round's racers are cancelled.
-			if res.hedged && inFlight > 0 {
-				cancel()
-				g.Wait()
-				return nil, firstErr
-			}
+			return res.runs, res.err
 		case <-hedgeCh:
-			hedgeCh = nil
 			if sec := p.pick(primary); sec != nil {
 				p.hedges.Add(1)
 				launch(sec, true)
-				inFlight++
+				hedgeCh = nil
+			} else {
+				hedgeCh, stopHedge = p.clock.After(p.hedgeDelay)
 			}
 		case <-ctx.Done():
-			cancel()
-			g.Wait()
 			return nil, ctx.Err()
 		}
 	}
-	g.Wait()
-	return nil, firstErr
 }
 
 // dispatch sends the shard to one peer under the per-attempt timeout and

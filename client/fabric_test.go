@@ -3,11 +3,13 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -263,5 +265,101 @@ func TestPeersBreakerOpens(t *testing.T) {
 	}
 	if got := badHits.Load(); got != before {
 		t.Errorf("open-breaker peer still saw %d new requests", got-before)
+	}
+}
+
+// stragglerServer holds every shard request until the fabric cancels it. It
+// drains the body first: otherwise the server never watches the connection,
+// never sees the cancel, and Close hangs.
+func stragglerServer() *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+}
+
+// wantRetryable503 asserts that a shard round ended on the failing peer's
+// retryable 503, not on the caller's deadline.
+func wantRetryable503(t *testing.T, err error) {
+	t.Helper()
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || permanentErr(err) {
+		t.Fatalf("err = %v, want the failing peer's retryable 503", err)
+	}
+}
+
+// When the primary fails after the hedge went to a silent straggler, the
+// failure is the round's first verdict: the straggler is cancelled and the
+// 503 goes back to the retry loop at once, instead of the round waiting on
+// the straggler until the caller's deadline.
+func TestPeersPrimaryFailureEndsHedgedRound(t *testing.T) {
+	var p *Peers
+	var fc *fault.Fake
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		// Hold the request until the hedge has gone to the straggler.
+		for p.Stats().Hedges < 1 {
+			fc.Advance(time.Millisecond)
+			time.Sleep(100 * time.Microsecond)
+		}
+		http.Error(w, "injected", http.StatusServiceUnavailable)
+	}))
+	defer failing.Close()
+	straggler := stragglerServer()
+	defer straggler.Close()
+
+	p, fc = fakeClockFabric(PeersConfig{MaxAttempts: 1, HedgeDelay: time.Millisecond}, failing.URL, straggler.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	_, err := p.CollectShard(ctx, testSpec(0, 8))
+	wantRetryable503(t, err)
+	if st := p.Stats(); st.Hedges != 1 || st.HedgeWins != 0 {
+		t.Errorf("stats = %+v, want Hedges=1 HedgeWins=0", st)
+	}
+}
+
+// When the hedge timer fires and no second peer is admissible (the only
+// other peer's breaker is open), the timer re-arms: once the breaker's
+// cooldown lets the peer back in, the straggling primary is raced against
+// it, and the round ends on that peer's verdict instead of waiting on the
+// straggler until the caller's deadline.
+func TestPeersHedgeRearmsUntilPeerAdmitted(t *testing.T) {
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		http.Error(w, "injected", http.StatusServiceUnavailable)
+	}))
+	defer failing.Close()
+	straggler := stragglerServer()
+	defer straggler.Close()
+
+	p, fc := fakeClockFabric(PeersConfig{MaxAttempts: 2, HedgeDelay: time.Millisecond}, failing.URL, straggler.URL)
+	p.threshold = 1
+	// Run injected time at 50x wall time, so the 5 s breaker cooldown
+	// passes in about 100 ms.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+				fc.Advance(50 * time.Millisecond)
+			}
+		}
+	}()
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	_, err := p.CollectShard(ctx, testSpec(0, 8))
+	wantRetryable503(t, err)
+	if st := p.Stats(); st.Hedges < 1 || st.BreakerOpens < 1 {
+		t.Errorf("stats = %+v, want at least one hedge and one breaker open", st)
 	}
 }

@@ -89,41 +89,42 @@ func ParseSpec(s string, seed uint64) (Spec, error) {
 	if strings.TrimSpace(s) == "" {
 		return spec, nil
 	}
+	rates := map[string]*int{
+		"straggle": &spec.Straggle, "drop": &spec.Drop, "fail": &spec.Fail,
+		"delay": &spec.Delay, "truncate": &spec.Truncate, "corrupt": &spec.Corrupt,
+	}
+	seen := make(map[string]bool)
 	for _, part := range strings.Split(s, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return spec, fmt.Errorf("fault: bad spec entry %q (want kind=permille)", part)
 		}
+		rate, known := rates[name]
+		if !known {
+			return spec, fmt.Errorf("fault: unknown fault kind %q", name)
+		}
+		if seen[name] {
+			return spec, fmt.Errorf("fault: fault kind %q given twice", name)
+		}
+		seen[name] = true
 		if name == "delay" {
-			if rate, dur, hasDur := strings.Cut(val, ":"); hasDur {
+			if r, dur, hasDur := strings.Cut(val, ":"); hasDur {
 				d, err := time.ParseDuration(dur)
 				if err != nil {
 					return spec, fmt.Errorf("fault: bad delay duration in %q: %v", part, err)
 				}
+				if d < 0 {
+					return spec, fmt.Errorf("fault: negative delay duration in %q", part)
+				}
 				spec.Latency = d
-				val = rate
+				val = r
 			}
 		}
 		n, err := strconv.Atoi(val)
 		if err != nil || n < 0 || n > 1000 {
 			return spec, fmt.Errorf("fault: bad rate in %q (want 0..1000 per-mille)", part)
 		}
-		switch name {
-		case "straggle":
-			spec.Straggle = n
-		case "drop":
-			spec.Drop = n
-		case "fail":
-			spec.Fail = n
-		case "delay":
-			spec.Delay = n
-		case "truncate":
-			spec.Truncate = n
-		case "corrupt":
-			spec.Corrupt = n
-		default:
-			return spec, fmt.Errorf("fault: unknown fault kind %q", name)
-		}
+		*rate = n
 	}
 	if spec.total() > 1000 {
 		return spec, fmt.Errorf("fault: rates sum to %d per-mille (max 1000)", spec.total())

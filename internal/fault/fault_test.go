@@ -109,6 +109,12 @@ func TestSpecRates(t *testing.T) {
 	}
 }
 
+// badSpecs are chaos strings ParseSpec must reject.
+var badSpecs = []string{
+	"drop", "drop=x", "drop=-1", "drop=2000", "nope=5", "drop=600,fail=600", "delay=10:xx",
+	"delay=100:-5ms", "drop=100,drop=900",
+}
+
 func TestParseSpec(t *testing.T) {
 	spec, err := ParseSpec("drop=150,fail=100,corrupt=80,truncate=50,delay=100:7ms,straggle=20", 9)
 	if err != nil {
@@ -118,7 +124,7 @@ func TestParseSpec(t *testing.T) {
 	if spec != want {
 		t.Fatalf("parsed %+v, want %+v", spec, want)
 	}
-	for _, bad := range []string{"drop", "drop=x", "drop=-1", "drop=2000", "nope=5", "drop=600,fail=600", "delay=10:xx"} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad, 0); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
@@ -126,6 +132,37 @@ func TestParseSpec(t *testing.T) {
 	if spec, err := ParseSpec("", 3); err != nil || spec.total() != 0 {
 		t.Errorf("empty spec: %+v, %v", spec, err)
 	}
+}
+
+// FuzzParseSpec feeds ParseSpec arbitrary -chaos strings. No input may
+// panic. An accepted spec has every rate in 0..1000, rates summing to at
+// most 1000 and a latency >= 0, and an injector built from it decides
+// without panicking.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("drop=150,fail=100,corrupt=80,truncate=50,delay=100:7ms,straggle=20", uint64(9))
+	f.Add("", uint64(3))
+	f.Add("drop=120,fail=100,corrupt=90,truncate=70", uint64(51077)) // CI's chaos-smoke string
+	for _, bad := range badSpecs {
+		f.Add(bad, uint64(0))
+	}
+	f.Fuzz(func(t *testing.T, s string, seed uint64) {
+		spec, err := ParseSpec(s, seed)
+		if err != nil {
+			return
+		}
+		for _, r := range []int{spec.Straggle, spec.Drop, spec.Fail, spec.Delay, spec.Truncate, spec.Corrupt} {
+			if r < 0 || r > 1000 {
+				t.Fatalf("ParseSpec(%q) accepted rate %d: %+v", s, r, spec)
+			}
+		}
+		if spec.total() > 1000 || spec.Latency < 0 {
+			t.Fatalf("ParseSpec(%q) accepted %+v", s, spec)
+		}
+		inj := New(spec)
+		for id := uint64(0); id < 64; id++ {
+			inj.Decide(id)
+		}
+	})
 }
 
 // The RoundTripper mangles traffic exactly as decided: drops error out,

@@ -75,7 +75,7 @@ func TestIIDStateMatchesCheckIIDOnCampaigns(t *testing.T) {
 				}
 				st.Push(sample[lo:hi])
 			}
-			got := st.Report()
+			got := st.ReportSorted(sample, stats.SortedCopy(sample))
 			if !sameTest(got.Runs, want.Runs) || !sameTest(got.Identical, want.Identical) {
 				t.Fatalf("root=%d n=%d: battery %+v != one-shot %+v", root, n, got, want)
 			}

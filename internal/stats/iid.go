@@ -7,13 +7,15 @@ import "math"
 const iidMaxLags = 20
 
 // IIDState incrementally maintains the MBPTA admissibility battery over a
-// growing run-ordered sample. A convergence loop that adds inc runs per
-// round pays O(inc·lags) per Push plus O(lags) per report for the Ljung-Box
-// check, instead of CheckIID's O(n·lags) full-sample re-scan; the runs test
-// continues its scan from where the previous report stopped (re-dichotomizing
-// only when the sample median actually moves), and the two-half KS check
-// maintains the ascending-sorted first half across the moving half boundary
-// so neither half is ever re-sorted.
+// growing run-ordered sample that its owner retains (FullSummary): Push only
+// folds each block into the Ljung-Box moment sums, and ReportSorted reads the
+// owner's sample and ascending-sorted view. A convergence loop that adds inc
+// runs per round pays O(inc·lags) per Push plus O(lags) per report for the
+// Ljung-Box check, instead of CheckIID's O(n·lags) full-sample re-scan; the
+// runs test continues its scan from where the previous report stopped
+// (re-dichotomizing only when the sample median actually moves), and the
+// two-half KS check grows its ascending-sorted first half across the moving
+// half boundary so neither half is ever re-sorted.
 //
 // Reports are bit-identical to CheckIID for the runs and KS checks (same
 // integer counts, same median, same evaluation points) and agree with it to
@@ -22,242 +24,216 @@ const iidMaxLags = 20
 // one-shot battery remains the reference oracle; see the equivalence tests
 // and the mbpta.Campaign referenceIID test seam.
 //
-// A battery built with NewStreamingIID additionally drops the retained
-// series, bounding memory by the configured budget; see the streaming notes
-// on each check for what that changes.
-//
 // The zero value is an empty battery ready for use. An IIDState is not safe
 // for concurrent use.
 //
 //pubtac:fastpath iid
 type IIDState struct {
-	series []float64 // the run-ordered sample, appended on Push (nil in streaming mode)
-	n      int       // total runs pushed
+	lb ljungBoxSums
 
-	// Streaming mode (NewStreamingIID): no retained series. The runs test
-	// dichotomizes each pushed block at the then-current sketch median
-	// instead of re-dichotomizing on median moves; the two-half KS check
-	// compares the retained first min(n/2, firstCap) runs against the rest
-	// through the sketch; Ljung-Box always uses the reconstructed
-	// autocorrelations (no rescan fallback).
-	stream    bool
-	sketch    *QuantileSketch // full-population sketch, owned by the enclosing summary
-	firstCap  int             // retention cap for the first-runs prefix
-	firstRuns []float64       // first min(n, firstCap) runs, in run order
+	// Runs-test scan state: the tally of sample[:scanned] dichotomized at
+	// runsMed. Valid while the sample median stays at runsMed; a median
+	// move restarts the scan.
+	runsMed float64
+	hasMed  bool
+	scanned int
+	runs    signRuns
 
-	// Ljung-Box accumulators over the shifted series y_i = x_i - shift
-	// (shift is the first observed value; execution times sit far from
-	// zero, so anchoring the moments near the data keeps the expanded sums
-	// well conditioned).
+	// firstSorted is the ascending-sorted first half of the two-half KS
+	// check, grown at report time (see growSortedPrefix).
+	firstSorted []float64
+}
+
+// N returns the number of runs pushed so far.
+func (s *IIDState) N() int { return s.lb.n }
+
+// Push folds a block of runs, in run order, into the Ljung-Box sums:
+// O(len(block)·lags). The owner retains the runs themselves.
+func (s *IIDState) Push(block []float64) { s.lb.push(block) }
+
+// ReportSorted computes the battery report for the runs pushed so far, given
+// the owner's run-ordered sample of those same runs and its ascending-sorted
+// view. The sorted view supplies the runs-test median in O(1); nothing
+// re-sorts or re-scans the run-ordered prefix. ReportSorted mutates the
+// runs-test scan state and the KS first half and is therefore not
+// idempotent w.r.t. cost, only w.r.t. results.
+func (s *IIDState) ReportSorted(sample, sorted []float64) IIDReport {
+	if len(sample) != s.lb.n || len(sorted) != s.lb.n {
+		panic("stats: IIDState.ReportSorted: sample or sorted view does not match the pushed runs")
+	}
+	return IIDReport{
+		Runs:      s.runsReport(sample, sorted),
+		LjungBox:  s.lb.report(sample),
+		Identical: s.identicalReport(sample, sorted),
+	}
+}
+
+// runsReport continues the Wald-Wolfowitz scan over the unscanned suffix.
+// When the sample median moved since the last report the whole sample is
+// re-dichotomized; integer-valued execution times pin the median quickly,
+// so steady-state rounds only scan their increment.
+func (s *IIDState) runsReport(sample, sorted []float64) TestResult {
+	if len(sample) == 0 {
+		return TestResult{Name: "runs", Statistic: 0, PValue: 1}
+	}
+	med := quantileSorted(sorted, 0.5)
+	if !s.hasMed || med != s.runsMed {
+		s.runsMed, s.hasMed = med, true
+		s.scanned, s.runs = 0, signRuns{}
+	}
+	s.runs.scan(sample[s.scanned:], med)
+	s.scanned = len(sample)
+	return s.runs.result()
+}
+
+// identicalReport is the two-half KS check against the maintained first
+// half; the second half's ECDF is derived from the full sorted view during
+// the walk, so it never needs its own sorted copy.
+func (s *IIDState) identicalReport(sample, sorted []float64) TestResult {
+	n := len(sample)
+	if n < 4 {
+		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
+	}
+	s.firstSorted = growSortedPrefix(s.firstSorted, sample, n/2)
+	h := len(s.firstSorted)
+	return ksResult(ksFirstVsRest(sorted, s.firstSorted), h, n-h)
+}
+
+// Bytes returns the battery's retained memory in bytes: the KS first half and
+// the Ljung-Box windows (transient merge buffers excluded; the sample is the
+// owner's).
+func (s *IIDState) Bytes() int { return len(s.firstSorted)*8 + s.lb.bytes() + 256 }
+
+// streamIID is the bounded-memory battery a StreamingSummary holds. It
+// retains no series, only the first min(n, firstCap) runs, and it reads the
+// summary's population sketch, which the summary updates with each block
+// BEFORE pushing the block here. Its three documented approximations:
+//
+//   - the runs test dichotomizes each pushed block at the then-current
+//     sketch median and never re-dichotomizes past blocks, so a median move
+//     cannot restart the scan; on the integer cycle grids of real campaigns
+//     the median pins within the first rounds and the counts then match the
+//     reference bit for bit;
+//   - the two-half KS check compares the retained first h = min(n/2,
+//     firstCap) runs against the rest of the population read off the
+//     sketch: bit-identical to the full battery while n <= 2·firstCap and
+//     the sketch is exact, and past that the boundary freezes at firstCap
+//     and bucket quantization bounds the value resolution by the sketch
+//     step;
+//   - Ljung-Box always uses the reconstructed autocorrelations (no rescan
+//     fallback).
+type streamIID struct {
+	lb          ljungBoxSums
+	runs        signRuns
+	sketch      *QuantileSketch
+	firstCap    int
+	firstRuns   []float64 // first min(n, firstCap) runs, in run order
+	firstSorted []float64 // ascending-sorted firstRuns[:h], grown at report time
+}
+
+func (s *streamIID) push(block []float64) {
+	s.lb.push(block)
+	if room := s.firstCap - len(s.firstRuns); room > 0 {
+		s.firstRuns = append(s.firstRuns, block[:min(room, len(block))]...)
+	}
+	s.runs.scan(block, s.sketch.Quantile(0.5))
+}
+
+func (s *streamIID) report() IIDReport {
+	return IIDReport{
+		Runs:      s.runs.result(),
+		LjungBox:  s.lb.report(nil),
+		Identical: s.identicalReport(),
+	}
+}
+
+func (s *streamIID) identicalReport() TestResult {
+	n := s.lb.n
+	if n < 4 {
+		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
+	}
+	s.firstSorted = growSortedPrefix(s.firstSorted, s.firstRuns, min(n/2, s.firstCap))
+	h := len(s.firstSorted)
+	return ksResult(ksFirstVsSketch(s.sketch, s.firstSorted, n), h, n-h)
+}
+
+func (s *streamIID) bytes() int {
+	return (len(s.firstRuns)+len(s.firstSorted))*8 + s.lb.bytes() + 256
+}
+
+// growSortedPrefix extends prefixSorted, the ascending-sorted first
+// len(prefixSorted) values of runs, to the first h: the run-ordered chunk
+// crossing the boundary is sorted and merged in, so the prefix only ever
+// grows and never re-sorts. The result is the sorted multiset of runs[:h]
+// however the growth was split, so a battery may grow it lazily, at report
+// time.
+func growSortedPrefix(prefixSorted, runs []float64, h int) []float64 {
+	if h <= len(prefixSorted) {
+		return prefixSorted
+	}
+	return MergeSorted(prefixSorted, SortedCopy(runs[len(prefixSorted):h]))
+}
+
+// ljungBoxSums folds a run-ordered series into the running sums the
+// Ljung-Box check reconstructs its autocorrelations from. The moments are
+// taken over the shifted series y_i = x_i - shift, where shift is the first
+// observed value: execution times sit far from zero, so anchoring the
+// moments near the data keeps the expanded sums well conditioned.
+type ljungBoxSums struct {
+	n      int
 	shift  float64
 	sum    float64             // Σ y_i
 	sumSq  float64             // Σ y_i²
 	cross  [iidMaxLags]float64 // cross[k-1] = Σ_i y_i · y_{i+k}
 	head   []float64           // first ≤ iidMaxLags shifted values
 	window []float64           // last ≤ iidMaxLags shifted values, run order
-
-	// Runs-test scan state w.r.t. the dichotomization threshold runsMed:
-	// above/below counts and the sign-transition tally of the prefix
-	// scanned so far. Valid while the sample median stays at runsMed; a
-	// median move restarts the dichotomization (full mode only — the
-	// streaming battery has no series to re-scan).
-	runsMed  float64
-	hasMed   bool
-	scanned  int
-	n1, n2   int
-	runs     int
-	lastSign int8
-
-	// firstSorted is the ascending-sorted view of the first sample of the
-	// two-half KS check: series[:half] in full mode, firstRuns[:half] in
-	// streaming mode. The half boundary advances on Push (full) or at
-	// report time (streaming); the run-ordered chunk crossing it is sorted
-	// and merged in, so the first half only ever grows and never re-sorts.
-	firstSorted []float64
-	half        int
 }
 
-// NewStreamingIID returns a bounded-memory battery: it retains no series,
-// only the first min(n, firstCap) runs for the KS check. sketch must be the
-// full-population sketch of the same pushed sample and must be updated with
-// each block BEFORE the block is pushed here (the runs test dichotomizes at
-// the sketch median covering the block).
-func NewStreamingIID(sketch *QuantileSketch, firstCap int) *IIDState {
-	if firstCap < 4 {
-		firstCap = 4
-	}
-	return &IIDState{stream: true, sketch: sketch, firstCap: firstCap}
-}
-
-// N returns the number of runs pushed so far.
-func (s *IIDState) N() int { return s.n }
-
-// Push appends a block of runs, in run order, to the battery. Cost:
-// O(len(block)·lags) for the autocorrelation cross-products plus the merge
-// maintaining the sorted first half.
-func (s *IIDState) Push(block []float64) {
+func (l *ljungBoxSums) push(block []float64) {
 	if len(block) == 0 {
 		return
 	}
-	if s.n == 0 {
-		s.shift = block[0]
+	if l.n == 0 {
+		l.shift = block[0]
 	}
 	for _, x := range block {
-		y := x - s.shift
-		w := len(s.window)
+		y := x - l.shift
+		w := len(l.window)
 		for k := 1; k <= w; k++ {
-			s.cross[k-1] += y * s.window[w-k]
+			l.cross[k-1] += y * l.window[w-k]
 		}
 		if w == iidMaxLags {
-			copy(s.window, s.window[1:])
-			s.window[w-1] = y
+			copy(l.window, l.window[1:])
+			l.window[w-1] = y
 		} else {
-			s.window = append(s.window, y)
+			l.window = append(l.window, y)
 		}
-		if len(s.head) < iidMaxLags {
-			s.head = append(s.head, y)
+		if len(l.head) < iidMaxLags {
+			l.head = append(l.head, y)
 		}
-		s.sum += y
-		s.sumSq += y * y
+		l.sum += y
+		l.sumSq += y * y
 	}
-	s.n += len(block)
-	if s.stream {
-		s.pushStream(block)
-		return
-	}
-	s.series = append(s.series, block...)
-	if h := s.n / 2; h > s.half {
-		s.firstSorted = MergeSorted(s.firstSorted, SortedCopy(s.series[s.half:h]))
-		s.half = h
-	}
+	l.n += len(block)
 }
 
-// pushStream is the streaming-mode tail of Push: first-runs retention and
-// the per-block runs-test scan. The block is dichotomized at the current
-// overall sketch median (the enclosing summary pushes the sketch first, so
-// it covers this block). Past blocks are never re-dichotomized — unlike the
-// retained-series battery, a median move cannot restart the scan; on the
-// integer cycle grids of real campaigns the median pins within the first
-// rounds and the counts then match the reference bit for bit.
-func (s *IIDState) pushStream(block []float64) {
-	if room := s.firstCap - len(s.firstRuns); room > 0 {
-		take := room
-		if take > len(block) {
-			take = len(block)
-		}
-		s.firstRuns = append(s.firstRuns, block[:take]...)
-	}
-	med := s.sketch.Quantile(0.5)
-	s.runsMed, s.hasMed = med, true
-	for _, x := range block {
-		var sign int8
-		switch {
-		case x > med:
-			sign = 1
-			s.n1++
-		case x < med:
-			sign = -1
-			s.n2++
-		default:
-			continue
-		}
-		if s.lastSign == 0 {
-			s.runs = 1
-		} else if sign != s.lastSign {
-			s.runs++
-		}
-		s.lastSign = sign
-	}
-}
-
-// ReportSorted computes the battery report for the sample pushed so far,
-// given the caller's ascending-sorted view of that same sample (the
-// convergence loop maintains one incrementally for the tail fit). The
-// sorted view supplies the runs-test median in O(1); nothing re-sorts or
-// re-scans the run-ordered prefix. ReportSorted mutates the runs-test scan
-// state and is therefore not idempotent w.r.t. cost, only w.r.t. results.
-// Streaming batteries have no full sorted view; use Report.
-func (s *IIDState) ReportSorted(sorted []float64) IIDReport {
-	if s.stream {
-		panic("stats: IIDState.ReportSorted: streaming battery has no full sorted view")
-	}
-	if len(sorted) != s.n {
-		panic("stats: IIDState.ReportSorted: sorted view does not match the pushed sample")
-	}
-	return IIDReport{
-		Runs:      s.runsReport(sorted),
-		LjungBox:  s.ljungBoxReport(),
-		Identical: s.identicalReport(sorted),
-	}
-}
-
-// Report is ReportSorted for callers without a maintained sorted view. In
-// full mode it assembles one by merging the sorted first half with a sort of
-// the second; in streaming mode it assembles the bounded-memory variants of
-// the three checks.
-func (s *IIDState) Report() IIDReport {
-	if s.stream {
-		return IIDReport{
-			Runs:      runsResult(s.n1, s.n2, s.runs),
-			LjungBox:  s.ljungBoxReport(),
-			Identical: s.identicalStreamReport(),
-		}
-	}
-	return s.ReportSorted(MergeSorted(s.firstSorted, SortedCopy(s.series[s.half:])))
-}
-
-// runsReport continues the Wald-Wolfowitz scan over the unscanned suffix.
-// When the sample median moved since the last report the whole series is
-// re-dichotomized; integer-valued execution times pin the median quickly,
-// so steady-state rounds only scan their increment.
-func (s *IIDState) runsReport(sorted []float64) TestResult {
-	if s.n == 0 {
-		return TestResult{Name: "runs", Statistic: 0, PValue: 1}
-	}
-	med := quantileSorted(sorted, 0.5)
-	if !s.hasMed || med != s.runsMed {
-		s.runsMed, s.hasMed = med, true
-		s.scanned, s.n1, s.n2, s.runs, s.lastSign = 0, 0, 0, 0, 0
-	}
-	for _, x := range s.series[s.scanned:] {
-		var sign int8
-		switch {
-		case x > med:
-			sign = 1
-			s.n1++
-		case x < med:
-			sign = -1
-			s.n2++
-		default:
-			continue
-		}
-		if s.lastSign == 0 {
-			s.runs = 1
-		} else if sign != s.lastSign {
-			s.runs++
-		}
-		s.lastSign = sign
-	}
-	s.scanned = s.n
-	return runsResult(s.n1, s.n2, s.runs)
-}
-
-// ljungBoxReport reconstructs the lag-k autocorrelations from the running
-// sums in O(lags): with m the running mean of the shifted series,
+// report reconstructs the lag-k autocorrelations from the running sums in
+// O(lags): with m the running mean of the shifted series,
 //
 //	Σ (y_i - m)(y_{i+k} - m) = cross_k - m·(2·Σy - head_k - tail_k) + (n-k)·m²
 //
 // because the i and i+k index ranges each miss k boundary terms (the last
-// and first k values respectively).
-func (s *IIDState) ljungBoxReport() TestResult {
-	n := s.n
+// and first k values respectively). rescan is the retained run-ordered
+// series, or nil for a battery that retains none.
+func (l *ljungBoxSums) report(rescan []float64) TestResult {
+	n := l.n
 	lags := iidLags(n)
 	if lags < 1 || n <= lags+1 {
 		return TestResult{Name: "ljung-box", Statistic: 0, PValue: 1}
 	}
 	nf := float64(n)
-	m := s.sum / nf
-	den := s.sumSq - nf*m*m
+	m := l.sum / nf
+	den := l.sumSq - nf*m*m
 	if den <= 0 {
 		// Zero sample variance: every autocorrelation is defined as 0
 		// (AutocorrelationsTo), in one-shot, incremental and streaming
@@ -270,61 +246,21 @@ func (s *IIDState) ljungBoxReport() TestResult {
 	// the exact one-shot scan over the retained series is the answer. The
 	// streaming battery has no series to re-scan and accepts the
 	// reconstruction unconditionally (documented approximation).
-	if !s.stream && m*m > 1e6*den/nf {
-		return LjungBox(s.series, lags)
+	if rescan != nil && m*m > 1e6*den/nf {
+		return LjungBox(rescan, lags)
 	}
 	rs := make([]float64, lags)
 	var headK, tailK float64
 	for k := 1; k <= lags; k++ {
-		headK += s.head[k-1]
-		tailK += s.window[len(s.window)-k]
-		num := s.cross[k-1] - m*(2*s.sum-headK-tailK) + float64(n-k)*m*m
+		headK += l.head[k-1]
+		tailK += l.window[len(l.window)-k]
+		num := l.cross[k-1] - m*(2*l.sum-headK-tailK) + float64(n-k)*m*m
 		rs[k-1] = num / den
 	}
 	return ljungBoxFromAutocorr(rs, n)
 }
 
-// identicalReport is the two-half KS check against the maintained first
-// half; the second half's ECDF is derived from the full sorted view during
-// the walk, so it never needs its own sorted copy.
-func (s *IIDState) identicalReport(sorted []float64) TestResult {
-	n := s.n
-	if n < 4 {
-		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
-	}
-	d := ksFirstVsRest(sorted, s.firstSorted)
-	n1, n2 := float64(s.half), float64(n-s.half)
-	ne := n1 * n2 / (n1 + n2)
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	return TestResult{Name: "ks-2sample", Statistic: d, PValue: KolmogorovSurvival(lambda)}
-}
-
-// identicalStreamReport is the streaming two-half KS check: the first sample
-// is the retained first h = min(n/2, firstCap) runs, the second is the rest
-// of the population read off the sketch by count subtraction. While n <=
-// 2·firstCap and the sketch is exact the check is bit-identical to the
-// retained-series one; past that the boundary freezes at firstCap (first
-// firstCap runs vs. everything after) and bucket quantization bounds the
-// value resolution by the sketch step.
-func (s *IIDState) identicalStreamReport() TestResult {
-	n := s.n
-	if n < 4 {
-		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
-	}
-	h := n / 2
-	if h > s.firstCap {
-		h = s.firstCap
-	}
-	if h > s.half {
-		s.firstSorted = MergeSorted(s.firstSorted, SortedCopy(s.firstRuns[s.half:h]))
-		s.half = h
-	}
-	d := ksFirstVsSketch(s.sketch, s.firstSorted, n)
-	n1, n2 := float64(s.half), float64(n-s.half)
-	ne := n1 * n2 / (n1 + n2)
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	return TestResult{Name: "ks-2sample", Statistic: d, PValue: KolmogorovSurvival(lambda)}
-}
+func (l *ljungBoxSums) bytes() int { return (len(l.head) + len(l.window)) * 8 }
 
 // ksFirstVsRest computes the two-sample KS statistic between the first-half
 // sample (first, ascending) and the rest of the full sample (full ∖ first)
@@ -385,10 +321,4 @@ func ksFirstVsSketch(sk *QuantileSketch, first []float64, n int) float64 {
 		}
 	}
 	return d
-}
-
-// Bytes returns the battery's retained memory in bytes (accounting for the
-// streaming memory model; transient merge buffers excluded).
-func (s *IIDState) Bytes() int {
-	return (len(s.series)+len(s.firstRuns)+len(s.firstSorted)+len(s.head)+len(s.window))*8 + 256
 }

@@ -1,0 +1,61 @@
+package stats
+
+import (
+	"math"
+	"testing"
+
+	"pubtac/internal/rng"
+)
+
+// FuzzBatteryMatchesCheckIID drives the incremental battery the way the
+// convergence loop does — a NewFullSummary(true) fed in chunks, reporting on
+// a schedule — and holds its final report to the one-shot CheckIID over the
+// same sample: runs and KS bit for bit, Ljung-Box to reassociation error
+// (TestIIDStateMatchesCheckIID's tolerances). The fuzz input chooses up to
+// 3,000 values on an integer grid of 1..256 levels (ties and a moving
+// median), the chunk size, and which blocks are followed by a report (bit
+// k%64 of sched for block k). The leading values come from data, the rest
+// from a generator seeded with seed.
+func FuzzBatteryMatchesCheckIID(f *testing.F) {
+	const everyThird = 0x9249249249249249
+	for _, n := range []int{0, 1, 3, 4, 7, 257, 3000} {
+		for _, chunk := range []int{1, 7, 64, n + 1} {
+			f.Add(uint16(n), uint16(chunk), uint8(n%200), uint64(everyThird), uint64(n), []byte(nil))
+		}
+	}
+	f.Add(uint16(40), uint16(5), uint8(3), ^uint64(0), uint64(1), []byte{0, 0, 0, 2, 2, 2, 1, 1})
+	f.Add(uint16(100), uint16(9), uint8(0), uint64(0), uint64(2), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, n, chunk uint16, grid uint8, sched, seed uint64, data []byte) {
+		size := int(n) % 3001
+		levels := int(grid) + 1
+		gen := rng.New(seed)
+		xs := make([]float64, size)
+		for i := range xs {
+			if i < len(data) {
+				xs[i] = 40000 + float64(int(data[i])%levels)
+			} else {
+				xs[i] = 40000 + math.Floor(gen.Float64()*float64(levels))
+			}
+		}
+		step := min(max(int(chunk), 1), size+1)
+
+		sum := NewFullSummary(true)
+		for lo, k := 0, 0; lo < size; lo, k = lo+step, k+1 {
+			sum.Push(xs[lo:min(lo+step, size)])
+			if sched>>(k%64)&1 == 1 {
+				sum.IID()
+			}
+		}
+		got, want := sum.IID(), CheckIID(xs)
+		if !sameResult(got.Runs, want.Runs) {
+			t.Fatalf("n=%d chunk=%d: runs %+v != one-shot %+v", size, step, got.Runs, want.Runs)
+		}
+		if !sameResult(got.Identical, want.Identical) {
+			t.Fatalf("n=%d chunk=%d: identical %+v != one-shot %+v", size, step, got.Identical, want.Identical)
+		}
+		if !closeResult(got.LjungBox, want.LjungBox, 1e-8) {
+			t.Fatalf("n=%d chunk=%d: ljung-box %+v != one-shot %+v", size, step, got.LjungBox, want.LjungBox)
+		}
+	})
+}

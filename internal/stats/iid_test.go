@@ -72,7 +72,7 @@ func TestBatteryDegenerateInputs(t *testing.T) {
 
 			st := new(IIDState)
 			st.Push(c.xs)
-			inc := st.Report() // must not panic either
+			inc := st.ReportSorted(c.xs, SortedCopy(c.xs)) // must not panic either
 			if !sameResult(inc.Runs, rep.Runs) || !sameResult(inc.Identical, rep.Identical) {
 				t.Errorf("incremental degenerate report diverges: %+v vs %+v", inc, rep)
 			}
@@ -167,10 +167,10 @@ func TestIIDStateMatchesCheckIID(t *testing.T) {
 					// across median moves; results must not depend on how
 					// often the battery was consulted.
 					if lo%(3*chunk) == 0 {
-						st.Report()
+						st.ReportSorted(xs[:hi], SortedCopy(xs[:hi]))
 					}
 				}
-				got := st.Report()
+				got := st.ReportSorted(xs, SortedCopy(xs))
 				label := shape.name
 				if !sameResult(got.Runs, want.Runs) {
 					t.Fatalf("%s n=%d chunk=%d: runs %+v != one-shot %+v", label, n, chunk, got.Runs, want.Runs)
@@ -204,7 +204,7 @@ func TestIIDStateOutlierAnchor(t *testing.T) {
 	want := CheckIID(xs)
 	st := new(IIDState)
 	st.Push(xs)
-	got := st.Report()
+	got := st.ReportSorted(xs, SortedCopy(xs))
 	if !sameResult(got.Runs, want.Runs) || !sameResult(got.Identical, want.Identical) {
 		t.Fatalf("outlier anchor diverged: %+v vs %+v", got, want)
 	}
@@ -231,33 +231,10 @@ func TestIIDStateChunkingInvariance(t *testing.T) {
 		}
 		b.Push(xs[lo:hi])
 	}
-	ra, rb := a.Report(), b.Report()
+	ra, rb := a.ReportSorted(xs, SortedCopy(xs)), b.ReportSorted(xs, SortedCopy(xs))
 	if !sameResult(ra.Runs, rb.Runs) || !sameResult(ra.Identical, rb.Identical) ||
 		!sameResult(ra.LjungBox, rb.LjungBox) {
 		t.Fatalf("chunking changed the report: %+v vs %+v", ra, rb)
-	}
-}
-
-// TestIIDStateReportSortedMatchesReport: the caller-maintained sorted view
-// (grown by sort-increment-and-merge, as the convergence loop does) yields
-// the same report as the state's own assembly.
-func TestIIDStateReportSortedMatchesReport(t *testing.T) {
-	gen := rng.New(31)
-	st := new(IIDState)
-	var sorted []float64
-	for round := 0; round < 12; round++ {
-		blk := make([]float64, 100)
-		for i := range blk {
-			blk[i] = math.Floor(gen.Float64() * 300)
-		}
-		st.Push(blk)
-		sorted = MergeSorted(sorted, SortedCopy(blk))
-		got := st.ReportSorted(sorted)
-		want := st.Report()
-		if !sameResult(got.Runs, want.Runs) || !sameResult(got.Identical, want.Identical) ||
-			!sameResult(got.LjungBox, want.LjungBox) {
-			t.Fatalf("round %d: ReportSorted %+v != Report %+v", round, got, want)
-		}
 	}
 }
 
@@ -269,20 +246,22 @@ func TestIIDStateReportSortedRejectsStaleView(t *testing.T) {
 			t.Fatal("expected panic on a sorted view of the wrong length")
 		}
 	}()
-	st.ReportSorted([]float64{1, 2})
+	st.ReportSorted([]float64{1, 2, 3}, []float64{1, 2})
 }
 
 func TestIIDStatePassesOnIIDSample(t *testing.T) {
 	gen := rng.New(123)
 	st := new(IIDState)
+	var xs []float64
 	blk := make([]float64, 500)
 	for round := 0; round < 8; round++ {
 		for i := range blk {
 			blk[i] = gen.Float64() * 100
 		}
 		st.Push(blk)
+		xs = append(xs, blk...)
 	}
-	if rep := st.Report(); !rep.Passed(0.01) {
+	if rep := st.ReportSorted(xs, SortedCopy(xs)); !rep.Passed(0.01) {
 		t.Fatalf("incremental battery rejected an i.i.d. sample: %+v", rep)
 	}
 }

@@ -35,11 +35,11 @@ type SampleView interface {
 // Two implementations exist: FullSummary retains the sample (the reference
 // arm) and StreamingSummary holds memory independent of the run count (the
 // fast arm). See their docs for the exactness contract between them.
-// FullSummary state, and the streaming arm's reservoir and sketch, depend
-// only on the concatenated sample, never on the chunking. The streaming
-// battery does not: it dichotomizes each block at the then-current sketch
-// median, so its report depends on the block boundaries (which is why mbpta
-// pushes streaming campaigns in fixed-size chunks).
+// FullSummary's views and reports, and the streaming arm's reservoir and
+// sketch, depend only on the concatenated sample, never on the chunking. The
+// streaming battery does not: it dichotomizes each block at the then-current
+// sketch median, so its report depends on the block boundaries (which is why
+// mbpta pushes streaming campaigns in fixed-size chunks).
 type SampleSummary interface {
 	// N returns the number of observations pushed.
 	N() int
@@ -50,14 +50,16 @@ type SampleSummary interface {
 	// View returns an immutable point-in-time snapshot for curve
 	// construction: later Pushes into the summary do not change it.
 	View() SampleView
-	// PeakBytes returns the high-water retained memory across Pushes.
+	// PeakBytes returns the high-water retained memory across Pushes (and,
+	// for FullSummary, IID reports).
 	PeakBytes() int
 }
 
 // FullSummary is the retained-sample reference arm of the estimation
 // pipeline: the run-ordered sample plus an incrementally merged
 // ascending-sorted view, exactly the state the convergence loop historically
-// threaded by hand. Its View, an ECDF, answers every query exactly. Memory
+// threaded by hand. Its incremental battery reads both instead of keeping
+// copies. Its View, an ECDF, answers every query exactly. Memory
 // grows linearly with the run count — the scaling wall the streaming arm
 // removes.
 //
@@ -70,9 +72,9 @@ type FullSummary struct {
 }
 
 // NewFullSummary returns an empty full summary. With incrementalIID the
-// battery is maintained by an IIDState across pushes (the fast battery);
-// without it every IID() call re-runs the one-shot CheckIIDSorted reference
-// battery over the retained sample (shard summaries and the mbpta
+// battery is maintained by an IIDState over the summary's sample (the fast
+// battery); without it every IID() call re-runs the one-shot CheckIIDSorted
+// reference battery over the retained sample (shard summaries and the mbpta
 // referenceIID test seam).
 func NewFullSummary(incrementalIID bool) *FullSummary {
 	s := &FullSummary{}
@@ -102,6 +104,11 @@ func (s *FullSummary) Push(block []float64) {
 		s.iid.Push(block)
 	}
 	s.sorted = MergeSorted(s.sorted, SortedCopy(block))
+	s.notePeak()
+}
+
+// notePeak raises the high-water mark to the current retained memory.
+func (s *FullSummary) notePeak() {
 	if b := s.Bytes(); b > s.peak {
 		s.peak = b
 	}
@@ -111,12 +118,15 @@ func (s *FullSummary) Push(block []float64) {
 func (s *FullSummary) Sample() []float64 { return s.sample }
 
 // IID reports the admissibility battery: incremental when maintained,
-// one-shot reference otherwise.
+// one-shot reference otherwise. The incremental battery grows its KS first
+// half at report time, so the report is a peak-memory checkpoint too.
 func (s *FullSummary) IID() IIDReport {
-	if s.iid != nil {
-		return s.iid.ReportSorted(s.sorted)
+	if s.iid == nil {
+		return CheckIIDSorted(s.sample, s.sorted)
 	}
-	return CheckIIDSorted(s.sample, s.sorted)
+	rep := s.iid.ReportSorted(s.sample, s.sorted)
+	s.notePeak()
+	return rep
 }
 
 // View snapshots the current sorted view as an ECDF. Pushes replace (never
@@ -124,13 +134,15 @@ func (s *FullSummary) IID() IIDReport {
 // grows.
 func (s *FullSummary) View() SampleView { return &ECDF{sorted: s.sorted} }
 
-// PeakBytes returns the high-water retained memory across pushes.
+// PeakBytes returns the high-water retained memory across pushes and IID
+// reports.
 func (s *FullSummary) PeakBytes() int { return s.peak }
 
 // N returns the number of runs pushed.
 func (s *FullSummary) N() int { return len(s.sample) }
 
-// Bytes counts the retained sample, sorted view and battery state.
+// Bytes counts the retained sample, sorted view and battery state, each
+// retained value once.
 func (s *FullSummary) Bytes() int {
 	b := (len(s.sample) + len(s.sorted)) * 8
 	if s.iid != nil {
@@ -171,7 +183,7 @@ type StreamingSummary struct {
 	min, max   float64
 	tailSorted []float64 // ascending top-K reservoir, exact
 	sketch     *QuantileSketch
-	iid        *IIDState
+	iid        streamIID
 	peak       int
 }
 
@@ -187,7 +199,7 @@ func NewStreamingSummary(budget int) *StreamingSummary {
 	return &StreamingSummary{
 		budget: budget,
 		sketch: sketch,
-		iid:    NewStreamingIID(sketch, budget),
+		iid:    streamIID{sketch: sketch, firstCap: budget},
 	}
 }
 
@@ -212,14 +224,14 @@ func (s *StreamingSummary) Push(block []float64) {
 	s.n += len(block)
 	s.sketch.Push(block)
 	s.tailSorted = mergeTopK(s.tailSorted, SortedCopy(block), s.budget)
-	s.iid.Push(block)
+	s.iid.push(block)
 	if b := s.Bytes(); b > s.peak {
 		s.peak = b
 	}
 }
 
 // IID reports the streaming admissibility battery.
-func (s *StreamingSummary) IID() IIDReport { return s.iid.Report() }
+func (s *StreamingSummary) IID() IIDReport { return s.iid.report() }
 
 // View snapshots the reservoir and sketch; later pushes do not change it.
 func (s *StreamingSummary) View() SampleView {
@@ -240,7 +252,7 @@ func (s *StreamingSummary) N() int { return s.n }
 
 // Bytes counts the reservoir, sketch and battery state.
 func (s *StreamingSummary) Bytes() int {
-	return len(s.tailSorted)*8 + s.sketch.Bytes() + s.iid.Bytes() + 64
+	return len(s.tailSorted)*8 + s.sketch.Bytes() + s.iid.bytes() + 64
 }
 
 // streamView is a bounded-memory point-in-time snapshot.

@@ -281,3 +281,23 @@ func TestStreamingSummaryMemoryBounded(t *testing.T) {
 		t.Fatalf("sketch step %v outside (0, %v)", step, 2*span/float64(budget-1))
 	}
 }
+
+// TestFullSummaryPeakCountsRunsOnce pins the full summary's memory model:
+// each retained value is counted once — the sample and the sorted view (8 B
+// per run each), the battery's sorted KS first half (8 B per run of the
+// first half) and its Ljung-Box windows — so n runs pushed in 100-run blocks,
+// with a report after each block, peak at 20·n + 576 B. The battery keeps
+// no copy of the run-ordered sample.
+func TestFullSummaryPeakCountsRunsOnce(t *testing.T) {
+	for _, n := range []int{1000, 10000} {
+		sum := NewFullSummary(true)
+		xs := gridSample(uint64(n), n)
+		for lo := 0; lo < n; lo += 100 {
+			sum.Push(xs[lo : lo+100])
+			sum.IID()
+		}
+		if got, want := sum.PeakBytes(), 20*n+576; got != want {
+			t.Errorf("n=%d: PeakBytes = %d, want 20·n + 576 = %d", n, got, want)
+		}
+	}
+}

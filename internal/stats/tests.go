@@ -43,44 +43,54 @@ func RunsTest(xs []float64) TestResult {
 // pass the O(1) median from it instead of paying RunsTest's internal
 // copy+sort of the whole sample.
 func RunsTestMedian(xs []float64, med float64) TestResult {
-	var n1, n2, runs int
-	var last int8
+	var r signRuns
+	r.scan(xs, med)
+	return r.result()
+}
+
+// signRuns is the Wald-Wolfowitz tally of a run-ordered scan dichotomized at
+// a median: the values above (n1) and below (n2) it, the number of sign runs,
+// and the last sign seen, so a scan can resume block by block. Values tied
+// with the median are discarded, per the standard formulation.
+type signRuns struct {
+	n1, n2, runs int
+	last         int8
+}
+
+func (r *signRuns) scan(xs []float64, med float64) {
 	for _, x := range xs {
 		var sign int8
 		switch {
 		case x > med:
 			sign = 1
-			n1++
+			r.n1++
 		case x < med:
 			sign = -1
-			n2++
+			r.n2++
 		default:
 			continue
 		}
-		if last == 0 {
-			runs = 1
-		} else if sign != last {
-			runs++
+		if sign != r.last {
+			r.runs++
 		}
-		last = sign
+		r.last = sign
 	}
-	return runsResult(n1, n2, runs)
 }
 
-// runsResult turns runs-test counts (values above/below the median, number
-// of sign runs) into the z statistic and its normal-approximation p-value.
-func runsResult(n1, n2, runs int) TestResult {
-	if n1+n2 < 2 || n1 == 0 || n2 == 0 {
+// result turns the tally into the z statistic and its normal-approximation
+// p-value.
+func (r signRuns) result() TestResult {
+	if r.n1+r.n2 < 2 || r.n1 == 0 || r.n2 == 0 {
 		return TestResult{Name: "runs", Statistic: 0, PValue: 1}
 	}
-	f1, f2 := float64(n1), float64(n2)
+	f1, f2 := float64(r.n1), float64(r.n2)
 	mean := 2*f1*f2/(f1+f2) + 1
 	variance := 2 * f1 * f2 * (2*f1*f2 - f1 - f2) /
 		((f1 + f2) * (f1 + f2) * (f1 + f2 - 1))
 	if variance <= 0 {
 		return TestResult{Name: "runs", Statistic: 0, PValue: 1}
 	}
-	z := (float64(runs) - mean) / math.Sqrt(variance)
+	z := (float64(r.runs) - mean) / math.Sqrt(variance)
 	p := 2 * (1 - NormalCDF(math.Abs(z)))
 	return TestResult{Name: "runs", Statistic: z, PValue: p}
 }
@@ -117,9 +127,14 @@ func KSTwoSample(a, b []float64) TestResult {
 	if len(a) == 0 || len(b) == 0 {
 		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
 	}
-	d := NewECDF(a).KSStatistic(NewECDF(b))
-	n1, n2 := float64(len(a)), float64(len(b))
-	ne := n1 * n2 / (n1 + n2)
+	return ksResult(NewECDF(a).KSStatistic(NewECDF(b)), len(a), len(b))
+}
+
+// ksResult turns the KS distance d between samples of n1 and n2 values into
+// the test result with its asymptotic p-value.
+func ksResult(d float64, n1, n2 int) TestResult {
+	f1, f2 := float64(n1), float64(n2)
+	ne := f1 * f2 / (f1 + f2)
 	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
 	return TestResult{Name: "ks-2sample", Statistic: d, PValue: KolmogorovSurvival(lambda)}
 }

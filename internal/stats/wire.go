@@ -35,8 +35,8 @@ const wireKindFull = 1
 
 // EncodeSummary serializes a *FullSummary for transport: its run-ordered
 // sample plus the battery mode and peak. The sorted view and battery state
-// are rebuilt on decode, which is exact because full-summary state is a
-// pure, chunking-invariant function of the pushed sequence. Every other
+// are rebuilt on decode, which is exact because a full summary's views and
+// reports are a pure, chunking-invariant function of the pushed sequence. Every other
 // summary type is refused: shards ship raw runs, and the coordinator pushes
 // them through its own summary in either estimation mode.
 //

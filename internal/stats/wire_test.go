@@ -73,7 +73,7 @@ func TestSummaryWireRoundTrip(t *testing.T) {
 func TestSummaryWireGoldenFrame(t *testing.T) {
 	golden := map[bool]string{
 		false: "5054534d0200000000000000010030000000000000000300000000000000000000002088e34000000000d087e340000000004089e34048e72062615b19cc",
-		true:  "5054534d0200000000000000010180010000000000000300000000000000000000002088e34000000000d087e340000000004089e34030033c0523fe4294",
+		true:  "5054534d0200000000000000010160010000000000000300000000000000000000002088e34000000000d087e340000000004089e3405071eb3d899aadf3",
 	}
 	for inc, want := range golden {
 		sum := NewFullSummary(inc)
