@@ -23,8 +23,8 @@ type PeersConfig struct {
 	// hedged race counts as one attempt. Zero or negative means 3.
 	MaxAttempts int
 	// HedgeDelay is how long the primary dispatch runs alone before the
-	// same shard is raced on a second peer; the first verdict, a valid full
-	// summary or a failure, ends the race and the other dispatch is
+	// same shard is raced on a second peer; the first verdict, a valid runs
+	// frame or a failure, ends the race and the other dispatch is
 	// cancelled. Zero or negative disables hedging, which spends duplicate
 	// work for tail latency.
 	HedgeDelay time.Duration
@@ -166,7 +166,7 @@ func (p *Peers) Stats() FabricStats {
 var errAllPeersOpen = errors.New("client: every peer's circuit breaker is open")
 
 // CollectShard dispatches the shard through the fabric. It returns the
-// shard's runs from the first attempt that yields a valid full summary, or
+// shard's runs from the first attempt that yields a valid runs frame, or
 // the first error once the attempt budget is spent — at which point the
 // coordinator's local fallback owns the range.
 func (p *Peers) CollectShard(ctx context.Context, spec pubtac.ShardSpec) ([]float64, error) {
@@ -210,7 +210,7 @@ type attemptResult struct {
 // attempt runs one (possibly hedged) dispatch round: the primary peer
 // starts immediately; if a hedge delay is configured and the primary has not
 // answered when it elapses, the same spec races on a second peer. The first
-// verdict ends the round and cancels the other racer: a valid summary wins,
+// verdict ends the round and cancels the other racer: valid runs win,
 // and a failure goes back to CollectShard's retry loop (backoff, fresh peer
 // pick) instead of waiting out a silent straggler. When the hedge timer
 // finds no admissible second peer it re-arms, so the straggler is raced as

@@ -93,9 +93,11 @@ type Config struct {
 	// from the canonical encoding and shares cache keys with local runs.
 	Sharder ShardCollector
 
-	// Shards is the number of shards per campaign range when Sharder is
-	// set; 0 derives it from Sharder.Shards() (typically the peer count).
-	// Also excluded from the canonical encoding.
+	// Shards is the number of shards per fetched campaign range (a whole
+	// collection round, or under streaming estimation one window of the
+	// stream budget's run count) when Sharder is set; 0 derives it from
+	// Sharder.Shards() (typically the peer count). Also excluded from the
+	// canonical encoding.
 	Shards int
 }
 

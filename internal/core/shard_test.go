@@ -55,15 +55,10 @@ func (m *memSharder) CollectShard(ctx context.Context, spec ShardSpec) ([]float6
 	if err != nil {
 		return nil, err
 	}
-	// CollectRangeCtx always collects into a full summary (raw sample
-	// transport), so the coordinator's reassembled campaign is bit-identical
-	// in every estimation mode — including a streaming coordinator, which
-	// streams over the reassembled raw runs.
-	sum, err := mbpta.NewCampaign(res.Trace, m.cfg.Model).CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, m.cfg.MBPTA.Workers, nil)
-	if err != nil {
-		return nil, err
-	}
-	return sum.Sample(), nil
+	// Shards ship raw runs, so the coordinator's reassembled campaign is
+	// bit-identical in every estimation mode — including a streaming
+	// coordinator, which streams over the reassembled raw runs.
+	return mbpta.NewCampaign(res.Trace, m.cfg.Model).CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, m.cfg.MBPTA.Workers, nil)
 }
 
 // shardTestConfig keeps campaigns small while still exercising the

@@ -474,88 +474,74 @@ func NewSummary(cfg Config) stats.SampleSummary {
 	return stats.NewFullSummary(true)
 }
 
-// streamChunk is the collection granularity of streaming campaigns: runs are
-// collected into a reusable buffer of this size and pushed chunk by chunk,
-// so no round ever materializes its full increment. It is a fixed multiple
-// of collectBlock: the streaming battery dichotomizes each chunk at the
-// then-current sketch median, so the chunk size is part of the battery's
-// definition and must not vary with worker count or round size.
+// streamChunk is the push granularity of streaming campaigns: runs are
+// pushed chunk by chunk, so no round ever materializes its full increment.
+// It is a fixed multiple of collectBlock: the streaming battery dichotomizes
+// each chunk at the then-current sketch median, so the chunk size is part of
+// the battery's definition and must not vary with worker count, round size
+// or collection window.
 const streamChunk = 8 * collectBlock
-
-// summaryChunk returns the collection chunk size for a summary: bounded for
-// streaming summaries, a whole round at a time otherwise (the full summary
-// retains the sample anyway, and one merged sort per round is cheapest).
-func summaryChunk(sum stats.SampleSummary) int {
-	if _, ok := sum.(*stats.StreamingSummary); ok {
-		return streamChunk
-	}
-	return 0
-}
 
 // pushRuns collects the next add runs of the campaign (runs sum.N() ..
 // sum.N()+add-1, index-addressed as always) and pushes them into sum in run
-// order.
+// order, one collection window at a time. Collection within a window fans
+// out over workers, or over shards with a remote collector (one fetch per
+// shard per window); windows and their chunks are pushed sequentially, and
+// both sizes are a deterministic function of the summary, so the summary
+// state is bit-identical at any worker or shard count.
+//
+// A full summary takes the whole range as one window and one chunk (it
+// retains the sample anyway, and one merged sort per round is cheapest). A
+// streaming summary pushes streamChunk runs at a time and collects windows
+// of its budget's run count, rounded down to whole chunks and at least one,
+// so the collection buffer stays within max(budget, streamChunk) runs. Chunk
+// boundaries are relative to the pushed sequence and windows are whole
+// chunks, so the chunks are the same whatever the window.
 func (c *Campaign) pushRuns(ctx context.Context, sum stats.SampleSummary, add int,
 	root uint64, workers int, progress Progress) error {
-	return c.pushRangeAt(ctx, sum, sum.N(), add, root, workers, progress)
-}
-
-// pushRangeAt collects runs offset..offset+add-1 of the campaign and pushes
-// them into sum in run order. Collection within each chunk fans out over
-// workers; chunks are pushed sequentially, and the chunk size is a
-// deterministic function of the summary type, so the summary state is
-// bit-identical at any worker count. Chunk boundaries are relative to the
-// pushed sequence, so a summary fed [lo, hi) here matches the [lo, hi)
-// sub-sequence of a whole-campaign summary exactly when the summary state is
-// chunking-invariant (every full summary; see CollectRangeCtx).
-func (c *Campaign) pushRangeAt(ctx context.Context, sum stats.SampleSummary,
-	offset, add int, root uint64, workers int, progress Progress) error {
 	if add <= 0 {
 		return ctx.Err()
 	}
+	offset := sum.N()
 	target := offset + add
-	chunk := summaryChunk(sum)
-	if chunk <= 0 || chunk > add {
-		chunk = add
+	window, chunk := add, add
+	if st, ok := sum.(*stats.StreamingSummary); ok {
+		window = min(max(st.Budget()/streamChunk, 1)*streamChunk, add)
+		chunk = streamChunk
 	}
-	buf := make([]float64, chunk)
+	buf := make([]float64, window)
 	for done := 0; done < add; {
-		m := add - done
-		if m > chunk {
-			m = chunk
-		}
-		b := buf[:m]
+		b := buf[:min(window, add-done)]
 		if err := c.collectInto(ctx, b, root, offset+done, workers, progress, target); err != nil {
 			return err
 		}
-		sum.Push(b) // summaries copy what they keep; buf is reused
-		done += m
+		for lo := 0; lo < len(b); lo += chunk {
+			sum.Push(b[lo:min(lo+chunk, len(b))]) // summaries copy what they keep; buf is reused
+		}
+		done += len(b)
 	}
 	return nil
 }
 
 // CollectRangeCtx collects the shard [lo, hi) of the campaign rooted at
-// root into a fresh full summary — the worker half of distributed campaign
-// sharding. Because run i depends only on (root, i), concatenating the
-// per-shard samples of consecutive ranges in index order reproduces the
+// root and returns its runs in run order — the worker half of distributed
+// campaign sharding. Because run i depends only on (root, i), concatenating
+// the runs of consecutive ranges in index order reproduces the
 // single-process sample bit-identically at any shard count, and a
 // coordinator in any estimation mode (streaming included) pushes the
-// concatenated raw runs into its own summary. Only the sample ships, so the
-// summary keeps no incremental battery; its IID is the one-shot reference.
-// The range is collected with workers local workers; the campaign's remote
-// collector is deliberately not consulted, so a worker can never re-shard
-// its shard.
+// concatenated raw runs into its own summary. The range is collected with
+// workers local workers; the campaign's remote collector is deliberately
+// not consulted, so a worker can never re-shard its shard.
 func (c *Campaign) CollectRangeCtx(ctx context.Context, lo, hi int,
-	root uint64, workers int, progress Progress) (*stats.FullSummary, error) {
+	root uint64, workers int, progress Progress) ([]float64, error) {
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("mbpta: invalid run range [%d, %d)", lo, hi)
 	}
-	local := &Campaign{Trace: c.Trace, Model: c.Model, Compiled: c.Compiled}
-	sum := stats.NewFullSummary(false)
-	if err := local.pushRangeAt(ctx, sum, lo, hi-lo, root, workers, progress); err != nil {
+	runs := make([]float64, hi-lo)
+	if err := c.collectLocal(ctx, runs, root, lo, workers, progress, hi); err != nil {
 		return nil, err
 	}
-	return sum, nil
+	return runs, nil
 }
 
 // ExtendSummaryCtx grows a campaign summary to target runs, collecting and

@@ -141,17 +141,19 @@ func TestConvergeRejectsTinyInitial(t *testing.T) {
 	}
 }
 
-// TestExtendMatchesCollect: a worker-collected range summary extended past
-// its end holds exactly the runs of a from-scratch campaign.
+// TestExtendMatchesCollect: a summary of worker-collected runs extended
+// past their end holds exactly the runs of a from-scratch campaign.
 func TestExtendMatchesCollect(t *testing.T) {
 	tr := loopTrace(6, 40)
 	m := proc.DefaultModel()
 	full := Collect(tr, m, 500, 3, 0)
 	c := NewCampaign(tr, m)
-	sum, err := c.CollectRangeCtx(context.Background(), 0, 200, 3, 0, nil)
+	runs, err := c.CollectRangeCtx(context.Background(), 0, 200, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := stats.NewFullSummary(false)
+	sum.Push(runs)
 	if err := c.ExtendSummaryCtx(context.Background(), sum, 500, 3, 0, nil); err != nil {
 		t.Fatal(err)
 	}

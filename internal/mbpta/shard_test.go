@@ -3,12 +3,15 @@ package mbpta
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pubtac/internal/proc"
+	"pubtac/internal/rng"
 	"pubtac/internal/stats"
 )
 
@@ -34,7 +37,7 @@ func encodeOrDie(t *testing.T, sum stats.SampleSummary) []byte {
 	return b
 }
 
-// Concatenating per-shard CollectRangeCtx samples for consecutive ranges, in
+// Concatenating per-shard CollectRangeCtx runs for consecutive ranges, in
 // index order, must reproduce the single-range sample bit for bit — the
 // worker half of the distributed determinism argument, and exactly what the
 // coordinator does with the samples its workers return.
@@ -57,9 +60,9 @@ func TestCollectRangeMergeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d part %d: %v", shards, i, err)
 			}
-			joined = append(joined, part.Sample()...)
+			joined = append(joined, part...)
 		}
-		if !slices.Equal(joined, whole.Sample()) {
+		if !slices.Equal(joined, whole) {
 			t.Fatalf("shards=%d: concatenated shard samples differ from the single-range sample", shards)
 		}
 	}
@@ -101,11 +104,7 @@ func (sf *shardingFetch) fetch(ctx context.Context, r Range) ([]float64, error) 
 		sf.failed.Add(1)
 		return nil, errors.New("injected shard failure")
 	}
-	sum, err := sf.camp.CollectRangeCtx(ctx, r.Lo, r.Hi, sf.root, sf.workers, nil)
-	if err != nil {
-		return nil, err
-	}
-	return sum.Sample(), nil
+	return sf.camp.CollectRangeCtx(ctx, r.Lo, r.Hi, sf.root, sf.workers, nil)
 }
 
 // The distributed oracle pair: a campaign collecting through SetRemote —
@@ -312,6 +311,87 @@ func TestShardSplit(t *testing.T) {
 		slices.SortFunc(got, func(a, b Range) int { return a.Lo - b.Lo })
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("shards=%d: fetched %v, want %v", tc.shards, got, tc.want)
+		}
+	}
+}
+
+// A streaming campaign collects in windows of its budget's run count,
+// rounded down to whole streamChunk pushes and at least one, and splits
+// each window into the shards: one fetch per shard per window. The pushes
+// stay 512-run chunks counted from the start of the pushed range, so the
+// summary is the one built by pushing the same runs chunk by chunk: the
+// local runs when every fetch fails, and a served window's runs otherwise.
+// The served runs take 1,000 levels, so the sketch median moves between
+// pushes and the streaming battery's state shows where each push starts and
+// ends.
+func TestShardSplitStreamingWindow(t *testing.T) {
+	tr := loopTrace(4, 30)
+	model := proc.DefaultModel()
+	const root, from = 1, 1000
+	served := func(i int) float64 { return float64(rng.Mix64(uint64(i)) % 1000) }
+	for _, tc := range []struct {
+		name   string
+		budget int
+		to     int
+		want   []Range
+	}{
+		// 6 fetches; fetching per 512-run chunk would make 80.
+		{"default-budget", DefaultStreamBudget, 21000, []Range{{1000, 5096}, {5096, 9192},
+			{9192, 13288}, {13288, 17384}, {17384, 19192}, {19192, 21000}}},
+		{"budget-64", 64, 2500, []Range{{1000, 1256}, {1256, 1512}, {1512, 1768}, {1768, 2024},
+			{2024, 2262}, {2262, 2500}}},
+		// Rounded down to one chunk: a 1,000-run window would move the
+		// push boundaries off the 512-run grid.
+		{"budget-1000", 1000, 2500, []Range{{1000, 1256}, {1256, 1512}, {1512, 1768}, {1768, 2024},
+			{2024, 2262}, {2262, 2500}}},
+	} {
+		for _, serve := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/serve=%v", tc.name, serve), func(t *testing.T) {
+				var mu sync.Mutex
+				var got []Range
+				camp := NewCampaign(tr, model)
+				camp.SetRemote(func(_ context.Context, r Range) ([]float64, error) {
+					mu.Lock()
+					got = append(got, r)
+					mu.Unlock()
+					if !serve {
+						return nil, errors.New("injected shard failure")
+					}
+					runs := make([]float64, r.Hi-r.Lo)
+					for i := range runs {
+						runs[i] = served(r.Lo + i)
+					}
+					return runs, nil
+				}, 2)
+				sum := stats.NewStreamingSummary(tc.budget)
+				if err := camp.ExtendSummaryCtx(context.Background(), sum, from, root, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+				got = got[:0]
+				if err := camp.ExtendSummaryCtx(context.Background(), sum, tc.to, root, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+				slices.SortFunc(got, func(a, b Range) int { return a.Lo - b.Lo })
+				if !slices.Equal(got, tc.want) {
+					t.Errorf("fetched %v, want %v", got, tc.want)
+				}
+
+				runs := Collect(tr, model, tc.to, root, 1)
+				if serve {
+					for i := range runs {
+						runs[i] = served(i)
+					}
+				}
+				ref := stats.NewStreamingSummary(tc.budget)
+				for _, span := range []Range{{0, from}, {from, tc.to}} {
+					for lo := span.Lo; lo < span.Hi; lo += streamChunk {
+						ref.Push(runs[lo:min(lo+streamChunk, span.Hi)])
+					}
+				}
+				if !reflect.DeepEqual(sum, ref) {
+					t.Fatal("summary differs from one fed the same runs in 512-run chunks")
+				}
+			})
 		}
 	}
 }

@@ -506,10 +506,11 @@ const maxShardRuns = 1 << 22
 // handleShard is the worker half of distributed campaign sharding: it
 // recomputes the spec's run range — run i depends only on (root, i), so the
 // bytes are exactly what the coordinator would have computed locally — and
-// replies with the wire-encoded full summary. Specs are verified against
-// this daemon's own configuration (fingerprint and seed derivation) before
-// a single run is simulated: a worker must refuse work it would compute
-// differently, because the coordinator trusts accepted shards bit for bit.
+// replies with the runs in the version-2 summary frame (stats.EncodeRuns),
+// building no summary. Specs are verified against this daemon's own
+// configuration (fingerprint and seed derivation) before a single run is
+// simulated: a worker must refuse work it would compute differently,
+// because the coordinator trusts accepted shards bit for bit.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
@@ -571,20 +572,15 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.gctx, cancel)
 	defer stop()
 
-	// CollectRangeCtx always collects into a full summary (raw-sample
-	// transport): the coordinator copies the runs into place by index, so
-	// its campaign is bit-identical in every estimation mode, streaming
-	// included.
-	sum, err := camp.CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, s.cfg.MBPTA.Workers, nil)
+	// Raw-run transport: the coordinator copies the runs into place by
+	// index, so its campaign is bit-identical in every estimation mode,
+	// streaming included.
+	runs, err := camp.CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, s.cfg.MBPTA.Workers, nil)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "collecting shard: %v", err)
 		return
 	}
-	enc, err := stats.EncodeSummary(sum)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding shard summary: %v", err)
-		return
-	}
+	enc := stats.EncodeRuns(runs)
 	s.mu.Lock()
 	s.shards++
 	s.mu.Unlock()

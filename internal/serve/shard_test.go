@@ -11,12 +11,12 @@ import (
 	"pubtac"
 	"pubtac/client"
 	"pubtac/internal/mbpta"
+	"pubtac/internal/stats"
 )
 
-// localShardSample computes the expected bytes of a shard the way a worker
-// does: full summary, one-shot reference battery, root derived from the
-// program/input pair. This is the oracle every endpoint test compares
-// against.
+// localShardSample computes the expected runs of a shard the way a worker
+// does: the range collected locally, root derived from the program/input
+// pair. This is the oracle every endpoint test compares against.
 func localShardSample(t *testing.T, cfg pubtac.Config, prog, input string, original bool, lo, hi int) []float64 {
 	t.Helper()
 	b, err := pubtac.Benchmark(prog)
@@ -39,11 +39,11 @@ func localShardSample(t *testing.T, cfg pubtac.Config, prog, input string, origi
 	}
 	camp := mbpta.NewCampaign(res.Trace, cfg.Model)
 	root := mbpta.Seed(prog+"/"+input) ^ cfg.SeedSalt
-	sum, err := camp.CollectRangeCtx(context.Background(), lo, hi, root, cfg.MBPTA.Workers, nil)
+	runs, err := camp.CollectRangeCtx(context.Background(), lo, hi, root, cfg.MBPTA.Workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum.Sample()
+	return runs
 }
 
 func postShard(t *testing.T, url string, spec pubtac.ShardSpec) (*http.Response, []byte) {
@@ -94,6 +94,18 @@ func TestShardEndpointMatchesLocal(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Shards != 1 {
 		t.Fatalf("statusz shards = %d after one shard, want 1", st.Shards)
+	}
+
+	// The worker builds no summary, but its reply is the version-2 frame of
+	// a one-shot full summary of the same runs, byte for byte.
+	resp, body := postShard(t, ts.URL, spec)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	fs := stats.NewFullSummary(false)
+	fs.Push(want)
+	if frame, err := stats.EncodeSummary(fs); err != nil || !bytes.Equal(body, frame) {
+		t.Fatalf("worker reply is not the full-summary frame of its runs (encode error %v)", err)
 	}
 
 	// The original-program arm resolves its own campaign.

@@ -38,13 +38,10 @@ func (e *ECDF) TailSorted() []float64 { return e.sorted }
 // FromTop returns the k-th largest sample value (1 <= k <= N).
 func (e *ECDF) FromTop(k int) float64 { return e.sorted[len(e.sorted)-k] }
 
-// CountLE returns the number of sample values <= x.
+// CountLE returns the number of sample values <= x: one upper-bound binary
+// search, O(log n) however many runs tie at x.
 func (e *ECDF) CountLE(x float64) int {
-	n := sort.SearchFloat64s(e.sorted, x)
-	for n < len(e.sorted) && e.sorted[n] == x {
-		n++
-	}
-	return n
+	return sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
 }
 
 // P returns the empirical P[X <= x].

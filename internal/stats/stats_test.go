@@ -160,6 +160,49 @@ func TestECDFBasics(t *testing.T) {
 	}
 }
 
+// TestECDFCountLEUpperBound pins CountLE at paper scale: 84,873 runs (the
+// largest R_pub+tac of the paper's campaigns) on 9 and on 358 integer
+// levels, the range of distinct values paper samples take, so ties run to
+// thousands of runs. At every distinct value, halfway between neighbours,
+// below the minimum, above the maximum and at ±Inf and NaN, CountLE must
+// equal a linear count of the values not above x, and the count of a lower
+// bound search followed by a walk over the ties. At NaN both read n: no
+// value compares above NaN.
+func TestECDFCountLEUpperBound(t *testing.T) {
+	const n = 84873
+	for _, levels := range []int{9, 358} {
+		gen := rng.New(uint64(levels))
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = 40000 + 7*float64(gen.Intn(levels))
+		}
+		e := NewECDF(xs)
+		probes := []float64{math.Inf(-1), math.Inf(1), math.NaN(), e.Min() - 1, e.Max() + 1}
+		for _, p := range e.Points() {
+			probes = append(probes, p.Value, p.Value+3.5)
+		}
+		if len(probes) != 5+2*levels {
+			t.Fatalf("levels=%d: sample takes %d distinct values", levels, (len(probes)-5)/2)
+		}
+		for _, x := range probes {
+			linear := 0
+			for _, v := range xs {
+				if !(v > x) {
+					linear++
+				}
+			}
+			walk := sort.SearchFloat64s(e.sorted, x)
+			for walk < n && e.sorted[walk] == x {
+				walk++
+			}
+			if got := e.CountLE(x); got != linear || got != walk {
+				t.Fatalf("levels=%d: CountLE(%v) = %d, linear count %d, lower bound and walk %d",
+					levels, x, got, linear, walk)
+			}
+		}
+	}
+}
+
 func TestECDFPoints(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 3})
 	pts := e.Points()

@@ -1,5 +1,7 @@
 package stats
 
+import "sort"
+
 // SampleView is the read-only, point-in-time face of a sample summary: the
 // quantities the estimation pipeline (tail fit, CV test, composite curve)
 // reads. Order statistics follow the full-sample conventions: FromTop(1) is
@@ -223,7 +225,7 @@ func (s *StreamingSummary) Push(block []float64) {
 	}
 	s.n += len(block)
 	s.sketch.Push(block)
-	s.tailSorted = mergeTopK(s.tailSorted, SortedCopy(block), s.budget)
+	s.pushTail(block)
 	s.iid.push(block)
 	if b := s.Bytes(); b > s.peak {
 		s.peak = b
@@ -246,6 +248,10 @@ func (s *StreamingSummary) View() SampleView {
 
 // PeakBytes returns the high-water retained memory across pushes.
 func (s *StreamingSummary) PeakBytes() int { return s.peak }
+
+// Budget returns the memory budget K the summary runs with: its reservoir
+// size, floored at MinStreamBudget.
+func (s *StreamingSummary) Budget() int { return s.budget }
 
 // N returns the number of runs pushed.
 func (s *StreamingSummary) N() int { return s.n }
@@ -282,13 +288,61 @@ func (v *streamView) FromTop(k int) float64 {
 	return v.sketch.orderStat(v.n - k)
 }
 
-// mergeTopK merges two ascending-sorted slices and keeps the k largest
-// values (the union multiset's top k, so the reservoir does not depend on the
-// chunking). The result is freshly allocated.
-func mergeTopK(tailSortedA, tailSortedB []float64, k int) []float64 {
-	merged := MergeSorted(tailSortedA, tailSortedB)
-	if len(merged) > k {
-		merged = append([]float64(nil), merged[len(merged)-k:]...)
+// pushTail folds a block into the top-K reservoir, which always holds the
+// multiset of the K largest runs pushed so far, so it does not depend on the
+// chunking. Until the reservoir is full a push merges into a fresh slice;
+// from then on it merges in place, and only the block's runs above the
+// reservoir's minimum are copied and sorted (a run equal to the minimum
+// would replace an equal value).
+func (s *StreamingSummary) pushTail(block []float64) {
+	if len(s.tailSorted) < s.budget {
+		merged := MergeSorted(s.tailSorted, SortedCopy(block))
+		if len(merged) > s.budget {
+			merged = append([]float64(nil), merged[len(merged)-s.budget:]...)
+		}
+		s.tailSorted = merged
+		return
 	}
-	return merged
+	in := make([]float64, 0, len(block))
+	for _, v := range block {
+		if v > s.tailSorted[0] {
+			in = append(in, v)
+		}
+	}
+	sort.Float64s(in)
+	mergeTopKInPlace(s.tailSorted, in)
+}
+
+// mergeTopKInPlace overwrites tailSorted with the len(tailSorted) largest
+// values of tailSorted and sortedIn, both ascending, in the order
+// MergeSorted(tailSorted, sortedIn) gives them (on ties, sortedIn's value
+// sorts above tailSorted's).
+func mergeTopKInPlace(tailSorted, sortedIn []float64) {
+	// Walk both from the top down, as a descending merge would, until the
+	// K slots are spoken for: the t values of sortedIn met on the way enter
+	// and evict tailSorted[:t].
+	k := len(tailSorted)
+	i, j := k-1, len(sortedIn)-1
+	for n := 0; n < k && j >= 0; n++ {
+		if sortedIn[j] >= tailSorted[i] {
+			j--
+		} else {
+			i--
+		}
+	}
+	in := sortedIn[j+1:]
+	t := len(in)
+	// Merge tailSorted[t:] and in upward into tailSorted. The write index w
+	// trails the read index a by t minus the values of in written so far,
+	// so it only overwrites evicted or already-moved values, and it meets
+	// a when in is spent: the rest of tailSorted is already in place.
+	for w, a, b := 0, t, 0; b < t; w++ {
+		if a < k && tailSorted[a] <= in[b] {
+			tailSorted[w] = tailSorted[a]
+			a++
+		} else {
+			tailSorted[w] = in[b]
+			b++
+		}
+	}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pubtac/internal/rng"
@@ -154,6 +155,99 @@ func TestStreamingSummaryMatchesFullSummary(t *testing.T) {
 				t.Fatalf("views not snapshots: %v/%v after push, want %v", vf.Max(), vs.Max(), wantMax)
 			}
 		})
+	}
+}
+
+// TestStreamingReservoirMatchesMergeTopK holds the reservoir's in-place
+// merge to its definition: after every push, the reservoir is bit for bit
+// the top K of MergeSorted(old reservoir, sorted block), on blocks larger
+// and smaller than K, blocks entirely below, at or above the reservoir's
+// minimum, and tie-heavy and continuous samples.
+func TestStreamingReservoirMatchesMergeTopK(t *testing.T) {
+	const budget = 128
+	gen := rng.New(23)
+	var blocks [][]float64
+	for _, size := range []int{1, 7, 100, 127, 128, 129, 300, 512} {
+		blocks = append(blocks, gridSample(uint64(size), size))
+	}
+	for i := 0; i < 40; i++ {
+		b := make([]float64, 1+gen.Intn(200))
+		for j := range b {
+			switch i % 4 {
+			case 0: // four levels: ties at the reservoir's minimum
+				b[j] = 40000 + float64(gen.Intn(4))
+			case 1: // below everything kept
+				b[j] = 100 + gen.Float64()
+			case 2: // above everything kept
+				b[j] = 1e6 + float64(i)*1e3 + gen.Float64()
+			default:
+				b[j] = 40000 + gen.Float64()*1e5
+			}
+		}
+		blocks = append(blocks, b)
+	}
+	s := NewStreamingSummary(budget)
+	var want []float64
+	for i, b := range blocks {
+		s.Push(b)
+		merged := MergeSorted(want, SortedCopy(b))
+		want = merged[max(len(merged)-budget, 0):]
+		if !slices.EqualFunc(s.tailSorted, want, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("push %d (%d runs): reservoir\n  %v\nwant\n  %v", i, len(b), s.tailSorted, want)
+		}
+	}
+}
+
+// TestStreamingViewSnapshotSurvivesReservoirChurn: a view taken from a full
+// reservoir is a snapshot even though later pushes merge into the reservoir
+// in place. Pushing runs above everything kept replaces most of the
+// reservoir; the old view's tail, every FromTop within it, Max and CountLE
+// must not change.
+func TestStreamingViewSnapshotSurvivesReservoirChurn(t *testing.T) {
+	const budget = 256
+	s := NewStreamingSummary(budget)
+	pushBlocks(s, gridSample(41, 3000), 512)
+	v := s.View()
+	tail := slices.Clone(v.TailSorted())
+	fromTop := make([]float64, budget)
+	for k := 1; k <= budget; k++ {
+		fromTop[k-1] = v.FromTop(k)
+	}
+	maxV := v.Max()
+	probes := []float64{v.Min() - 1, v.Min(), tail[0], tail[budget/2], maxV, maxV + 1}
+	counts := make([]int, len(probes))
+	for i, x := range probes {
+		counts[i] = v.CountLE(x)
+	}
+
+	high := make([]float64, 3*budget/4)
+	for i := range high {
+		high[i] = 1e6 + float64(i)
+	}
+	pushBlocks(s, high, 64)
+	if s.tailSorted[budget/4] != high[0] {
+		t.Fatalf("churn did not replace the reservoir's top three quarters")
+	}
+
+	if got := v.TailSorted(); !slices.EqualFunc(got, tail, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		t.Fatal("the old view's TailSorted changed")
+	}
+	for k := 1; k <= budget; k++ {
+		if got := v.FromTop(k); got != fromTop[k-1] {
+			t.Fatalf("FromTop(%d) = %v after churn, was %v", k, got, fromTop[k-1])
+		}
+	}
+	if v.Max() != maxV {
+		t.Fatalf("Max = %v after churn, was %v", v.Max(), maxV)
+	}
+	for i, x := range probes {
+		if got := v.CountLE(x); got != counts[i] {
+			t.Fatalf("CountLE(%v) = %d after churn, was %d", x, got, counts[i])
+		}
 	}
 }
 

@@ -47,13 +47,35 @@ func EncodeSummary(s SampleSummary) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("stats: cannot encode summary type %T", s)
 	}
-	w := newWireWriter()
+	return writeFrame(frame{fs.iid != nil, fs.peak, fs.sample}), nil
+}
+
+// EncodeRuns frames raw runs as the full summary they would make: the
+// version-2 summary frame with battery mode 0 and peak 16·len(runs), what
+// EncodeSummary writes for a NewFullSummary(false) fed the same runs. Shard
+// workers answer with it and never build that summary.
+func EncodeRuns(runs []float64) []byte { return writeFrame(frame{false, 16 * len(runs), runs}) }
+
+// frame is what a summary frame carries: a full summary's battery mode,
+// peak and run-ordered sample.
+type frame struct {
+	incrementalIID bool
+	peak           int
+	sample         []float64
+}
+
+// writeFrame is the one frame writer. Magic, version, kind, battery mode,
+// peak, run count, runs and checksum take 38 + 8·n bytes.
+func writeFrame(f frame) []byte {
+	w := &wireWriter{buf: make([]byte, 0, 38+8*len(f.sample))}
+	w.buf = append(w.buf, wireMagic[:]...)
+	w.int(SummaryWireVersion)
 	w.byte(wireKindFull)
-	w.bool(fs.iid != nil)
-	w.int(fs.peak)
-	w.floats(fs.sample)
+	w.bool(f.incrementalIID)
+	w.int(f.peak)
+	w.floats(f.sample)
 	w.u64(wireSum(w.buf))
-	return w.buf, nil
+	return w.buf
 }
 
 // wireSum is the frame checksum: 64-bit FNV-1a over every preceding byte.
@@ -75,55 +97,67 @@ func wireSum(b []byte) uint64 {
 // DecodeSummary reverses EncodeSummary. The decoded summary is fully usable:
 // pushing further runs and reporting behave exactly as on the original.
 func DecodeSummary(b []byte) (*FullSummary, error) {
+	f, err := parseFrame(b)
+	if err != nil {
+		return nil, err
+	}
+	fs := NewFullSummary(f.incrementalIID)
+	fs.Push(f.sample)
+	fs.peak = f.peak
+	return fs, nil
+}
+
+// DecodeRuns returns the run-ordered sample of a summary frame. It accepts
+// exactly the frames DecodeSummary accepts and returns the same sample, but
+// builds no summary: a coordinator copies a shard's runs into place.
+func DecodeRuns(b []byte) ([]float64, error) {
+	f, err := parseFrame(b)
+	return f.sample, err
+}
+
+// parseFrame is the one frame parser: it checks magic, version, checksum,
+// kind and length before it returns what the frame carries.
+func parseFrame(b []byte) (frame, error) {
 	r := &wireReader{buf: b}
 	var magic [4]byte
 	r.bytes(magic[:])
 	if r.err == nil && magic != wireMagic {
-		return nil, fmt.Errorf("stats: not an encoded summary (bad magic %q)", magic[:])
+		return frame{}, fmt.Errorf("stats: not an encoded summary (bad magic %q)", magic[:])
 	}
 	if v := r.int(); r.err == nil && v != SummaryWireVersion {
-		return nil, fmt.Errorf("stats: summary wire version %d, this build speaks %d", v, SummaryWireVersion)
+		return frame{}, fmt.Errorf("stats: summary wire version %d, this build speaks %d", v, SummaryWireVersion)
 	}
 	// Verify the trailing checksum before trusting a single payload byte,
 	// then hide it from the reader so the trailing-bytes check still holds.
 	if r.err == nil {
 		if len(b) < r.off+8 {
-			return nil, fmt.Errorf("stats: decoding summary: frame too short for checksum")
+			return frame{}, fmt.Errorf("stats: decoding summary: frame too short for checksum")
 		}
 		body, tail := b[:len(b)-8], b[len(b)-8:]
 		if got, want := binary.LittleEndian.Uint64(tail), wireSum(body); got != want {
-			return nil, fmt.Errorf("stats: summary frame checksum mismatch (corrupt wire bytes)")
+			return frame{}, fmt.Errorf("stats: summary frame checksum mismatch (corrupt wire bytes)")
 		}
 		r.buf = body
 	}
 	if kind := r.byte(); r.err == nil && kind != wireKindFull {
-		return nil, fmt.Errorf("stats: unknown summary wire kind %d", kind)
+		return frame{}, fmt.Errorf("stats: unknown summary wire kind %d", kind)
 	}
-	inc := r.bool()
-	peak := r.int()
-	sample := r.floats()
+	var f frame
+	f.incrementalIID = r.bool()
+	f.peak = r.int()
+	f.sample = r.floats()
 	if r.err != nil {
-		return nil, fmt.Errorf("stats: decoding summary: %w", r.err)
+		return frame{}, fmt.Errorf("stats: decoding summary: %w", r.err)
 	}
 	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("stats: decoding summary: %d trailing bytes", len(r.buf)-r.off)
+		return frame{}, fmt.Errorf("stats: decoding summary: %d trailing bytes", len(r.buf)-r.off)
 	}
-	fs := NewFullSummary(inc)
-	fs.Push(sample)
-	fs.peak = peak
-	return fs, nil
+	return f, nil
 }
 
 // wireWriter appends little-endian primitives to a growing buffer.
 type wireWriter struct {
 	buf []byte
-}
-
-func newWireWriter() *wireWriter {
-	w := &wireWriter{buf: make([]byte, 0, 256)}
-	w.buf = append(w.buf, wireMagic[:]...)
-	w.int(SummaryWireVersion)
-	return w
 }
 
 func (w *wireWriter) byte(b byte) { w.buf = append(w.buf, b) }
@@ -187,8 +221,7 @@ func (r *wireReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-func (r *wireReader) int() int       { return int(int64(r.u64())) }
-func (r *wireReader) float() float64 { return math.Float64frombits(r.u64()) }
+func (r *wireReader) int() int { return int(int64(r.u64())) }
 
 func (r *wireReader) sliceLen() int {
 	n := r.int()
@@ -207,8 +240,10 @@ func (r *wireReader) floats() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
+	b := r.buf[r.off : r.off+8*n]
 	for i := range out {
-		out[i] = r.float()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
+	r.off += 8 * n
 	return out
 }

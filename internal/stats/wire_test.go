@@ -3,7 +3,9 @@ package stats
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -85,6 +87,35 @@ func TestSummaryWireGoldenFrame(t *testing.T) {
 		}
 		if got := hex.EncodeToString(enc); got != want {
 			t.Errorf("incremental=%v: frame changed:\n  got  %s\n  want %s", inc, got, want)
+		}
+	}
+}
+
+// A shard worker frames its runs with EncodeRuns and builds no summary. The
+// frame must be the one EncodeSummary writes for a NewFullSummary(false)
+// fed the same runs, byte for byte, and DecodeRuns must read the runs back
+// bit for bit.
+func TestEncodeRunsIsSummaryFrame(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 256, 4096} {
+		runs := gridSample(uint64(n)+1, n)
+		sum := NewFullSummary(false)
+		pushBlocks(sum, runs, 100)
+		want, err := EncodeSummary(sum)
+		if err != nil {
+			t.Fatalf("n=%d: encode: %v", n, err)
+		}
+		got := EncodeRuns(runs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: runs frame differs from the full-summary frame:\n  got  %x\n  want %x", n, got, want)
+		}
+		back, err := DecodeRuns(got)
+		if err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if !slices.EqualFunc(back, runs, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("n=%d: decoded runs differ", n)
 		}
 	}
 }
