@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/signal"
 
+	"pubtac/internal/core"
 	"pubtac/internal/experiment"
 	"pubtac/internal/textplot"
 )
@@ -30,6 +31,9 @@ func main() {
 		height  = flag.Int("height", 14, "plot height")
 	)
 	flag.Parse()
+	if err := core.CheckScale(*scale); err != nil {
+		log.Fatalf("-scale: %v", err)
+	}
 	opts := experiment.Options{Scale: *scale, Workers: *workers}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -37,6 +37,7 @@ import (
 
 	"pubtac"
 	"pubtac/client"
+	"pubtac/internal/core"
 )
 
 func main() {
@@ -60,6 +61,9 @@ func main() {
 		hedge     = flag.Duration("hedge-delay", 0, "race an unanswered shard on a second peer after this long (0 = off)")
 	)
 	flag.Parse()
+	if err := core.CheckScale(*scale); err != nil {
+		log.Fatalf("-scale: %v", err)
+	}
 	if *peers == "" && (*shards != 0 || *peerRetry != 0 || *hedge != 0) {
 		log.Fatal("-shards, -peer-retry and -hedge-delay configure sharded collection; they need -peers")
 	}

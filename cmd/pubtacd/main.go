@@ -46,6 +46,7 @@ import (
 
 	"pubtac"
 	"pubtac/client"
+	"pubtac/internal/core"
 	"pubtac/internal/fault"
 	"pubtac/internal/pool"
 	"pubtac/internal/serve"
@@ -75,6 +76,9 @@ func main() {
 		chaosSeed = flag.Uint64("chaos-seed", 1, "seed for the -chaos injection schedule (same seed, same schedule)")
 	)
 	flag.Parse()
+	if err := core.CheckScale(*scale); err != nil {
+		log.Fatalf("-scale: %v", err)
+	}
 	if *peers == "" && (*shards != 0 || *peerRetry != 0 || *hedge != 0 || *chaos != "") {
 		log.Fatal("-shards, -peer-retry, -hedge-delay and -chaos configure outbound peer calls; they need -peers")
 	}

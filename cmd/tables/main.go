@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/signal"
 
+	"pubtac/internal/core"
 	"pubtac/internal/experiment"
 )
 
@@ -27,6 +28,9 @@ func main() {
 		workers = flag.Int("workers", 0, "total simulation workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
+	if err := core.CheckScale(*scale); err != nil {
+		log.Fatalf("-scale: %v", err)
+	}
 	opts := experiment.Options{Scale: *scale, Workers: *workers}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -124,6 +124,16 @@ func (c Config) Scaled(scale float64) Config {
 	return c
 }
 
+// CheckScale refuses a campaign scale that Scaled cannot use: NaN, a scale
+// not > 0, or one at which the 7×10^5-run campaign overflows an int (+Inf
+// included). Scaled would silently floor each to the minimum campaign.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || 7e5*scale >= float64(math.MaxInt) {
+		return fmt.Errorf("campaign scale %v: want a finite scale > 0 with 7e5*scale within int range", scale)
+	}
+	return nil
+}
+
 // ScaledRuns returns max(min, round(n*scale)): the rounding rule behind
 // Scaled, which the experiment generators also apply to their own campaign
 // sizes.

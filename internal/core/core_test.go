@@ -2,12 +2,31 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"pubtac/internal/malardalen"
 	"pubtac/internal/mbpta"
 	"pubtac/internal/stats"
 )
+
+// TestCheckScale: Scaled floors every scale it cannot use to the minimum
+// campaign (a 6,000-run cap), so the CLIs refuse such scales up front.
+func TestCheckScale(t *testing.T) {
+	for _, s := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if err := CheckScale(s); err == nil {
+			t.Errorf("CheckScale(%v) accepted a scale Scaled cannot use", s)
+		}
+	}
+	for _, s := range []float64{1e-9, 0.05, 1, 20} {
+		if err := CheckScale(s); err != nil {
+			t.Errorf("CheckScale(%v) = %v, want nil", s, err)
+		}
+	}
+	if got := DefaultConfig().Scaled(20).CampaignCap; got != 14_000_000 {
+		t.Errorf("Scaled(20).CampaignCap = %d, want 14000000", got)
+	}
+}
 
 // testConfig returns a configuration sized for unit tests: small campaigns,
 // capped at a few thousand runs.

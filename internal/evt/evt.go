@@ -55,13 +55,13 @@ type ExpTail struct {
 }
 
 // fitExpTailUpper fits an exponential tail above the threshold that leaves
-// tailCount exceedances, reading it off the top of sortedUpper: an
-// ascending-sorted slice holding at least the top tailCount+1 order
-// statistics of a sample of total size n. The whole sorted sample and a
-// top-K reservoir covering the window hold the same order statistics, so
-// the fit is bit-identical on either. It returns ErrSampleTooSmall when
-// fewer than 10 exceedances are available.
-func fitExpTailUpper(sortedUpper []float64, n, tailCount int) (*ExpTail, error) {
+// tailCount exceedances, reading it off the top of upper: a sorted view
+// holding at least the top tailCount+1 order statistics of a sample of
+// total size n. The whole sorted sample and a top-K reservoir covering the
+// window hold the same order statistics, so the fit is bit-identical on
+// either. It returns ErrSampleTooSmall when fewer than 10 exceedances are
+// available.
+func fitExpTailUpper(upper stats.Sorted, n, tailCount int) (*ExpTail, error) {
 	if n < 20 || tailCount < 10 {
 		return nil, ErrSampleTooSmall
 	}
@@ -71,17 +71,16 @@ func fitExpTailUpper(sortedUpper []float64, n, tailCount int) (*ExpTail, error) 
 			return nil, ErrSampleTooSmall
 		}
 	}
-	if tailCount+1 > len(sortedUpper) {
+	if tailCount+1 > upper.Len() {
 		return nil, ErrSampleTooSmall
 	}
-	top := len(sortedUpper)
-	u := sortedUpper[top-tailCount-1] // threshold: leaves exactly tailCount order statistics above
-	// Excesses of the top tailCount order statistics over u. Ties with u
-	// contribute zero excess; this keeps the fit defined for degenerate
-	// (low-variability) samples.
+	u := upper.FromTop(tailCount + 1) // threshold: leaves exactly tailCount order statistics above
+	// Excesses of the top tailCount order statistics over u, smallest
+	// first. Ties with u contribute zero excess; this keeps the fit defined
+	// for degenerate (low-variability) samples.
 	var sum float64
-	for _, v := range sortedUpper[top-tailCount:] {
-		sum += v - u
+	for k := tailCount; k >= 1; k-- {
+		sum += upper.FromTop(k) - u
 	}
 	meanExcess := sum / float64(tailCount)
 	count := tailCount
@@ -228,8 +227,8 @@ func FitExpTailAutoSummary(v stats.SampleView, minTail, maxTail int) (*ExpTail, 
 	if maxTail < minTail {
 		maxTail = minTail
 	}
-	if maxTail > len(tail)-1 {
-		maxTail = len(tail) - 1
+	if maxTail > tail.Len()-1 {
+		maxTail = tail.Len() - 1
 	}
 	if maxTail < minTail {
 		minTail = maxTail
@@ -277,11 +276,11 @@ func (c CVTest) Accepted() bool { return c.CV >= c.Lo && c.CV <= c.Hi }
 
 // checkCVUpper runs the CV exponentiality test on the top tailCount values
 // of a sample of total size n, with a 99% confidence band (z=2.5758),
-// reading them off the top of sortedUpper: an ascending-sorted slice holding
-// at least the top tailCount+1 order statistics. The excess moments are
-// accumulated largest-first, so the whole sorted sample and a reservoir
-// covering the window yield a bit-identical test.
-func checkCVUpper(sortedUpper []float64, n, tailCount int) CVTest {
+// reading them off the top of upper: a sorted view holding at least the top
+// tailCount+1 order statistics. The excess moments are accumulated
+// largest-first, so the whole sorted sample and a reservoir covering the
+// window yield a bit-identical test.
+func checkCVUpper(upper stats.Sorted, n, tailCount int) CVTest {
 	k := tailCount + 1
 	if k > n {
 		k = n
@@ -289,25 +288,24 @@ func checkCVUpper(sortedUpper []float64, n, tailCount int) CVTest {
 	if k < 3 {
 		return CVTest{CV: 1, Lo: 0, Hi: 2, NTail: k}
 	}
-	if k > len(sortedUpper) {
-		k = len(sortedUpper)
+	if k > upper.Len() {
+		k = upper.Len()
 		if k < 3 {
 			return CVTest{CV: 1, Lo: 0, Hi: 2, NTail: k}
 		}
 	}
-	top := len(sortedUpper)
-	u := sortedUpper[top-k]
-	m := k - 1 // excesses: the k-1 order statistics strictly above position top-k
+	u := upper.FromTop(k)
+	m := k - 1 // excesses: the k-1 order statistics above the k-th largest
 	var sum float64
-	for i := top - 1; i >= top-m; i-- {
-		sum += sortedUpper[i] - u
+	for i := 1; i <= m; i++ {
+		sum += upper.FromTop(i) - u
 	}
 	mean := sum / float64(m)
 	var cv float64
 	if mean != 0 {
 		var ss float64
-		for i := top - 1; i >= top-m; i-- {
-			d := (sortedUpper[i] - u) - mean
+		for i := 1; i <= m; i++ {
+			d := (upper.FromTop(i) - u) - mean
 			ss += d * d
 		}
 		cv = math.Sqrt(ss/float64(m-1)) / mean

@@ -10,7 +10,7 @@ import (
 
 // A directive is one parsed "//pubtac:<verb> <args>" comment.
 type directive struct {
-	verb string // "nondeterministic", "nopoll", "sorted", "fastpath", "reference"
+	verb string // "nondeterministic", "nopoll", "fastpath", "reference", "bench"
 	args string // reason or pair name; may be empty (which analyzers report)
 	pos  token.Pos
 }

@@ -22,12 +22,6 @@
 //     package, and some test file must mention both identifiers — the
 //     fast-path/reference-oracle discipline (Engine.UseReference and the
 //     mbpta and tac reference test seams), machine-checked.
-//   - sortedview: a []float64 parameter whose name contains "sorted"
-//     declares an ascending-sorted-view precondition; arguments at such
-//     positions must be traceable to stats.SortedCopy, stats.MergeSorted, a
-//     .Sorted field/method, a producer-named call (TailSorted), a helper
-//     whose every return is itself sorted, an in-place sort, or another
-//     sorted parameter.
 //   - benchgate: benchmarks marked //pubtac:bench are the CI-gated set;
 //     the directive must match the newest committed BENCH_N.json baseline
 //     bidirectionally (marked ⇒ baselined, baselined ⇒ marked, no stale
@@ -41,7 +35,6 @@
 //
 //	//pubtac:nondeterministic <reason>  escape detrand and poolonly
 //	//pubtac:nopoll <reason>            escape ctxpoll
-//	//pubtac:sorted <reason>            escape sortedview
 //	//pubtac:fastpath <name>            mark a fast-path declaration
 //	//pubtac:reference <name>           mark its reference oracle
 //	//pubtac:bench                      mark a CI-gated benchmark
@@ -64,7 +57,6 @@ func Analyzers() []*analysis.Analyzer {
 		Poolonly,
 		Ctxpoll,
 		Oraclepair,
-		Sortedview,
 		Benchgate,
 	}
 }

@@ -47,10 +47,6 @@ func TestOraclepair(t *testing.T) {
 	linttest.Run(t, "testdata", lint.Oraclepair, "oraclepair/bad")
 }
 
-func TestSortedview(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Sortedview, "sortedview/a")
-}
-
 func TestBenchgate(t *testing.T) {
 	linttest.Run(t, "testdata", lint.Benchgate, "benchgate/good")
 	linttest.Run(t, "testdata", lint.Benchgate, "benchgate/bad")
@@ -58,8 +54,8 @@ func TestBenchgate(t *testing.T) {
 
 func TestSuiteComplete(t *testing.T) {
 	as := lint.Analyzers()
-	if len(as) != 6 {
-		t.Fatalf("Analyzers() = %d analyzers, want 6", len(as))
+	if len(as) != 5 {
+		t.Fatalf("Analyzers() = %d analyzers, want 5", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {

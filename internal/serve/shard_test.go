@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"pubtac"
 	"pubtac/client"
 	"pubtac/internal/mbpta"
+	"pubtac/internal/serve"
 	"pubtac/internal/stats"
 )
 
@@ -123,13 +126,18 @@ func TestShardEndpointMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestShardEndpointRefusals: a worker verifies a spec against its own
-// configuration before simulating anything, so a mismatched coordinator
-// degrades to local recomputation instead of silently merging foreign bytes.
-func TestShardEndpointRefusals(t *testing.T) {
-	srv, ts := newTestServer(t, t.TempDir())
-	cfg := pubtac.NewSession(smallOpts()...).Config()
-	ok := pubtac.ShardSpec{
+// shardCase is one spec posted to POST /v1/shards and the status the
+// worker must answer it with.
+type shardCase struct {
+	name string
+	spec pubtac.ShardSpec
+	code int
+}
+
+// shardCases returns a valid shard spec for srv and the refusals derived
+// from it.
+func shardCases(srv *serve.Server, cfg pubtac.Config) (ok pubtac.ShardSpec, refusals []shardCase) {
+	ok = pubtac.ShardSpec{
 		Config:  srv.ConfigFingerprint().String(),
 		Program: "bs",
 		Input:   "default",
@@ -142,11 +150,7 @@ func TestShardEndpointRefusals(t *testing.T) {
 		f(&s)
 		return s
 	}
-	cases := []struct {
-		name string
-		spec pubtac.ShardSpec
-		code int
-	}{
+	return ok, []shardCase{
 		{"foreign config", mut(func(s *pubtac.ShardSpec) { s.Config = "deadbeef" }), http.StatusConflict},
 		{"wrong root", mut(func(s *pubtac.ShardSpec) { s.Root++ }), http.StatusConflict},
 		{"negative lo", mut(func(s *pubtac.ShardSpec) { s.Lo = -1 }), http.StatusBadRequest},
@@ -161,6 +165,14 @@ func TestShardEndpointRefusals(t *testing.T) {
 			s.Root = mbpta.Seed("bs/no-such-input") ^ cfg.SeedSalt
 		}), http.StatusNotFound},
 	}
+}
+
+// TestShardEndpointRefusals: a worker verifies a spec against its own
+// configuration before simulating anything, so a mismatched coordinator
+// degrades to local recomputation instead of silently merging foreign bytes.
+func TestShardEndpointRefusals(t *testing.T) {
+	srv, ts := newTestServer(t, t.TempDir())
+	ok, cases := shardCases(srv, pubtac.NewSession(smallOpts()...).Config())
 	for _, tc := range cases {
 		resp, body := postShard(t, ts.URL, tc.spec)
 		if resp.StatusCode != tc.code {
@@ -176,6 +188,68 @@ func TestShardEndpointRefusals(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid spec refused with %d", resp.StatusCode)
 	}
+}
+
+// FuzzShardRequest posts fuzzed bodies to POST /v1/shards through
+// Server.ServeHTTP, with no listener. The handler never panics and answers
+// only 200, 400, 404 or 409, and a 200 carries exactly Hi−Lo runs, equal to
+// a local collection of the same range. A body that decodes to a range of
+// more than 4,096 runs the worker would accept is skipped, so each exec
+// stays in milliseconds.
+func FuzzShardRequest(f *testing.F) {
+	store, err := serve.NewStore(f.TempDir(), 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := serve.New(serve.Options{Store: store, SessionOptions: smallOpts()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer srv.Close()
+	cfg := pubtac.NewSession(smallOpts()...).Config()
+	ok, cases := shardCases(srv, cfg)
+	seeds := []pubtac.ShardSpec{ok}
+	for _, c := range cases {
+		seeds = append(seeds, c.spec)
+	}
+	for _, spec := range seeds {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"config": "` + ok.Config + `", "program": "bs", "lo": 0, "hi": 1`))
+	f.Add([]byte(`not json`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec pubtac.ShardSpec
+		if json.Unmarshal(body, &spec) == nil && spec.Runs() > 4096 && spec.Runs() <= serve.MaxShardRuns {
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shards", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusConflict:
+			return
+		default:
+			t.Fatalf("%s: status %d (%s)", body, rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
+		}
+		got, err := stats.DecodeRuns(rec.Body.Bytes())
+		if err != nil {
+			t.Fatalf("%s: 200 reply does not decode: %v", body, err)
+		}
+		want := localShardSample(t, cfg, spec.Program, spec.Input, spec.Original, spec.Lo, spec.Hi)
+		if len(got) != spec.Hi-spec.Lo || len(want) != len(got) {
+			t.Fatalf("%s: %d runs served, %d collected locally, want %d", body, len(got), len(want), spec.Hi-spec.Lo)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: run %d: served %v, local %v", body, spec.Lo+i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestResultETagRevalidation: the content key doubles as a strong ETag, so a

@@ -1,14 +1,15 @@
 package stats
 
-import "sort"
+import "math"
 
 // ECDF is an empirical cumulative distribution function built from a sample.
 // It supports both cumulative probabilities F(x) = P[X <= x] and exceedance
 // (complementary) probabilities 1 - F(x), the representation used for pWCET
 // curves in the MBPTA literature. It is also the full sample's SampleView:
-// every query is exact.
+// every query is exact. The order-statistic queries (Min, Max, FromTop,
+// CountLE, Quantile) are its sorted sample's.
 type ECDF struct {
-	sorted []float64 // ascending
+	Sorted
 }
 
 // NewECDF builds an ECDF from sample. The sample is copied, so the caller
@@ -17,42 +18,22 @@ func NewECDF(sample []float64) *ECDF {
 	if len(sample) == 0 {
 		panic(ErrEmptySample)
 	}
-	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
+	return &ECDF{SortedCopy(sample)}
 }
 
 // N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
+func (e *ECDF) N() int { return e.Len() }
 
-// Min returns the smallest sample value.
-func (e *ECDF) Min() float64 { return e.sorted[0] }
-
-// Max returns the largest sample value.
-func (e *ECDF) Max() float64 { return e.sorted[len(e.sorted)-1] }
-
-// TailSorted returns the whole ascending-sorted sample: a full view's exact
-// tail is the sample itself. The returned slice must not be modified.
-func (e *ECDF) TailSorted() []float64 { return e.sorted }
-
-// FromTop returns the k-th largest sample value (1 <= k <= N).
-func (e *ECDF) FromTop(k int) float64 { return e.sorted[len(e.sorted)-k] }
-
-// CountLE returns the number of sample values <= x: one upper-bound binary
-// search, O(log n) however many runs tie at x.
-func (e *ECDF) CountLE(x float64) int {
-	return sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-}
+// TailSorted returns the whole sorted sample: a full view's exact tail is
+// the sample itself.
+func (e *ECDF) TailSorted() Sorted { return e.Sorted }
 
 // P returns the empirical P[X <= x].
-func (e *ECDF) P(x float64) float64 { return float64(e.CountLE(x)) / float64(len(e.sorted)) }
+func (e *ECDF) P(x float64) float64 { return float64(e.CountLE(x)) / float64(e.Len()) }
 
 // Exceedance returns the empirical exceedance probability P[X > x], the
 // quantity plotted on the y axis of an ECCDF / pWCET figure.
 func (e *ECDF) Exceedance(x float64) float64 { return 1 - e.P(x) }
-
-// Quantile returns the q-th quantile of the underlying sample.
-func (e *ECDF) Quantile(q float64) float64 { return QuantileSorted(e.sorted, q) }
 
 // ECCDFPoint is one (value, exceedance-probability) coordinate of an ECCDF.
 type ECCDFPoint struct {
@@ -64,14 +45,14 @@ type ECCDFPoint struct {
 // sample value, with the exceedance probability immediately after that
 // value. The points are ascending in Value and descending in Prob.
 func (e *ECDF) Points() []ECCDFPoint {
-	n := len(e.sorted)
+	n := len(e.xs)
 	var pts []ECCDFPoint
 	for i := 0; i < n; {
 		j := i
-		for j < n && e.sorted[j] == e.sorted[i] {
+		for j < n && e.xs[j] == e.xs[i] {
 			j++
 		}
-		pts = append(pts, ECCDFPoint{Value: e.sorted[i], Prob: float64(n-j) / float64(n)})
+		pts = append(pts, ECCDFPoint{Value: e.xs[i], Prob: float64(n-j) / float64(n)})
 		i = j
 	}
 	return pts
@@ -82,32 +63,25 @@ func (e *ECDF) Points() []ECCDFPoint {
 func (e *ECDF) KSStatistic(other *ECDF) float64 {
 	var d float64
 	i, j := 0, 0
-	n1, n2 := len(e.sorted), len(other.sorted)
+	n1, n2 := len(e.xs), len(other.xs)
 	for i < n1 && j < n2 {
-		x1, x2 := e.sorted[i], other.sorted[j]
+		x1, x2 := e.xs[i], other.xs[j]
 		x := x1
 		if x2 < x {
 			x = x2
 		}
-		for i < n1 && e.sorted[i] <= x {
+		for i < n1 && e.xs[i] <= x {
 			i++
 		}
-		for j < n2 && other.sorted[j] <= x {
+		for j < n2 && other.xs[j] <= x {
 			j++
 		}
-		diff := math64Abs(float64(i)/float64(n1) - float64(j)/float64(n2))
+		diff := math.Abs(float64(i)/float64(n1) - float64(j)/float64(n2))
 		if diff > d {
 			d = diff
 		}
 	}
 	return d
-}
-
-func math64Abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // UpperBounds reports whether this ECDF stochastically upper-bounds other:
@@ -116,12 +90,12 @@ func math64Abs(x float64) float64 {
 // tol absorbs sampling noise; use 0 for exact dominance.
 func (e *ECDF) UpperBounds(other *ECDF, tol float64) bool {
 	// Evaluate at every jump point of both ECDFs.
-	for _, x := range e.sorted {
+	for _, x := range e.xs {
 		if e.Exceedance(x) < other.Exceedance(x)-tol {
 			return false
 		}
 	}
-	for _, x := range other.sorted {
+	for _, x := range other.xs {
 		if e.Exceedance(x) < other.Exceedance(x)-tol {
 			return false
 		}

@@ -9,13 +9,13 @@ const iidMaxLags = 20
 // IIDState incrementally maintains the MBPTA admissibility battery over a
 // growing run-ordered sample that its owner retains (FullSummary): Push only
 // folds each block into the Ljung-Box moment sums, and ReportSorted reads the
-// owner's sample and ascending-sorted view. A convergence loop that adds inc
-// runs per round pays O(inc·lags) per Push plus O(lags) per report for the
-// Ljung-Box check, instead of CheckIID's O(n·lags) full-sample re-scan; the
-// runs test continues its scan from where the previous report stopped
+// owner's sample and sorted view. A convergence loop that adds inc runs per
+// round pays O(inc·lags) per Push plus O(lags) per report for the Ljung-Box
+// check, instead of CheckIID's O(n·lags) full-sample re-scan; the runs test
+// continues its scan from where the previous report stopped
 // (re-dichotomizing only when the sample median actually moves), and the
-// two-half KS check grows its ascending-sorted first half across the moving
-// half boundary so neither half is ever re-sorted.
+// two-half KS check grows its sorted first half across the moving half
+// boundary so neither half is ever re-sorted.
 //
 // Reports are bit-identical to CheckIID for the runs and KS checks (same
 // integer counts, same median, same evaluation points) and agree with it to
@@ -39,9 +39,9 @@ type IIDState struct {
 	scanned int
 	runs    signRuns
 
-	// firstSorted is the ascending-sorted first half of the two-half KS
-	// check, grown at report time (see growSortedPrefix).
-	firstSorted []float64
+	// firstSorted is the sorted first half of the two-half KS check, grown
+	// at report time (see growSortedPrefix).
+	firstSorted Sorted
 }
 
 // N returns the number of runs pushed so far.
@@ -52,13 +52,13 @@ func (s *IIDState) N() int { return s.lb.n }
 func (s *IIDState) Push(block []float64) { s.lb.push(block) }
 
 // ReportSorted computes the battery report for the runs pushed so far, given
-// the owner's run-ordered sample of those same runs and its ascending-sorted
-// view. The sorted view supplies the runs-test median in O(1); nothing
-// re-sorts or re-scans the run-ordered prefix. ReportSorted mutates the
-// runs-test scan state and the KS first half and is therefore not
-// idempotent w.r.t. cost, only w.r.t. results.
-func (s *IIDState) ReportSorted(sample, sorted []float64) IIDReport {
-	if len(sample) != s.lb.n || len(sorted) != s.lb.n {
+// the owner's run-ordered sample of those same runs and its sorted view.
+// The sorted view supplies the runs-test median in O(1); nothing re-sorts or
+// re-scans the run-ordered prefix. ReportSorted mutates the runs-test scan
+// state and the KS first half and is therefore not idempotent w.r.t. cost,
+// only w.r.t. results.
+func (s *IIDState) ReportSorted(sample []float64, sorted Sorted) IIDReport {
+	if len(sample) != s.lb.n || sorted.Len() != s.lb.n {
 		panic("stats: IIDState.ReportSorted: sample or sorted view does not match the pushed runs")
 	}
 	return IIDReport{
@@ -72,11 +72,11 @@ func (s *IIDState) ReportSorted(sample, sorted []float64) IIDReport {
 // When the sample median moved since the last report the whole sample is
 // re-dichotomized; integer-valued execution times pin the median quickly,
 // so steady-state rounds only scan their increment.
-func (s *IIDState) runsReport(sample, sorted []float64) TestResult {
+func (s *IIDState) runsReport(sample []float64, sorted Sorted) TestResult {
 	if len(sample) == 0 {
 		return TestResult{Name: "runs", Statistic: 0, PValue: 1}
 	}
-	med := quantileSorted(sorted, 0.5)
+	med := sorted.Quantile(0.5)
 	if !s.hasMed || med != s.runsMed {
 		s.runsMed, s.hasMed = med, true
 		s.scanned, s.runs = 0, signRuns{}
@@ -89,20 +89,20 @@ func (s *IIDState) runsReport(sample, sorted []float64) TestResult {
 // identicalReport is the two-half KS check against the maintained first
 // half; the second half's ECDF is derived from the full sorted view during
 // the walk, so it never needs its own sorted copy.
-func (s *IIDState) identicalReport(sample, sorted []float64) TestResult {
+func (s *IIDState) identicalReport(sample []float64, sorted Sorted) TestResult {
 	n := len(sample)
 	if n < 4 {
 		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
 	}
 	s.firstSorted = growSortedPrefix(s.firstSorted, sample, n/2)
-	h := len(s.firstSorted)
+	h := s.firstSorted.Len()
 	return ksResult(ksFirstVsRest(sorted, s.firstSorted), h, n-h)
 }
 
 // Bytes returns the battery's retained memory in bytes: the KS first half and
 // the Ljung-Box windows (transient merge buffers excluded; the sample is the
 // owner's).
-func (s *IIDState) Bytes() int { return len(s.firstSorted)*8 + s.lb.bytes() + 256 }
+func (s *IIDState) Bytes() int { return s.firstSorted.Len()*8 + s.lb.bytes() + 256 }
 
 // streamIID is the bounded-memory battery a StreamingSummary holds. It
 // retains no series, only the first min(n, firstCap) runs, and it reads the
@@ -128,7 +128,7 @@ type streamIID struct {
 	sketch      *QuantileSketch
 	firstCap    int
 	firstRuns   []float64 // first min(n, firstCap) runs, in run order
-	firstSorted []float64 // ascending-sorted firstRuns[:h], grown at report time
+	firstSorted Sorted    // firstRuns[:h], grown at report time
 }
 
 func (s *streamIID) push(block []float64) {
@@ -153,25 +153,24 @@ func (s *streamIID) identicalReport() TestResult {
 		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
 	}
 	s.firstSorted = growSortedPrefix(s.firstSorted, s.firstRuns, min(n/2, s.firstCap))
-	h := len(s.firstSorted)
+	h := s.firstSorted.Len()
 	return ksResult(ksFirstVsSketch(s.sketch, s.firstSorted, n), h, n-h)
 }
 
 func (s *streamIID) bytes() int {
-	return (len(s.firstRuns)+len(s.firstSorted))*8 + s.lb.bytes() + 256
+	return (len(s.firstRuns)+s.firstSorted.Len())*8 + s.lb.bytes() + 256
 }
 
-// growSortedPrefix extends prefixSorted, the ascending-sorted first
-// len(prefixSorted) values of runs, to the first h: the run-ordered chunk
-// crossing the boundary is sorted and merged in, so the prefix only ever
-// grows and never re-sorts. The result is the sorted multiset of runs[:h]
-// however the growth was split, so a battery may grow it lazily, at report
-// time.
-func growSortedPrefix(prefixSorted, runs []float64, h int) []float64 {
-	if h <= len(prefixSorted) {
-		return prefixSorted
+// growSortedPrefix extends prefix, the sorted first prefix.Len() values of
+// runs, to the first h: the run-ordered chunk crossing the boundary is
+// sorted and merged in, so the prefix only ever grows and never re-sorts.
+// The result is the sorted multiset of runs[:h] however the growth was
+// split, so a battery may grow it lazily, at report time.
+func growSortedPrefix(prefix Sorted, runs []float64, h int) Sorted {
+	if h <= prefix.Len() {
+		return prefix
 	}
-	return MergeSorted(prefixSorted, SortedCopy(runs[len(prefixSorted):h]))
+	return MergeSorted(prefix, SortedCopy(runs[prefix.Len():h]))
 }
 
 // ljungBoxSums folds a run-ordered series into the running sums the
@@ -263,14 +262,15 @@ func (l *ljungBoxSums) report(rescan []float64) TestResult {
 func (l *ljungBoxSums) bytes() int { return (len(l.head) + len(l.window)) * 8 }
 
 // ksFirstVsRest computes the two-sample KS statistic between the first-half
-// sample (first, ascending) and the rest of the full sample (full ∖ first)
-// in one walk over the full sorted view: at every distinct value x the
-// rest's count is the full count minus the first-half count. The result is
-// bit-identical to ECDF.KSStatistic on separately sorted halves — the same
-// i/n1 and j/n2 divisions are compared at a superset of its evaluation
-// points, and the extra points (past either half's last value) can only
-// produce smaller differences.
-func ksFirstVsRest(full, first []float64) float64 {
+// sample (first) and the rest of the full sample (full ∖ first) in one walk
+// over the full sorted view: at every distinct value x the rest's count is
+// the full count minus the first-half count. The result is bit-identical to
+// ECDF.KSStatistic on separately sorted halves — the same i/n1 and j/n2
+// divisions are compared at a superset of its evaluation points, and the
+// extra points (past either half's last value) can only produce smaller
+// differences.
+func ksFirstVsRest(fullView, firstView Sorted) float64 {
+	full, first := fullView.xs, firstView.xs
 	n, n1 := len(full), len(first)
 	n2 := n - n1
 	if n1 == 0 || n2 == 0 {
@@ -300,7 +300,8 @@ func ksFirstVsRest(full, first []float64) float64 {
 // the rest's count by subtracting the first-sample count from the cumulative
 // bucket count. With an exact sketch (step 0) the evaluation points and
 // counts — hence the statistic — are bit-identical to ksFirstVsRest.
-func ksFirstVsSketch(sk *QuantileSketch, first []float64, n int) float64 {
+func ksFirstVsSketch(sk *QuantileSketch, firstView Sorted, n int) float64 {
+	first := firstView.xs
 	n1 := len(first)
 	n2 := n - n1
 	if n1 == 0 || n2 == 0 {

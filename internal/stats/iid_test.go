@@ -246,7 +246,7 @@ func TestIIDStateReportSortedRejectsStaleView(t *testing.T) {
 			t.Fatal("expected panic on a sorted view of the wrong length")
 		}
 	}()
-	st.ReportSorted([]float64{1, 2, 3}, []float64{1, 2})
+	st.ReportSorted([]float64{1, 2, 3}, SortedCopy([]float64{1, 2}))
 }
 
 func TestIIDStatePassesOnIIDSample(t *testing.T) {

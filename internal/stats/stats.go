@@ -10,7 +10,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmptySample is returned by functions that need at least one value.
@@ -78,72 +77,10 @@ func Max(xs []float64) float64 {
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the R default). The input
 // need not be sorted. It panics on an empty sample.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmptySample)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-// QuantileSorted is Quantile for an already ascending-sorted sample,
-// avoiding the copy and sort.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic(ErrEmptySample)
-	}
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
+func Quantile(xs []float64, q float64) float64 { return SortedCopy(xs).Quantile(q) }
 
 // Median returns the 0.5 quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// SortedCopy returns an ascending-sorted copy of xs. It is the entry point
-// of the sort-once estimation path: callers sort a sample a single time and
-// hand the result to the *Sorted variants across stats, evt and mbpta.
-func SortedCopy(xs []float64) []float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s
-}
-
-// MergeSorted merges two ascending-sorted slices into a new ascending
-// slice. Growing campaigns use it to maintain a sorted view across
-// convergence rounds in O(n + inc) instead of re-sorting the whole sample.
-func MergeSorted(sortedA, sortedB []float64) []float64 {
-	out := make([]float64, 0, len(sortedA)+len(sortedB))
-	i, j := 0, 0
-	for i < len(sortedA) && j < len(sortedB) {
-		if sortedA[i] <= sortedB[j] {
-			out = append(out, sortedA[i])
-			i++
-		} else {
-			out = append(out, sortedB[j])
-			j++
-		}
-	}
-	out = append(out, sortedA[i:]...)
-	out = append(out, sortedB[j:]...)
-	return out
-}
 
 // Autocorrelation returns the lag-k sample autocorrelation coefficient of
 // xs. It returns 0 when the series is shorter than k+2 values or has zero

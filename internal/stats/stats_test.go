@@ -93,9 +93,9 @@ func TestQuantileMonotone(t *testing.T) {
 }
 
 func TestMergeSorted(t *testing.T) {
-	a := []float64{1, 3, 3, 8}
-	b := []float64{2, 3, 9}
-	got := MergeSorted(a, b)
+	a := SortedCopy([]float64{1, 3, 3, 8})
+	b := SortedCopy([]float64{2, 3, 9})
+	got := MergeSorted(a, b).xs
 	want := []float64{1, 2, 3, 3, 3, 8, 9}
 	if len(got) != len(want) {
 		t.Fatalf("MergeSorted = %v, want %v", got, want)
@@ -105,11 +105,11 @@ func TestMergeSorted(t *testing.T) {
 			t.Fatalf("MergeSorted = %v, want %v", got, want)
 		}
 	}
-	if out := MergeSorted(nil, b); len(out) != 3 {
-		t.Fatalf("MergeSorted(nil, b) = %v", out)
+	if out := MergeSorted(Sorted{}, b); out.Len() != 3 {
+		t.Fatalf("MergeSorted(empty, b) = %v", out)
 	}
-	if out := MergeSorted(a, nil); len(out) != 4 {
-		t.Fatalf("MergeSorted(a, nil) = %v", out)
+	if out := MergeSorted(a, Sorted{}); out.Len() != 4 {
+		t.Fatalf("MergeSorted(a, empty) = %v", out)
 	}
 }
 
@@ -191,8 +191,8 @@ func TestECDFCountLEUpperBound(t *testing.T) {
 					linear++
 				}
 			}
-			walk := sort.SearchFloat64s(e.sorted, x)
-			for walk < n && e.sorted[walk] == x {
+			walk := sort.SearchFloat64s(e.xs, x)
+			for walk < n && e.xs[walk] == x {
 				walk++
 			}
 			if got := e.CountLE(x); got != linear || got != walk {

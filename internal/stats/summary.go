@@ -14,10 +14,10 @@ type SampleView interface {
 	Min() float64
 	// Max returns the largest observation (exact in every mode).
 	Max() float64
-	// TailSorted returns the ascending-sorted top portion of the sample
-	// available for exact tail work: the whole sample on a full view, the
-	// top-K reservoir on a streaming view. Read-only; do not modify.
-	TailSorted() []float64
+	// TailSorted returns the sorted top portion of the sample available
+	// for exact tail work: the whole sample on a full view, the top-K
+	// reservoir on a streaming view.
+	TailSorted() Sorted
 	// FromTop returns the k-th largest observation (1 <= k <= N): exact
 	// while k is within TailSorted, sketch-resolved below it on streaming
 	// views.
@@ -58,17 +58,16 @@ type SampleSummary interface {
 }
 
 // FullSummary is the retained-sample reference arm of the estimation
-// pipeline: the run-ordered sample plus an incrementally merged
-// ascending-sorted view, exactly the state the convergence loop historically
-// threaded by hand. Its incremental battery reads both instead of keeping
-// copies. Its View, an ECDF, answers every query exactly. Memory
-// grows linearly with the run count — the scaling wall the streaming arm
-// removes.
+// pipeline: the run-ordered sample plus an incrementally merged sorted
+// view, exactly the state the convergence loop historically threaded by
+// hand. Its incremental battery reads both instead of keeping copies. Its
+// View, an ECDF, answers every query exactly. Memory grows linearly with the
+// run count — the scaling wall the streaming arm removes.
 //
 //pubtac:reference summary
 type FullSummary struct {
 	sample []float64
-	sorted []float64
+	sorted Sorted
 	iid    *IIDState // incremental battery; nil = one-shot reference battery
 	peak   int
 }
@@ -86,11 +85,10 @@ func NewFullSummary(incrementalIID bool) *FullSummary {
 	return s
 }
 
-// AdoptFullSummary wraps an existing run-ordered sample and its
-// ascending-sorted view without copying; IID runs the one-shot reference
-// battery. The slices are adopted: the caller must not modify them
-// afterwards.
-func AdoptFullSummary(sample, sorted []float64) *FullSummary {
+// AdoptFullSummary wraps an existing run-ordered sample and its sorted view
+// without copying; IID runs the one-shot reference battery. The sample is
+// adopted: the caller must not modify it afterwards.
+func AdoptFullSummary(sample []float64, sorted Sorted) *FullSummary {
 	s := &FullSummary{sample: sample, sorted: sorted}
 	s.peak = s.Bytes()
 	return s
@@ -132,9 +130,9 @@ func (s *FullSummary) IID() IIDReport {
 }
 
 // View snapshots the current sorted view as an ECDF. Pushes replace (never
-// mutate) the sorted slice, so the snapshot stays valid as the summary
+// mutate) the sorted view, so the snapshot stays valid as the summary
 // grows.
-func (s *FullSummary) View() SampleView { return &ECDF{sorted: s.sorted} }
+func (s *FullSummary) View() SampleView { return &ECDF{s.sorted} }
 
 // PeakBytes returns the high-water retained memory across pushes and IID
 // reports.
@@ -146,7 +144,7 @@ func (s *FullSummary) N() int { return len(s.sample) }
 // Bytes counts the retained sample, sorted view and battery state, each
 // retained value once.
 func (s *FullSummary) Bytes() int {
-	b := (len(s.sample) + len(s.sorted)) * 8
+	b := (len(s.sample) + s.sorted.Len()) * 8
 	if s.iid != nil {
 		b += s.iid.Bytes()
 	}
@@ -183,7 +181,7 @@ type StreamingSummary struct {
 	budget     int
 	n          int
 	min, max   float64
-	tailSorted []float64 // ascending top-K reservoir, exact
+	tailSorted Sorted // top-K reservoir, exact
 	sketch     *QuantileSketch
 	iid        streamIID
 	peak       int
@@ -241,7 +239,7 @@ func (s *StreamingSummary) View() SampleView {
 		n:          s.n,
 		min:        s.min,
 		max:        s.max,
-		tailSorted: append([]float64(nil), s.tailSorted...),
+		tailSorted: MergeSorted(s.tailSorted, Sorted{}), // a copy: pushes merge in place
 		sketch:     s.sketch.Clone(),
 	}
 }
@@ -258,32 +256,32 @@ func (s *StreamingSummary) N() int { return s.n }
 
 // Bytes counts the reservoir, sketch and battery state.
 func (s *StreamingSummary) Bytes() int {
-	return len(s.tailSorted)*8 + s.sketch.Bytes() + s.iid.bytes() + 64
+	return s.tailSorted.Len()*8 + s.sketch.Bytes() + s.iid.bytes() + 64
 }
 
 // streamView is a bounded-memory point-in-time snapshot.
 type streamView struct {
 	n          int
 	min, max   float64
-	tailSorted []float64
+	tailSorted Sorted
 	sketch     *QuantileSketch
 }
 
 func (v *streamView) N() int                { return v.n }
 func (v *streamView) Min() float64          { return v.min }
 func (v *streamView) Max() float64          { return v.max }
-func (v *streamView) TailSorted() []float64 { return v.tailSorted }
+func (v *streamView) TailSorted() Sorted    { return v.tailSorted }
 func (v *streamView) CountLE(x float64) int { return v.sketch.CountLE(x) }
 
 // FromTop resolves the k-th largest observation: exact off the reservoir
-// while k is within it (tailSorted[len-k] is the true sorted[n-k] because the
-// reservoir holds the n-largest multiset), by sketch rank below it.
+// while k is within it (the reservoir's k-th largest is the sample's because
+// the reservoir holds the K-largest multiset), by sketch rank below it.
 func (v *streamView) FromTop(k int) float64 {
 	if k < 1 || k > v.n {
 		panic(ErrEmptySample)
 	}
-	if k <= len(v.tailSorted) {
-		return v.tailSorted[len(v.tailSorted)-k]
+	if k <= v.tailSorted.Len() {
+		return v.tailSorted.FromTop(k)
 	}
 	return v.sketch.orderStat(v.n - k)
 }
@@ -295,22 +293,22 @@ func (v *streamView) FromTop(k int) float64 {
 // reservoir's minimum are copied and sorted (a run equal to the minimum
 // would replace an equal value).
 func (s *StreamingSummary) pushTail(block []float64) {
-	if len(s.tailSorted) < s.budget {
+	if s.tailSorted.Len() < s.budget {
 		merged := MergeSorted(s.tailSorted, SortedCopy(block))
-		if len(merged) > s.budget {
-			merged = append([]float64(nil), merged[len(merged)-s.budget:]...)
+		if over := merged.Len() - s.budget; over > 0 {
+			merged = Sorted{append([]float64(nil), merged.xs[over:]...)}
 		}
 		s.tailSorted = merged
 		return
 	}
 	in := make([]float64, 0, len(block))
 	for _, v := range block {
-		if v > s.tailSorted[0] {
+		if v > s.tailSorted.Min() {
 			in = append(in, v)
 		}
 	}
 	sort.Float64s(in)
-	mergeTopKInPlace(s.tailSorted, in)
+	mergeTopKInPlace(s.tailSorted.xs, in)
 }
 
 // mergeTopKInPlace overwrites tailSorted with the len(tailSorted) largest

@@ -63,13 +63,9 @@ func sameView(t *testing.T, label string, a, b SampleView) {
 		t.Fatalf("%s: extremes (%v,%v) != (%v,%v)", label, a.Min(), a.Max(), b.Min(), b.Max())
 	}
 	ta, tb := a.TailSorted(), b.TailSorted()
-	k := len(ta)
-	if len(tb) < k {
-		k = len(tb)
-	}
-	for i := 1; i <= k; i++ {
-		if ta[len(ta)-i] != tb[len(tb)-i] {
-			t.Fatalf("%s: TailSorted from top %d: %v != %v", label, i, ta[len(ta)-i], tb[len(tb)-i])
+	for i := 1; i <= min(ta.Len(), tb.Len()); i++ {
+		if ta.FromTop(i) != tb.FromTop(i) {
+			t.Fatalf("%s: TailSorted from top %d: %v != %v", label, i, ta.FromTop(i), tb.FromTop(i))
 		}
 	}
 	for i := 1; i <= a.N(); i = i*2 + 1 {
@@ -187,15 +183,15 @@ func TestStreamingReservoirMatchesMergeTopK(t *testing.T) {
 		blocks = append(blocks, b)
 	}
 	s := NewStreamingSummary(budget)
-	var want []float64
+	var want Sorted
 	for i, b := range blocks {
 		s.Push(b)
 		merged := MergeSorted(want, SortedCopy(b))
-		want = merged[max(len(merged)-budget, 0):]
-		if !slices.EqualFunc(s.tailSorted, want, func(a, b float64) bool {
+		want = SortedCopy(merged.xs[max(merged.Len()-budget, 0):])
+		if !slices.EqualFunc(s.tailSorted.xs, want.xs, func(a, b float64) bool {
 			return math.Float64bits(a) == math.Float64bits(b)
 		}) {
-			t.Fatalf("push %d (%d runs): reservoir\n  %v\nwant\n  %v", i, len(b), s.tailSorted, want)
+			t.Fatalf("push %d (%d runs): reservoir\n  %v\nwant\n  %v", i, len(b), s.tailSorted.xs, want.xs)
 		}
 	}
 }
@@ -210,7 +206,7 @@ func TestStreamingViewSnapshotSurvivesReservoirChurn(t *testing.T) {
 	s := NewStreamingSummary(budget)
 	pushBlocks(s, gridSample(41, 3000), 512)
 	v := s.View()
-	tail := slices.Clone(v.TailSorted())
+	tail := slices.Clone(v.TailSorted().xs)
 	fromTop := make([]float64, budget)
 	for k := 1; k <= budget; k++ {
 		fromTop[k-1] = v.FromTop(k)
@@ -227,11 +223,11 @@ func TestStreamingViewSnapshotSurvivesReservoirChurn(t *testing.T) {
 		high[i] = 1e6 + float64(i)
 	}
 	pushBlocks(s, high, 64)
-	if s.tailSorted[budget/4] != high[0] {
+	if s.tailSorted.xs[budget/4] != high[0] {
 		t.Fatalf("churn did not replace the reservoir's top three quarters")
 	}
 
-	if got := v.TailSorted(); !slices.EqualFunc(got, tail, func(a, b float64) bool {
+	if got := v.TailSorted().xs; !slices.EqualFunc(got, tail, func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b)
 	}) {
 		t.Fatal("the old view's TailSorted changed")
@@ -269,7 +265,7 @@ func TestStreamingSummaryTailMatchesBeyondReservoir(t *testing.T) {
 	pushBlocks(stream, xs, 512)
 
 	vf, vs := full.View(), stream.View()
-	if got := len(vs.TailSorted()); got != MinStreamBudget {
+	if got := vs.TailSorted().Len(); got != MinStreamBudget {
 		t.Fatalf("reservoir holds %d values, want %d", got, MinStreamBudget)
 	}
 	for k := 1; k <= len(xs); k = k*3 + 1 {
@@ -325,8 +321,8 @@ func TestStreamingSummaryDegenerateInputs(t *testing.T) {
 		pushBlocks(stream, xs, 8)
 		sameView(t, "small", full.View(), stream.View())
 		sameQuantiles(t, "small", full, stream)
-		if len(stream.tailSorted) != len(xs) {
-			t.Fatalf("reservoir should hold the whole small sample: %d", len(stream.tailSorted))
+		if stream.tailSorted.Len() != len(xs) {
+			t.Fatalf("reservoir should hold the whole small sample: %d", stream.tailSorted.Len())
 		}
 	})
 	t.Run("empty", func(t *testing.T) {

@@ -171,14 +171,14 @@ func CheckIID(xs []float64) IIDReport {
 	}
 }
 
-// CheckIIDSorted is CheckIID for callers that already hold an
-// ascending-sorted view of xs: the runs-test median comes from the sorted
-// view in O(1) instead of an internal copy+sort. xs stays in run order (the
-// independence tests need it); sorted must hold the same values ascending.
-func CheckIIDSorted(xs, sorted []float64) IIDReport {
+// CheckIIDSorted is CheckIID for callers that already hold a sorted view
+// of xs: the runs-test median comes from the view in O(1) instead of an
+// internal copy+sort. xs stays in run order (the independence tests need
+// it); sorted must hold the same values.
+func CheckIIDSorted(xs []float64, sorted Sorted) IIDReport {
 	runs := TestResult{Name: "runs", Statistic: 0, PValue: 1}
 	if len(xs) > 0 {
-		runs = RunsTestMedian(xs, QuantileSorted(sorted, 0.5))
+		runs = RunsTestMedian(xs, sorted.Quantile(0.5))
 	}
 	return IIDReport{
 		Runs:      runs,

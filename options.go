@@ -54,6 +54,11 @@ func WithWorkers(n int) Option {
 // laptop-friendly setting. Analytic outputs (TAC run requirements,
 // probabilities) are exact at every scale.
 //
+// A usable scale is finite and > 0, and small enough that 7×10^5·scale fits
+// an int. Any other value (0, negative, NaN, ±Inf, 1e300) collapses every
+// campaign to the minimum sizes (200 initial runs, 200 per round, 4,000 at
+// most, a 6,000-run cap); the CLIs refuse such a -scale.
+//
 // Unless WithCampaignCap or WithConfig sets a cap explicitly, the session
 // caps each path's simulated runs at the scaled equivalent of the
 // evaluation's 7×10^5-run campaign (so 7×10^5 at scale 1.0); an explicit
