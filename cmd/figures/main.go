@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/signal"
 
-	"pubtac/internal/core"
 	"pubtac/internal/experiment"
 	"pubtac/internal/textplot"
 )
@@ -31,7 +30,7 @@ func main() {
 		height  = flag.Int("height", 14, "plot height")
 	)
 	flag.Parse()
-	if err := core.CheckScale(*scale); err != nil {
+	if err := experiment.CheckScale(*scale); err != nil {
 		log.Fatalf("-scale: %v", err)
 	}
 	opts := experiment.Options{Scale: *scale, Workers: *workers}

@@ -120,29 +120,43 @@ func (c Config) Scaled(scale float64) Config {
 	c.MBPTA.InitialRuns = ScaledRuns(c.MBPTA.InitialRuns, scale, 200)
 	c.MBPTA.Increment = ScaledRuns(c.MBPTA.Increment, scale, 200)
 	c.MBPTA.MaxRuns = ScaledRuns(c.MBPTA.MaxRuns, scale, 4000)
-	c.CampaignCap = ScaledRuns(700000, scale, 6000)
+	c.CampaignCap = ScaledRuns(evaluationRuns, scale, 6000)
 	return c
 }
 
+// evaluationRuns is the evaluation's campaign size, the campaign cap at
+// scale 1.0.
+const evaluationRuns = 700000
+
 // CheckScale refuses a campaign scale that Scaled cannot use: NaN, a scale
 // not > 0, or one at which the 7×10^5-run campaign overflows an int (+Inf
-// included). Scaled would silently floor each to the minimum campaign.
-func CheckScale(scale float64) error {
-	if !(scale > 0) || 7e5*scale >= float64(math.MaxInt) {
-		return fmt.Errorf("campaign scale %v: want a finite scale > 0 with 7e5*scale within int range", scale)
+// included). Scaled would floor the first two to the minimum campaign and
+// clamp the last at math.MaxInt runs.
+func CheckScale(scale float64) error { return CheckScaleRuns(scale, evaluationRuns) }
+
+// CheckScaleRuns is CheckScale for a caller whose largest campaign, at scale
+// 1.0, is runs runs: it refuses NaN, a scale not > 0, and one at which
+// runs·scale overflows an int.
+func CheckScaleRuns(scale float64, runs int) error {
+	if !(scale > 0) || float64(runs)*scale >= float64(math.MaxInt) {
+		return fmt.Errorf("campaign scale %v: want a finite scale > 0 at which a %d-run campaign stays within int range", scale, runs)
 	}
 	return nil
 }
 
-// ScaledRuns returns max(min, round(n*scale)): the rounding rule behind
-// Scaled, which the experiment generators also apply to their own campaign
-// sizes.
+// ScaledRuns returns max(min, round(n*scale)), clamped at math.MaxInt when
+// the product overflows an int: the rounding rule behind Scaled, which the
+// experiment generators also apply to their own campaign sizes. It never
+// returns less than the rounded product; a NaN product gives min.
 func ScaledRuns(n int, scale float64, min int) int {
-	v := int(math.Round(float64(n) * scale))
-	if v < min {
-		v = min
+	v := math.Round(float64(n) * scale)
+	switch {
+	case !(v > float64(min)):
+		return min
+	case v >= float64(math.MaxInt):
+		return math.MaxInt
 	}
-	return v
+	return int(v)
 }
 
 // Analyzer runs PUB+TAC analyses on programs.

@@ -10,21 +10,55 @@ import (
 	"pubtac/internal/stats"
 )
 
-// TestCheckScale: Scaled floors every scale it cannot use to the minimum
-// campaign (a 6,000-run cap), so the CLIs refuse such scales up front.
+// TestCheckScale: Scaled floors a scale that is NaN or not > 0 to the
+// minimum campaign (a 6,000-run cap) and clamps one at which the campaign
+// overflows an int at math.MaxInt runs, so the CLIs refuse such scales up
+// front.
 func TestCheckScale(t *testing.T) {
 	for _, s := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
 		if err := CheckScale(s); err == nil {
 			t.Errorf("CheckScale(%v) accepted a scale Scaled cannot use", s)
 		}
 	}
-	for _, s := range []float64{1e-9, 0.05, 1, 20} {
+	// 2e12 scales the 7×10^5-run campaign within int range, but not a
+	// 6×10^6-run one: a caller with a larger campaign checks it with
+	// CheckScaleRuns.
+	for _, s := range []float64{1e-9, 0.05, 1, 20, 2e12} {
 		if err := CheckScale(s); err != nil {
 			t.Errorf("CheckScale(%v) = %v, want nil", s, err)
 		}
 	}
+	if err := CheckScaleRuns(2e12, 6000000); err == nil {
+		t.Error("CheckScaleRuns(2e12, 6000000) accepted a scale at which the campaign overflows an int")
+	}
 	if got := DefaultConfig().Scaled(20).CampaignCap; got != 14_000_000 {
 		t.Errorf("Scaled(20).CampaignCap = %d, want 14000000", got)
+	}
+}
+
+// TestScaledRunsClamps: ScaledRuns never returns less than the rounded
+// product. A product past the int range clamps at math.MaxInt; converted
+// to an int as it is, it would wrap below the minimum and put a 6×10^6-run
+// reference at scale 2e12 at its 20,000-run floor.
+func TestScaledRunsClamps(t *testing.T) {
+	for _, c := range []struct {
+		n        int
+		scale    float64
+		min, out int
+	}{
+		{6000000, 2e12, 20000, math.MaxInt},
+		{1000000, 2e12, 3000, 2_000_000_000_000_000_000},
+		{700000, 1e300, 6000, math.MaxInt},
+		{700000, math.Inf(1), 6000, math.MaxInt},
+		{700000, 0.05, 6000, 35000},
+		{5, 0.5, 0, 3},
+		{700000, 1e-9, 6000, 6000},
+		{700000, -1, 6000, 6000},
+		{700000, math.NaN(), 6000, 6000},
+	} {
+		if got := ScaledRuns(c.n, c.scale, c.min); got != c.out {
+			t.Errorf("ScaledRuns(%d, %v, %d) = %d, want %d", c.n, c.scale, c.min, got, c.out)
+		}
 	}
 }
 

@@ -34,6 +34,23 @@ type Options struct {
 	Workers int
 }
 
+// The plain campaigns the figure generators collect, in runs at scale 1.0
+// (the paper's sizes), beside the analyses' campaigns that
+// core.Config.Scaled sizes.
+const (
+	figure1Runs = 200000
+	figure2Runs = 1000000 // per path
+	// figure4RefRuns is Figure 4's reference ECCDF, the largest campaign
+	// of any generator.
+	figure4RefRuns = 6000000
+)
+
+// CheckScale refuses a scale at which a generator cannot scale its largest
+// campaign, Figure 4's 6×10^6-run reference: NaN, a scale not > 0, or one at
+// which that campaign overflows an int. It refuses every scale
+// core.CheckScale refuses, whose 7×10^5-run campaign is smaller.
+func CheckScale(scale float64) error { return core.CheckScaleRuns(scale, figure4RefRuns) }
+
 // AnalyzerConfig builds the core configuration for the options, using the
 // shared core scaling policy so experiment campaigns match Session
 // campaigns at equal scales.
@@ -155,7 +172,7 @@ type Series struct {
 func Figure1(ctx context.Context, opts Options) ([]Series, error) {
 	b := malardalen.CNT()
 	res := b.Program.MustExec(b.Default())
-	n := core.ScaledRuns(200000, opts.Scale, 4000)
+	n := core.ScaledRuns(figure1Runs, opts.Scale, 4000)
 	camp := mbpta.NewCampaign(res.Trace, proc.DefaultModel())
 	sample, err := camp.CollectCtx(ctx, n, mbpta.Seed("fig1"), opts.Workers, nil)
 	if err != nil {
@@ -192,7 +209,7 @@ func Figure2(ctx context.Context, opts Options) ([]Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := core.ScaledRuns(1000000, opts.Scale, 3000)
+	runs := core.ScaledRuns(figure2Runs, opts.Scale, 3000)
 	model := proc.DefaultModel()
 	inputs := malardalen.BSMaxIterationInputs(b)
 	out := make([]Series, 2*len(inputs))
@@ -260,7 +277,7 @@ func Figure4(ctx context.Context, opts Options) (*Figure4Result, error) {
 		return nil, err
 	}
 	res := pubbed.MustExec(in)
-	refRuns := core.ScaledRuns(6000000, opts.Scale, 20000)
+	refRuns := core.ScaledRuns(figure4RefRuns, opts.Scale, 20000)
 	ref, err := mbpta.NewCampaign(res.Trace, proc.DefaultModel()).CollectCtx(ctx, refRuns,
 		mbpta.Seed("fig4/ref"), opts.Workers, nil)
 	if err != nil {

@@ -264,6 +264,28 @@ func TestScaledMinimums(t *testing.T) {
 	}
 }
 
+// TestCheckScaleBoundsLargestCampaign: CheckScale refuses every scale at
+// which Figure 4's 6×10^6-run reference overflows an int, including scales
+// core.CheckScale accepts (it bounds only the 7×10^5-run campaign), and at
+// every scale it accepts the reference scales to at least its rounded
+// product.
+func TestCheckScaleBoundsLargestCampaign(t *testing.T) {
+	if err := core.CheckScale(2e12); err != nil {
+		t.Fatalf("core.CheckScale(2e12) = %v, want nil", err)
+	}
+	if err := CheckScale(2e12); err == nil {
+		t.Fatal("CheckScale(2e12) accepted a scale at which Figure 4's reference overflows an int")
+	}
+	for _, s := range []float64{0.004, 1, 1e12} {
+		if err := CheckScale(s); err != nil {
+			t.Errorf("CheckScale(%v) = %v, want nil", s, err)
+		}
+		if got, want := core.ScaledRuns(figure4RefRuns, s, 20000), float64(figure4RefRuns)*s; float64(got) < want-0.5 {
+			t.Errorf("scale %v: reference campaign of %d runs, want about %v", s, got, want)
+		}
+	}
+}
+
 func TestSeriesUsableByECDF(t *testing.T) {
 	long(t)
 	// Sanity: series probabilities are monotone non-increasing in value.

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // iidMaxLags is the Ljung-Box lag budget of the i.i.d. battery: the MBPTA
 // convention of 20 lags (short samples use n/4, see iidLags).
@@ -99,9 +102,9 @@ func (s *IIDState) identicalReport(sample []float64, sorted Sorted) TestResult {
 	return ksResult(ksFirstVsRest(sorted, s.firstSorted), h, n-h)
 }
 
-// Bytes returns the battery's retained memory in bytes: the KS first half and
-// the Ljung-Box windows (transient merge buffers excluded; the sample is the
-// owner's).
+// Bytes returns the battery's retained memory in bytes: the KS first half's
+// values and the Ljung-Box windows (the spare capacity the first half grows
+// into and transient merge buffers excluded; the sample is the owner's).
 func (s *IIDState) Bytes() int { return s.firstSorted.Len()*8 + s.lb.bytes() + 256 }
 
 // streamIID is the bounded-memory battery a StreamingSummary holds. It
@@ -166,11 +169,23 @@ func (s *streamIID) bytes() int {
 // sorted and merged in, so the prefix only ever grows and never re-sorts.
 // The result is the sorted multiset of runs[:h] however the growth was
 // split, so a battery may grow it lazily, at report time.
+//
+// The prefix is its battery's own and never handed out, so it grows in
+// place, its backing array growing as append's does: the values the chunk
+// does not precede stay put, the rest move to the top of the grown slice,
+// and mergeInto merges them with the chunk from below.
 func growSortedPrefix(prefix Sorted, runs []float64, h int) Sorted {
-	if h <= prefix.Len() {
+	p := prefix.Len()
+	if h <= p {
 		return prefix
 	}
-	return MergeSorted(prefix, SortedCopy(runs[prefix.Len():h]))
+	chunk := SortedCopy(runs[p:h]).xs
+	xs := slices.Grow(prefix.xs, h-p)[:h]
+	q := lead(xs[:p], chunk[0], true)
+	rest := xs[h-(p-q):]
+	copy(rest, xs[q:p])
+	mergeInto(xs[q:], rest, chunk)
+	return Sorted{xs}
 }
 
 // ljungBoxSums folds a run-ordered series into the running sums the
@@ -188,6 +203,13 @@ type ljungBoxSums struct {
 	window []float64           // last ≤ iidMaxLags shifted values, run order
 }
 
+// push folds a block in run order. Only the block's first iidMaxLags runs,
+// whose lag partners reach back into the window of earlier runs, take the
+// run-by-run path; the rest are folded in register-blocked passes over the
+// block itself (foldLags), after which the window is the block's last
+// iidMaxLags runs. Each lag's products, like sum and sumSq, are added in run
+// order either way, so the sums do not depend on how the series was split
+// into blocks.
 func (l *ljungBoxSums) push(block []float64) {
 	if len(block) == 0 {
 		return
@@ -195,25 +217,73 @@ func (l *ljungBoxSums) push(block []float64) {
 	if l.n == 0 {
 		l.shift = block[0]
 	}
-	for _, x := range block {
-		y := x - l.shift
-		w := len(l.window)
-		for k := 1; k <= w; k++ {
-			l.cross[k-1] += y * l.window[w-k]
-		}
-		if w == iidMaxLags {
-			copy(l.window, l.window[1:])
-			l.window[w-1] = y
-		} else {
-			l.window = append(l.window, y)
-		}
-		if len(l.head) < iidMaxLags {
-			l.head = append(l.head, y)
-		}
-		l.sum += y
-		l.sumSq += y * y
-	}
 	l.n += len(block)
+	edge := min(len(block), iidMaxLags)
+	for _, x := range block[:edge] {
+		l.pushRun(x)
+	}
+	if len(block) == edge {
+		return
+	}
+	sh := l.shift
+	sum, sumSq := l.sum, l.sumSq
+	for _, x := range block[edge:] {
+		y := x - sh
+		sum += y
+		sumSq += y * y
+	}
+	l.sum, l.sumSq = sum, sumSq
+	for lag := 1; lag <= iidMaxLags; lag += foldWidth {
+		foldLags(block, sh, (*[foldWidth]float64)(l.cross[lag-1:]), lag)
+	}
+	for k, x := range block[len(block)-iidMaxLags:] {
+		l.window[k] = x - sh
+	}
+}
+
+// pushRun folds one run against the window of the runs before it.
+func (l *ljungBoxSums) pushRun(x float64) {
+	y := x - l.shift
+	w := len(l.window)
+	for k := 1; k <= w; k++ {
+		l.cross[k-1] += y * l.window[w-k]
+	}
+	if w == iidMaxLags {
+		copy(l.window, l.window[1:])
+		l.window[w-1] = y
+	} else {
+		l.window = append(l.window, y)
+	}
+	if len(l.head) < iidMaxLags {
+		l.head = append(l.head, y)
+	}
+	l.sum += y
+	l.sumSq += y * y
+}
+
+// foldWidth is the number of lags one foldLags pass carries: its sums and
+// partner values stay in registers. On amd64 passes of five lags ran faster
+// than passes of four or ten.
+const foldWidth = 5
+
+// foldLags adds the products of lags lag..lag+foldWidth-1 for the runs of
+// block[iidMaxLags:] to c, run by run, holding the sums and each run's
+// partners in locals: the partners shift down one register per run instead
+// of being reloaded from a window.
+func foldLags(block []float64, sh float64, c *[foldWidth]float64, lag int) {
+	c1, c2, c3, c4, c5 := c[0], c[1], c[2], c[3], c[4]
+	p := block[iidMaxLags-lag-4 : iidMaxLags-lag+1]
+	p1, p2, p3, p4, p5 := p[4]-sh, p[3]-sh, p[2]-sh, p[1]-sh, p[0]-sh
+	for i := iidMaxLags; i < len(block); i++ {
+		y := block[i] - sh
+		c1 += y * p1
+		c2 += y * p2
+		c3 += y * p3
+		c4 += y * p4
+		c5 += y * p5
+		p5, p4, p3, p2, p1 = p4, p3, p2, p1, block[i+1-lag]-sh
+	}
+	c[0], c[1], c[2], c[3], c[4] = c1, c2, c3, c4, c5
 }
 
 // report reconstructs the lag-k autocorrelations from the running sums in
@@ -280,13 +350,11 @@ func ksFirstVsRest(fullView, firstView Sorted) float64 {
 	var d float64
 	i, j := 0, 0
 	for j < n {
+		// Each distinct value is visited once: lead jumps over its ties in
+		// both views.
 		x := full[j]
-		for j < n && full[j] <= x {
-			j++
-		}
-		for i < n1 && first[i] <= x {
-			i++
-		}
+		j += 1 + lead(full[j+1:], x, true)
+		i += lead(first[i:], x, true)
 		diff := math.Abs(float64(i)/f1 - float64(j-i)/f2)
 		if diff > d {
 			d = diff
@@ -313,9 +381,7 @@ func ksFirstVsSketch(sk *QuantileSketch, firstView Sorted, n int) float64 {
 	var cum int64
 	for b, x := range sk.vals {
 		cum += sk.counts[b]
-		for i < n1 && first[i] <= x {
-			i++
-		}
+		i += lead(first[i:], x, true)
 		diff := math.Abs(float64(i)/f1 - float64(int(cum)-i)/f2)
 		if diff > d {
 			d = diff

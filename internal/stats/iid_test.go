@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pubtac/internal/rng"
@@ -19,6 +21,64 @@ func closeResult(a, b TestResult, tol float64) bool {
 		return math.Abs(x-y) <= tol*scale
 	}
 	return a.Name == b.Name && relOK(a.Statistic, b.Statistic) && relOK(a.PValue, b.PValue)
+}
+
+// refLjungBoxPush is the run-by-run fold that ljungBoxSums.push's
+// register-blocked passes replaced, kept as their oracle: each run's lag
+// products are added against a window of the previous runs that shifts by
+// one run per run.
+func refLjungBoxPush(l *ljungBoxSums, block []float64) {
+	if len(block) == 0 {
+		return
+	}
+	if l.n == 0 {
+		l.shift = block[0]
+	}
+	for _, x := range block {
+		y := x - l.shift
+		w := len(l.window)
+		for k := 1; k <= w; k++ {
+			l.cross[k-1] += y * l.window[w-k]
+		}
+		if w == iidMaxLags {
+			copy(l.window, l.window[1:])
+			l.window[w-1] = y
+		} else {
+			l.window = append(l.window, y)
+		}
+		if len(l.head) < iidMaxLags {
+			l.head = append(l.head, y)
+		}
+		l.sum += y
+		l.sumSq += y * y
+	}
+	l.n += len(block)
+}
+
+// diffLjungBoxSums names the first field in which a and b differ, comparing
+// floats by their bits, or returns "" when they are identical.
+func diffLjungBoxSums(a, b *ljungBoxSums) string {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	switch {
+	case a.n != b.n:
+		return fmt.Sprintf("n (%d, %d)", a.n, b.n)
+	case !same(a.shift, b.shift):
+		return fmt.Sprintf("shift (%v, %v)", a.shift, b.shift)
+	case !same(a.sum, b.sum):
+		return fmt.Sprintf("sum (%v, %v)", a.sum, b.sum)
+	case !same(a.sumSq, b.sumSq):
+		return fmt.Sprintf("sumSq (%v, %v)", a.sumSq, b.sumSq)
+	case !slices.EqualFunc(a.head, b.head, same):
+		return fmt.Sprintf("head (%v, %v)", a.head, b.head)
+	case !slices.EqualFunc(a.window, b.window, same):
+		return fmt.Sprintf("window (%v, %v)", a.window, b.window)
+	}
+	for k := range a.cross {
+		if !same(a.cross[k], b.cross[k]) {
+			return fmt.Sprintf("cross[%d] (%v, %v)", k, a.cross[k], b.cross[k])
+		}
+	}
+	return ""
 }
 
 // trivialPass asserts a degenerate-input result: PValue 1, no panic.

@@ -316,31 +316,13 @@ func (s *StreamingSummary) pushTail(block []float64) {
 // MergeSorted(tailSorted, sortedIn) gives them (on ties, sortedIn's value
 // sorts above tailSorted's).
 func mergeTopKInPlace(tailSorted, sortedIn []float64) {
-	// Walk both from the top down, as a descending merge would, until the
-	// K slots are spoken for: the t values of sortedIn met on the way enter
-	// and evict tailSorted[:t].
-	k := len(tailSorted)
-	i, j := k-1, len(sortedIn)-1
-	for n := 0; n < k && j >= 0; n++ {
-		if sortedIn[j] >= tailSorted[i] {
-			j--
-		} else {
-			i--
-		}
-	}
-	in := sortedIn[j+1:]
-	t := len(in)
-	// Merge tailSorted[t:] and in upward into tailSorted. The write index w
-	// trails the read index a by t minus the values of in written so far,
-	// so it only overwrites evicted or already-moved values, and it meets
-	// a when in is spent: the rest of tailSorted is already in place.
-	for w, a, b := 0, t, 0; b < t; w++ {
-		if a < k && tailSorted[a] <= in[b] {
-			tailSorted[w] = tailSorted[a]
-			a++
-		} else {
-			tailSorted[w] = in[b]
-			b++
-		}
-	}
+	// The t values of sortedIn that enter evict tailSorted[:t]: t is the
+	// largest count whose smallest entrant sorts above (or ties with) the
+	// largest evictee, found by bisection.
+	k, m := len(tailSorted), len(sortedIn)
+	t := sort.Search(min(k, m), func(i int) bool { return !(sortedIn[m-1-i] >= tailSorted[i]) })
+	// Merge tailSorted[t:] and the entrants upward into tailSorted: the
+	// room below tailSorted[t:] holds the t entrants, and the values above
+	// the largest entrant stay in place.
+	mergeInto(tailSorted, tailSorted[t:], sortedIn[m-t:])
 }
