@@ -311,19 +311,6 @@ func dispatchSSE(event string, data []byte, fn func(pubtac.ProgressEvent)) (done
 	}
 }
 
-// Health probes GET /v1/healthz.
-func (c *Client) Health(ctx context.Context) error {
-	resp, err := c.get(ctx, "/v1/healthz")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
-	return nil
-}
-
 // decodeBatch decodes and schema-checks a result body.
 func decodeBatch(body []byte) (*pubtac.BatchResult, error) {
 	b, err := pubtac.DecodeBatchResult(body)

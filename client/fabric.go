@@ -38,10 +38,11 @@ type PeersConfig struct {
 // [d/2, d] for the deterministic exponential d, drawn from a generator
 // seeded with jitterSeed, so every fabric replays the same backoff schedule.
 // Jitter only decorrelates retry storms; it never reaches result bytes.
-// attemptTimeout bounds each dispatch to one peer; expired attempts count as
-// peer failures and are retried. breakerThreshold consecutive failures open
-// a peer's circuit breaker; the peer is skipped until breakerCooldown
-// elapses, then a single half-open probe decides whether it closes again.
+// attemptTimeout bounds each dispatch round on the fabric's clock; a round
+// that expires counts as a failure of every racer still silent and is
+// retried. breakerThreshold consecutive failures open a peer's circuit
+// breaker; the peer is skipped until breakerCooldown elapses, then a single
+// half-open probe decides whether it closes again.
 const (
 	defaultMaxAttempts = 3
 	baseBackoff        = 50 * time.Millisecond
@@ -207,6 +208,10 @@ type attemptResult struct {
 	hedged bool
 }
 
+// errAttemptTimeout ends a round that got no verdict within attemptTimeout.
+// It is retryable.
+var errAttemptTimeout = fmt.Errorf("client: no shard verdict within %v", attemptTimeout)
+
 // attempt runs one (possibly hedged) dispatch round: the primary peer
 // starts immediately; if a hedge delay is configured and the primary has not
 // answered when it elapses, the same spec races on a second peer. The first
@@ -214,7 +219,13 @@ type attemptResult struct {
 // and a failure goes back to CollectShard's retry loop (backoff, fresh peer
 // pick) instead of waiting out a silent straggler. When the hedge timer
 // finds no admissible second peer it re-arms, so the straggler is raced as
-// soon as a breaker lets a peer back in.
+// soon as a breaker lets a peer back in. A round with no verdict after
+// attemptTimeout on the fabric's clock fails.
+//
+// Every racer feeds its peer's breaker at most once. A racer still silent
+// when the round ends without a winner counts as failed, so a hung peer's
+// breaker opens. A racer cancelled because the other racer won, or because
+// the caller's context ended, says nothing about its peer: no verdict.
 func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, error) {
 	primary := p.pick(nil)
 	if primary == nil {
@@ -222,19 +233,36 @@ func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, 
 	}
 	actx, cancel := context.WithCancel(ctx)
 	g, _ := pool.WithContext(actx)
+	var silent [2]*peer // racers cancelled by the end of the round; read after g.Wait
+	won := false
 	defer func() {
 		cancel()
 		g.Wait()
+		for _, pr := range silent {
+			switch {
+			case pr == nil:
+			case won || ctx.Err() != nil:
+				pr.releaseProbe()
+			default:
+				p.record(pr, false)
+			}
+		}
 	}()
-	results := make(chan attemptResult, 2) // buffered: a loser's send never blocks
-	launch := func(pr *peer, hedged bool) {
+	results := make(chan attemptResult, 2) // one slot per racer: a late send never blocks
+	// Racer 0 is the primary, racer 1 the hedge.
+	launch := func(i int, pr *peer) {
 		g.Go(func() error {
-			runs, err := p.dispatch(actx, pr, spec)
-			results <- attemptResult{runs: runs, err: err, hedged: hedged}
+			runs, err := pr.c.CollectShard(actx, spec)
+			if err != nil && actx.Err() != nil {
+				silent[i] = pr
+				return nil
+			}
+			p.record(pr, err == nil)
+			results <- attemptResult{runs: runs, err: err, hedged: i == 1}
 			return nil
 		})
 	}
-	launch(primary, false)
+	launch(0, primary)
 
 	var hedgeCh <-chan time.Time
 	stopHedge := func() bool { return false }
@@ -242,40 +270,30 @@ func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, 
 	if p.hedgeDelay > 0 && len(p.peers) > 1 {
 		hedgeCh, stopHedge = p.clock.After(p.hedgeDelay)
 	}
+	deadline, stopDeadline := p.clock.After(attemptTimeout)
+	defer stopDeadline()
 	for {
 		select {
 		case res := <-results:
-			if res.err == nil && res.hedged {
+			won = res.err == nil
+			if won && res.hedged {
 				p.hedgeWins.Add(1)
 			}
 			return res.runs, res.err
 		case <-hedgeCh:
 			if sec := p.pick(primary); sec != nil {
 				p.hedges.Add(1)
-				launch(sec, true)
+				launch(1, sec)
 				hedgeCh = nil
 			} else {
 				hedgeCh, stopHedge = p.clock.After(p.hedgeDelay)
 			}
+		case <-deadline:
+			return nil, errAttemptTimeout
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// dispatch sends the shard to one peer under the per-attempt timeout and
-// feeds the outcome to its breaker — unless the race was already decided
-// and this dispatch cancelled, which says nothing about the peer's health.
-func (p *Peers) dispatch(ctx context.Context, pr *peer, spec pubtac.ShardSpec) ([]float64, error) {
-	cctx, cancel := context.WithTimeout(ctx, attemptTimeout)
-	defer cancel()
-	runs, err := pr.c.CollectShard(cctx, spec)
-	if err != nil && ctx.Err() != nil {
-		pr.releaseProbe() // cancelled race loser: no verdict on the peer
-		return nil, err
-	}
-	p.record(pr, err)
-	return runs, err
 }
 
 // pick returns the next healthy peer after the round-robin cursor,
@@ -301,11 +319,11 @@ func (p *Peers) pick(exclude *peer) *peer {
 	return nil
 }
 
-// record feeds one attempt outcome to the peer's breaker.
-func (p *Peers) record(pr *peer, err error) {
+// record feeds one racer's verdict to the peer's breaker.
+func (p *Peers) record(pr *peer, ok bool) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	if err == nil {
+	if ok {
 		pr.state = breakerClosed
 		pr.fails = 0
 		pr.probing = false
@@ -350,8 +368,8 @@ func (p *Peers) backoffFor(retry int, lastErr error) time.Duration {
 // is pointless: non-temporary HTTP statuses (409 foreign fingerprint, 400
 // malformed range, ...) describe the request, not the peer, and a
 // cancelled parent context means nobody wants the answer anymore. Network
-// failures, 5xx, 429 sheds, timeouts and undecodable summaries (corrupt or
-// truncated wire bytes) all stay retryable.
+// failures, 5xx, 429 sheds, timeouts and undecodable runs frames (corrupt,
+// truncated or of another version) all stay retryable.
 func permanentErr(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {

@@ -33,8 +33,8 @@ func wantRuns(spec pubtac.ShardSpec) []float64 {
 	return runs
 }
 
-// shardHandler answers POST /v1/shards with a valid wire summary for the
-// requested range after failing the first fail requests with status.
+// shardHandler answers POST /v1/shards with the runs frame of the requested
+// range after failing the first fail requests with status.
 func shardHandler(t *testing.T, fail *atomic.Int64, status int, retryAfter string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if fail != nil && fail.Add(-1) >= 0 {
@@ -50,15 +50,7 @@ func shardHandler(t *testing.T, fail *atomic.Int64, status int, retryAfter strin
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		fs := stats.NewFullSummary(true)
-		fs.Push(wantRuns(spec))
-		b, err := stats.EncodeSummary(fs)
-		if err != nil {
-			t.Errorf("encoding summary: %v", err)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(b)
+		w.Write(stats.EncodeRuns(wantRuns(spec)))
 	}
 }
 
@@ -69,6 +61,29 @@ func fakeClockFabric(cfg PeersConfig, urls ...string) (*Peers, *fault.Fake) {
 	fc := &fault.Fake{}
 	p.clock = fc
 	return p, fc
+}
+
+// tickFake advances fc by step every millisecond of wall time until the test
+// ends.
+func tickFake(t *testing.T, fc *fault.Fake, step time.Duration) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+				fc.Advance(step)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		close(done)
+		wg.Wait()
+	})
 }
 
 // Permanent errors (409 foreign fingerprint, 400 bad range) fail the shard
@@ -200,7 +215,7 @@ func TestNewFabricTrimsPeerURLs(t *testing.T) {
 }
 
 // A hedged dispatch beats a straggling primary: after the hedge delay the
-// shard races on the second peer, whose valid summary wins and cancels the
+// shard races on the second peer, whose valid runs frame wins and cancels the
 // straggler.
 func TestPeersHedgeBeatsStraggler(t *testing.T) {
 	straggler := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -224,8 +239,13 @@ func TestPeersHedgeBeatsStraggler(t *testing.T) {
 	if !reflect.DeepEqual(runs, wantRuns(spec)) {
 		t.Error("hedge winner returned different bytes")
 	}
-	if st := p.Stats(); st.Hedges != 1 || st.HedgeWins != 1 {
+	st := p.Stats()
+	if st.Hedges != 1 || st.HedgeWins != 1 {
 		t.Errorf("stats = %+v, want Hedges=1 HedgeWins=1", st)
+	}
+	// The straggler lost the race: its cancelled dispatch is no verdict.
+	if sp := st.Peers[0]; sp.ConsecutiveFails != 0 || sp.Breaker != "closed" {
+		t.Errorf("losing racer's breaker = %+v, want untouched", sp)
 	}
 }
 
@@ -288,33 +308,95 @@ func wantRetryable503(t *testing.T, err error) {
 	}
 }
 
-// When the primary fails after the hedge went to a silent straggler, the
-// failure is the round's first verdict: the straggler is cancelled and the
-// 503 goes back to the retry loop at once, instead of the round waiting on
-// the straggler until the caller's deadline.
-func TestPeersPrimaryFailureEndsHedgedRound(t *testing.T) {
+// hedgedFailureFabric is a fake-clock fabric over a failing primary and a
+// silent straggler. The primary holds each request until the hedge of its
+// round has gone to the straggler, then fails it with a retryable 503.
+func hedgedFailureFabric(t *testing.T) *Peers {
 	var p *Peers
 	var fc *fault.Fake
+	var rounds atomic.Uint64
 	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
-		// Hold the request until the hedge has gone to the straggler.
-		for p.Stats().Hedges < 1 {
+		round := rounds.Add(1)
+		for p.Stats().Hedges < round {
 			fc.Advance(time.Millisecond)
 			time.Sleep(100 * time.Microsecond)
 		}
 		http.Error(w, "injected", http.StatusServiceUnavailable)
 	}))
-	defer failing.Close()
+	t.Cleanup(failing.Close)
 	straggler := stragglerServer()
-	defer straggler.Close()
+	t.Cleanup(straggler.Close)
 
 	p, fc = fakeClockFabric(PeersConfig{MaxAttempts: 1, HedgeDelay: time.Millisecond}, failing.URL, straggler.URL)
+	return p
+}
+
+// hedgedFailureRound runs one shard through hedgedFailureFabric: the
+// primary's failure is the round's first verdict, so the round ends on it.
+func hedgedFailureRound(t *testing.T, p *Peers) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	_, err := p.CollectShard(ctx, testSpec(0, 8))
 	wantRetryable503(t, err)
-	if st := p.Stats(); st.Hedges != 1 || st.HedgeWins != 0 {
+}
+
+// When the primary fails after the hedge went to a silent straggler, the
+// failure is the round's first verdict: the straggler is cancelled and the
+// 503 goes back to the retry loop at once, instead of the round waiting on
+// the straggler until the caller's deadline. The round had no winner, so
+// the straggler's silence counts as one failure.
+func TestPeersPrimaryFailureEndsHedgedRound(t *testing.T) {
+	p := hedgedFailureFabric(t)
+	hedgedFailureRound(t, p)
+	st := p.Stats()
+	if st.Hedges != 1 || st.HedgeWins != 0 {
 		t.Errorf("stats = %+v, want Hedges=1 HedgeWins=0", st)
+	}
+	if got := st.Peers[1].ConsecutiveFails; got != 1 {
+		t.Errorf("straggler ConsecutiveFails = %d, want 1", got)
+	}
+}
+
+// A straggler that is silent in threshold rounds without a winner opens its
+// breaker, like a peer that fails threshold times.
+func TestPeersSilentStragglerOpensBreaker(t *testing.T) {
+	p := hedgedFailureFabric(t)
+	p.threshold = 3
+	for i := 0; i < p.threshold; i++ {
+		hedgedFailureRound(t, p)
+		if i < p.threshold-1 && p.Stats().Peers[1].Breaker != "closed" {
+			t.Fatalf("straggler breaker opened after %d rounds, want %d", i+1, p.threshold)
+		}
+	}
+	if sp := p.Stats().Peers[1]; sp.Breaker != "open" || sp.ConsecutiveFails != p.threshold {
+		t.Errorf("straggler = %+v, want an open breaker after %d failures", sp, p.threshold)
+	}
+}
+
+// The attempt deadline runs on the fabric's clock: a lone straggler's
+// round ends with a retryable timeout once fake time passes attemptTimeout,
+// without waiting five wall-clock minutes, and counts as the straggler's
+// failure.
+func TestPeersAttemptDeadlineOnFabricClock(t *testing.T) {
+	straggler := stragglerServer()
+	defer straggler.Close()
+	p, fc := fakeClockFabric(PeersConfig{MaxAttempts: 1}, straggler.URL)
+	tickFake(t, fc, attemptTimeout/10)
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	_, err := p.CollectShard(ctx, testSpec(0, 8))
+	if !errors.Is(err, errAttemptTimeout) || permanentErr(err) {
+		t.Fatalf("err = %v, want the retryable attempt timeout", err)
+	}
+	if wall := time.Since(start); wall >= time.Second {
+		t.Errorf("round took %v of wall time, want under 1s", wall)
+	}
+	if got := p.Stats().Peers[0].ConsecutiveFails; got != 1 {
+		t.Errorf("straggler ConsecutiveFails = %d, want 1", got)
 	}
 }
 
@@ -322,7 +404,9 @@ func TestPeersPrimaryFailureEndsHedgedRound(t *testing.T) {
 // other peer's breaker is open), the timer re-arms: once the breaker's
 // cooldown lets the peer back in, the straggling primary is raced against
 // it, and the round ends on that peer's verdict instead of waiting on the
-// straggler until the caller's deadline.
+// straggler until the caller's deadline. The failing peer's breaker is
+// opened before the round, so the straggler is the primary whatever the
+// timing.
 func TestPeersHedgeRearmsUntilPeerAdmitted(t *testing.T) {
 	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -332,34 +416,18 @@ func TestPeersHedgeRearmsUntilPeerAdmitted(t *testing.T) {
 	straggler := stragglerServer()
 	defer straggler.Close()
 
-	p, fc := fakeClockFabric(PeersConfig{MaxAttempts: 2, HedgeDelay: time.Millisecond}, failing.URL, straggler.URL)
+	p, fc := fakeClockFabric(PeersConfig{MaxAttempts: 1, HedgeDelay: time.Millisecond}, failing.URL, straggler.URL)
 	p.threshold = 1
+	p.record(p.peers[0], false)
 	// Run injected time at 50x wall time, so the 5 s breaker cooldown
 	// passes in about 100 ms.
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			case <-time.After(time.Millisecond):
-				fc.Advance(50 * time.Millisecond)
-			}
-		}
-	}()
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
+	tickFake(t, fc, 50*time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	_, err := p.CollectShard(ctx, testSpec(0, 8))
 	wantRetryable503(t, err)
-	if st := p.Stats(); st.Hedges < 1 || st.BreakerOpens < 1 {
-		t.Errorf("stats = %+v, want at least one hedge and one breaker open", st)
+	if st := p.Stats(); st.Hedges != 1 {
+		t.Errorf("stats = %+v, want one hedge, after the cooldown", st)
 	}
 }

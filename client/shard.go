@@ -10,9 +10,11 @@ import (
 
 // CollectShard executes one campaign shard on the daemon (POST /v1/shards)
 // and returns the shard's execution times in run order. The worker replies
-// with the runs in the version-2 summary frame; they are exactly runs
-// spec.Lo..spec.Hi-1 of the campaign, whoever computes them, and are read
-// out of the frame (stats.DecodeRuns) without building a summary.
+// with a runs frame (stats.EncodeRuns, 28 + 8·n bytes for n runs); the runs
+// are exactly runs spec.Lo..spec.Hi-1 of the campaign, whoever computes
+// them. A frame this build cannot decode, such as one of another
+// stats.SummaryWireVersion, is an error, and the coordinator recomputes the
+// shard locally.
 func (c *Client) CollectShard(ctx context.Context, spec pubtac.ShardSpec) ([]float64, error) {
 	resp, err := c.post(ctx, "/v1/shards", spec)
 	if err != nil {

@@ -45,7 +45,9 @@ type ShardCollector interface {
 	// Config.Shards is unset — typically the peer count.
 	Shards() int
 	// CollectShard computes runs spec.Lo..spec.Hi-1. An error marks only
-	// this shard failed; the coordinator recomputes it locally.
+	// this shard failed; the coordinator recomputes it locally. That is
+	// also the fate of a shard whose peer speaks another runs-frame
+	// version (stats.SummaryWireVersion): results never depend on it.
 	CollectShard(ctx context.Context, spec ShardSpec) ([]float64, error)
 }
 

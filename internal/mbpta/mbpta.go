@@ -344,11 +344,13 @@ var ErrSampleTooSmall = errors.New("mbpta: sample too small for a pWCET estimate
 // is the standard MBPTA composite: empirical ECCDF within the measured
 // range, exponential-tail extrapolation beyond it. The tail threshold is
 // selected by the CV criterion, scanning candidate tail sizes from
-// cfg.TailCount up to a fifth of the sample. sample stays in run order (the
-// i.i.d. battery, here the one-shot reference, needs it) and is adopted by
-// the estimate: the caller must not modify it afterwards.
+// cfg.TailCount up to a fifth of the sample. sample is in run order (the
+// i.i.d. battery, here the one-shot reference, needs it); it is pushed into
+// a full summary, which keeps its own copy.
 func NewEstimate(sample []float64, cfg Config) (*Estimate, error) {
-	return NewEstimateSummary(stats.AdoptFullSummary(sample, stats.SortedCopy(sample)), cfg)
+	sum := stats.NewFullSummary(false)
+	sum.Push(sample)
+	return NewEstimateSummary(sum, cfg)
 }
 
 // NewEstimateSummary fits a pWCET model to the sample behind a

@@ -26,15 +26,17 @@ func shardCfg() Config {
 	return cfg
 }
 
-// encodeOrDie collapses a summary to its wire bytes — the strictest equality
-// available, covering sample, sorted view and battery state at once.
-func encodeOrDie(t *testing.T, sum stats.SampleSummary) []byte {
+// sameFullSummary reports whether two full summaries hold the same runs bit
+// for bit, compared as their wire frames (the sorted view and the battery
+// are functions of the runs), and the same peak.
+func sameFullSummary(t *testing.T, a, b stats.SampleSummary) bool {
 	t.Helper()
-	b, err := stats.EncodeSummary(sum)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
+	ea, errA := stats.EncodeSummary(a)
+	eb, errB := stats.EncodeSummary(b)
+	if errA != nil || errB != nil {
+		t.Fatalf("encode: %v / %v", errA, errB)
 	}
-	return b
+	return string(ea) == string(eb) && a.PeakBytes() == b.PeakBytes()
 }
 
 // Concatenating per-shard CollectRangeCtx runs for consecutive ranges, in
@@ -160,7 +162,7 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 				t.Fatalf("convergence differs: got (%d,%d,%v) want (%d,%d,%v)",
 					conv.Runs, conv.Rounds, conv.Converged, ref.Runs, ref.Rounds, ref.Converged)
 			}
-			if got, want := encodeOrDie(t, conv.Summary), encodeOrDie(t, ref.Summary); string(got) != string(want) {
+			if !sameFullSummary(t, conv.Summary, ref.Summary) {
 				t.Fatal("extended summary differs from local reference")
 			}
 			est, refEst := conv.Estimate, ref.Estimate
@@ -273,7 +275,7 @@ func TestShardedCollectProgress(t *testing.T) {
 				}
 				prev = d
 			}
-			if got, want := encodeOrDie(t, sum), encodeOrDie(t, ref); string(got) != string(want) {
+			if !sameFullSummary(t, sum, ref) {
 				t.Fatal("sharded extension differs from the local reference")
 			}
 		})

@@ -29,11 +29,13 @@ import (
 // scalars and integer arrays, keyed by name. Benchmarks read and write it
 // from Block actions and condition expressions.
 //
-// Programs use a handful of variables but read them millions of times
-// across a measurement campaign (every index expression and condition goes
-// through here), so bindings are stored as small linear-scan tables: for
-// the short names benchmarks use, a scan beats hashing the key on every
-// lookup.
+// Campaigns replay a compiled trace, so a program executes only once per
+// analyzed path plus once per fingerprint. Within one execution, though,
+// every index expression and condition reads its variables here, thousands
+// of times for a loop-heavy benchmark, and programs use only a handful of
+// variables with one- or two-character names. Bindings are therefore
+// small linear-scan tables: over so few short names, a scan beats hashing
+// the key on every lookup.
 type State struct {
 	ints   []intBinding
 	arrays []arrBinding

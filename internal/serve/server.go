@@ -506,8 +506,8 @@ const maxShardRuns = 1 << 22
 // handleShard is the worker half of distributed campaign sharding: it
 // recomputes the spec's run range — run i depends only on (root, i), so the
 // bytes are exactly what the coordinator would have computed locally — and
-// replies with the runs in the version-2 summary frame (stats.EncodeRuns),
-// building no summary. Specs are verified against this daemon's own
+// replies with them in a runs frame (stats.EncodeRuns, 28 + 8·n bytes for n
+// runs), building no summary. Specs are verified against this daemon's own
 // configuration (fingerprint and seed derivation) before a single run is
 // simulated: a worker must refuse work it would compute differently,
 // because the coordinator trusts accepted shards bit for bit.

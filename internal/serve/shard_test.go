@@ -99,16 +99,13 @@ func TestShardEndpointMatchesLocal(t *testing.T) {
 		t.Fatalf("statusz shards = %d after one shard, want 1", st.Shards)
 	}
 
-	// The worker builds no summary, but its reply is the version-2 frame of
-	// a one-shot full summary of the same runs, byte for byte.
+	// The reply is the runs frame of the range's runs, byte for byte.
 	resp, body := postShard(t, ts.URL, spec)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	fs := stats.NewFullSummary(false)
-	fs.Push(want)
-	if frame, err := stats.EncodeSummary(fs); err != nil || !bytes.Equal(body, frame) {
-		t.Fatalf("worker reply is not the full-summary frame of its runs (encode error %v)", err)
+	if !bytes.Equal(body, stats.EncodeRuns(want)) {
+		t.Fatal("worker reply is not the runs frame of its runs")
 	}
 
 	// The original-program arm resolves its own campaign.

@@ -21,7 +21,7 @@ type Sorted struct {
 
 // SortedCopy returns an ascending-sorted copy of xs. It is the entry point
 // of the sort-once estimation path: callers sort a sample a single time and
-// hand the view to QuantileSorted, CheckIIDSorted or AdoptFullSummary.
+// hand the view to QuantileSorted or CheckIIDSorted.
 func SortedCopy(xs []float64) Sorted {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)

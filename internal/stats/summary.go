@@ -59,10 +59,11 @@ type SampleSummary interface {
 
 // FullSummary is the retained-sample reference arm of the estimation
 // pipeline: the run-ordered sample plus an incrementally merged sorted
-// view, exactly the state the convergence loop historically threaded by
-// hand. Its incremental battery reads both instead of keeping copies. Its
+// view. Its incremental battery reads both instead of keeping copies. Its
 // View, an ECDF, answers every query exactly. Memory grows linearly with the
-// run count — the scaling wall the streaming arm removes.
+// run count — the scaling wall the streaming arm removes. A full summary is
+// only ever built by pushing runs into NewFullSummary, so its fields are
+// this file's alone: no wire format or other code reads them.
 //
 //pubtac:reference summary
 type FullSummary struct {
@@ -75,22 +76,13 @@ type FullSummary struct {
 // NewFullSummary returns an empty full summary. With incrementalIID the
 // battery is maintained by an IIDState over the summary's sample (the fast
 // battery); without it every IID() call re-runs the one-shot CheckIIDSorted
-// reference battery over the retained sample (shard summaries and the mbpta
-// referenceIID test seam).
+// reference battery over the retained sample (mbpta.NewEstimate, the mbpta
+// referenceIID test seam and DecodeSummary).
 func NewFullSummary(incrementalIID bool) *FullSummary {
 	s := &FullSummary{}
 	if incrementalIID {
 		s.iid = new(IIDState)
 	}
-	return s
-}
-
-// AdoptFullSummary wraps an existing run-ordered sample and its sorted view
-// without copying; IID runs the one-shot reference battery. The sample is
-// adopted: the caller must not modify it afterwards.
-func AdoptFullSummary(sample []float64, sorted Sorted) *FullSummary {
-	s := &FullSummary{sample: sample, sorted: sorted}
-	s.peak = s.Bytes()
 	return s
 }
 

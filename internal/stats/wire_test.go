@@ -2,11 +2,9 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
-	"math"
-	"reflect"
-	"slices"
-	"sort"
+	"strings"
 	"testing"
 )
 
@@ -19,28 +17,10 @@ func wireArms() map[string]func() *FullSummary {
 	}
 }
 
-// sameSummary asserts that two summaries are observationally identical:
-// every view query, the battery report, and — the strongest check — the wire
-// encoding itself, byte for byte.
-func sameSummary(t *testing.T, label string, a, b SampleSummary) {
-	t.Helper()
-	sameView(t, label, a.View(), b.View())
-	if a.IID() != b.IID() {
-		t.Fatalf("%s: IID report %+v != %+v", label, a.IID(), b.IID())
-	}
-	ea, errA := EncodeSummary(a)
-	eb, errB := EncodeSummary(b)
-	if errA != nil || errB != nil {
-		t.Fatalf("%s: re-encode errors %v / %v", label, errA, errB)
-	}
-	if !bytes.Equal(ea, eb) {
-		t.Fatalf("%s: re-encoded bytes differ (%d vs %d bytes)", label, len(ea), len(eb))
-	}
-}
-
-// The fundamental wire contract: decode(encode(s)) is observationally
-// bit-identical to s, in both battery modes, and the decoded summary stays
-// live — pushing the same continuation into both sides keeps them equal.
+// The wire contract: decode(encode(s)) carries s's runs bit for bit and has
+// s's views, in both battery modes. The battery mode does not travel: the
+// decoded summary runs the one-shot battery. It stays live, so pushing the
+// same continuation into both sides keeps them equal.
 func TestSummaryWireRoundTrip(t *testing.T) {
 	xs := gapSample(3, 4000)
 	head, cont := xs[:2500], xs[2500:]
@@ -56,45 +36,76 @@ func TestSummaryWireRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if orig.PeakBytes() != dec.PeakBytes() {
-				t.Fatalf("PeakBytes %d != %d", orig.PeakBytes(), dec.PeakBytes())
+			same := func(label string) {
+				t.Helper()
+				if !sameBits(dec.Sample(), orig.Sample()) {
+					t.Fatalf("%s: decoded runs differ", label)
+				}
+				sameView(t, label, orig.View(), dec.View())
+				if got, want := dec.IID(), CheckIID(orig.Sample()); got != want {
+					t.Fatalf("%s: IID report %+v, want the one-shot battery's %+v", label, got, want)
+				}
 			}
-			sameSummary(t, "decoded", orig, dec)
-			// Decoded summaries are live, not read-only snapshots.
+			same("decoded")
 			pushBlocks(orig, cont, 64)
 			pushBlocks(dec, cont, 64)
-			sameSummary(t, "decoded+pushed", orig, dec)
+			same("decoded+pushed")
 		})
 	}
 }
 
-// The full-summary frame is pinned byte for byte: coordinators and workers
-// from different builds interoperate only while this encoding and
+// goldenRuns are the runs of the pinned frames below.
+var goldenRuns = [][]float64{{40001, 39998.5}, {40010}}
+
+// The runs frame is pinned byte for byte: coordinators and workers from
+// different builds interoperate only while this encoding and
 // SummaryWireVersion stay put. Changing the frame means bumping the version
-// and re-taking these bytes.
+// and re-taking these bytes. Both battery modes encode to the one frame.
 func TestSummaryWireGoldenFrame(t *testing.T) {
-	golden := map[bool]string{
-		false: "5054534d0200000000000000010030000000000000000300000000000000000000002088e34000000000d087e340000000004089e34048e72062615b19cc",
-		true:  "5054534d0200000000000000010160010000000000000300000000000000000000002088e34000000000d087e340000000004089e3405071eb3d899aadf3",
-	}
-	for inc, want := range golden {
-		sum := NewFullSummary(inc)
-		sum.Push([]float64{40001, 39998.5})
-		sum.Push([]float64{40010})
+	const want = "5054534d03000000000000000300000000000000" +
+		"000000002088e34000000000d087e340000000004089e340" + "c8a2f3e5a0e96288"
+	for name, mk := range wireArms() {
+		sum := mk()
+		for _, block := range goldenRuns {
+			sum.Push(block)
+		}
 		enc, err := EncodeSummary(sum)
 		if err != nil {
-			t.Fatalf("incremental=%v: encode: %v", inc, err)
+			t.Fatalf("%s: encode: %v", name, err)
 		}
 		if got := hex.EncodeToString(enc); got != want {
-			t.Errorf("incremental=%v: frame changed:\n  got  %s\n  want %s", inc, got, want)
+			t.Errorf("%s: frame changed:\n  got  %s\n  want %s", name, got, want)
+		}
+	}
+}
+
+// The version-2 summary frames the previous golden pinned, for the two
+// battery modes of goldenRuns: magic, version, kind, battery mode, peak,
+// run count, runs and checksum.
+var version2Frames = []string{
+	"5054534d0200000000000000010030000000000000000300000000000000000000002088e34000000000d087e340000000004089e34048e72062615b19cc",
+	"5054534d0200000000000000010160010000000000000300000000000000000000002088e34000000000d087e340000000004089e3405071eb3d899aadf3",
+}
+
+// A coordinator and a worker one version apart do not misread each other:
+// a version-2 frame fails with a version error, so the fabric retries the
+// shard and the coordinator finally recomputes it locally.
+func TestDecodeRunsRejectsVersion2(t *testing.T) {
+	for i, h := range version2Frames {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeRuns(b); err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Errorf("frame %d: err = %v, want a version-2 error", i, err)
 		}
 	}
 }
 
 // A shard worker frames its runs with EncodeRuns and builds no summary. The
-// frame must be the one EncodeSummary writes for a NewFullSummary(false)
-// fed the same runs, byte for byte, and DecodeRuns must read the runs back
-// bit for bit.
+// frame is the one EncodeSummary writes for a NewFullSummary(false) fed the
+// same runs, byte for byte, 28 + 8·n bytes, and DecodeRuns reads the runs
+// back bit for bit.
 func TestEncodeRunsIsSummaryFrame(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 256, 4096} {
 		runs := gridSample(uint64(n)+1, n)
@@ -108,21 +119,30 @@ func TestEncodeRunsIsSummaryFrame(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("n=%d: runs frame differs from the full-summary frame:\n  got  %x\n  want %x", n, got, want)
 		}
+		if len(got) != 28+8*n {
+			t.Fatalf("n=%d: %d-byte frame, want %d", n, len(got), 28+8*n)
+		}
 		back, err := DecodeRuns(got)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
-		if !slices.EqualFunc(back, runs, func(a, b float64) bool {
-			return math.Float64bits(a) == math.Float64bits(b)
-		}) {
+		if !sameBits(back, runs) {
 			t.Fatalf("n=%d: decoded runs differ", n)
 		}
 	}
 }
 
-// Foreign versions, foreign magic, unknown kinds, truncation and trailing
-// garbage must all be rejected — never misdecoded — and the encoder refuses
-// every summary but a full one.
+// forgeCount rewrites a frame's run count and re-seals its checksum, so
+// only the count check can catch it.
+func forgeCount(frame []byte, n uint64) []byte {
+	b := bytes.Clone(frame[:len(frame)-8])
+	binary.LittleEndian.PutUint64(b[12:], n)
+	return binary.LittleEndian.AppendUint64(b, wireSum(b))
+}
+
+// Foreign versions, foreign magic, truncation, trailing garbage and forged
+// run counts must all be rejected — never misdecoded — and the encoder
+// refuses every summary but a full one.
 func TestSummaryWireRejectsForeign(t *testing.T) {
 	stream := NewStreamingSummary(64)
 	stream.Push(gridSample(1, 100))
@@ -130,13 +150,7 @@ func TestSummaryWireRejectsForeign(t *testing.T) {
 		t.Error("encoder accepted a streaming summary")
 	}
 
-	sum := NewFullSummary(true)
-	sum.Push(gridSample(1, 500))
-	enc, err := EncodeSummary(sum)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-
+	enc := EncodeRuns(gridSample(1, 500))
 	mutants := map[string][]byte{
 		"empty":     {},
 		"bad magic": append([]byte("NOPE"), enc[4:]...),
@@ -145,29 +159,26 @@ func TestSummaryWireRejectsForeign(t *testing.T) {
 			b[4] = byte(SummaryWireVersion + 1)
 			return b
 		}(),
-		"unknown kind": func() []byte {
-			b := bytes.Clone(enc)
-			b[12] = 0x7f
-			return b
-		}(),
-		"truncated": enc[:len(enc)-5],
-		"trailing":  append(bytes.Clone(enc), 0),
-		"forged length": func() []byte {
-			// Sample-length word pointing far past the buffer.
-			b := bytes.Clone(enc[:22])
-			return append(b, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
-		}(),
+		"truncated":        enc[:len(enc)-5],
+		"trailing":         append(bytes.Clone(enc), 0),
+		"forged length":    forgeCount(enc, 1<<61),
+		"count one short":  forgeCount(enc, 499),
+		"count one over":   forgeCount(enc, 501),
+		"header truncated": enc[:wireHeader],
 	}
 	for name, b := range mutants {
 		if _, err := DecodeSummary(b); err == nil {
 			t.Errorf("%s: decode accepted corrupt input", name)
+		}
+		if _, err := DecodeRuns(b); err == nil {
+			t.Errorf("%s: DecodeRuns accepted corrupt input", name)
 		}
 	}
 }
 
 // Every single-byte in-place corruption must be rejected, wherever it lands:
 // magic and header fail structurally, and a flipped payload byte — which
-// before the v2 checksum decoded silently into a wrong float, breaking
+// without the checksum would decode silently into a wrong float, breaking
 // coordinator/worker bit-identity undetectably — fails the frame checksum.
 // This is the property the fault injector's Corrupt action leans on: a
 // corrupted shard reply becomes a retryable decode error, never a wrong
@@ -189,28 +200,5 @@ func TestSummaryWireDetectsCorruption(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// The wire encoding serializes unexported state field by field, so any field
-// added to this struct silently vanishes from the wire unless this list —
-// and SummaryWireVersion — is updated. Same discipline as
-// TestCanonicalEncodingFieldsPinned for core.AppendCanonical.
-func TestSummaryWireFieldsPinned(t *testing.T) {
-	pinned := map[reflect.Type][]string{
-		reflect.TypeOf(FullSummary{}): {"sample", "sorted", "iid", "peak"},
-	}
-	for typ, want := range pinned {
-		var got []string
-		for i := 0; i < typ.NumField(); i++ {
-			got = append(got, typ.Field(i).Name)
-		}
-		sort.Strings(got)
-		wantSorted := append([]string(nil), want...)
-		sort.Strings(wantSorted)
-		if !reflect.DeepEqual(got, wantSorted) {
-			t.Errorf("%s fields changed:\n  got  %v\n  want %v\nupdate the wire encoding (and bump SummaryWireVersion) before updating this list",
-				typ.Name(), got, wantSorted)
-		}
 	}
 }
