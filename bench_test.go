@@ -314,61 +314,45 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckIID contrasts the one-shot i.i.d. battery against the
-// incremental battery at the convergence loop's steady state: n = 100k
-// collected runs, 1k-run increments. The one-shot arm re-scans and re-sorts
-// the full sample every round (the last remaining per-round O(n·lags) cost
-// after the batched replay); the incremental arm pushes the increment into
-// a full summary, which merges its sorted view — as the convergence loop
-// already does for the tail fit — and re-reports.
+// BenchmarkCheckIID contrasts the one-shot i.i.d. battery with the full
+// summary's one-pass battery on a 100k-run sample: the report a campaign
+// makes once per estimate it ships. The one-shot arm copies and sorts the
+// sample for the runs-test median and sorts both halves for the KS check;
+// the full-summary arm reads the median off the summary's sorted view,
+// folds the Ljung-Box sums in register-blocked passes and sorts only the
+// first half.
 //
 //pubtac:bench
 func BenchmarkCheckIID(b *testing.B) {
-	const n, inc = 100_000, 1_000
+	const n = 100_000
 	gen := rng.New(42)
-	xs := make([]float64, 2*n)
+	xs := make([]float64, n)
 	for i := range xs {
-		// Execution-time-like values: integer cycles on a coarse grid, so
-		// the runs-test median pins quickly as in real campaigns.
+		// Execution-time-like values: integer cycles on a coarse grid.
 		xs[i] = math.Floor(gen.Float64()*2000) + 40000
 	}
 	b.Run("one-shot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			stats.CheckIID(xs[:n])
+			stats.CheckIID(xs)
 		}
 	})
-	b.Run("incremental", func(b *testing.B) {
-		extra := xs[n:]
-		var sum *stats.FullSummary
-		reset := func() {
-			sum = stats.NewFullSummary(true)
-			sum.Push(xs[:n])
-			sum.IID()
-		}
-		reset()
+	b.Run("full-summary", func(b *testing.B) {
+		sum := stats.NewFullSummary(true)
+		sum.Push(xs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			j := i % (len(extra) / inc) * inc
-			sum.Push(extra[j : j+inc])
 			sum.IID()
-			if sum.N() >= 2*n {
-				// Keep the battery pinned near the nominal sample size:
-				// rebuild outside the timer once the campaign doubled.
-				b.StopTimer()
-				reset()
-				b.StartTimer()
-			}
 		}
 	})
 }
 
 // BenchmarkConvergeStreaming contrasts the two estimation arms at the
 // convergence loop's steady state: n = 100k accumulated runs, 1k-run
-// increments, a full re-estimate (auto-fit ladder + battery report) per
-// round. The full-sample arm retains and re-walks the whole sample; the
-// streaming arm works from the top-K reservoir, quantile sketch and
-// streaming battery, so its per-round cost and peak memory (reported as
-// peak-B) are functions of the budget, not of n.
+// increments, and per round what mbpta's ConvergeCtx runs — a push, the
+// auto-fit ladder and the composite curve, with no battery. The full-sample
+// arm retains and re-walks the whole sample; the streaming arm works from
+// the top-K reservoir and quantile sketch, so its per-round cost and peak
+// memory (reported as peak-B) are functions of the budget, not of n.
 //
 //pubtac:bench
 func BenchmarkConvergeStreaming(b *testing.B) {
@@ -380,24 +364,28 @@ func BenchmarkConvergeStreaming(b *testing.B) {
 		xs[i] = math.Floor(gen.Float64()*2000) + 40000
 	}
 	cfg := mbpta.DefaultConfig()
+	fit := func(b *testing.B, sum stats.SampleSummary) {
+		v := sum.View()
+		tail, _, err := evt.FitExpTailAutoSummary(v, cfg.TailCount, v.N()/5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evt.NewSummaryComposite(v, tail)
+	}
 	run := func(b *testing.B, mk func() stats.SampleSummary) {
 		extra := xs[n:]
 		var sum stats.SampleSummary
 		reset := func() {
 			sum = mk()
 			sum.Push(xs[:n])
-			if _, err := mbpta.NewEstimateSummary(sum, cfg); err != nil {
-				b.Fatal(err)
-			}
+			fit(b, sum)
 		}
 		reset()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			j := i % (len(extra) / inc) * inc
 			sum.Push(extra[j : j+inc])
-			if _, err := mbpta.NewEstimateSummary(sum, cfg); err != nil {
-				b.Fatal(err)
-			}
+			fit(b, sum)
 			if sum.N() >= 2*n {
 				// Keep the round pinned near the nominal sample size.
 				b.StopTimer()

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -343,13 +344,20 @@ func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 
 // readOK drains the body of a 200 response, or turns any other status into
 // an error carrying the server's message.
-func readOK(resp *http.Response) ([]byte, error) {
+func readOK(resp *http.Response) ([]byte, error) { return readOKAtMost(resp, math.MaxInt64-1) }
+
+// readOKAtMost is readOK for a reply of at most max bytes: it reads at most
+// max+1, so a longer reply is an error instead of an unbounded allocation.
+func readOKAtMost(resp *http.Response, max int64) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, statusError(resp)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, max+1))
 	if err != nil {
 		return nil, fmt.Errorf("client: reading response: %w", err)
+	}
+	if int64(len(body)) > max {
+		return nil, fmt.Errorf("client: response longer than %d bytes", max)
 	}
 	return body, nil
 }

@@ -369,7 +369,7 @@ func (p *Peers) backoffFor(retry int, lastErr error) time.Duration {
 // malformed range, ...) describe the request, not the peer, and a
 // cancelled parent context means nobody wants the answer anymore. Network
 // failures, 5xx, 429 sheds, timeouts and undecodable runs frames (corrupt,
-// truncated or of another version) all stay retryable.
+// truncated, overlong or of another version) all stay retryable.
 func permanentErr(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {

@@ -10,18 +10,19 @@ import (
 
 // CollectShard executes one campaign shard on the daemon (POST /v1/shards)
 // and returns the shard's execution times in run order. The worker replies
-// with a runs frame (stats.EncodeRuns, 28 + 8·n bytes for n runs); the runs
-// are exactly runs spec.Lo..spec.Hi-1 of the campaign, whoever computes
-// them. A frame this build cannot decode, such as one of another
-// stats.SummaryWireVersion, is an error, and the coordinator recomputes the
-// shard locally.
+// with a runs frame (stats.EncodeRuns, stats.RunsFrameLen(n) bytes for n
+// runs); the runs are exactly runs spec.Lo..spec.Hi-1 of the campaign,
+// whoever computes them. The client reads at most one byte past that size.
+// A longer reply, or a frame this build cannot decode, such as one of
+// another stats.SummaryWireVersion, is an error, and the coordinator
+// recomputes the shard locally.
 func (c *Client) CollectShard(ctx context.Context, spec pubtac.ShardSpec) ([]float64, error) {
 	resp, err := c.post(ctx, "/v1/shards", spec)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := readOK(resp)
+	body, err := readOKAtMost(resp, int64(stats.RunsFrameLen(spec.Runs())))
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // and at least one of the package's test files must mention both declared
 // identifiers — the equivalence test that keeps the pair honest. The
 // repository's pairs are the batched vs. uncompiled campaign replay, the
-// incremental vs. one-shot i.i.d. battery, the indexed vs. full-scan TAC
+// one-pass vs. one-shot i.i.d. battery, the indexed vs. full-scan TAC
 // enumeration, the streaming vs. full-sample estimation summary and the
 // remote-sharded vs. local campaign collection.
 //

@@ -25,7 +25,7 @@ func SlowReplay(xs []int) int {
 }
 
 // Accumulator is an incremental fast path declared as a type, like the
-// real stats.IIDState.
+// real stats.StreamingSummary.
 //
 //pubtac:fastpath battery
 type Accumulator struct {

@@ -22,7 +22,7 @@ func closeTest(a, b stats.TestResult, tol float64) bool {
 }
 
 // TestIncrementalBatteryEstimateMatchesSorted: estimating from a full
-// summary whose incremental battery was fed the whole sample reproduces
+// summary with the one-pass battery, fed the whole sample, reproduces
 // NewEstimate over the adopted sorted sample — identical fit, curve and CV,
 // with the battery report matching the one-shot reference (runs/KS
 // bit-identically, Ljung-Box to reassociation error).
@@ -58,24 +58,24 @@ func TestIncrementalBatteryEstimateMatchesSorted(t *testing.T) {
 }
 
 // TestIIDStateMatchesCheckIIDOnCampaigns is the equivalence oracle on real
-// campaign samples: the battery pushed in collectBlock-sized chunks (the
-// granularity core's campaign workers deliver runs at) must reproduce the
-// one-shot CheckIID report across randomized campaigns.
+// campaign samples: a full summary pushed in collectBlock-sized chunks (the
+// granularity core's campaign workers deliver runs at) must report the
+// one-shot CheckIID battery across randomized campaigns.
 func TestIIDStateMatchesCheckIIDOnCampaigns(t *testing.T) {
 	m := proc.DefaultModel()
 	for _, root := range []uint64{1, 77, 0xBEEF} {
 		for _, n := range []int{400, 1500, 2*collectBlock - 5} {
 			sample := Collect(loopTrace(9, 70), m, n, root, 0)
 			want := stats.CheckIID(sample)
-			st := new(stats.IIDState)
+			sum := stats.NewFullSummary(true)
 			for lo := 0; lo < n; lo += collectBlock {
 				hi := lo + collectBlock
 				if hi > n {
 					hi = n
 				}
-				st.Push(sample[lo:hi])
+				sum.Push(sample[lo:hi])
 			}
-			got := st.ReportSorted(sample, stats.SortedCopy(sample))
+			got := sum.IID()
 			if !sameTest(got.Runs, want.Runs) || !sameTest(got.Identical, want.Identical) {
 				t.Fatalf("root=%d n=%d: battery %+v != one-shot %+v", root, n, got, want)
 			}
@@ -86,11 +86,11 @@ func TestIIDStateMatchesCheckIIDOnCampaigns(t *testing.T) {
 	}
 }
 
-// TestConvergeReferenceIIDEquivalence runs the same convergence search with
-// the incremental battery and through the Campaign.referenceIID seam (the
-// one-shot CheckIID oracle every round): the searches must take identical paths —
-// same runs, rounds and pWCET, since the battery is diagnostic — and the
-// final admissibility reports must agree.
+// TestConvergeReferenceIIDEquivalence: the convergence search reports the
+// battery once, on the estimate it returns, and that report must be the
+// one-shot CheckIID over the search's own sample — runs and KS bit for bit,
+// Ljung-Box to reassociation error — with the summary covering exactly the
+// runs the search took.
 func TestConvergeReferenceIIDEquivalence(t *testing.T) {
 	tr := loopTrace(8, 60)
 	m := proc.DefaultModel()
@@ -99,38 +99,23 @@ func TestConvergeReferenceIIDEquivalence(t *testing.T) {
 	cfg.Increment = 300
 	cfg.MaxRuns = 20000
 
-	fast, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 23, nil)
+	conv, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 23, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCamp := NewCampaign(tr, m)
-	refCamp.referenceIID = true
-	ref, err := refCamp.ConvergeCtx(context.Background(), cfg, 23, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Runs != ref.Runs || fast.Rounds != ref.Rounds || fast.Converged != ref.Converged {
-		t.Fatalf("search paths diverged: %d/%d/%v vs %d/%d/%v",
-			fast.Runs, fast.Rounds, fast.Converged, ref.Runs, ref.Rounds, ref.Converged)
-	}
-	if fast.Estimate.PWCET(1e-12) != ref.Estimate.PWCET(1e-12) {
-		t.Fatalf("pWCET diverged: %v vs %v", fast.Estimate.PWCET(1e-12), ref.Estimate.PWCET(1e-12))
-	}
-	fi, ri := fast.Estimate.IID, ref.Estimate.IID
-	if !sameTest(fi.Runs, ri.Runs) || !sameTest(fi.Identical, ri.Identical) {
-		t.Fatalf("battery diverged: %+v vs %+v", fi, ri)
-	}
-	if !closeTest(fi.LjungBox, ri.LjungBox, 1e-8) {
-		t.Fatalf("ljung-box diverged: %+v vs %+v", fi.LjungBox, ri.LjungBox)
-	}
-	fs, ok := fast.Summary.(*stats.FullSummary)
+	fs, ok := conv.Summary.(*stats.FullSummary)
 	if !ok {
-		t.Fatalf("non-streaming search should carry a *stats.FullSummary, got %T", fast.Summary)
+		t.Fatalf("non-streaming search should carry a *stats.FullSummary, got %T", conv.Summary)
 	}
-	if fs.N() != fast.Runs {
-		t.Fatalf("summary covers %d runs, campaign has %d", fs.N(), fast.Runs)
+	if fs.N() != conv.Runs || len(conv.Estimate.Sample) != conv.Runs {
+		t.Fatalf("summary covers %d runs and the estimate %d, campaign has %d",
+			fs.N(), len(conv.Estimate.Sample), conv.Runs)
 	}
-	if ref.Summary.N() != ref.Runs {
-		t.Fatalf("reference summary covers %d runs, campaign has %d", ref.Summary.N(), ref.Runs)
+	got, want := conv.Estimate.IID, stats.CheckIID(fs.Sample())
+	if !sameTest(got.Runs, want.Runs) || !sameTest(got.Identical, want.Identical) {
+		t.Fatalf("battery diverged: %+v vs one-shot %+v", got, want)
+	}
+	if !closeTest(got.LjungBox, want.LjungBox, 1e-8) {
+		t.Fatalf("ljung-box diverged: %+v vs one-shot %+v", got.LjungBox, want.LjungBox)
 	}
 }

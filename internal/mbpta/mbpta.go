@@ -33,7 +33,8 @@ type Config struct {
 	// InitialRuns is the starting sample size (the MBPTA literature's
 	// conventional minimum is a few hundred runs).
 	InitialRuns int
-	// Increment is the number of runs added per convergence round.
+	// Increment is the number of runs added per convergence round; it
+	// must be positive.
 	Increment int
 	// MaxRuns caps the convergence loop.
 	MaxRuns int
@@ -129,12 +130,6 @@ type Campaign struct {
 	// SetRemote.
 	fetch  func(ctx context.Context, r Range) ([]float64, error)
 	shards int
-
-	// referenceIID is a test seam: convergence searches on a full-sample
-	// summary recompute the one-shot stats.CheckIID battery every round
-	// instead of maintaining the incremental one. Results are identical;
-	// the equivalence tests set it to compare the two batteries.
-	referenceIID bool
 }
 
 // Range is a half-open run-index interval [Lo, Hi) of a campaign.
@@ -354,12 +349,23 @@ func NewEstimate(sample []float64, cfg Config) (*Estimate, error) {
 }
 
 // NewEstimateSummary fits a pWCET model to the sample behind a
-// stats.SampleSummary: the tail fit, CV test, composite curve and
-// admissibility battery all read the summary, so the one entry point serves
-// both the retained-sample reference arm and the bounded-memory streaming
-// arm. The estimate holds an immutable snapshot of the summary; the caller
-// may keep pushing runs into it afterwards.
+// stats.SampleSummary and reports its admissibility battery: the tail fit,
+// CV test, composite curve and battery all read the summary, so the one
+// entry point serves both the retained-sample reference arm and the
+// bounded-memory streaming arm. The estimate holds an immutable snapshot of
+// the summary; the caller may keep pushing runs into it afterwards.
 func NewEstimateSummary(sum stats.SampleSummary, cfg Config) (*Estimate, error) {
+	est, err := fit(sum, cfg)
+	if err != nil {
+		return nil, err
+	}
+	est.IID = sum.IID()
+	return est, nil
+}
+
+// fit is NewEstimateSummary without the battery: the tail fit, CV test and
+// composite curve, all a convergence round reads.
+func fit(sum stats.SampleSummary, cfg Config) (*Estimate, error) {
 	v := sum.View()
 	tail, cv, err := evt.FitExpTailAutoSummary(v, cfg.TailCount, v.N()/5)
 	if err != nil {
@@ -370,7 +376,6 @@ func NewEstimateSummary(sum stats.SampleSummary, cfg Config) (*Estimate, error) 
 		Tail:  tail,
 		View:  v,
 		CV:    cv,
-		IID:   sum.IID(),
 	}
 	if fs, ok := sum.(*stats.FullSummary); ok {
 		est.Sample = fs.Sample()
@@ -397,14 +402,14 @@ type Convergence struct {
 	Runs      int       // runs at convergence (R_pub / R_orig)
 	Rounds    int       // convergence rounds taken
 	Converged bool      // false when MaxRuns was hit first
-	Estimate  *Estimate // estimate at the final sample size
+	Estimate  *Estimate // estimate at the final sample size, battery included
 
-	// Summary is the sample summary maintained across convergence rounds:
-	// a stats.FullSummary (retained sample + merged sorted view +
-	// battery) by default, a bounded-memory stats.StreamingSummary under
-	// Config.Streaming. Callers extending the campaign (package core)
-	// push new runs into it via ExtendSummaryCtx and re-estimate with
-	// NewEstimateSummary instead of recollecting or re-sorting.
+	// Summary is the sample summary grown across convergence rounds: a
+	// stats.FullSummary (retained sample + merged sorted view) by default,
+	// a bounded-memory stats.StreamingSummary under Config.Streaming.
+	// Callers extending the campaign (package core) push new runs into it
+	// via ExtendSummaryCtx and re-estimate with NewEstimateSummary instead
+	// of recollecting or re-sorting.
 	Summary stats.SampleSummary
 }
 
@@ -417,58 +422,57 @@ type Convergence struct {
 // grows by Increment per round until the estimate stabilizes, so target is
 // a moving lower bound on the final run count. Every round's workers replay
 // the one shared compilation.
+//
+// A round only fits: the probe reads the curve, never the i.i.d. battery,
+// so the battery is reported once, on the estimate the search returns.
 func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
 	root uint64, progress Progress) (*Convergence, error) {
 	if cfg.InitialRuns < 20 {
 		return nil, fmt.Errorf("mbpta: InitialRuns %d too small", cfg.InitialRuns)
 	}
-	// The summary is maintained incrementally: each round pushes only its
-	// increment (sorting the increment, merging it into the sorted view or
-	// reservoir, pushing the battery), so the per-round estimation cost is
-	// O(n + inc·log inc) instead of a full O(n log n) re-sort and
-	// O(n·lags) battery re-scan — and O(K + inc·log inc) with a streaming
-	// summary, whose memory never grows past the budget.
-	sum := NewSummary(cfg)
-	if c.referenceIID && !cfg.Streaming {
-		sum = stats.NewFullSummary(false)
+	if cfg.Increment <= 0 {
+		return nil, fmt.Errorf("mbpta: Increment %d not positive", cfg.Increment)
 	}
+	// The summary is grown in place: each round pushes only its increment
+	// (sorting the increment and merging it into the sorted view or
+	// reservoir), so a round's estimation cost is O(n + inc·log inc)
+	// instead of a full O(n log n) re-sort — and O(K + inc·log inc) with a
+	// streaming summary, whose memory never grows past the budget.
+	sum := NewSummary(cfg)
 	if err := c.pushRuns(ctx, sum, cfg.InitialRuns, root, cfg.Workers, progress); err != nil {
 		return nil, err
 	}
-	est, err := NewEstimateSummary(sum, cfg)
+	est, err := fit(sum, cfg)
 	if err != nil {
 		return nil, err
 	}
 	prev := est.PWCET(cfg.StabilityProb)
-	stable := 0
-	rounds := 0
-	for sum.N() < cfg.MaxRuns {
+	stable, rounds, converged := 0, 0, false
+	for !converged && sum.N() < cfg.MaxRuns {
 		// Extend deterministically: the new runs use seeds n..n+inc-1.
 		if err := c.pushRuns(ctx, sum, cfg.Increment, root, cfg.Workers, progress); err != nil {
 			return nil, err
 		}
 		rounds++
-		est, err = NewEstimateSummary(sum, cfg)
-		if err != nil {
+		if est, err = fit(sum, cfg); err != nil {
 			return nil, err
 		}
 		cur := est.PWCET(cfg.StabilityProb)
 		if relDiff(cur, prev) <= cfg.StabilityEps {
 			stable++
-			if stable >= cfg.StableRounds {
-				return &Convergence{Runs: sum.N(), Rounds: rounds, Converged: true, Estimate: est, Summary: sum}, nil
-			}
+			converged = stable >= cfg.StableRounds
 		} else {
 			stable = 0
 		}
 		prev = cur
 	}
-	return &Convergence{Runs: sum.N(), Rounds: rounds, Converged: false, Estimate: est, Summary: sum}, nil
+	est.IID = sum.IID()
+	return &Convergence{Runs: sum.N(), Rounds: rounds, Converged: converged, Estimate: est, Summary: sum}, nil
 }
 
 // NewSummary builds the sample summary a campaign under cfg accumulates
 // into: streaming (bounded memory) when cfg.Streaming, otherwise the
-// full-sample reference summary with the incremental i.i.d. battery.
+// full-sample reference summary with the one-pass i.i.d. battery.
 func NewSummary(cfg Config) stats.SampleSummary {
 	if cfg.Streaming {
 		return stats.NewStreamingSummary(cfg.EffectiveStreamBudget())

@@ -141,6 +141,20 @@ func TestConvergeRejectsTinyInitial(t *testing.T) {
 	}
 }
 
+// TestConvergeRejectsNonPositiveIncrement: a round that adds no runs can
+// never move the probe, so such a search would either "converge" at
+// InitialRuns or, with a negative StabilityEps, never return.
+func TestConvergeRejectsNonPositiveIncrement(t *testing.T) {
+	for _, inc := range []int{0, -5} {
+		cfg := DefaultConfig()
+		cfg.InitialRuns = 200
+		cfg.Increment = inc
+		if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel()).ConvergeCtx(context.Background(), cfg, 1, nil); err == nil {
+			t.Fatalf("Increment %d: expected error", inc)
+		}
+	}
+}
+
 // TestExtendMatchesCollect: a summary of worker-collected runs extended
 // past their end holds exactly the runs of a from-scratch campaign.
 func TestExtendMatchesCollect(t *testing.T) {

@@ -1,6 +1,7 @@
 package pub
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -189,4 +190,98 @@ func TestTransformPropertyCrossPathDominance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzVector is the fuzz encoding of one input vector: c0..c3 as
+// little-endian int64s.
+const fuzzVector = 4 * 8
+
+// fuzzInputs decodes up to 8 input vectors from data, fuzzVector bytes
+// each; a trailing partial vector is dropped. Any int64 is a valid control
+// value: conditionals test c > 0 and the executor clamps switch selectors
+// to the case range.
+func fuzzInputs(data []byte) []program.Input {
+	var ins []program.Input
+	for k := 0; k < 8 && len(data) >= fuzzVector; k++ {
+		ints := map[string]int64{}
+		for c := 0; c < 4; c++ {
+			ints[fmt.Sprintf("c%d", c)] = int64(binary.LittleEndian.Uint64(data[8*c:]))
+		}
+		ins = append(ins, program.Input{
+			Name:   fmt.Sprintf("f%d", k),
+			Ints:   ints,
+			Arrays: map[string][]int64{"m": {1, 2, 3, 4, 5, 6, 7, 8}},
+		})
+		data = data[fuzzVector:]
+	}
+	return ins
+}
+
+// FuzzTransformDominates fuzzes PUB on generated programs: the fuzz input
+// picks randGen's seed and up to 8 input vectors over c0..c3 (fuzzInputs).
+// For the pubbed program it checks that
+//
+//  1. on every input the pubbed trace is not shorter than the original;
+//  2. every original path's data trace is a subsequence of every pubbed
+//     path's data trace, its own path's included: every generated loop runs
+//     its MaxBound, so every pubbed path covers every original one;
+//  3. the pubbed program performs the same number of data accesses on every
+//     input.
+//
+// The seeds are the two property tests' programs (trials 1000–1004 and
+// 9000–9004) on inputsOver's eight vectors.
+func FuzzTransformDominates(f *testing.F) {
+	var vectors []byte
+	for _, in := range inputsOver() {
+		for c := 0; c < 4; c++ {
+			vectors = binary.LittleEndian.AppendUint64(vectors, uint64(in.Ints[fmt.Sprintf("c%d", c)]))
+		}
+	}
+	for _, trial := range []uint64{1000, 1001, 1002, 1003, 1004, 9000, 9001, 9002, 9003, 9004} {
+		f.Add(trial, vectors)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		ins := fuzzInputs(data)
+		if len(ins) == 0 {
+			return
+		}
+		g := &randGen{r: rng.New(seed)}
+		sym := &program.Symbol{Name: "m", ElemBytes: 32, Len: 8}
+		p := program.New("fuzz", g.node(), sym)
+		if err := p.Link(); err != nil {
+			t.Fatal(err)
+		}
+		q, _, err := Transform(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		origs := make([]trace.Trace, len(ins))
+		pubs := make([]trace.Trace, len(ins))
+		for i, in := range ins {
+			orig, err := p.Exec(in)
+			if err != nil {
+				t.Fatalf("seed %d input %v: %v", seed, in.Ints, err)
+			}
+			pubd, err := q.Exec(in)
+			if err != nil {
+				t.Fatalf("seed %d input %v (pubbed): %v", seed, in.Ints, err)
+			}
+			if len(pubd.Trace) < len(orig.Trace) {
+				t.Fatalf("seed %d input %v: pubbed trace shorter (%d < %d)", seed, in.Ints, len(pubd.Trace), len(orig.Trace))
+			}
+			origs[i], pubs[i] = orig.Trace.Filter(trace.Data), pubd.Trace.Filter(trace.Data)
+			if len(pubs[i]) != len(pubs[0]) {
+				t.Fatalf("seed %d: pubbed data access counts differ: %d on %v, %d on %v",
+					seed, len(pubs[0]), ins[0].Ints, len(pubs[i]), in.Ints)
+			}
+		}
+		for i, od := range origs {
+			for j, pd := range pubs {
+				if !od.IsSubsequenceOf(pd) {
+					t.Fatalf("seed %d: original path on %v not covered by pubbed path on %v\norig: %v\npub:  %v",
+						seed, ins[i].Ints, ins[j].Ints, od, pd)
+				}
+			}
+		}
+	})
 }

@@ -9,103 +9,37 @@ import (
 // convention of 20 lags (short samples use n/4, see iidLags).
 const iidMaxLags = 20
 
-// IIDState incrementally maintains the MBPTA admissibility battery over a
-// growing run-ordered sample that its owner retains (FullSummary): Push only
-// folds each block into the Ljung-Box moment sums, and ReportSorted reads the
-// owner's sample and sorted view. A convergence loop that adds inc runs per
-// round pays O(inc·lags) per Push plus O(lags) per report for the Ljung-Box
-// check, instead of CheckIID's O(n·lags) full-sample re-scan; the runs test
-// continues its scan from where the previous report stopped
-// (re-dichotomizing only when the sample median actually moves), and the
-// two-half KS check grows its sorted first half across the moving half
-// boundary so neither half is ever re-sorted.
+// fullIID is the full summary's battery: one pass over the run-ordered
+// sample and its sorted view, retaining nothing between reports. The runs
+// test dichotomizes at the view's median, Ljung-Box folds one ljungBoxSums
+// over the whole sample (the sums any chunking of the pushes folds to), and
+// the two-half KS check sorts the first half once and walks it against the
+// view, which stands in for the second half's own sorted copy.
 //
-// Reports are bit-identical to CheckIID for the runs and KS checks (same
-// integer counts, same median, same evaluation points) and agree with it to
-// floating-point reassociation error for Ljung-Box, whose autocorrelations
-// are reconstructed from running moment sums instead of centered scans. The
-// one-shot battery remains the reference oracle; see the equivalence tests
-// and the mbpta.Campaign referenceIID test seam.
-//
-// The zero value is an empty battery ready for use. An IIDState is not safe
-// for concurrent use.
+// Runs and KS are bit-identical to CheckIID (same integer counts, same
+// median, same evaluation points). Ljung-Box agrees with it to
+// floating-point reassociation error: its autocorrelations are
+// reconstructed from the moment sums instead of centered scans. CheckIID
+// remains the reference oracle; see the equivalence tests.
 //
 //pubtac:fastpath iid
-type IIDState struct {
-	lb ljungBoxSums
-
-	// Runs-test scan state: the tally of sample[:scanned] dichotomized at
-	// runsMed. Valid while the sample median stays at runsMed; a median
-	// move restarts the scan.
-	runsMed float64
-	hasMed  bool
-	scanned int
-	runs    signRuns
-
-	// firstSorted is the sorted first half of the two-half KS check, grown
-	// at report time (see growSortedPrefix).
-	firstSorted Sorted
-}
-
-// N returns the number of runs pushed so far.
-func (s *IIDState) N() int { return s.lb.n }
-
-// Push folds a block of runs, in run order, into the Ljung-Box sums:
-// O(len(block)·lags). The owner retains the runs themselves.
-func (s *IIDState) Push(block []float64) { s.lb.push(block) }
-
-// ReportSorted computes the battery report for the runs pushed so far, given
-// the owner's run-ordered sample of those same runs and its sorted view.
-// The sorted view supplies the runs-test median in O(1); nothing re-sorts or
-// re-scans the run-ordered prefix. ReportSorted mutates the runs-test scan
-// state and the KS first half and is therefore not idempotent w.r.t. cost,
-// only w.r.t. results.
-func (s *IIDState) ReportSorted(sample []float64, sorted Sorted) IIDReport {
-	if len(sample) != s.lb.n || sorted.Len() != s.lb.n {
-		panic("stats: IIDState.ReportSorted: sample or sorted view does not match the pushed runs")
+func fullIID(sample []float64, sorted Sorted) IIDReport {
+	var lb ljungBoxSums
+	lb.push(sample)
+	rep := IIDReport{
+		Runs:      TestResult{Name: "runs", Statistic: 0, PValue: 1},
+		LjungBox:  lb.report(sample),
+		Identical: TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1},
 	}
-	return IIDReport{
-		Runs:      s.runsReport(sample, sorted),
-		LjungBox:  s.lb.report(sample),
-		Identical: s.identicalReport(sample, sorted),
-	}
-}
-
-// runsReport continues the Wald-Wolfowitz scan over the unscanned suffix.
-// When the sample median moved since the last report the whole sample is
-// re-dichotomized; integer-valued execution times pin the median quickly,
-// so steady-state rounds only scan their increment.
-func (s *IIDState) runsReport(sample []float64, sorted Sorted) TestResult {
-	if len(sample) == 0 {
-		return TestResult{Name: "runs", Statistic: 0, PValue: 1}
-	}
-	med := sorted.Quantile(0.5)
-	if !s.hasMed || med != s.runsMed {
-		s.runsMed, s.hasMed = med, true
-		s.scanned, s.runs = 0, signRuns{}
-	}
-	s.runs.scan(sample[s.scanned:], med)
-	s.scanned = len(sample)
-	return s.runs.result()
-}
-
-// identicalReport is the two-half KS check against the maintained first
-// half; the second half's ECDF is derived from the full sorted view during
-// the walk, so it never needs its own sorted copy.
-func (s *IIDState) identicalReport(sample []float64, sorted Sorted) TestResult {
 	n := len(sample)
-	if n < 4 {
-		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
+	if n > 0 {
+		rep.Runs = RunsTestMedian(sample, sorted.Quantile(0.5))
 	}
-	s.firstSorted = growSortedPrefix(s.firstSorted, sample, n/2)
-	h := s.firstSorted.Len()
-	return ksResult(ksFirstVsRest(sorted, s.firstSorted), h, n-h)
+	if h := n / 2; n >= 4 {
+		rep.Identical = ksResult(ksFirstVsRest(sorted, SortedCopy(sample[:h])), h, n-h)
+	}
+	return rep
 }
-
-// Bytes returns the battery's retained memory in bytes: the KS first half's
-// values and the Ljung-Box windows (the spare capacity the first half grows
-// into and transient merge buffers excluded; the sample is the owner's).
-func (s *IIDState) Bytes() int { return s.firstSorted.Len()*8 + s.lb.bytes() + 256 }
 
 // streamIID is the bounded-memory battery a StreamingSummary holds. It
 // retains no series, only the first min(n, firstCap) runs, and it reads the
@@ -168,10 +102,10 @@ func (s *streamIID) bytes() int {
 // runs, to the first h: the run-ordered chunk crossing the boundary is
 // sorted and merged in, so the prefix only ever grows and never re-sorts.
 // The result is the sorted multiset of runs[:h] however the growth was
-// split, so a battery may grow it lazily, at report time.
+// split, so the streaming battery grows it lazily, at report time.
 //
-// The prefix is its battery's own and never handed out, so it grows in
-// place, its backing array growing as append's does: the values the chunk
+// The prefix is the streaming battery's own and never handed out, so it
+// grows in place, its backing array growing as append's does: the values the chunk
 // does not precede stay put, the rest move to the top of the grown slice,
 // and mergeInto merges them with the chunk from below.
 func growSortedPrefix(prefix Sorted, runs []float64, h int) Sorted {
@@ -305,8 +239,8 @@ func (l *ljungBoxSums) report(rescan []float64) TestResult {
 	den := l.sumSq - nf*m*m
 	if den <= 0 {
 		// Zero sample variance: every autocorrelation is defined as 0
-		// (AutocorrelationsTo), in one-shot, incremental and streaming
-		// modes alike.
+		// (AutocorrelationsTo), in the one-shot, full-summary and
+		// streaming batteries alike.
 		return ljungBoxFromAutocorr(make([]float64, lags), n)
 	}
 	// The expanded sums cancel at ~m²/σ̂² relative digits. The anchor is

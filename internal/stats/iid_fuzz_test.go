@@ -7,14 +7,16 @@ import (
 	"pubtac/internal/rng"
 )
 
-// FuzzBatteryMatchesCheckIID drives the incremental battery the way the
-// convergence loop does — a NewFullSummary(true) fed in chunks, reporting on
-// a schedule — and holds its final report to the one-shot CheckIID over the
+// FuzzBatteryMatchesCheckIID drives the full summary's battery the way a
+// campaign does — a NewFullSummary(true) fed in chunks, reporting on a
+// schedule — and holds its final report to the one-shot CheckIID over the
 // same sample: runs and KS bit for bit, Ljung-Box to reassociation error
-// (TestIIDStateMatchesCheckIID's tolerances). After every push, the
-// battery's Ljung-Box sums must equal those of refLjungBoxPush, the
-// run-by-run fold, bit for bit. The fuzz input chooses up to 3,000 values on
-// an integer grid of 1..256 levels (ties and a moving median), the chunk
+// (TestIIDStateMatchesCheckIID's tolerances). A streaming summary takes the
+// same pushes: after every push its Ljung-Box sums must equal those of
+// refLjungBoxPush, the run-by-run fold, bit for bit, and the full summary's
+// final Ljung-Box, one fold over the whole sample, must equal the report of
+// those chunked sums bit for bit. The fuzz input chooses up to 3,000 values
+// on an integer grid of 1..256 levels (ties and a moving median), the chunk
 // size, the size of the first push when first > 0, and which blocks are
 // followed by a report (bit k%64 of sched for block k). The leading values
 // come from data, the rest from a generator seeded with seed.
@@ -47,6 +49,7 @@ func FuzzBatteryMatchesCheckIID(f *testing.F) {
 		step := min(max(int(chunk), 1), size+1)
 
 		sum := NewFullSummary(true)
+		stream := NewStreamingSummary(MinStreamBudget)
 		var ref ljungBoxSums
 		for lo, k := 0, 0; lo < size; k++ {
 			hi := min(lo+step, size)
@@ -54,8 +57,9 @@ func FuzzBatteryMatchesCheckIID(f *testing.F) {
 				hi = min(int(first), size)
 			}
 			sum.Push(xs[lo:hi])
+			stream.Push(xs[lo:hi])
 			refLjungBoxPush(&ref, xs[lo:hi])
-			if d := diffLjungBoxSums(&sum.iid.lb, &ref); d != "" {
+			if d := diffLjungBoxSums(&stream.iid.lb, &ref); d != "" {
 				t.Fatalf("n=%d chunk=%d first=%d: after the push of runs %d..%d the Ljung-Box sums differ from the run-by-run fold in %s", size, step, first, lo, hi, d)
 			}
 			if sched>>(k%64)&1 == 1 {
@@ -72,6 +76,9 @@ func FuzzBatteryMatchesCheckIID(f *testing.F) {
 		}
 		if !closeResult(got.LjungBox, want.LjungBox, 1e-8) {
 			t.Fatalf("n=%d chunk=%d: ljung-box %+v != one-shot %+v", size, step, got.LjungBox, want.LjungBox)
+		}
+		if chunked := ref.report(xs); !sameResult(got.LjungBox, chunked) {
+			t.Fatalf("n=%d chunk=%d: one-pass ljung-box %+v != chunked fold's %+v", size, step, got.LjungBox, chunked)
 		}
 	})
 }

@@ -92,7 +92,7 @@ func trivialPass(t *testing.T, label string, r TestResult) {
 // TestBatteryDegenerateInputs covers the inputs that used to panic (empty
 // sample: Median -> Quantile panic) or could misbehave (all values tied
 // with the median): every check must return the degenerate pass, for both
-// the one-shot battery and the incremental accumulator.
+// the one-shot battery and the full summary's.
 func TestBatteryDegenerateInputs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -130,14 +130,14 @@ func TestBatteryDegenerateInputs(t *testing.T) {
 				t.Errorf("degenerate battery rejected: %+v", rep)
 			}
 
-			st := new(IIDState)
-			st.Push(c.xs)
-			inc := st.ReportSorted(c.xs, SortedCopy(c.xs)) // must not panic either
-			if !sameResult(inc.Runs, rep.Runs) || !sameResult(inc.Identical, rep.Identical) {
-				t.Errorf("incremental degenerate report diverges: %+v vs %+v", inc, rep)
+			sum := NewFullSummary(true)
+			sum.Push(c.xs)
+			got := sum.IID() // must not panic either
+			if !sameResult(got.Runs, rep.Runs) || !sameResult(got.Identical, rep.Identical) {
+				t.Errorf("full-summary degenerate report diverges: %+v vs %+v", got, rep)
 			}
-			if !closeResult(inc.LjungBox, rep.LjungBox, 1e-9) {
-				t.Errorf("incremental ljung-box diverges: %+v vs %+v", inc.LjungBox, rep.LjungBox)
+			if !closeResult(got.LjungBox, rep.LjungBox, 1e-9) {
+				t.Errorf("full-summary ljung-box diverges: %+v vs %+v", got.LjungBox, rep.LjungBox)
 			}
 		})
 	}
@@ -189,12 +189,13 @@ func TestAutocorrelationsToMatchesAutocorrelation(t *testing.T) {
 	}
 }
 
-// TestIIDStateMatchesCheckIID is the equivalence oracle of the incremental
-// battery: pushed in collectBlock-sized (and deliberately ragged) chunks,
-// the accumulator must reproduce the one-shot CheckIID report — runs test
-// and two-half KS bit-identically, Ljung-Box to reassociation error — on
-// randomized samples of both continuous and integer-valued (tie-heavy,
-// moving-median) shapes.
+// TestIIDStateMatchesCheckIID is the equivalence oracle of the iid pair,
+// the full summary's one-pass battery (fullIID) against the one-shot
+// CheckIID: pushed in collectBlock-sized (and deliberately ragged) chunks,
+// the summary must reproduce the one-shot report — runs test and two-half
+// KS bit-identically, Ljung-Box to reassociation error — on randomized
+// samples of both continuous and integer-valued (tie-heavy, moving-median)
+// shapes.
 func TestIIDStateMatchesCheckIID(t *testing.T) {
 	const collectBlock = 64 // mbpta's work-stealing block: 8 × proc.BatchK
 	gen := rng.New(4242)
@@ -216,21 +217,21 @@ func TestIIDStateMatchesCheckIID(t *testing.T) {
 			want := CheckIID(xs)
 
 			for _, chunk := range []int{collectBlock, 1, 7, n + 1} {
-				st := new(IIDState)
+				sum := NewFullSummary(true)
 				for lo := 0; lo < n; lo += chunk {
 					hi := lo + chunk
 					if hi > n {
 						hi = n
 					}
-					st.Push(xs[lo:hi])
-					// Interleaved reports exercise the runs-test rescan
-					// across median moves; results must not depend on how
-					// often the battery was consulted.
+					sum.Push(xs[lo:hi])
+					// Interleaved reports across median moves: results
+					// must not depend on how often the battery was
+					// consulted.
 					if lo%(3*chunk) == 0 {
-						st.ReportSorted(xs[:hi], SortedCopy(xs[:hi]))
+						sum.IID()
 					}
 				}
-				got := st.ReportSorted(xs, SortedCopy(xs))
+				got := sum.IID()
 				label := shape.name
 				if !sameResult(got.Runs, want.Runs) {
 					t.Fatalf("%s n=%d chunk=%d: runs %+v != one-shot %+v", label, n, chunk, got.Runs, want.Runs)
@@ -241,8 +242,8 @@ func TestIIDStateMatchesCheckIID(t *testing.T) {
 				if !closeResult(got.LjungBox, want.LjungBox, 1e-8) {
 					t.Fatalf("%s n=%d chunk=%d: ljung-box %+v != one-shot %+v", label, n, chunk, got.LjungBox, want.LjungBox)
 				}
-				if st.N() != n {
-					t.Fatalf("N = %d, want %d", st.N(), n)
+				if sum.N() != n {
+					t.Fatalf("N = %d, want %d", sum.N(), n)
 				}
 			}
 		}
@@ -262,9 +263,9 @@ func TestIIDStateOutlierAnchor(t *testing.T) {
 		xs[i] = math.Floor(gen.Float64() * 4)
 	}
 	want := CheckIID(xs)
-	st := new(IIDState)
-	st.Push(xs)
-	got := st.ReportSorted(xs, SortedCopy(xs))
+	sum := NewFullSummary(true)
+	sum.Push(xs)
+	got := sum.IID()
 	if !sameResult(got.Runs, want.Runs) || !sameResult(got.Identical, want.Identical) {
 		t.Fatalf("outlier anchor diverged: %+v vs %+v", got, want)
 	}
@@ -273,16 +274,16 @@ func TestIIDStateOutlierAnchor(t *testing.T) {
 	}
 }
 
-// TestIIDStateChunkingInvariance: two accumulators fed the same series
-// through different chunkings produce bit-identical reports (the sums are
-// accumulated in element order regardless of block boundaries).
+// TestIIDStateChunkingInvariance: two full summaries fed the same series
+// through different chunkings produce bit-identical reports (the battery
+// is a function of the concatenated sample).
 func TestIIDStateChunkingInvariance(t *testing.T) {
 	gen := rng.New(99)
 	xs := make([]float64, 2048)
 	for i := range xs {
 		xs[i] = gen.Float64() * 100
 	}
-	a, b := new(IIDState), new(IIDState)
+	a, b := NewFullSummary(true), NewFullSummary(true)
 	a.Push(xs)
 	for lo := 0; lo < len(xs); lo += 129 {
 		hi := lo + 129
@@ -291,52 +292,24 @@ func TestIIDStateChunkingInvariance(t *testing.T) {
 		}
 		b.Push(xs[lo:hi])
 	}
-	ra, rb := a.ReportSorted(xs, SortedCopy(xs)), b.ReportSorted(xs, SortedCopy(xs))
+	ra, rb := a.IID(), b.IID()
 	if !sameResult(ra.Runs, rb.Runs) || !sameResult(ra.Identical, rb.Identical) ||
 		!sameResult(ra.LjungBox, rb.LjungBox) {
 		t.Fatalf("chunking changed the report: %+v vs %+v", ra, rb)
 	}
 }
 
-func TestIIDStateReportSortedRejectsStaleView(t *testing.T) {
-	st := new(IIDState)
-	st.Push([]float64{1, 2, 3})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on a sorted view of the wrong length")
-		}
-	}()
-	st.ReportSorted([]float64{1, 2, 3}, SortedCopy([]float64{1, 2}))
-}
-
 func TestIIDStatePassesOnIIDSample(t *testing.T) {
 	gen := rng.New(123)
-	st := new(IIDState)
-	var xs []float64
+	sum := NewFullSummary(true)
 	blk := make([]float64, 500)
 	for round := 0; round < 8; round++ {
 		for i := range blk {
 			blk[i] = gen.Float64() * 100
 		}
-		st.Push(blk)
-		xs = append(xs, blk...)
+		sum.Push(blk)
 	}
-	if rep := st.ReportSorted(xs, SortedCopy(xs)); !rep.Passed(0.01) {
-		t.Fatalf("incremental battery rejected an i.i.d. sample: %+v", rep)
-	}
-}
-
-func TestCheckIIDSortedMatchesCheckIID(t *testing.T) {
-	gen := rng.New(55)
-	for _, n := range []int{0, 3, 10, 1000} {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = math.Floor(gen.Float64() * 64)
-		}
-		a, b := CheckIID(xs), CheckIIDSorted(xs, SortedCopy(xs))
-		if !sameResult(a.Runs, b.Runs) || !sameResult(a.LjungBox, b.LjungBox) ||
-			!sameResult(a.Identical, b.Identical) {
-			t.Fatalf("n=%d: CheckIIDSorted %+v != CheckIID %+v", n, b, a)
-		}
+	if rep := sum.IID(); !rep.Passed(0.01) {
+		t.Fatalf("full-summary battery rejected an i.i.d. sample: %+v", rep)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // compiler rejects a raw slice where a sorted view is due. The zero value is
 // an empty view. A Sorted is read-only: nothing modifies a slice once a
 // Sorted wraps it, except in two owners that never hand theirs out and merge
-// into it in place: the streaming summary's top-K reservoir and the i.i.d.
+// into it in place: the streaming summary's top-K reservoir and its
 // battery's sorted KS first half.
 type Sorted struct {
 	xs []float64 // ascending
@@ -21,7 +21,7 @@ type Sorted struct {
 
 // SortedCopy returns an ascending-sorted copy of xs. It is the entry point
 // of the sort-once estimation path: callers sort a sample a single time and
-// hand the view to QuantileSorted or CheckIIDSorted.
+// read every order statistic off the view.
 func SortedCopy(xs []float64) Sorted {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)

@@ -47,78 +47,62 @@ type SampleSummary interface {
 	N() int
 	// Push appends a block of runs, in run order.
 	Push(block []float64)
-	// IID reports the admissibility battery over everything pushed.
+	// IID reports the admissibility battery over everything pushed. On a
+	// full summary each call is a pass over the whole sample, O(n·lags);
+	// on a streaming summary its cost depends on the budget, not on n.
+	// Callers report once per estimate they hand out, not once per push.
 	IID() IIDReport
 	// View returns an immutable point-in-time snapshot for curve
 	// construction: later Pushes into the summary do not change it.
 	View() SampleView
-	// PeakBytes returns the high-water retained memory across Pushes (and,
-	// for FullSummary, IID reports).
+	// PeakBytes returns the high-water mark of the retained memory,
+	// sampled after every Push and every IID.
 	PeakBytes() int
 }
 
 // FullSummary is the retained-sample reference arm of the estimation
 // pipeline: the run-ordered sample plus an incrementally merged sorted
-// view. Its incremental battery reads both instead of keeping copies. Its
-// View, an ECDF, answers every query exactly. Memory grows linearly with the
-// run count — the scaling wall the streaming arm removes. A full summary is
-// only ever built by pushing runs into NewFullSummary, so its fields are
-// this file's alone: no wire format or other code reads them.
+// view, and nothing else. Its battery is a function of those two, and its
+// View, an ECDF, answers every query exactly. Memory grows linearly with
+// the run count, 16 B per run — the scaling wall the streaming arm removes.
+// A full summary is only ever built by pushing runs into NewFullSummary, so
+// its fields are this file's alone: no wire format or other code reads
+// them.
 //
 //pubtac:reference summary
 type FullSummary struct {
-	sample []float64
-	sorted Sorted
-	iid    *IIDState // incremental battery; nil = one-shot reference battery
-	peak   int
+	sample  []float64
+	sorted  Sorted
+	oneShot bool // IID runs the one-shot CheckIID reference
 }
 
-// NewFullSummary returns an empty full summary. With incrementalIID the
-// battery is maintained by an IIDState over the summary's sample (the fast
-// battery); without it every IID() call re-runs the one-shot CheckIIDSorted
-// reference battery over the retained sample (mbpta.NewEstimate, the mbpta
-// referenceIID test seam and DecodeSummary).
-func NewFullSummary(incrementalIID bool) *FullSummary {
-	s := &FullSummary{}
-	if incrementalIID {
-		s.iid = new(IIDState)
-	}
-	return s
+// NewFullSummary returns an empty full summary. With fastIID its IID is the
+// one-pass battery over the summary's sample and sorted view (fullIID);
+// without it IID runs the one-shot CheckIID reference over the sample
+// (mbpta.NewEstimate and DecodeSummary).
+func NewFullSummary(fastIID bool) *FullSummary {
+	return &FullSummary{oneShot: !fastIID}
 }
 
-// Push appends a block of runs: O(n + |block|·(log|block| + lags)).
+// Push appends a block of runs: O(n + |block|·log|block|).
 func (s *FullSummary) Push(block []float64) {
 	if len(block) == 0 {
 		return
 	}
 	s.sample = append(s.sample, block...)
-	if s.iid != nil {
-		s.iid.Push(block)
-	}
 	s.sorted = MergeSorted(s.sorted, SortedCopy(block))
-	s.notePeak()
-}
-
-// notePeak raises the high-water mark to the current retained memory.
-func (s *FullSummary) notePeak() {
-	if b := s.Bytes(); b > s.peak {
-		s.peak = b
-	}
 }
 
 // Sample returns the retained run-ordered sample (read-only).
 func (s *FullSummary) Sample() []float64 { return s.sample }
 
-// IID reports the admissibility battery: incremental when maintained,
-// one-shot reference otherwise. The incremental battery grows its KS first
-// half at report time, so the report is a peak-memory checkpoint too.
+// IID reports the admissibility battery, one-pass or one-shot reference. It
+// retains nothing.
 func (s *FullSummary) IID() IIDReport {
-	if s.iid == nil {
-		return CheckIIDSorted(s.sample, s.sorted)
+	if s.oneShot {
+		return CheckIID(s.sample)
 	}
-	rep := s.iid.ReportSorted(s.sample, s.sorted)
-	s.notePeak()
-	return rep
+	return fullIID(s.sample, s.sorted)
 }
 
 // View snapshots the current sorted view as an ECDF. Pushes replace (never
@@ -126,22 +110,13 @@ func (s *FullSummary) IID() IIDReport {
 // grows.
 func (s *FullSummary) View() SampleView { return &ECDF{s.sorted} }
 
-// PeakBytes returns the high-water retained memory across pushes and IID
-// reports.
-func (s *FullSummary) PeakBytes() int { return s.peak }
+// PeakBytes returns the high-water retained memory: the sample and the
+// sorted view, 16 B per run. A full summary only grows, so that is its
+// current size.
+func (s *FullSummary) PeakBytes() int { return (len(s.sample) + s.sorted.Len()) * 8 }
 
 // N returns the number of runs pushed.
 func (s *FullSummary) N() int { return len(s.sample) }
-
-// Bytes counts the retained sample, sorted view and battery state, each
-// retained value once.
-func (s *FullSummary) Bytes() int {
-	b := (len(s.sample) + s.sorted.Len()) * 8
-	if s.iid != nil {
-		b += s.iid.Bytes()
-	}
-	return b
-}
 
 // MinStreamBudget floors the streaming budget: below this the reservoir
 // cannot cover even the minimum tail-fit window plus headroom.
@@ -217,13 +192,16 @@ func (s *StreamingSummary) Push(block []float64) {
 	s.sketch.Push(block)
 	s.pushTail(block)
 	s.iid.push(block)
-	if b := s.Bytes(); b > s.peak {
-		s.peak = b
-	}
+	s.peak = max(s.peak, s.Bytes())
 }
 
-// IID reports the streaming admissibility battery.
-func (s *StreamingSummary) IID() IIDReport { return s.iid.report() }
+// IID reports the streaming admissibility battery. The report grows the
+// battery's sorted KS first half, so it is a peak-memory checkpoint too.
+func (s *StreamingSummary) IID() IIDReport {
+	rep := s.iid.report()
+	s.peak = max(s.peak, s.Bytes())
+	return rep
+}
 
 // View snapshots the reservoir and sketch; later pushes do not change it.
 func (s *StreamingSummary) View() SampleView {
@@ -236,7 +214,8 @@ func (s *StreamingSummary) View() SampleView {
 	}
 }
 
-// PeakBytes returns the high-water retained memory across pushes.
+// PeakBytes returns the high-water retained memory across pushes and IID
+// reports.
 func (s *StreamingSummary) PeakBytes() int { return s.peak }
 
 // Budget returns the memory budget K the summary runs with: its reservoir

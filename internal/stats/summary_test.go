@@ -373,11 +373,9 @@ func TestStreamingSummaryMemoryBounded(t *testing.T) {
 }
 
 // TestFullSummaryPeakCountsRunsOnce pins the full summary's memory model:
-// each retained value is counted once — the sample and the sorted view (8 B
-// per run each), the battery's sorted KS first half (8 B per run of the
-// first half) and its Ljung-Box windows — so n runs pushed in 100-run blocks,
-// with a report after each block, peak at 20·n + 576 B. The battery keeps
-// no copy of the run-ordered sample.
+// each retained value is counted once — the sample and the sorted view, 8 B
+// per run each — so n runs pushed in 100-run blocks, with a report after
+// each block, peak at 16·n B. The battery retains nothing between reports.
 func TestFullSummaryPeakCountsRunsOnce(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		sum := NewFullSummary(true)
@@ -386,8 +384,8 @@ func TestFullSummaryPeakCountsRunsOnce(t *testing.T) {
 			sum.Push(xs[lo : lo+100])
 			sum.IID()
 		}
-		if got, want := sum.PeakBytes(), 20*n+576; got != want {
-			t.Errorf("n=%d: PeakBytes = %d, want 20·n + 576 = %d", n, got, want)
+		if got, want := sum.PeakBytes(), 16*n; got != want {
+			t.Errorf("n=%d: PeakBytes = %d, want 16·n = %d", n, got, want)
 		}
 	}
 }

@@ -39,9 +39,9 @@ func RunsTest(xs []float64) TestResult {
 }
 
 // RunsTestMedian is RunsTest with the dichotomization threshold supplied by
-// the caller. Holders of an ascending-sorted view (the convergence loop)
-// pass the O(1) median from it instead of paying RunsTest's internal
-// copy+sort of the whole sample.
+// the caller. Holders of an ascending-sorted view (the full summary's
+// battery) pass the O(1) median from it instead of paying RunsTest's
+// internal copy+sort of the whole sample.
 func RunsTestMedian(xs []float64, med float64) TestResult {
 	var r signRuns
 	r.scan(xs, med)
@@ -109,7 +109,7 @@ func LjungBox(xs []float64, lags int) TestResult {
 
 // ljungBoxFromAutocorr assembles the Ljung-Box statistic and its p-value
 // from the lag-1..len(rs) autocorrelations of an n-value series; the
-// one-shot test and the incremental battery share it so the two can never
+// one-shot test and the summaries' batteries share it so they can never
 // drift apart on the pooling formula.
 func ljungBoxFromAutocorr(rs []float64, n int) TestResult {
 	var q float64
@@ -166,22 +166,6 @@ type IIDReport struct {
 func CheckIID(xs []float64) IIDReport {
 	return IIDReport{
 		Runs:      RunsTest(xs),
-		LjungBox:  LjungBox(xs, iidLags(len(xs))),
-		Identical: IdenticalDistribution(xs),
-	}
-}
-
-// CheckIIDSorted is CheckIID for callers that already hold a sorted view
-// of xs: the runs-test median comes from the view in O(1) instead of an
-// internal copy+sort. xs stays in run order (the independence tests need
-// it); sorted must hold the same values.
-func CheckIIDSorted(xs []float64, sorted Sorted) IIDReport {
-	runs := TestResult{Name: "runs", Statistic: 0, PValue: 1}
-	if len(xs) > 0 {
-		runs = RunsTestMedian(xs, sorted.Quantile(0.5))
-	}
-	return IIDReport{
-		Runs:      runs,
 		LjungBox:  LjungBox(xs, iidLags(len(xs))),
 		Identical: IdenticalDistribution(xs),
 	}

@@ -28,10 +28,10 @@ const wireHeader = 4 + 8 + 8
 
 // EncodeRuns frames runs for transport: magic, version, run count, each run
 // as its IEEE-754 bits, then a checksum over all of that; little-endian,
-// 28 + 8·len(runs) bytes. Bit-exact and locale-free, like
+// RunsFrameLen(len(runs)) bytes. Bit-exact and locale-free, like
 // core.AppendCanonical.
 func EncodeRuns(runs []float64) []byte {
-	b := make([]byte, 0, wireHeader+8*len(runs)+8)
+	b := make([]byte, 0, RunsFrameLen(len(runs)))
 	b = append(b, wireMagic[:]...)
 	b = binary.LittleEndian.AppendUint64(b, SummaryWireVersion)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(runs)))
@@ -40,6 +40,10 @@ func EncodeRuns(runs []float64) []byte {
 	}
 	return binary.LittleEndian.AppendUint64(b, wireSum(b))
 }
+
+// RunsFrameLen is the size of the runs frame of n runs, 28 + 8·n bytes, so
+// a reader knows in advance how much a well-formed reply can hold.
+func RunsFrameLen(n int) int { return wireHeader + 8*n + 8 }
 
 // wireSum is the frame checksum: 64-bit FNV-1a over every preceding byte.
 // A corrupted byte anywhere in the frame fails decoding instead of silently

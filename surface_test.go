@@ -27,7 +27,6 @@ var surfaceAllowlist = map[string]string{
 	"pubtac.WithIIDHardFail": "public API: session option",
 
 	"pubtac/internal/evt.FitGumbel":         "gated benchmark: BenchmarkAblationTailFit's block-maxima arm",
-	"pubtac/internal/stats.CheckIID":        "reference arm: one-shot battery of the iid oracle pair",
 	"pubtac/internal/stats.Autocorrelation": "reference arm: per-lag oracle for AutocorrelationsTo",
 	"pubtac/internal/stats.GammaRegLower":   "reference arm: complement TestGammaRegIdentities checks GammaRegUpper against",
 
