@@ -317,10 +317,13 @@ func BenchmarkServeHit(b *testing.B) {
 // BenchmarkCheckIID contrasts the one-shot i.i.d. battery with the full
 // summary's one-pass battery on a 100k-run sample: the report a campaign
 // makes once per estimate it ships. The one-shot arm copies and sorts the
-// sample for the runs-test median and sorts both halves for the KS check;
-// the full-summary arm reads the median off the summary's sorted view,
-// folds the Ljung-Box sums in register-blocked passes and sorts only the
-// first half.
+// sample for the runs-test median and sorts both halves for the KS check.
+// A full summary folds the Ljung-Box sums as runs are pushed, so its arm
+// times what the battery costs a campaign end to end: NewFullSummary(true),
+// the push of the 100k runs (encoding them as dictionary codes, folding the
+// sums in register-blocked passes and rebuilding the sorted view from the
+// counts) and the report, which reads the median off the view and walks
+// the codes once for the runs test and once over the first half for KS.
 //
 //pubtac:bench
 func BenchmarkCheckIID(b *testing.B) {
@@ -337,10 +340,9 @@ func BenchmarkCheckIID(b *testing.B) {
 		}
 	})
 	b.Run("full-summary", func(b *testing.B) {
-		sum := stats.NewFullSummary(true)
-		sum.Push(xs)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			sum := stats.NewFullSummary(true)
+			sum.Push(xs)
 			sum.IID()
 		}
 	})
@@ -350,9 +352,12 @@ func BenchmarkCheckIID(b *testing.B) {
 // convergence loop's steady state: n = 100k accumulated runs, 1k-run
 // increments, and per round what mbpta's ConvergeCtx runs — a push, the
 // auto-fit ladder and the composite curve, with no battery. The full-sample
-// arm retains and re-walks the whole sample; the streaming arm works from
-// the top-K reservoir and quantile sketch, so its per-round cost and peak
-// memory (reported as peak-B) are functions of the budget, not of n.
+// arm keeps every run as a 2-byte dictionary code (its sample takes 2,000
+// distinct values) and rebuilds its sorted view from per-value counts, so a
+// round costs O(inc + d) and its peak memory (reported as peak-B) grows by
+// 2 B per run; the streaming arm works from the top-K reservoir and
+// quantile sketch, so its per-round cost and peak memory are functions of
+// the budget, not of n.
 //
 //pubtac:bench
 func BenchmarkConvergeStreaming(b *testing.B) {
@@ -432,8 +437,8 @@ func BenchmarkAblationPlacementHash(b *testing.B) {
 // with the Gumbel block-maxima fit on the same campaign. The exptail-cv arm
 // pays the sort of the full sample's view (an ECDF) on every fit; the
 // exptail-cv-sorted arm builds the view once, as the convergence loop's
-// incrementally merged sorted view does, so it times the threshold scan
-// alone.
+// summary does at each push, so it times the threshold scan alone, which
+// reads the view's flat copy of its largest values.
 //
 //pubtac:bench
 func BenchmarkAblationTailFit(b *testing.B) {

@@ -307,8 +307,9 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 	// R-run campaign: extend the converged summary with runs
 	// conv.Runs..R-1 instead of re-simulating the converged prefix from
 	// scratch (bit-identical, and the convergence runs are no longer paid
-	// for twice). The summary carries the sorted view or reservoir and the
-	// i.i.d. battery across the extension in one move.
+	// for twice). The summary carries its run codes and counts, or its
+	// reservoir and sketch, and the i.i.d. battery's state across the
+	// extension in one move.
 	err = camp.ExtendSummaryCtx(ctx, conv.Summary, pa.RunsUsed, root,
 		workers, a.progressFn(name, in.Name, "campaign"))
 	if err != nil {

@@ -114,9 +114,9 @@ func TestAnalyzePathBS(t *testing.T) {
 		t.Fatal("missing estimates")
 	}
 	// The pWCET at 1e-12 upper-bounds the observed sample maximum.
-	if pa.PWCET(1e-12) < stats.Max(pa.Full.Sample) {
+	if pa.PWCET(1e-12) < stats.Max(pa.Full.Sample()) {
 		t.Fatalf("pWCET@1e-12 (%v) below observed max (%v)",
-			pa.PWCET(1e-12), stats.Max(pa.Full.Sample))
+			pa.PWCET(1e-12), stats.Max(pa.Full.Sample()))
 	}
 }
 
@@ -141,7 +141,7 @@ func TestPubbedUpperBoundsOriginalPaths(t *testing.T) {
 	b := malardalen.BS()
 	cfg := testConfig()
 	pa := analyzePath(t, cfg, b)
-	pubbedECDF := stats.NewECDF(pa.Full.Sample)
+	pubbedECDF := stats.NewECDF(pa.Full.Sample())
 
 	const runs = 1500
 	for _, in := range malardalen.BSMaxIterationInputs(b) {
@@ -273,7 +273,7 @@ func TestExtensionBatteryMatchesOneShot(t *testing.T) {
 		t.Fatalf("extension path not exercised: RunsUsed %d <= RPub %d", pa.RunsUsed, pa.RPub)
 	}
 	got := pa.Full.IID
-	want := stats.CheckIID(pa.Full.Sample)
+	want := stats.CheckIID(pa.Full.Sample())
 	if got.Runs != want.Runs || got.Identical != want.Identical {
 		t.Fatalf("extension battery diverged from one-shot: %+v vs %+v", got, want)
 	}

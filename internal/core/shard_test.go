@@ -88,11 +88,12 @@ func samePathAnalysis(t *testing.T, got, want *PathAnalysis) {
 	if *got.Full.Tail != *want.Full.Tail || got.Full.CV != want.Full.CV || got.Full.IID != want.Full.IID {
 		t.Fatal("tail fit, CV test or battery report differs")
 	}
-	if len(got.Full.Sample) != len(want.Full.Sample) {
-		t.Fatalf("sample size differs: %d != %d", len(got.Full.Sample), len(want.Full.Sample))
+	gs, ws := got.Full.Sample(), want.Full.Sample()
+	if len(gs) != len(ws) {
+		t.Fatalf("sample size differs: %d != %d", len(gs), len(ws))
 	}
-	for i := range got.Full.Sample {
-		if got.Full.Sample[i] != want.Full.Sample[i] {
+	for i := range gs {
+		if gs[i] != ws[i] {
 			t.Fatalf("sample run %d differs", i)
 		}
 	}

@@ -55,13 +55,13 @@ type ExpTail struct {
 }
 
 // fitExpTailUpper fits an exponential tail above the threshold that leaves
-// tailCount exceedances, reading it off the top of upper: a sorted view
-// holding at least the top tailCount+1 order statistics of a sample of
-// total size n. The whole sorted sample and a top-K reservoir covering the
-// window hold the same order statistics, so the fit is bit-identical on
-// either. It returns ErrSampleTooSmall when fewer than 10 exceedances are
-// available.
-func fitExpTailUpper(upper stats.Sorted, n, tailCount int) (*ExpTail, error) {
+// tailCount exceedances, reading it by index off top: the largest values
+// of a sample of total size n, ascending and flat, at least the top
+// tailCount+1 of them (a sorted view's Top). The whole sorted sample and a
+// top-K reservoir covering the window hold the same order statistics, so
+// the fit is bit-identical on either. It returns ErrSampleTooSmall when
+// fewer than 10 exceedances are available.
+func fitExpTailUpper(top []float64, n, tailCount int) (*ExpTail, error) {
 	if n < 20 || tailCount < 10 {
 		return nil, ErrSampleTooSmall
 	}
@@ -71,16 +71,17 @@ func fitExpTailUpper(upper stats.Sorted, n, tailCount int) (*ExpTail, error) {
 			return nil, ErrSampleTooSmall
 		}
 	}
-	if tailCount+1 > upper.Len() {
+	m := len(top)
+	if tailCount+1 > m {
 		return nil, ErrSampleTooSmall
 	}
-	u := upper.FromTop(tailCount + 1) // threshold: leaves exactly tailCount order statistics above
+	u := top[m-tailCount-1] // threshold: leaves exactly tailCount order statistics above
 	// Excesses of the top tailCount order statistics over u, smallest
 	// first. Ties with u contribute zero excess; this keeps the fit defined
 	// for degenerate (low-variability) samples.
 	var sum float64
-	for k := tailCount; k >= 1; k-- {
-		sum += upper.FromTop(k) - u
+	for _, x := range top[m-tailCount:] {
+		sum += x - u
 	}
 	meanExcess := sum / float64(tailCount)
 	count := tailCount
@@ -214,7 +215,10 @@ func (g *Gumbel) String() string {
 // reservoir covers the search window: the two are bit-identical whenever
 // maxTail+1 observations fit the reservoir. Otherwise the window is clamped
 // to the reservoir (a smaller, still-valid scan — the documented
-// budget/accuracy trade of the streaming arm).
+// budget/accuracy trade of the streaming arm). Each step reads the tail
+// flat and by index through Top, off the view's flat copy of its largest
+// values; the first step past that copy materializes the rest of the
+// window, once.
 func FitExpTailAutoSummary(v stats.SampleView, minTail, maxTail int) (*ExpTail, CVTest, error) {
 	n := v.N()
 	tail := v.TailSorted()
@@ -236,13 +240,24 @@ func FitExpTailAutoSummary(v stats.SampleView, minTail, maxTail int) (*ExpTail, 
 	var bestFit *ExpTail
 	var bestCV CVTest
 	bestScore := math.Inf(1)
+	var top []float64
 	for tc := minTail; ; tc = tc*3/2 + 1 {
 		if tc > maxTail {
 			tc = maxTail
 		}
-		fit, err := fitExpTailUpper(tail, n, tc)
+		if len(top) < tc+1 {
+			// The first read is the view's flat copy of its largest
+			// values; a step past it materializes the rest of the window
+			// at once.
+			k := tc + 1
+			if top != nil {
+				k = maxTail + 1
+			}
+			top = tail.Top(k)
+		}
+		fit, err := fitExpTailUpper(top, n, tc)
 		if err == nil {
-			cv := checkCVUpper(tail, n, tc)
+			cv := checkCVUpper(top, n, tc)
 			if cv.Accepted() {
 				// Smallest accepted threshold: done.
 				return fit, cv, nil
@@ -276,11 +291,11 @@ func (c CVTest) Accepted() bool { return c.CV >= c.Lo && c.CV <= c.Hi }
 
 // checkCVUpper runs the CV exponentiality test on the top tailCount values
 // of a sample of total size n, with a 99% confidence band (z=2.5758),
-// reading them off the top of upper: a sorted view holding at least the top
-// tailCount+1 order statistics. The excess moments are accumulated
-// largest-first, so the whole sorted sample and a reservoir covering the
-// window yield a bit-identical test.
-func checkCVUpper(upper stats.Sorted, n, tailCount int) CVTest {
+// reading them by index off top: the largest values, ascending and flat,
+// at least the top tailCount+1 of them or the whole exact tail. The excess
+// moments are accumulated largest-first, so the whole sorted sample and a
+// reservoir covering the window yield a bit-identical test.
+func checkCVUpper(top []float64, n, tailCount int) CVTest {
 	k := tailCount + 1
 	if k > n {
 		k = n
@@ -288,24 +303,25 @@ func checkCVUpper(upper stats.Sorted, n, tailCount int) CVTest {
 	if k < 3 {
 		return CVTest{CV: 1, Lo: 0, Hi: 2, NTail: k}
 	}
-	if k > upper.Len() {
-		k = upper.Len()
+	if k > len(top) {
+		k = len(top)
 		if k < 3 {
 			return CVTest{CV: 1, Lo: 0, Hi: 2, NTail: k}
 		}
 	}
-	u := upper.FromTop(k)
+	last := len(top) - 1
+	u := top[last-k+1]
 	m := k - 1 // excesses: the k-1 order statistics above the k-th largest
 	var sum float64
-	for i := 1; i <= m; i++ {
-		sum += upper.FromTop(i) - u
+	for i := last; i > last-m; i-- {
+		sum += top[i] - u
 	}
 	mean := sum / float64(m)
 	var cv float64
 	if mean != 0 {
 		var ss float64
-		for i := 1; i <= m; i++ {
-			d := (upper.FromTop(i) - u) - mean
+		for i := last; i > last-m; i-- {
+			d := (top[i] - u) - mean
 			ss += d * d
 		}
 		cv = math.Sqrt(ss/float64(m-1)) / mean

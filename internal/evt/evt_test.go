@@ -26,13 +26,20 @@ func expSample(n int, rate, loc float64, seed uint64) []float64 {
 // fitExpTail fits the exponential tail that leaves tailCount exceedances
 // to an unsorted sample, through the kernel FitExpTailAutoSummary scans with.
 func fitExpTail(sample []float64, tailCount int) (*ExpTail, error) {
-	return fitExpTailUpper(stats.SortedCopy(sample), len(sample), tailCount)
+	return fitExpTailUpper(flatSorted(sample), len(sample), tailCount)
 }
 
 // checkCV runs the CV test on the top tailCount values of an unsorted
 // sample, through the kernel FitExpTailAutoSummary scans with.
 func checkCV(sample []float64, tailCount int) CVTest {
-	return checkCVUpper(stats.SortedCopy(sample), len(sample), tailCount)
+	return checkCVUpper(flatSorted(sample), len(sample), tailCount)
+}
+
+// flatSorted returns the whole sample ascending and flat, read through a
+// sorted view's Top.
+func flatSorted(sample []float64) []float64 {
+	s := stats.SortedCopy(sample)
+	return s.Top(s.Len())
 }
 
 func TestFitExpTailRecoversRate(t *testing.T) {

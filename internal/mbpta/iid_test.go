@@ -107,9 +107,9 @@ func TestConvergeReferenceIIDEquivalence(t *testing.T) {
 	if !ok {
 		t.Fatalf("non-streaming search should carry a *stats.FullSummary, got %T", conv.Summary)
 	}
-	if fs.N() != conv.Runs || len(conv.Estimate.Sample) != conv.Runs {
+	if fs.N() != conv.Runs || len(conv.Estimate.Sample()) != conv.Runs {
 		t.Fatalf("summary covers %d runs and the estimate %d, campaign has %d",
-			fs.N(), len(conv.Estimate.Sample), conv.Runs)
+			fs.N(), len(conv.Estimate.Sample()), conv.Runs)
 	}
 	got, want := conv.Estimate.IID, stats.CheckIID(fs.Sample())
 	if !sameTest(got.Runs, want.Runs) || !sameTest(got.Identical, want.Identical) {

@@ -320,16 +320,26 @@ func (c *Campaign) collectLocal(ctx context.Context, dst []float64, root uint64,
 type Estimate struct {
 	Curve evt.Curve    // the pWCET curve (exponential tail)
 	Tail  *evt.ExpTail // the underlying fit
-	// Sample is the execution-time sample used, in run order. It is nil
-	// for streaming estimates (Config.Streaming), which by design do not
-	// retain the sample; use View for the quantities that remain.
-	Sample []float64
 	// View is the sample summary snapshot behind the estimate: size, min,
 	// max, exact upper tail and (possibly sketch-resolved) body ranks.
 	// Always non-nil.
 	View stats.SampleView
 	IID  stats.IIDReport
 	CV   evt.CVTest
+
+	full *stats.FullSummary // the summary fitted, nil for streaming estimates
+}
+
+// Sample decodes the execution-time sample the estimate was fitted on, in
+// run order, into a fresh slice: the first Runs() runs of its full
+// summary, which may have grown since. It returns nil for streaming
+// estimates (Config.Streaming), which by design do not retain the sample;
+// use View for the quantities that remain.
+func (e *Estimate) Sample() []float64 {
+	if e.full == nil {
+		return nil
+	}
+	return e.full.Prefix(e.View.N())
 }
 
 // ErrSampleTooSmall mirrors evt.ErrSampleTooSmall at this layer.
@@ -341,7 +351,7 @@ var ErrSampleTooSmall = errors.New("mbpta: sample too small for a pWCET estimate
 // selected by the CV criterion, scanning candidate tail sizes from
 // cfg.TailCount up to a fifth of the sample. sample is in run order (the
 // i.i.d. battery, here the one-shot reference, needs it); it is pushed into
-// a full summary, which keeps its own copy.
+// a full summary, which keeps its own compact copy that Sample decodes.
 func NewEstimate(sample []float64, cfg Config) (*Estimate, error) {
 	sum := stats.NewFullSummary(false)
 	sum.Push(sample)
@@ -378,7 +388,7 @@ func fit(sum stats.SampleSummary, cfg Config) (*Estimate, error) {
 		CV:    cv,
 	}
 	if fs, ok := sum.(*stats.FullSummary); ok {
-		est.Sample = fs.Sample()
+		est.full = fs
 	}
 	return est, nil
 }
@@ -405,8 +415,9 @@ type Convergence struct {
 	Estimate  *Estimate // estimate at the final sample size, battery included
 
 	// Summary is the sample summary grown across convergence rounds: a
-	// stats.FullSummary (retained sample + merged sorted view) by default,
-	// a bounded-memory stats.StreamingSummary under Config.Streaming.
+	// stats.FullSummary (the sample as dictionary codes, per-value counts
+	// and the sorted view rebuilt from them) by default, a bounded-memory
+	// stats.StreamingSummary under Config.Streaming.
 	// Callers extending the campaign (package core) push new runs into it
 	// via ExtendSummaryCtx and re-estimate with NewEstimateSummary instead
 	// of recollecting or re-sorting.
@@ -433,11 +444,12 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
 	if cfg.Increment <= 0 {
 		return nil, fmt.Errorf("mbpta: Increment %d not positive", cfg.Increment)
 	}
-	// The summary is grown in place: each round pushes only its increment
-	// (sorting the increment and merging it into the sorted view or
-	// reservoir), so a round's estimation cost is O(n + inc·log inc)
-	// instead of a full O(n log n) re-sort — and O(K + inc·log inc) with a
-	// streaming summary, whose memory never grows past the budget.
+	// The summary is grown in place: each round pushes only its increment.
+	// A full summary encodes it and rebuilds its sorted view from per-value
+	// counts, so a round's estimation cost is O(inc + d) for d distinct
+	// values instead of a full O(n log n) re-sort; a streaming summary
+	// sorts the increment into its reservoir, O(K + inc·log inc), and its
+	// memory never grows past the budget.
 	sum := NewSummary(cfg)
 	if err := c.pushRuns(ctx, sum, cfg.InitialRuns, root, cfg.Workers, progress); err != nil {
 		return nil, err
@@ -497,7 +509,7 @@ const streamChunk = 8 * collectBlock
 // state is bit-identical at any worker or shard count.
 //
 // A full summary takes the whole range as one window and one chunk (it
-// retains the sample anyway, and one merged sort per round is cheapest). A
+// retains the sample anyway, and each push rebuilds its O(d) view once). A
 // streaming summary pushes streamChunk runs at a time and collects windows
 // of its budget's run count, rounded down to whole chunks and at least one,
 // so the collection buffer stays within max(budget, streamChunk) runs. Chunk

@@ -108,7 +108,7 @@ func TestConvergeDeterministicAndStable(t *testing.T) {
 	if c1.Runs < cfg.InitialRuns {
 		t.Fatalf("Runs = %d < InitialRuns", c1.Runs)
 	}
-	if c1.Estimate == nil || len(c1.Estimate.Sample) != c1.Runs {
+	if c1.Estimate == nil || len(c1.Estimate.Sample()) != c1.Runs {
 		t.Fatal("estimate/sample inconsistent")
 	}
 }

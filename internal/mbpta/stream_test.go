@@ -70,10 +70,10 @@ func TestConvergeStreamingMatchesReference(t *testing.T) {
 		if _, ok := fast.Summary.(*stats.StreamingSummary); !ok {
 			t.Fatalf("workers=%d: summary is %T, want StreamingSummary", workers, fast.Summary)
 		}
-		if fe.Sample != nil {
+		if fe.Sample() != nil {
 			t.Fatalf("workers=%d: streaming estimate retained the sample", workers)
 		}
-		if re.Sample == nil || len(re.Sample) != ref.Runs {
+		if re.Sample() == nil || len(re.Sample()) != ref.Runs {
 			t.Fatalf("workers=%d: reference estimate lost its sample", workers)
 		}
 		if bound := 48*cfg.StreamBudget + 8192; fast.Summary.PeakBytes() > bound {
@@ -184,7 +184,7 @@ func TestConvergeStreamingMemoryIndependentOfRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Summary.PeakBytes() < 10000*8 {
-		t.Fatalf("full-sample peak %d B implausibly small", c.Summary.PeakBytes())
+	if c.Summary.PeakBytes() < 10000*2 {
+		t.Fatalf("full-sample peak %d B implausibly small: its codes alone take 2 B per run", c.Summary.PeakBytes())
 	}
 }

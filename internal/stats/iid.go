@@ -9,12 +9,18 @@ import (
 // convention of 20 lags (short samples use n/4, see iidLags).
 const iidMaxLags = 20
 
-// fullIID is the full summary's battery: one pass over the run-ordered
-// sample and its sorted view, retaining nothing between reports. The runs
-// test dichotomizes at the view's median, Ljung-Box folds one ljungBoxSums
-// over the whole sample (the sums any chunking of the pushes folds to), and
-// the two-half KS check sorts the first half once and walks it against the
-// view, which stands in for the second half's own sorted copy.
+// fullIID is the full summary's battery: a few passes over the summary's
+// codes, view and Ljung-Box sums, retaining nothing between reports.
+//
+//   - Ljung-Box reports the sums Push folded, which any chunking of the
+//     pushes folds alike, so they are those of one fold over the whole
+//     sample. It decodes the sample only when the ill-conditioned rescan
+//     guard fires.
+//   - The runs test dichotomizes at the view's median through a per-code
+//     sign table: one pass over the codes.
+//   - The two-half KS check counts the first half per code, one pass over
+//     its codes, and walks the view's runs, which stand in for the second
+//     half's own sorted copy.
 //
 // Runs and KS are bit-identical to CheckIID (same integer counts, same
 // median, same evaluation points). Ljung-Box agrees with it to
@@ -23,22 +29,72 @@ const iidMaxLags = 20
 // remains the reference oracle; see the equivalence tests.
 //
 //pubtac:fastpath iid
-func fullIID(sample []float64, sorted Sorted) IIDReport {
-	var lb ljungBoxSums
-	lb.push(sample)
+func fullIID(s *FullSummary) IIDReport {
 	rep := IIDReport{
 		Runs:      TestResult{Name: "runs", Statistic: 0, PValue: 1},
-		LjungBox:  lb.report(sample),
+		LjungBox:  s.lb.report(s.Sample),
 		Identical: TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1},
 	}
-	n := len(sample)
+	n := s.N()
 	if n > 0 {
-		rep.Runs = RunsTestMedian(sample, sorted.Quantile(0.5))
+		med := s.sorted.Quantile(0.5)
+		signs := make([]int8, len(s.dict))
+		var r signRuns
+		for c, v := range s.dict {
+			switch {
+			case v > med:
+				signs[c] = 1
+				r.n1 += s.counts[c]
+			case v < med:
+				signs[c] = -1
+				r.n2 += s.counts[c]
+			}
+		}
+		if s.codes32 != nil {
+			r.runs = signChanges(s.codes32, signs)
+		} else {
+			r.runs = signChanges(s.codes16, signs)
+		}
+		rep.Runs = r.result()
 	}
 	if h := n / 2; n >= 4 {
-		rep.Identical = ksResult(ksFirstVsRest(sorted, SortedCopy(sample[:h])), h, n-h)
+		var perCode []int
+		if s.codes32 != nil {
+			perCode = countCodes(s.codes32[:h], len(s.dict))
+		} else {
+			perCode = countCodes(s.codes16[:h], len(s.dict))
+		}
+		first := make([]int, len(s.order))
+		for r, c := range s.order {
+			first[r] = perCode[c]
+		}
+		rep.Identical = ksResult(ksFirstVsRest(s.sorted, first, h), h, n-h)
 	}
 	return rep
+}
+
+// signChanges counts the sign runs of a run order given as codes, each
+// code's sign read from signs; runs of sign 0 (tied with the median) are
+// skipped, per the standard formulation.
+func signChanges[C uint16 | uint32](codes []C, signs []int8) int {
+	runs := 0
+	var last int8
+	for _, c := range codes {
+		if sign := signs[c]; sign != 0 && sign != last {
+			runs++
+			last = sign
+		}
+	}
+	return runs
+}
+
+// countCodes returns how many of codes hold each of the d codes.
+func countCodes[C uint16 | uint32](codes []C, d int) []int {
+	counts := make([]int, d)
+	for _, c := range codes {
+		counts[c]++
+	}
+	return counts
 }
 
 // streamIID is the bounded-memory battery a StreamingSummary holds. It
@@ -65,7 +121,7 @@ type streamIID struct {
 	sketch      *QuantileSketch
 	firstCap    int
 	firstRuns   []float64 // first min(n, firstCap) runs, in run order
-	firstSorted Sorted    // firstRuns[:h], grown at report time
+	firstSorted []float64 // firstRuns[:h], ascending, grown at report time
 }
 
 func (s *streamIID) push(block []float64) {
@@ -90,15 +146,15 @@ func (s *streamIID) identicalReport() TestResult {
 		return TestResult{Name: "ks-2sample", Statistic: 0, PValue: 1}
 	}
 	s.firstSorted = growSortedPrefix(s.firstSorted, s.firstRuns, min(n/2, s.firstCap))
-	h := s.firstSorted.Len()
+	h := len(s.firstSorted)
 	return ksResult(ksFirstVsSketch(s.sketch, s.firstSorted, n), h, n-h)
 }
 
 func (s *streamIID) bytes() int {
-	return (len(s.firstRuns)+s.firstSorted.Len())*8 + s.lb.bytes() + 256
+	return (len(s.firstRuns)+len(s.firstSorted))*8 + s.lb.bytes() + 256
 }
 
-// growSortedPrefix extends prefix, the sorted first prefix.Len() values of
+// growSortedPrefix extends prefix, the sorted first len(prefix) values of
 // runs, to the first h: the run-ordered chunk crossing the boundary is
 // sorted and merged in, so the prefix only ever grows and never re-sorts.
 // The result is the sorted multiset of runs[:h] however the growth was
@@ -108,18 +164,18 @@ func (s *streamIID) bytes() int {
 // grows in place, its backing array growing as append's does: the values the chunk
 // does not precede stay put, the rest move to the top of the grown slice,
 // and mergeInto merges them with the chunk from below.
-func growSortedPrefix(prefix Sorted, runs []float64, h int) Sorted {
-	p := prefix.Len()
+func growSortedPrefix(prefix, runs []float64, h int) []float64 {
+	p := len(prefix)
 	if h <= p {
 		return prefix
 	}
-	chunk := SortedCopy(runs[p:h]).xs
-	xs := slices.Grow(prefix.xs, h-p)[:h]
+	chunk := sortedFlat(runs[p:h])
+	xs := slices.Grow(prefix, h-p)[:h]
 	q := lead(xs[:p], chunk[0], true)
 	rest := xs[h-(p-q):]
 	copy(rest, xs[q:p])
 	mergeInto(xs[q:], rest, chunk)
-	return Sorted{xs}
+	return xs
 }
 
 // ljungBoxSums folds a run-ordered series into the running sums the
@@ -226,9 +282,9 @@ func foldLags(block []float64, sh float64, c *[foldWidth]float64, lag int) {
 //	Σ (y_i - m)(y_{i+k} - m) = cross_k - m·(2·Σy - head_k - tail_k) + (n-k)·m²
 //
 // because the i and i+k index ranges each miss k boundary terms (the last
-// and first k values respectively). rescan is the retained run-ordered
-// series, or nil for a battery that retains none.
-func (l *ljungBoxSums) report(rescan []float64) TestResult {
+// and first k values respectively). rescan returns the run-ordered series,
+// and is nil for a battery that retains none.
+func (l *ljungBoxSums) report(rescan func() []float64) TestResult {
 	n := l.n
 	lags := iidLags(n)
 	if lags < 1 || n <= lags+1 {
@@ -250,7 +306,7 @@ func (l *ljungBoxSums) report(rescan []float64) TestResult {
 	// streaming battery has no series to re-scan and accepts the
 	// reconstruction unconditionally (documented approximation).
 	if rescan != nil && m*m > 1e6*den/nf {
-		return LjungBox(rescan, lags)
+		return LjungBox(rescan(), lags)
 	}
 	rs := make([]float64, lags)
 	var headK, tailK float64
@@ -265,30 +321,29 @@ func (l *ljungBoxSums) report(rescan []float64) TestResult {
 
 func (l *ljungBoxSums) bytes() int { return (len(l.head) + len(l.window)) * 8 }
 
-// ksFirstVsRest computes the two-sample KS statistic between the first-half
-// sample (first) and the rest of the full sample (full ∖ first) in one walk
-// over the full sorted view: at every distinct value x the rest's count is
-// the full count minus the first-half count. The result is bit-identical to
-// ECDF.KSStatistic on separately sorted halves — the same i/n1 and j/n2
+// ksFirstVsRest computes the two-sample KS statistic between the first n1
+// runs of a sample and the rest of it in one walk over the runs of the
+// sample's sorted view, full: first[r] is how many of the first n1 runs
+// fall in full's run r, and at every distinct value the rest's count is
+// the full count minus the first half's. The result is bit-identical to
+// ECDF.KSStatistic on separately sorted halves: the same i/n1 and j/n2
 // divisions are compared at a superset of its evaluation points, and the
 // extra points (past either half's last value) can only produce smaller
-// differences.
-func ksFirstVsRest(fullView, firstView Sorted) float64 {
-	full, first := fullView.xs, firstView.xs
-	n, n1 := len(full), len(first)
-	n2 := n - n1
+// differences. -0 and +0 tie, so their runs share one point.
+func ksFirstVsRest(full Sorted, first []int, n1 int) float64 {
+	n2 := full.Len() - n1
 	if n1 == 0 || n2 == 0 {
 		return 0
 	}
 	f1, f2 := float64(n1), float64(n2)
 	var d float64
-	i, j := 0, 0
-	for j < n {
-		// Each distinct value is visited once: lead jumps over its ties in
-		// both views.
-		x := full[j]
-		j += 1 + lead(full[j+1:], x, true)
-		i += lead(first[i:], x, true)
+	i := 0
+	for r, x := range full.vals {
+		i += first[r]
+		if r+1 < len(full.vals) && full.vals[r+1] == x {
+			continue
+		}
+		j := full.cum[r]
 		diff := math.Abs(float64(i)/f1 - float64(j-i)/f2)
 		if diff > d {
 			d = diff
@@ -298,12 +353,12 @@ func ksFirstVsRest(fullView, firstView Sorted) float64 {
 }
 
 // ksFirstVsSketch is ksFirstVsRest with the full sorted view replaced by the
-// population sketch: the walk visits each bucket value ascending and derives
-// the rest's count by subtracting the first-sample count from the cumulative
-// bucket count. With an exact sketch (step 0) the evaluation points and
-// counts — hence the statistic — are bit-identical to ksFirstVsRest.
-func ksFirstVsSketch(sk *QuantileSketch, firstView Sorted, n int) float64 {
-	first := firstView.xs
+// population sketch and the first half held flat, ascending: the walk
+// visits each bucket value ascending and derives the rest's count by
+// subtracting the first-sample count from the cumulative bucket count. With
+// an exact sketch (step 0) the evaluation points and counts — hence the
+// statistic — are bit-identical to ksFirstVsRest.
+func ksFirstVsSketch(sk *QuantileSketch, first []float64, n int) float64 {
 	n1 := len(first)
 	n2 := n - n1
 	if n1 == 0 || n2 == 0 {

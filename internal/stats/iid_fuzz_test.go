@@ -77,7 +77,7 @@ func FuzzBatteryMatchesCheckIID(f *testing.F) {
 		if !closeResult(got.LjungBox, want.LjungBox, 1e-8) {
 			t.Fatalf("n=%d chunk=%d: ljung-box %+v != one-shot %+v", size, step, got.LjungBox, want.LjungBox)
 		}
-		if chunked := ref.report(xs); !sameResult(got.LjungBox, chunked) {
+		if chunked := ref.report(func() []float64 { return xs }); !sameResult(got.LjungBox, chunked) {
 			t.Fatalf("n=%d chunk=%d: one-pass ljung-box %+v != chunked fold's %+v", size, step, got.LjungBox, chunked)
 		}
 	})

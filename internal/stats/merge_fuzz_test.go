@@ -9,10 +9,13 @@ import (
 )
 
 // The element-by-element merges and KS walks that the galloping ones in
-// mergeInto, mergeTopKInPlace, ksFirstVsRest and ksFirstVsSketch replaced,
-// kept as their oracles.
+// mergeInto, mergeTopKInPlace and ksFirstVsSketch, and the run walk of
+// ksFirstVsRest, replaced, kept as their oracles.
 
-// linearMerge is MergeSorted merging one value at a time: a's next value
+// flat returns the values of a sorted view, ascending, in one slice.
+func flat(s Sorted) []float64 { return s.Top(s.Len()) }
+
+// linearMerge is mergeFlat merging one value at a time: a's next value
 // goes first while it is <= b's.
 func linearMerge(a, b []float64) []float64 {
 	out := make([]float64, 0, len(a)+len(b))
@@ -56,8 +59,8 @@ func linearMergeTopK(tailSorted, sortedIn []float64) {
 	}
 }
 
-// linearKSFirstVsRest is ksFirstVsRest stepping over ties one value at a
-// time.
+// linearKSFirstVsRest is ksFirstVsRest on flat sorted copies of the whole
+// sample and of its first half, stepping over ties one value at a time.
 func linearKSFirstVsRest(full, first []float64) float64 {
 	n, n1 := len(full), len(first)
 	n2 := n - n1
@@ -119,7 +122,7 @@ type viewState struct {
 }
 
 func readView(v SampleView) viewState {
-	st := viewState{n: v.N(), tail: slices.Clone(v.TailSorted().xs)}
+	st := viewState{n: v.N(), tail: slices.Clone(flat(v.TailSorted()))}
 	if st.n > 0 {
 		st.min, st.max = v.Min(), v.Max()
 	}
@@ -131,16 +134,16 @@ func (a viewState) equal(b viewState) bool {
 		math.Float64bits(a.max) == math.Float64bits(b.max) && sameBits(a.tail, b.tail)
 }
 
-// FuzzMergeSortedMatchesLinear holds the galloping merges and KS walks to
-// the element-by-element code they replaced, bit for bit:
+// FuzzMergeSortedMatchesLinear holds the galloping flat merges and the KS
+// walks to the element-by-element code they replaced, bit for bit:
 //
-//   - MergeSorted of two SortedCopy views, which may hold ±0 and NaN, and
+//   - mergeFlat of two sorted copies, which may hold ±0 and NaN, and
 //     returns an exact-size slice;
 //   - mergeTopKInPlace on NaN-free sorted sides of any sizes;
 //   - along a NaN-free merge chain pushed in chunks: the chained
-//     MergeSorted, growSortedPrefix grown in place to half the runs, the
-//     streaming reservoir, and ksFirstVsRest and ksFirstVsSketch on the
-//     grown first half;
+//     mergeFlat, growSortedPrefix grown in place to half the runs, the
+//     streaming reservoir, ksFirstVsSketch on the grown first half, and
+//     the full summary's KS statistic (ksFirstVsRest over its runs);
 //   - views taken from a full and a streaming summary before each push of
 //     the chain are unchanged after it.
 //
@@ -195,18 +198,18 @@ func FuzzMergeSortedMatchesLinear(f *testing.F) {
 		}
 		xa, xb := sample(int(na)%3001, true), sample(int(nb)%3001, true)
 
-		a, b := SortedCopy(xa), SortedCopy(xb)
-		got := MergeSorted(a, b).xs
-		if want := linearMerge(a.xs, b.xs); !sameBits(got, want) {
-			t.Fatalf("MergeSorted\n  %v\nwant\n  %v", got, want)
+		a, b := sortedFlat(xa), sortedFlat(xb)
+		got := mergeFlat(a, b)
+		if want := linearMerge(a, b); !sameBits(got, want) {
+			t.Fatalf("mergeFlat\n  %v\nwant\n  %v", got, want)
 		}
 		if len(got) != cap(got) {
-			t.Fatalf("MergeSorted: len %d, cap %d: not exact-size", len(got), cap(got))
+			t.Fatalf("mergeFlat: len %d, cap %d: not exact-size", len(got), cap(got))
 		}
 
 		ya, yb := sample(len(xa), false), sample(len(xb), false)
 		if len(ya) > 0 {
-			top, in := SortedCopy(ya).xs, SortedCopy(yb).xs
+			top, in := sortedFlat(ya), sortedFlat(yb)
 			got, want := slices.Clone(top), slices.Clone(top)
 			mergeTopKInPlace(got, in)
 			linearMergeTopK(want, in)
@@ -219,7 +222,7 @@ func FuzzMergeSortedMatchesLinear(f *testing.F) {
 		n := len(runs)
 		step := max(int(chunk)%(n+1), 1, n/128)
 		k := MinStreamBudget + int(budget)%512
-		var chain, prefix Sorted
+		var chain, prefix []float64
 		var wantChain, wantPrefix []float64
 		full, stream := NewFullSummary(true), NewStreamingSummary(k)
 		sk := NewQuantileSketch(k)
@@ -228,24 +231,21 @@ func FuzzMergeSortedMatchesLinear(f *testing.F) {
 			block := runs[lo:min(lo+step, n)]
 			hi := lo + len(block)
 
-			chain = MergeSorted(chain, SortedCopy(block))
-			wantChain = linearMerge(wantChain, SortedCopy(block).xs)
-			if !sameBits(chain.xs, wantChain) {
-				t.Fatalf("chain to %d runs: MergeSorted diverged", hi)
+			chain = mergeFlat(chain, sortedFlat(block))
+			wantChain = linearMerge(wantChain, sortedFlat(block))
+			if !sameBits(chain, wantChain) {
+				t.Fatalf("chain to %d runs: mergeFlat diverged", hi)
 			}
 
 			h := hi / 2
 			prefix = growSortedPrefix(prefix, runs, h)
 			if h > len(wantPrefix) {
-				wantPrefix = linearMerge(wantPrefix, SortedCopy(runs[len(wantPrefix):h]).xs)
+				wantPrefix = linearMerge(wantPrefix, sortedFlat(runs[len(wantPrefix):h]))
 			}
-			if !sameBits(prefix.xs, wantPrefix) {
-				t.Fatalf("chain to %d runs: growSortedPrefix to %d\n  %v\nwant\n  %v", hi, h, prefix.xs, wantPrefix)
+			if !sameBits(prefix, wantPrefix) {
+				t.Fatalf("chain to %d runs: growSortedPrefix to %d\n  %v\nwant\n  %v", hi, h, prefix, wantPrefix)
 			}
 
-			if got, want := ksFirstVsRest(chain, prefix), linearKSFirstVsRest(wantChain, wantPrefix); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("chain to %d runs: ksFirstVsRest = %v, want %v", hi, got, want)
-			}
 			sk.Push(block)
 			if got, want := ksFirstVsSketch(sk, prefix, hi), linearKSFirstVsSketch(sk, wantPrefix, hi); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("chain to %d runs: ksFirstVsSketch = %v, want %v", hi, got, want)
@@ -255,8 +255,11 @@ func FuzzMergeSortedMatchesLinear(f *testing.F) {
 			before := []viewState{readView(views[0]), readView(views[1])}
 			full.Push(block)
 			stream.Push(block)
-			full.IID()
+			rep := full.IID()
 			stream.IID()
+			if want := linearKSFirstVsRest(wantChain, wantPrefix); hi >= 4 && math.Float64bits(rep.Identical.Statistic) != math.Float64bits(want) {
+				t.Fatalf("chain to %d runs: full summary's KS statistic = %v, want %v", hi, rep.Identical.Statistic, want)
+			}
 			for i, v := range views {
 				if after := readView(v); !after.equal(before[i]) {
 					t.Fatalf("chain to %d runs: view %d changed by a push: %+v, was %+v", hi, i, after, before[i])
@@ -264,7 +267,7 @@ func FuzzMergeSortedMatchesLinear(f *testing.F) {
 			}
 
 			if len(wantTail) < k {
-				merged := linearMerge(wantTail, SortedCopy(block).xs)
+				merged := linearMerge(wantTail, sortedFlat(block))
 				wantTail = slices.Clone(merged[max(len(merged)-k, 0):])
 			} else {
 				var in []float64
@@ -273,10 +276,10 @@ func FuzzMergeSortedMatchesLinear(f *testing.F) {
 						in = append(in, v)
 					}
 				}
-				linearMergeTopK(wantTail, SortedCopy(in).xs)
+				linearMergeTopK(wantTail, sortedFlat(in))
 			}
-			if !sameBits(stream.tailSorted.xs, wantTail) {
-				t.Fatalf("chain to %d runs: reservoir\n  %v\nwant\n  %v", hi, stream.tailSorted.xs, wantTail)
+			if !sameBits(stream.tail, wantTail) {
+				t.Fatalf("chain to %d runs: reservoir\n  %v\nwant\n  %v", hi, stream.tail, wantTail)
 			}
 		}
 	})

@@ -35,7 +35,7 @@ func TestSketchExactMode(t *testing.T) {
 		}
 	}
 	for _, x := range []float64{39999, 40000, 40100.5, 40199, 50000} {
-		want := sort.SearchFloat64s(sorted.xs, x+0.5) // integer grid: count <= x
+		want := sort.SearchFloat64s(flat(sorted), x+0.5) // integer grid: count <= x
 		if got := sk.CountLE(x); got != want {
 			t.Fatalf("CountLE(%v) = %d, want %d", x, got, want)
 		}

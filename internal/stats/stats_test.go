@@ -92,10 +92,11 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
+// TestMergeSorted checks the flat merge the streaming reservoir fills with.
 func TestMergeSorted(t *testing.T) {
-	a := SortedCopy([]float64{1, 3, 3, 8})
-	b := SortedCopy([]float64{2, 3, 9})
-	got := MergeSorted(a, b).xs
+	a := sortedFlat([]float64{1, 3, 3, 8})
+	b := sortedFlat([]float64{2, 3, 9})
+	got := mergeFlat(a, b)
 	want := []float64{1, 2, 3, 3, 3, 8, 9}
 	if len(got) != len(want) {
 		t.Fatalf("MergeSorted = %v, want %v", got, want)
@@ -105,11 +106,11 @@ func TestMergeSorted(t *testing.T) {
 			t.Fatalf("MergeSorted = %v, want %v", got, want)
 		}
 	}
-	if out := MergeSorted(Sorted{}, b); out.Len() != 3 {
-		t.Fatalf("MergeSorted(empty, b) = %v", out)
+	if out := mergeFlat(nil, b); len(out) != 3 {
+		t.Fatalf("mergeFlat(empty, b) = %v", out)
 	}
-	if out := MergeSorted(a, Sorted{}); out.Len() != 4 {
-		t.Fatalf("MergeSorted(a, empty) = %v", out)
+	if out := mergeFlat(a, nil); len(out) != 4 {
+		t.Fatalf("mergeFlat(a, empty) = %v", out)
 	}
 }
 
@@ -177,6 +178,7 @@ func TestECDFCountLEUpperBound(t *testing.T) {
 			xs[i] = 40000 + 7*float64(gen.Intn(levels))
 		}
 		e := NewECDF(xs)
+		sorted := flat(e.Sorted)
 		probes := []float64{math.Inf(-1), math.Inf(1), math.NaN(), e.Min() - 1, e.Max() + 1}
 		for _, p := range e.Points() {
 			probes = append(probes, p.Value, p.Value+3.5)
@@ -191,8 +193,8 @@ func TestECDFCountLEUpperBound(t *testing.T) {
 					linear++
 				}
 			}
-			walk := sort.SearchFloat64s(e.xs, x)
-			for walk < n && e.xs[walk] == x {
+			walk := sort.SearchFloat64s(sorted, x)
+			for walk < n && sorted[walk] == x {
 				walk++
 			}
 			if got := e.CountLE(x); got != linear || got != walk {

@@ -1,6 +1,11 @@
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+)
 
 // SampleView is the read-only, point-in-time face of a sample summary: the
 // quantities the estimation pipeline (tail fit, CV test, composite curve)
@@ -16,7 +21,8 @@ type SampleView interface {
 	Max() float64
 	// TailSorted returns the sorted top portion of the sample available
 	// for exact tail work: the whole sample on a full view, the top-K
-	// reservoir on a streaming view.
+	// reservoir on a streaming view. It is a run-length view whose Top
+	// hands the tail fit its largest values flat.
 	TailSorted() Sorted
 	// FromTop returns the k-th largest observation (1 <= k <= N): exact
 	// while k is within TailSorted, sketch-resolved below it on streaming
@@ -34,9 +40,10 @@ type SampleView interface {
 // tail fit and composite curve, and the admissibility battery. Blocks are
 // pushed in run order.
 //
-// Two implementations exist: FullSummary retains the sample (the reference
-// arm) and StreamingSummary holds memory independent of the run count (the
-// fast arm). See their docs for the exactness contract between them.
+// Two implementations exist: FullSummary retains the sample, compactly, as
+// dictionary codes (the reference arm) and StreamingSummary holds memory
+// independent of the run count (the fast arm). See their docs for the
+// exactness contract between them.
 // FullSummary's views and reports, and the streaming arm's reservoir and
 // sketch, depend only on the concatenated sample, never on the chunking. The
 // streaming battery does not: it dichotomizes each block at the then-current
@@ -48,9 +55,10 @@ type SampleSummary interface {
 	// Push appends a block of runs, in run order.
 	Push(block []float64)
 	// IID reports the admissibility battery over everything pushed. On a
-	// full summary each call is a pass over the whole sample, O(n·lags);
-	// on a streaming summary its cost depends on the budget, not on n.
-	// Callers report once per estimate they hand out, not once per push.
+	// full summary each call is two passes over the codes, O(n + d), the
+	// Ljung-Box sums having been folded by Push; on a streaming summary its
+	// cost depends on the budget, not on n. Callers report once per
+	// estimate they hand out, not once per push.
 	IID() IIDReport
 	// View returns an immutable point-in-time snapshot for curve
 	// construction: later Pushes into the summary do not change it.
@@ -60,49 +68,205 @@ type SampleSummary interface {
 	PeakBytes() int
 }
 
-// FullSummary is the retained-sample reference arm of the estimation
-// pipeline: the run-ordered sample plus an incrementally merged sorted
-// view, and nothing else. Its battery is a function of those two, and its
-// View, an ECDF, answers every query exactly. Memory grows linearly with
-// the run count, 16 B per run — the scaling wall the streaming arm removes.
-// A full summary is only ever built by pushing runs into NewFullSummary, so
-// its fields are this file's alone: no wire format or other code reads
-// them.
+// FullSummary is the exact reference arm of the estimation pipeline, kept
+// compact: a dictionary of the distinct values pushed, in order of first
+// appearance, the run order as each run's dictionary code, and per-code
+// counts, from which every Push rebuilds the sorted view in O(d) for d
+// distinct values. Codes take 2 B per run while d <= 65,536 and 4 B once
+// past that, so on campaign data (a few hundred distinct cycle counts) the
+// sample costs 2 B per run where a flat copy costs 8. Its battery reads the
+// codes, the view and the Ljung-Box sums Push folds, and its View, an ECDF,
+// answers every query exactly. A full summary is only ever built by pushing
+// runs into NewFullSummary, so its fields are this file's alone: no wire
+// format or other code reads them.
 //
 //pubtac:reference summary
 type FullSummary struct {
-	sample  []float64
-	sorted  Sorted
-	oneShot bool // IID runs the one-shot CheckIID reference
+	dict    []float64    // code → value, in order of first appearance
+	counts  []int        // code → runs pushed with that value
+	order   []uint32     // the codes in view order
+	slots   []uint32     // index of dict by bit pattern, open addressing: code+1, 0 when empty
+	shift   uint         // 64 - log2(len(slots))
+	codes16 []uint16     // the run order, while every code fits in 16 bits
+	codes32 []uint32     // the run order, once a code does not
+	lb      ljungBoxSums // the battery's Ljung-Box sums over every run pushed
+	sorted  Sorted       // the view of every run pushed
+	oneShot bool         // IID runs the one-shot CheckIID reference
 }
 
 // NewFullSummary returns an empty full summary. With fastIID its IID is the
-// one-pass battery over the summary's sample and sorted view (fullIID);
-// without it IID runs the one-shot CheckIID reference over the sample
-// (mbpta.NewEstimate and DecodeSummary).
+// one-pass battery over the summary's codes, view and Ljung-Box sums
+// (fullIID); without it IID runs the one-shot CheckIID reference over the
+// decoded sample (mbpta.NewEstimate and DecodeSummary), and Push folds no
+// Ljung-Box sums.
 func NewFullSummary(fastIID bool) *FullSummary {
-	return &FullSummary{oneShot: !fastIID}
+	return &FullSummary{slots: make([]uint32, 16), shift: 60, oneShot: !fastIID}
 }
 
-// Push appends a block of runs: O(n + |block|·log|block|).
+// Push appends a block of runs: O(|block| + d), plus O(m log m) for m new
+// distinct values. It encodes the block, folds it into the Ljung-Box sums
+// and rebuilds the view from the counts. It sorts no run and allocates
+// nothing of the sample's size beyond the codes' own growth; the view is a
+// fresh snapshot, so views taken before stay valid.
 func (s *FullSummary) Push(block []float64) {
 	if len(block) == 0 {
 		return
 	}
-	s.sample = append(s.sample, block...)
-	s.sorted = MergeSorted(s.sorted, SortedCopy(block))
+	if !s.oneShot {
+		s.lb.push(block)
+	}
+	d := len(s.dict)
+	rest := block
+	if s.codes32 == nil {
+		var k int
+		s.codes16, k = appendCodes(s, s.codes16, rest)
+		if rest = rest[k:]; len(rest) > 0 {
+			s.widen()
+		}
+	}
+	if len(rest) > 0 {
+		s.codes32, _ = appendCodes(s, s.codes32, rest)
+	}
+	if len(s.dict) > d {
+		s.insertOrder(d)
+	}
+	s.sorted = s.view()
 }
 
-// Sample returns the retained run-ordered sample (read-only).
-func (s *FullSummary) Sample() []float64 { return s.sample }
+// appendCodes appends the codes of block's runs to codes, counting each
+// and adding new values to the dictionary. It returns the codes and how
+// many runs it took: all of block, or those before the first run whose code
+// does not fit in C.
+func appendCodes[C uint16 | uint32](s *FullSummary, codes []C, block []float64) ([]C, int) {
+	if len(block) > cap(codes)-len(codes) {
+		// At least double: append grows large slices by a quarter, which
+		// allocates five times the final size over a campaign's rounds.
+		codes = slices.Grow(codes, max(len(block), len(codes)))
+	}
+	limit := int(^C(0))
+	for i, v := range block {
+		c := s.code(v)
+		if c > limit {
+			return codes, i
+		}
+		s.counts[c]++
+		codes = append(codes, C(c))
+	}
+	return codes, len(block)
+}
+
+// widen moves the run order to 4-byte codes, once a code needs them.
+func (s *FullSummary) widen() {
+	s.codes32 = make([]uint32, len(s.codes16), 2*len(s.codes16))
+	for i, c := range s.codes16 {
+		s.codes32[i] = uint32(c)
+	}
+	s.codes16 = nil
+}
+
+// hashMul is the multiplier of the index's Fibonacci hash: the slot is the
+// top bits of a value's bit pattern times 2^64/φ.
+const hashMul = 0x9E3779B97F4A7C15
+
+// code returns the code of v's bit pattern, adding v to the dictionary
+// when the pattern is new.
+func (s *FullSummary) code(v float64) int {
+	b := math.Float64bits(v)
+	mask := len(s.slots) - 1
+	for i := int(b * hashMul >> s.shift); ; i = (i + 1) & mask {
+		c := s.slots[i]
+		if c == 0 {
+			return s.add(v, i)
+		}
+		if math.Float64bits(s.dict[c-1]) == b {
+			return int(c - 1)
+		}
+	}
+}
+
+// add gives v the next code, at the empty index slot where its probe
+// ended, and doubles the index once it is half full.
+func (s *FullSummary) add(v float64, slot int) int {
+	c := len(s.dict)
+	s.dict = append(s.dict, v)
+	s.counts = append(s.counts, 0)
+	s.slots[slot] = uint32(c + 1)
+	if 2*len(s.dict) > len(s.slots) {
+		s.slots = make([]uint32, 2*len(s.slots))
+		s.shift--
+		mask := len(s.slots) - 1
+		for c, v := range s.dict {
+			i := int(math.Float64bits(v) * hashMul >> s.shift)
+			for s.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			s.slots[i] = uint32(c + 1)
+		}
+	}
+	return c
+}
+
+// insertOrder merges the codes from..len(dict)-1, new in this push, into
+// the view order: sorted by key among themselves, then merged in O(d).
+func (s *FullSummary) insertOrder(from int) {
+	key := func(c uint32) uint64 { return orderKey(s.dict[c]) }
+	fresh := make([]uint32, len(s.dict)-from)
+	for i := range fresh {
+		fresh[i] = uint32(from + i)
+	}
+	slices.SortFunc(fresh, func(a, b uint32) int { return cmp.Compare(key(a), key(b)) })
+	old := s.order
+	s.order = make([]uint32, 0, len(s.dict))
+	for len(old) > 0 && len(fresh) > 0 {
+		if key(old[0]) < key(fresh[0]) {
+			s.order, old = append(s.order, old[0]), old[1:]
+		} else {
+			s.order, fresh = append(s.order, fresh[0]), fresh[1:]
+		}
+	}
+	s.order = append(append(s.order, old...), fresh...)
+}
+
+// view builds the sorted view from the counts: one run per code, in view
+// order, O(d), plus the flat top.
+func (s *FullSummary) view() Sorted {
+	v := Sorted{&sortedRuns{vals: make([]float64, len(s.order)), cum: make([]int, len(s.order))}}
+	n := 0
+	for i, c := range s.order {
+		n += s.counts[c]
+		v.vals[i], v.cum[i] = s.dict[c], n
+	}
+	v.top = v.flatTop(topLen)
+	return v
+}
+
+// Sample decodes the run-ordered sample into a fresh slice.
+func (s *FullSummary) Sample() []float64 { return s.Prefix(s.N()) }
+
+// Prefix decodes the first n runs pushed (0 <= n <= N), in run order, into
+// a fresh slice.
+func (s *FullSummary) Prefix(n int) []float64 {
+	if s.codes32 != nil {
+		return decode(s.dict, s.codes32[:n])
+	}
+	return decode(s.dict, s.codes16[:n])
+}
+
+func decode[C uint16 | uint32](dict []float64, codes []C) []float64 {
+	out := make([]float64, len(codes))
+	for i, c := range codes {
+		out[i] = dict[c]
+	}
+	return out
+}
 
 // IID reports the admissibility battery, one-pass or one-shot reference. It
 // retains nothing.
 func (s *FullSummary) IID() IIDReport {
 	if s.oneShot {
-		return CheckIID(s.sample)
+		return CheckIID(s.Sample())
 	}
-	return fullIID(s.sample, s.sorted)
+	return fullIID(s)
 }
 
 // View snapshots the current sorted view as an ECDF. Pushes replace (never
@@ -110,13 +274,20 @@ func (s *FullSummary) IID() IIDReport {
 // grows.
 func (s *FullSummary) View() SampleView { return &ECDF{s.sorted} }
 
-// PeakBytes returns the high-water retained memory: the sample and the
-// sorted view, 16 B per run. A full summary only grows, so that is its
-// current size.
-func (s *FullSummary) PeakBytes() int { return (len(s.sample) + s.sorted.Len()) * 8 }
+// PeakBytes returns the high-water retained memory. A full summary only
+// grows, so that is its current size: the codes, 2 B per run (4 B once
+// widened); per distinct value 8 B of dictionary, 8 B of count and 4 B of
+// view order; 4 B per index slot (the index is at most half full, so 8–16 B
+// per distinct value); the view, 16 B per run of it plus 8 B per value of
+// its flat top (at most 256); and the Ljung-Box sums' first and last 20
+// runs, 8 B each. The battery's report-time scratch is not counted.
+func (s *FullSummary) PeakBytes() int {
+	return 2*len(s.codes16) + 4*len(s.codes32) + 20*len(s.dict) + 4*len(s.slots) +
+		s.sorted.bytes() + s.lb.bytes()
+}
 
 // N returns the number of runs pushed.
-func (s *FullSummary) N() int { return len(s.sample) }
+func (s *FullSummary) N() int { return len(s.codes16) + len(s.codes32) }
 
 // MinStreamBudget floors the streaming budget: below this the reservoir
 // cannot cover even the minimum tail-fit window plus headroom.
@@ -145,13 +316,13 @@ const MinStreamBudget = 64
 //
 //pubtac:fastpath summary
 type StreamingSummary struct {
-	budget     int
-	n          int
-	min, max   float64
-	tailSorted Sorted // top-K reservoir, exact
-	sketch     *QuantileSketch
-	iid        streamIID
-	peak       int
+	budget   int
+	n        int
+	min, max float64
+	tail     []float64 // top-K reservoir, exact, ascending
+	sketch   *QuantileSketch
+	iid      streamIID
+	peak     int
 }
 
 // NewStreamingSummary returns an empty streaming summary with the given
@@ -203,13 +374,14 @@ func (s *StreamingSummary) IID() IIDReport {
 	return rep
 }
 
-// View snapshots the reservoir and sketch; later pushes do not change it.
+// View snapshots the reservoir, as a sorted view of its own, and the
+// sketch; later pushes do not change it.
 func (s *StreamingSummary) View() SampleView {
 	return &streamView{
 		n:          s.n,
 		min:        s.min,
 		max:        s.max,
-		tailSorted: MergeSorted(s.tailSorted, Sorted{}), // a copy: pushes merge in place
+		tailSorted: compactSorted(s.tail),
 		sketch:     s.sketch.Clone(),
 	}
 }
@@ -227,7 +399,7 @@ func (s *StreamingSummary) N() int { return s.n }
 
 // Bytes counts the reservoir, sketch and battery state.
 func (s *StreamingSummary) Bytes() int {
-	return s.tailSorted.Len()*8 + s.sketch.Bytes() + s.iid.bytes() + 64
+	return len(s.tail)*8 + s.sketch.Bytes() + s.iid.bytes() + 64
 }
 
 // streamView is a bounded-memory point-in-time snapshot.
@@ -264,27 +436,27 @@ func (v *streamView) FromTop(k int) float64 {
 // reservoir's minimum are copied and sorted (a run equal to the minimum
 // would replace an equal value).
 func (s *StreamingSummary) pushTail(block []float64) {
-	if s.tailSorted.Len() < s.budget {
-		merged := MergeSorted(s.tailSorted, SortedCopy(block))
-		if over := merged.Len() - s.budget; over > 0 {
-			merged = Sorted{append([]float64(nil), merged.xs[over:]...)}
+	if len(s.tail) < s.budget {
+		merged := mergeFlat(s.tail, sortedFlat(block))
+		if over := len(merged) - s.budget; over > 0 {
+			merged = slices.Clone(merged[over:])
 		}
-		s.tailSorted = merged
+		s.tail = merged
 		return
 	}
 	in := make([]float64, 0, len(block))
 	for _, v := range block {
-		if v > s.tailSorted.Min() {
+		if v > s.tail[0] {
 			in = append(in, v)
 		}
 	}
 	sort.Float64s(in)
-	mergeTopKInPlace(s.tailSorted.xs, in)
+	mergeTopKInPlace(s.tail, in)
 }
 
 // mergeTopKInPlace overwrites tailSorted with the len(tailSorted) largest
 // values of tailSorted and sortedIn, both ascending, in the order
-// MergeSorted(tailSorted, sortedIn) gives them (on ties, sortedIn's value
+// mergeFlat(tailSorted, sortedIn) gives them (on ties, sortedIn's value
 // sorts above tailSorted's).
 func mergeTopKInPlace(tailSorted, sortedIn []float64) {
 	// The t values of sortedIn that enter evict tailSorted[:t]: t is the

@@ -156,7 +156,7 @@ func TestStreamingSummaryMatchesFullSummary(t *testing.T) {
 
 // TestStreamingReservoirMatchesMergeTopK holds the reservoir's in-place
 // merge to its definition: after every push, the reservoir is bit for bit
-// the top K of MergeSorted(old reservoir, sorted block), on blocks larger
+// the top K of mergeFlat(old reservoir, sorted block), on blocks larger
 // and smaller than K, blocks entirely below, at or above the reservoir's
 // minimum, and tie-heavy and continuous samples.
 func TestStreamingReservoirMatchesMergeTopK(t *testing.T) {
@@ -183,15 +183,13 @@ func TestStreamingReservoirMatchesMergeTopK(t *testing.T) {
 		blocks = append(blocks, b)
 	}
 	s := NewStreamingSummary(budget)
-	var want Sorted
+	var want []float64
 	for i, b := range blocks {
 		s.Push(b)
-		merged := MergeSorted(want, SortedCopy(b))
-		want = SortedCopy(merged.xs[max(merged.Len()-budget, 0):])
-		if !slices.EqualFunc(s.tailSorted.xs, want.xs, func(a, b float64) bool {
-			return math.Float64bits(a) == math.Float64bits(b)
-		}) {
-			t.Fatalf("push %d (%d runs): reservoir\n  %v\nwant\n  %v", i, len(b), s.tailSorted.xs, want.xs)
+		merged := mergeFlat(want, sortedFlat(b))
+		want = merged[max(len(merged)-budget, 0):]
+		if !sameBits(s.tail, want) {
+			t.Fatalf("push %d (%d runs): reservoir\n  %v\nwant\n  %v", i, len(b), s.tail, want)
 		}
 	}
 }
@@ -206,7 +204,7 @@ func TestStreamingViewSnapshotSurvivesReservoirChurn(t *testing.T) {
 	s := NewStreamingSummary(budget)
 	pushBlocks(s, gridSample(41, 3000), 512)
 	v := s.View()
-	tail := slices.Clone(v.TailSorted().xs)
+	tail := slices.Clone(flat(v.TailSorted()))
 	fromTop := make([]float64, budget)
 	for k := 1; k <= budget; k++ {
 		fromTop[k-1] = v.FromTop(k)
@@ -223,13 +221,11 @@ func TestStreamingViewSnapshotSurvivesReservoirChurn(t *testing.T) {
 		high[i] = 1e6 + float64(i)
 	}
 	pushBlocks(s, high, 64)
-	if s.tailSorted.xs[budget/4] != high[0] {
+	if s.tail[budget/4] != high[0] {
 		t.Fatalf("churn did not replace the reservoir's top three quarters")
 	}
 
-	if got := v.TailSorted().xs; !slices.EqualFunc(got, tail, func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b)
-	}) {
+	if got := flat(v.TailSorted()); !sameBits(got, tail) {
 		t.Fatal("the old view's TailSorted changed")
 	}
 	for k := 1; k <= budget; k++ {
@@ -321,8 +317,8 @@ func TestStreamingSummaryDegenerateInputs(t *testing.T) {
 		pushBlocks(stream, xs, 8)
 		sameView(t, "small", full.View(), stream.View())
 		sameQuantiles(t, "small", full, stream)
-		if stream.tailSorted.Len() != len(xs) {
-			t.Fatalf("reservoir should hold the whole small sample: %d", stream.tailSorted.Len())
+		if len(stream.tail) != len(xs) {
+			t.Fatalf("reservoir should hold the whole small sample: %d", len(stream.tail))
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
@@ -373,19 +369,116 @@ func TestStreamingSummaryMemoryBounded(t *testing.T) {
 }
 
 // TestFullSummaryPeakCountsRunsOnce pins the full summary's memory model:
-// each retained value is counted once — the sample and the sorted view, 8 B
-// per run each — so n runs pushed in 100-run blocks, with a report after
-// each block, peak at 16·n B. The battery retains nothing between reports.
+// each run is counted once, as its 2-byte code, and everything else is a
+// function of the d distinct values — 36 B each (value, count, view order
+// and the view's run), the index at 4 B per slot (a power of two at least
+// 16, at most half full), the view's flat top of min(n, 256) values and
+// the Ljung-Box sums' first and last min(n, 20) runs, 8 B each. n runs
+// pushed in 100-run blocks, with a report after each block, peak at that
+// after every push; the battery retains nothing between reports.
 func TestFullSummaryPeakCountsRunsOnce(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		sum := NewFullSummary(true)
 		xs := gridSample(uint64(n), n)
+		distinct := map[float64]bool{}
 		for lo := 0; lo < n; lo += 100 {
 			sum.Push(xs[lo : lo+100])
 			sum.IID()
+			for _, v := range xs[lo : lo+100] {
+				distinct[v] = true
+			}
+			runs, d := lo+100, len(distinct)
+			slots := 16
+			for 2*d > slots {
+				slots *= 2
+			}
+			want := 2*runs + 36*d + 4*slots + 8*min(runs, 256) + 16*min(runs, 20)
+			if got := sum.PeakBytes(); got != want {
+				t.Fatalf("n=%d, after %d runs (%d distinct): PeakBytes = %d, want %d", n, runs, d, got, want)
+			}
 		}
-		if got, want := sum.PeakBytes(), 16*n; got != want {
-			t.Errorf("n=%d: PeakBytes = %d, want 16·n = %d", n, got, want)
+	}
+}
+
+// TestFullSummaryWidensCodes pushes 70,000 distinct values, in shuffled
+// order, then 5,000 repeats of earlier ones, in 1,000-run chunks: the chunk
+// of runs 65,000..65,999 holds the 65,537th distinct value, whose code
+// needs 17 bits, so the run order widens to 4-byte codes in mid-push. The
+// decoded sample must round-trip bit for bit; the view, the battery and
+// the EncodeSummary frame must equal those of a summary fed the same runs
+// in one push; and PeakBytes must follow TestFullSummaryPeakCountsRunsOnce's
+// accounting at 2 B per run before the widening and 4 B after it.
+func TestFullSummaryWidensCodes(t *testing.T) {
+	const distinct, repeats, chunk = 70_000, 5_000, 1_000
+	gen := rng.New(26)
+	xs := make([]float64, distinct, distinct+repeats)
+	for i := range xs {
+		xs[i] = 40000 + float64(i) + gen.Float64()/2
+	}
+	for i := len(xs) - 1; i > 0; i-- {
+		j := gen.Intn(i + 1)
+		xs[i], xs[j] = xs[j], xs[i]
+	}
+	for range repeats {
+		xs = append(xs, xs[gen.Intn(distinct)])
+	}
+	peak := func(runs, codeBytes, d int) int {
+		slots := 16
+		for 2*d > slots {
+			slots *= 2
 		}
+		return codeBytes*runs + 36*d + 4*slots + 8*topLen + 16*20
+	}
+
+	chunked := NewFullSummary(true)
+	for lo := 0; lo < len(xs); lo += chunk {
+		chunked.Push(xs[lo : lo+chunk])
+		if lo+chunk == 65_000 {
+			if got, want := chunked.PeakBytes(), peak(65_000, 2, 65_000); got != want {
+				t.Fatalf("before widening: PeakBytes = %d, want %d", got, want)
+			}
+		}
+	}
+	whole := NewFullSummary(true)
+	whole.Push(xs)
+
+	if got := chunked.Sample(); !sameBits(got, xs) {
+		t.Fatal("the chunked summary's Sample does not round-trip")
+	}
+	if got := whole.Sample(); !sameBits(got, xs) {
+		t.Fatal("the one-push summary's Sample does not round-trip")
+	}
+	if got, want := chunked.Prefix(65_537), xs[:65_537]; !sameBits(got, want) {
+		t.Fatal("Prefix across the widening does not round-trip")
+	}
+	vc, vw := chunked.View(), whole.View()
+	if got, want := flat(vc.TailSorted()), flat(vw.TailSorted()); !sameBits(got, want) || vc.N() != len(xs) {
+		t.Fatalf("views differ: %d values, want %d", len(got), len(want))
+	}
+	for _, x := range []float64{40000, 45000.25, 65535 + 40000, 1e9} {
+		if vc.CountLE(x) != vw.CountLE(x) {
+			t.Fatalf("CountLE(%v): %d, want %d", x, vc.CountLE(x), vw.CountLE(x))
+		}
+	}
+	if got, want := chunked.IID(), whole.IID(); got != want {
+		t.Fatalf("IID %+v, want %+v", got, want)
+	}
+	ec, err := EncodeSummary(chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ew, err := EncodeSummary(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ec) != string(ew) || string(ec) != string(EncodeRuns(xs)) {
+		t.Fatal("EncodeSummary frames differ")
+	}
+	want := peak(len(xs), 4, distinct)
+	if got := chunked.PeakBytes(); got != want {
+		t.Fatalf("chunked: PeakBytes = %d, want %d", got, want)
+	}
+	if got := whole.PeakBytes(); got != want {
+		t.Fatalf("one push: PeakBytes = %d, want %d", got, want)
 	}
 }

@@ -39,9 +39,10 @@ func RunsTest(xs []float64) TestResult {
 }
 
 // RunsTestMedian is RunsTest with the dichotomization threshold supplied by
-// the caller. Holders of an ascending-sorted view (the full summary's
-// battery) pass the O(1) median from it instead of paying RunsTest's
-// internal copy+sort of the whole sample.
+// the caller. Holders of a sorted view pass its O(log d) median instead of
+// paying RunsTest's internal copy+sort of the whole sample; the full
+// summary's battery goes further and tallies its codes through a per-code
+// sign table at that median (fullIID).
 func RunsTestMedian(xs []float64, med float64) TestResult {
 	var r signRuns
 	r.scan(xs, med)
