@@ -243,7 +243,10 @@ func BenchmarkCampaignMatmult(b *testing.B) {
 // BenchmarkCampaignNS measures a 1000-run campaign of the pubbed ns default
 // path on one engine. Every ns seed overflows a DL1 set, with about 29 of
 // its lines in overflowing sets (matmult has about 6), so this is the shape
-// where the misses-only replay does the most heap work per run.
+// where the misses-only replay takes in the most lines per run. About 98%
+// of its 29 misses per seed are first accesses, which come from the
+// replay's cursor, and 96% of its evictions are of lines never accessed
+// again, which leave without a search.
 //
 //pubtac:bench
 func BenchmarkCampaignNS(b *testing.B) {

@@ -46,8 +46,10 @@ type ShardCollector interface {
 	Shards() int
 	// CollectShard computes runs spec.Lo..spec.Hi-1. An error marks only
 	// this shard failed; the coordinator recomputes it locally. That is
-	// also the fate of a shard whose peer speaks another runs-frame
-	// version (stats.SummaryWireVersion): results never depend on it.
+	// also the fate of a reply of the wrong length, of a reply holding a
+	// NaN or infinite run, and of a shard whose peer speaks another
+	// runs-frame version (stats.SummaryWireVersion): results never depend
+	// on them.
 	CollectShard(ctx context.Context, spec ShardSpec) ([]float64, error)
 }
 

@@ -140,8 +140,8 @@ type Range struct {
 // SetRemote distributes every subsequent collection (convergence rounds,
 // extensions, CollectCtx) of the campaign: each range is cut into shards
 // contiguous index ranges, fetch is called for all of them concurrently,
-// and every shard whose fetch fails or returns other than Hi-Lo runs is
-// recomputed by the local engines. fetch must return runs r.Lo..r.Hi-1 of
+// and every shard whose fetch fails, returns other than Hi-Lo runs or
+// returns a NaN or infinite run is recomputed by the local engines. fetch must return runs r.Lo..r.Hi-1 of
 // the campaign in run order; because run i depends only on (root, i), it
 // does not matter who computes a run, only that it lands in slot i.
 // collectLocal is the reference arm: with any fetch — even one that fails
@@ -214,10 +214,10 @@ func (c *Campaign) collectInto(ctx context.Context, dst []float64, root uint64,
 		shards[i] = r
 		g.Go(func() error {
 			runs, err := c.fetch(gctx, r)
-			if err != nil || len(runs) != r.Hi-r.Lo {
+			if err != nil || len(runs) != r.Hi-r.Lo || !allFinite(runs) {
 				// Cancellation aborts the campaign; any other failure (peer
-				// down, foreign config, short reply) only demotes this
-				// shard to the local engines.
+				// down, foreign config, short reply, a run no replay can
+				// produce) only demotes this shard to the local engines.
 				if cerr := gctx.Err(); cerr != nil {
 					return cerr
 				}
@@ -258,6 +258,17 @@ func (c *Campaign) collectInto(ctx context.Context, dst []float64, root uint64,
 		done += r.Hi - r.Lo
 	}
 	return nil
+}
+
+// allFinite reports whether every run is finite. A replay's run is a cycle
+// count, but a shard reply carries any bit pattern.
+func allFinite(runs []float64) bool {
+	for _, x := range runs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // collectLocal fills dst with runs offset..offset+len(dst)-1 of the campaign

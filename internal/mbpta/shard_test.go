@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -181,8 +182,8 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 }
 
 // A fetch that fails every shard degrades to the local reference arm, and a
-// reply of the wrong length is recomputed, not trusted — at any shard count,
-// including more shards than runs.
+// reply of the wrong length or holding a NaN or infinite run is recomputed,
+// not trusted — at any shard count, including more shards than runs.
 func TestRemoteCollectorDegradation(t *testing.T) {
 	tr := loopTrace(6, 40)
 	model := proc.DefaultModel()
@@ -209,6 +210,16 @@ func TestRemoteCollectorDegradation(t *testing.T) {
 		}},
 		{"more-shards-than-runs", 1000, func(_ context.Context, r Range) ([]float64, error) {
 			return make([]float64, r.Hi-r.Lo+1), nil
+		}},
+		{"nan", 4, func(_ context.Context, r Range) ([]float64, error) {
+			runs := slices.Clone(ref[r.Lo:r.Hi])
+			runs[len(runs)/2] = math.NaN()
+			return runs, nil
+		}},
+		{"inf", 3, func(_ context.Context, r Range) ([]float64, error) {
+			runs := slices.Clone(ref[r.Lo:r.Hi])
+			runs[0] = math.Inf(-1)
+			return runs, nil
 		}},
 	} {
 		c := NewCampaign(tr, model)

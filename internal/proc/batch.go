@@ -14,9 +14,9 @@ import (
 // stream, and a cache's victims are drawn in that cache's own access order,
 // so a run is two independent per-cache replays whose miss counts add up.
 // The per-cache replay works on cache seeds — the seeds cache.Cache.Reseed
-// takes — and counts misses per (line, seed): a campaign sums lines into
-// cycles; Engine.LineMisses sums seeds into per-line totals for package
-// tac's baseline. A block of up to BatchK seeds runs one cache in two steps:
+// takes — and sums each seed's misses, which a campaign turns into cycles;
+// only Engine.LineMisses asks for per-line totals, for package tac's
+// baseline. A block of up to BatchK seeds runs one cache in two steps:
 //
 //   - Placement: for every distinct line, the per-seed set (cache.SetOf's
 //     logic, with the policy hoisted out) is computed for all BatchK seeds
@@ -30,7 +30,7 @@ import (
 //     bounds, and masks off the slots past its length.
 //   - Replay of the seeds that overflow a set. Under random replacement a
 //     hit changes no state and only an overflowing set can evict, so
-//     missReplay skips hits: a line whose set holds at most Ways lines
+//     MissReplay skips hits: a line whose set holds at most Ways lines
 //     takes one miss and draws no victim, and the lines of the overflowing
 //     sets jump from miss to miss through the posting lists. Under LRU a
 //     hit updates recency, so replayLRU walks the cache's whole ID sequence
@@ -59,7 +59,6 @@ type batchSide struct {
 	keys    [BatchK]uint64 // per-seed placement hash keys
 	rand    rng.Xoshiro256 // replacement stream of the seed being replayed
 	set     []int32        // [id*BatchK+k] -> k*sets + set of line id
-	misses  []uint32       // [id*BatchK+k] misses of line id (replayed seeds)
 	occ     []uint16       // [k*sets+set] distinct-line occupancy scratch
 	content []int32        // [(k*sets+set)*ways+way] set contents: a tag, 0 if empty
 	lruTick []uint64       // per-way ticks, laid out like content (LRU only)
@@ -133,16 +132,7 @@ func (bs *batchSide) addMisses(side *compiledSide, runSeeds *[BatchK]uint64, sal
 	for k := range seeds {
 		seeds[k] = rng.Mix64(runSeeds[k] ^ salt)
 	}
-	replayed := bs.missBlock(side, &seeds, n)
-	for k := 0; k < n; k++ {
-		if replayed&(1<<k) == 0 {
-			misses[k] += uint64(len(side.lines))
-			continue
-		}
-		for id := range side.lines {
-			misses[k] += uint64(bs.misses[id*BatchK+k])
-		}
-	}
+	bs.missBlock(side, &seeds, n, misses, nil)
 }
 
 // LineMisses replays the engine's compiled trace on the cache serving
@@ -159,39 +149,50 @@ func (e *Engine) LineMisses(k trace.Kind, seeds []uint64) []uint64 {
 		bs = &e.batch.il
 	}
 	out := make([]uint64, len(side.lines))
-	var blk [BatchK]uint64
+	var blk, misses [BatchK]uint64 // misses: per-seed totals, unread here
 	for i := 0; i < len(seeds); i += BatchK {
 		n := copy(blk[:], seeds[i:])
-		replayed := bs.missBlock(side, &blk, n)
-		for id := range out {
-			out[id] += uint64(n - bits.OnesCount32(replayed)) // one miss per analytic seed
-			for m := replayed; m != 0; m &= m - 1 {
-				out[id] += uint64(bs.misses[id*BatchK+bits.TrailingZeros32(m)])
-			}
-		}
+		bs.missBlock(side, &blk, n, &misses, out)
 	}
 	return out
 }
 
-// missBlock runs one cache for the cache seeds seeds[:n] and returns the
-// bitmask of the seeds it replayed; for those, misses[id*BatchK+k] holds
-// line id's miss count. Every other seed maps at most Ways lines into each
-// set, so it misses exactly once per distinct line.
-func (bs *batchSide) missBlock(side *compiledSide, seeds *[BatchK]uint64, n int) uint32 {
+// missBlock runs one cache for the cache seeds seeds[:n] and adds each
+// seed's miss count to misses[k]. A seed that maps at most Ways lines into
+// every set misses exactly once per distinct line; the others replay. When
+// lines is not nil, missBlock also adds each line's misses, summed over the
+// seeds, to lines[id] (Engine.LineMisses); campaigns pass nil and never
+// touch a per-line count.
+func (bs *batchSide) missBlock(side *compiledSide, seeds *[BatchK]uint64, n int,
+	misses *[BatchK]uint64, lines []uint64) {
+
 	conflict := bs.placeBlock(side, seeds) & (1<<n - 1)
+	for k := 0; k < n; k++ {
+		if conflict&(1<<k) == 0 {
+			misses[k] += uint64(len(side.lines))
+		}
+	}
+	if lines != nil {
+		analytic := uint64(n - bits.OnesCount32(conflict))
+		for id := range lines {
+			lines[id] += analytic
+		}
+	}
 	if conflict == 0 {
-		return 0
+		return
 	}
 	if bs.cfg.Replacement == cache.LRUReplacement {
-		bs.replayLRU(side, conflict)
-		return conflict
+		bs.replayLRU(side, conflict, misses, lines)
+		return
 	}
 	for m := conflict; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros32(m)
 		bs.rand.Reseed(cache.ReplacementSeed(seeds[k]))
-		bs.replayOverflow(side, k)
+		misses[k] += bs.replayOverflow(side, k)
+		if lines != nil {
+			bs.addLineMisses(side, k, lines)
+		}
 	}
-	return conflict
 }
 
 // placeBlock sizes the side's scratch, computes every (line, seed) set —
@@ -204,10 +205,8 @@ func (bs *batchSide) placeBlock(side *compiledSide, seeds *[BatchK]uint64) uint3
 	nsets := side.sets * BatchK
 	if cap(bs.set) < nl*BatchK {
 		bs.set = make([]int32, nl*BatchK)
-		bs.misses = make([]uint32, nl*BatchK)
 	}
 	bs.set = bs.set[:nl*BatchK]
-	bs.misses = bs.misses[:nl*BatchK]
 	if cap(bs.occ) < nsets {
 		bs.occ = make([]uint16, nsets)
 		bs.content = make([]int32, nsets*side.ways)
@@ -263,25 +262,38 @@ func (bs *batchSide) overflows(side *compiledSide, o int32) bool {
 }
 
 // replayOverflow replays seed k of the block under random replacement, its
-// replacement stream already in bs.rand. A line whose set holds at most
-// Ways lines misses once and never evicts; the lines of the overflowing
-// sets go through the misses-only replay.
-func (bs *batchSide) replayOverflow(side *compiledSide, k int) {
+// replacement stream already in bs.rand, and returns the seed's miss count
+// on this cache. A line whose set holds at most Ways lines misses once and
+// never evicts; the lines of the overflowing sets go through the
+// misses-only replay, in line-ID order, which is their order of first
+// access.
+func (bs *batchSide) replayOverflow(side *compiledSide, k int) uint64 {
 	ev := &bs.ev
 	ev.ln = ev.ln[:0]
 	for id := range side.lines {
 		o := bs.set[id*BatchK+k]
 		if !bs.overflows(side, o) {
-			bs.misses[id*BatchK+k] = 1
 			continue
 		}
 		base := o * int32(side.ways)
 		clear(bs.content[base : base+int32(side.ways)])
 		ev.add(side.off, int32(id), base)
 	}
-	ev.run(side.post, bs.content, side.ways, &bs.rand)
-	for _, l := range ev.ln {
-		bs.misses[int(l.id)*BatchK+k] = l.misses
+	cold := len(side.lines) - len(ev.ln)
+	return uint64(cold + ev.run(side.post, bs.content, side.ways, &bs.rand))
+}
+
+// addLineMisses adds the per-line misses of seed k, which replayOverflow
+// has just replayed, to lines: one for each line outside an overflowing
+// set, and the replay's count for each line inside one.
+func (bs *batchSide) addLineMisses(side *compiledSide, k int, lines []uint64) {
+	for id := range lines {
+		if !bs.overflows(side, bs.set[id*BatchK+k]) {
+			lines[id]++
+		}
+	}
+	for _, l := range bs.ev.ln {
+		lines[l.id] += uint64(l.misses)
 	}
 }
 
@@ -289,8 +301,9 @@ func (bs *batchSide) replayOverflow(side *compiledSide, k int) {
 // conflict with full cache.AccessLine semantics under LRU replacement: the
 // hit scan, a fill of the first empty way, and the least recently used
 // victim. The tick is the access's position in the cache's sequence, which
-// is the same for every seed.
-func (bs *batchSide) replayLRU(side *compiledSide, conflict uint32) {
+// is the same for every seed. It adds each seed's misses to misses[k] and,
+// when lines is not nil, each line's misses to lines[id].
+func (bs *batchSide) replayLRU(side *compiledSide, conflict uint32, misses *[BatchK]uint64, lines []uint64) {
 	// lruTick needs no reset: victims are only ever chosen among ways
 	// filled this run, whose ticks were all written this run (the reference
 	// cache relies on the same property across its Flush).
@@ -301,13 +314,10 @@ func (bs *batchSide) replayLRU(side *compiledSide, conflict uint32) {
 	block := side.sets * side.ways
 	for m := conflict; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros32(m)
-		for id := range side.lines {
-			bs.misses[id*BatchK+k] = 0
-		}
 		clear(bs.content[k*block : (k+1)*block])
 	}
 
-	c, ticks, misses := bs.content, bs.lruTick, bs.misses
+	c, ticks := bs.content, bs.lruTick
 	for pos, id := range side.ids {
 		tick := uint64(pos)
 		row := int(id) * BatchK
@@ -322,7 +332,10 @@ func (bs *batchSide) replayLRU(side *compiledSide, conflict uint32) {
 					continue seeds
 				}
 			}
-			misses[row+k]++
+			misses[k]++
+			if lines != nil {
+				lines[id]++
+			}
 			victim := int32(0)
 			for victim < ways && c[base+victim] != 0 {
 				victim++
@@ -342,18 +355,24 @@ func (bs *batchSide) replayLRU(side *compiledSide, conflict uint32) {
 }
 
 // MissReplay is the misses-only replay of random replacement over a list
-// of lines whose sets start empty. A hit changes no state, so the next miss
-// is the earliest next access of a line out of its set: those lines sit in
-// a min-heap keyed by that access. A miss fills its line's set, or, when
-// the set is full, evicts the victim its draw picks, and the evicted line
-// re-enters the heap at its first access after the miss, found by
-// bisecting its posting list. Misses and draws fall at the same positions,
-// in the same order, as in a walk of every access. The campaign replay
-// hands it a seed's lines in overflowing sets; PinnedMisses hands it a TAC
-// conflict group forced into one set.
+// of lines whose sets start empty, added in order of first access. A hit
+// changes no state, so the next miss is the earliest next access of a line
+// out of its set. A line is out before its first access, which always
+// misses, and after an eviction. Cold lines come from a cursor in order of
+// first access; only evicted lines that come back wait in a min-heap keyed
+// by their next access, so each miss is the earlier of the cursor's next
+// line and the heap's top. A miss fills its line's set, or, when the set is
+// full, evicts the victim its draw picks. An evicted line whose last access
+// lies before the miss leaves for good; any other re-enters at its first
+// access after the miss, found by bisecting its posting list, and when that
+// access comes before both the cursor and the heap's top it is the next
+// miss, taken without a heap operation. Misses and draws fall at the same
+// positions, in the same order, as in a walk of every access. The campaign
+// replay hands it a seed's lines in overflowing sets; PinnedMisses hands it
+// a TAC conflict group forced into one set.
 type MissReplay struct {
-	ln    []lineRun // the replayed lines
-	heap  []uint64  // out lines: next access position << 32 | index in ln
+	ln    []lineRun // the replayed lines, in order of first access
+	heap  []uint64  // evicted lines that come back: next access << 32 | index in ln
 	slots []int32   // the one set of PinnedMisses
 }
 
@@ -380,20 +399,32 @@ func (r *MissReplay) add(off []int32, id, base int32) {
 func (r *MissReplay) run(post, slots []int32, ways int, gen *rng.Xoshiro256) int {
 	ln := r.ln
 	if cap(r.heap) < len(ln) {
-		r.heap = make([]uint64, len(ln))
+		r.heap = make([]uint64, 0, len(ln)) // a line is in the heap at most once
 	}
-	h := r.heap[:len(ln)]
-	for i := range ln {
-		l := &ln[i]
-		l.cur, l.misses = l.first, 0
-		h[i] = uint64(post[l.first])<<32 | uint64(i)
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+	h := r.heap[:0]
+	// The cursor: ln[next] is the first line not yet accessed, and cold its
+	// key (first access << 32 | next), or the maximum once every line is in.
+	next, cold := 0, uint64(math.MaxUint64)
+	if len(ln) > 0 {
+		cold = uint64(post[ln[0].first]) << 32
 	}
 	total := 0
-	for len(h) > 0 {
-		pos, i := int32(h[0]>>32), int32(uint32(h[0]))
+	for {
+		key, fromHeap := cold, len(h) > 0 && h[0] < cold
+		if fromHeap {
+			key = h[0]
+		} else if next == len(ln) {
+			break
+		} else {
+			l := &ln[next]
+			l.cur, l.misses = l.first, 0
+			if next++; next < len(ln) {
+				cold = uint64(post[ln[next].first])<<32 | uint64(next)
+			} else {
+				cold = math.MaxUint64
+			}
+		}
+		pos, i := int32(key>>32), int32(uint32(key))
 		l := &ln[i]
 		l.misses++
 		total++
@@ -405,9 +436,9 @@ func (r *MissReplay) run(post, slots []int32, ways int, gen *rng.Xoshiro256) int
 				base++
 			}
 			slots[base] = i + 1
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			siftDown(h, 0)
+			if fromHeap {
+				h = popRoot(h)
+			}
 			continue
 		}
 		for {
@@ -415,8 +446,16 @@ func (r *MissReplay) run(post, slots []int32, ways int, gen *rng.Xoshiro256) int
 			out := slots[v] - 1
 			slots[v] = i + 1
 			o := &ln[out]
-			// The evicted line re-enters at its first access after pos.
-			lo, hi := o.cur+1, o.end
+			if post[o.end-1] < pos {
+				// Never accessed again: the evicted line leaves for good.
+				if fromHeap {
+					h = popRoot(h)
+				}
+				break
+			}
+			// The evicted line re-enters at its first access after pos,
+			// which its last posting bounds.
+			lo, hi := o.cur+1, o.end-1
 			for lo < hi {
 				if mid := int32(uint32(lo+hi) >> 1); post[mid] <= pos {
 					lo = mid + 1
@@ -424,20 +463,20 @@ func (r *MissReplay) run(post, slots []int32, ways int, gen *rng.Xoshiro256) int
 					hi = mid
 				}
 			}
-			if lo == o.end {
-				h[0] = h[len(h)-1] // never accessed again
-				h = h[:len(h)-1]
-				siftDown(h, 0)
-				break
-			}
 			o.cur = lo
-			if len(h) > 1 {
-				h[0] = uint64(post[lo])<<32 | uint64(out)
+			back := uint64(post[lo])<<32 | uint64(out)
+			if fromHeap {
+				h[0] = back
 				siftDown(h, 0)
 				break
 			}
-			// The evicted line is the only one out, in a full set: its
-			// next access is the next miss, and it evicts from that set.
+			if back > cold || len(h) > 0 && back > h[0] {
+				h = append(h, back)
+				siftUp(h, len(h)-1)
+				break
+			}
+			// The evicted line's next access is the next miss, and it
+			// evicts from the same full set.
 			pos, i = post[lo], out
 			o.misses++
 			total++
@@ -457,6 +496,11 @@ func (r *MissReplay) PinnedMisses(off, post, ids []int32, ways int, gens []rng.X
 	r.ln = r.ln[:0]
 	for _, id := range ids {
 		r.add(off, id, 0)
+		// The replay takes lines in order of first access: insert this
+		// one among the few before it.
+		for j := len(r.ln) - 1; j > 0 && post[r.ln[j].first] < post[r.ln[j-1].first]; j-- {
+			r.ln[j], r.ln[j-1] = r.ln[j-1], r.ln[j]
+		}
 	}
 	if cap(r.slots) < ways {
 		r.slots = make([]int32, ways)
@@ -467,6 +511,29 @@ func (r *MissReplay) PinnedMisses(off, post, ids []int32, ways int, gens []rng.X
 		total += r.run(post, slots, ways, &g)
 	}
 	return total
+}
+
+// popRoot removes the root of the min-heap h and returns the shorter heap.
+func popRoot(h []uint64) []uint64 {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	siftDown(h, 0)
+	return h
+}
+
+// siftUp restores the min-heap order of h above position i.
+func siftUp(h []uint64, i int) {
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= x {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
 }
 
 // siftDown restores the min-heap order of h below position i, if any.

@@ -194,12 +194,8 @@ func TestCampaignMatchesReferenceOnPaperPaths(t *testing.T) {
 		jitter      uint64
 		runs, short int
 	}{{0, 4096, 512}, {4, 1024, 128}}
-	for _, bm := range malardalen.All() {
-		pubbed, _, err := pub.Transform(bm.Program)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := pubbed.MustExec(bm.Default()).Trace
+	for _, p := range paperPaths(t) {
+		tr := p.tr
 		ct := Compile(tr, DefaultModel())
 		for _, arm := range arms {
 			n := arm.runs
@@ -219,24 +215,43 @@ func TestCampaignMatchesReferenceOnPaperPaths(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s, jitter %d, run %d: batched %v, reference %v",
-						bm.Name, arm.jitter, i, got[i], want[i])
+						p.name, arm.jitter, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
+// namedTrace is a trace and the name its test failures report.
+type namedTrace struct {
+	name string
+	tr   trace.Trace
+}
+
+// paperPaths returns the pubbed default paths of the 11 benchmarks.
+func paperPaths(t *testing.T) []namedTrace {
+	t.Helper()
+	var out []namedTrace
+	for _, bm := range malardalen.All() {
+		pubbed, _, err := pub.Transform(bm.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedTrace{bm.Name, pubbed.MustExec(bm.Default()).Trace})
+	}
+	return out
+}
+
 // TestLineMissesMatchesCache checks LineMisses' per-line sums against a
 // cache.Cache reseeded per seed and driven line by line, for seed counts
 // that cover no block, partial, full and multi-block calls, on every
 // policy combination, both caches, a trace with no instruction accesses,
-// and the shapes the misses-only replay owns.
+// the shapes the misses-only replay owns, and the 11 pubbed default paths
+// on the default platform, where one cache overflows a set while the other
+// stays clean.
 func TestLineMissesMatchesCache(t *testing.T) {
 	gen := rng.New(0x11E5)
-	traces := []struct {
-		name string
-		tr   trace.Trace
-	}{
+	traces := []namedTrace{
 		{"narrow", randomTrace(gen, 400)},
 		{"wide", wideTrace(gen, 600)},
 		{"data-only", trace.Repeat(trace.FromLetters("ABCDEFGHIJ", 32), 20)},
@@ -253,6 +268,11 @@ func TestLineMissesMatchesCache(t *testing.T) {
 			for _, n := range []int{1, 13} {
 				assertLineMissesMatch(t, sh.name, m, sh.tr, n)
 			}
+		}
+	}
+	for _, p := range paperPaths(t) {
+		for _, n := range []int{1, 13} {
+			assertLineMissesMatch(t, p.name, DefaultModel(), p.tr, n)
 		}
 	}
 }
