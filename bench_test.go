@@ -201,7 +201,8 @@ func BenchmarkTACAnalyzeWide(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaign1k measures a 1000-run campaign of the pubbed bs path.
+// BenchmarkCampaign1k measures a 1000-run campaign of the pubbed bs path:
+// the trace compiled, then runs [0, 1000) collected on GOMAXPROCS workers.
 //
 //pubtac:bench
 func BenchmarkCampaign1k(b *testing.B) {
@@ -212,9 +213,12 @@ func BenchmarkCampaign1k(b *testing.B) {
 	}
 	tr := pubbed.MustExec(bm.Default()).Trace
 	model := proc.DefaultModel()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mbpta.Collect(tr, model, 1000, uint64(i), 0)
+		if _, err := mbpta.NewCampaign(tr, model, uint64(i)).CollectRangeCtx(ctx, 0, 1000, 0, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -447,7 +451,10 @@ func BenchmarkAblationPlacementHash(b *testing.B) {
 func BenchmarkAblationTailFit(b *testing.B) {
 	bm := malardalen.CNT()
 	tr := bm.Program.MustExec(bm.Default()).Trace
-	sample := mbpta.Collect(tr, proc.DefaultModel(), 4000, 9, 0)
+	sample, err := mbpta.NewCampaign(tr, proc.DefaultModel(), 9).CollectRangeCtx(context.Background(), 0, 4000, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("exptail-cv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := evt.FitExpTailAutoSummary(stats.NewECDF(sample), 10, len(sample)/5); err != nil {
@@ -522,7 +529,7 @@ func BenchmarkAblationBatchReplay(b *testing.B) {
 		e := proc.NewEngine(model)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.CampaignBatchInto(tr, dst, uint64(i), 0)
+			e.CampaignInto(tr, dst, uint64(i), 0)
 		}
 	})
 	b.Run("per-seed", func(b *testing.B) {

@@ -18,7 +18,9 @@
 // committed baselines may come from different hardware, so the gate is
 // meant to catch algorithmic regressions (2x, 10x), not percent-level
 // drift. Benchmarks present in the run but absent from every baseline are
-// reported and skipped; benchmarks only present in baselines are ignored
+// reported and skipped. A benchmark of the newest baseline (the highest
+// BENCH_<N>.json given, the one the benchgate analyzer reads) that the run
+// lacks fails the gate by name; names only older baselines hold are ignored
 // (they may have been renamed or retired).
 //
 // Baselines can carry a runner label (-runner on emit). When -check also
@@ -35,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -179,11 +182,15 @@ func emit(cur map[string]Entry, pr int, runner, out string) error {
 	return os.WriteFile(out, data, 0o644)
 }
 
+// baselineRE matches a baseline's file name; N is the PR number, so the
+// highest one is the newest baseline.
+var baselineRE = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
+
 // compare gates cur against the best (minimum ns/op) value per benchmark
 // across the baseline files — preferring same-runner baselines at the
 // tighter runnerThr when runner is set and a matching baseline exists. It
-// prints a line per benchmark and returns an error listing the regressions,
-// if any.
+// prints a line per benchmark and returns an error listing the benchmarks of
+// the newest baseline the run lacks and the regressions, if any.
 func compare(cur map[string]Entry, baselinePaths []string, threshold float64, runner string, runnerThr float64) error {
 	if len(baselinePaths) == 0 {
 		return fmt.Errorf("benchjson: -check needs at least one baseline JSON file")
@@ -192,6 +199,15 @@ func compare(cur map[string]Entry, baselinePaths []string, threshold float64, ru
 	source := make(map[string]string)       // name -> file providing it
 	bestRunner := make(map[string]float64)  // same, restricted to matching-runner baselines
 	sourceRunner := make(map[string]string) //
+	newest, newestN := "", -1
+	for _, path := range baselinePaths {
+		if m := baselineRE.FindStringSubmatch(filepath.Base(path)); m != nil {
+			if n, _ := strconv.Atoi(m[1]); n > newestN {
+				newest, newestN = path, n
+			}
+		}
+	}
+	var failures []string
 	for _, path := range baselinePaths {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -203,6 +219,9 @@ func compare(cur map[string]Entry, baselinePaths []string, threshold float64, ru
 		}
 		for _, e := range rec.Benchmarks {
 			name := cpuSuffix.ReplaceAllString(e.Name, "")
+			if _, ok := cur[name]; !ok && path == newest {
+				failures = append(failures, fmt.Sprintf("%s: in the newest baseline %s but missing from the run", name, path))
+			}
 			if b, ok := best[name]; !ok || e.NsPerOp < b {
 				best[name] = e.NsPerOp
 				source[name] = path
@@ -223,7 +242,6 @@ func compare(cur map[string]Entry, baselinePaths []string, threshold float64, ru
 	}
 	sort.Strings(names)
 
-	var regressions []string
 	for _, name := range names {
 		e := cur[name]
 		b, ok := best[name]
@@ -240,16 +258,16 @@ func compare(cur map[string]Entry, baselinePaths []string, threshold float64, ru
 		verdict := "ok"
 		if ratio > gate {
 			verdict = "REGRESSION"
-			regressions = append(regressions,
+			failures = append(failures,
 				fmt.Sprintf("%s: %.0f ns/op vs %s %.0f ns/op (%s) = %.2fx > %.2fx",
 					name, e.NsPerOp, kind, b, src, ratio, gate))
 		}
 		fmt.Printf("%-60s %12.0f ns/op  %5.2fx of %s (%s)  %s\n",
 			name, e.NsPerOp, ratio, kind, src, verdict)
 	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("benchjson: %d benchmark regression(s) beyond %.2fx:\n  %s",
-			len(regressions), threshold, strings.Join(regressions, "\n  "))
+	if len(failures) > 0 {
+		return fmt.Errorf("benchjson: %d gate failure(s) (threshold %.2fx):\n  %s",
+			len(failures), threshold, strings.Join(failures, "\n  "))
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -36,6 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	model := pubtac.DefaultModel()
+	ctx := context.Background()
 
 	// --- Part 1 & 2: the 8 max-iteration paths, original vs pubbed. ---
 	const runs = 20000 // the paper uses 1e6 per path; scaled for a demo
@@ -48,8 +50,11 @@ func main() {
 	for _, in := range inputs {
 		orig := bench.Program.MustExec(in)
 		pubd := pubbed.MustExec(in)
-		so := mbpta.Collect(orig.Trace, model, runs, mbpta.Seed("cs/o/"+in.Name), 0)
-		sp := mbpta.Collect(pubd.Trace, model, runs, mbpta.Seed("cs/p/"+in.Name), 0)
+		so, errO := mbpta.NewCampaign(orig.Trace, model, mbpta.Seed("cs/o/"+in.Name)).CollectRangeCtx(ctx, 0, runs, 0, nil)
+		sp, errP := mbpta.NewCampaign(pubd.Trace, model, mbpta.Seed("cs/p/"+in.Name)).CollectRangeCtx(ctx, 0, runs, 0, nil)
+		if err := errors.Join(errO, errP); err != nil {
+			log.Fatal(err)
+		}
 		mo, mp := stats.Max(so), stats.Max(sp)
 		if mo > origOverall {
 			origOverall = mo
@@ -68,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.AnalyzePath(context.Background(), bench.Program, v9)
+	res, err := s.AnalyzePath(ctx, bench.Program, v9)
 	if err != nil {
 		log.Fatal(err)
 	}

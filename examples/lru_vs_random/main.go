@@ -13,7 +13,10 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"log"
 
 	"pubtac/internal/cache"
 	"pubtac/internal/mbpta"
@@ -49,11 +52,16 @@ func main() {
 		DL1: smallCache(cache.RandomPlacement, cache.RandomReplacement),
 		Lat: proc.DefaultLatency(),
 	}
-	// mbpta.Collect is the campaign primitive the analysis layers build on:
-	// same per-run seeds as a serial campaign, fanned out over the machine.
+	// A campaign is a trace on a platform under a root seed; collecting its
+	// run range [0, runs) draws the same per-run seeds as a serial loop,
+	// fanned out over the machine.
 	const runs = 4000
-	sShort := mbpta.Collect(short, rnd, runs, 7, 0)
-	sLong := mbpta.Collect(long, rnd, runs, 7, 0)
+	ctx := context.Background()
+	sShort, errShort := mbpta.NewCampaign(short, rnd, 7).CollectRangeCtx(ctx, 0, runs, 0, nil)
+	sLong, errLong := mbpta.NewCampaign(long, rnd, 7).CollectRangeCtx(ctx, 0, runs, 0, nil)
+	if err := errors.Join(errShort, errLong); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\ntime-randomized cache (random placement + replacement, 2 ways):")
 	fmt.Printf("  {ABCA}^200  : mean %7.0f  q99 %7.0f  max %7.0f\n",
 		stats.Mean(sShort), stats.Quantile(sShort, 0.99), stats.Max(sShort))

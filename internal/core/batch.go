@@ -1,9 +1,9 @@
 // Batch engine: bounded-parallel fan-out of PUB+TAC analyses over
-// paths × programs. One pool drives the whole batch; the PUB transform is
-// performed once per distinct program no matter how many of its paths are
-// analyzed (the serial API re-transformed per call). Campaign seeds depend
-// only on (program, input, SeedSalt), so batch results are bit-identical to
-// the serial ones at any worker count.
+// paths × programs, the one pipeline of a pubbed path. One pool drives the
+// whole batch; the PUB transform is performed once per distinct program no
+// matter how many of its paths are analyzed. Campaign roots depend only on
+// (program, input, SeedSalt) (Config.CampaignRoot), so a path's result is
+// bit-identical in any batch and at any worker count.
 package core
 
 import (
@@ -45,11 +45,11 @@ type xform struct {
 // paths out over a bounded pool. workers caps the total simulation
 // parallelism: up to that many paths run concurrently, and each path's
 // campaign uses its share of the remaining budget, so the machine is
-// saturated without oversubscription. workers <= 0 falls back to
-// cfg.MBPTA.Workers, then GOMAXPROCS — matching the serial API's campaign
-// bound. The result is indexed [job][input], mirroring the jobs slice. The
-// first failing path cancels the rest; a cancelled ctx stops all running
-// campaigns promptly.
+// saturated without oversubscription; a one-path batch hands its path the
+// whole budget. workers <= 0 falls back to cfg.MBPTA.Workers, then
+// GOMAXPROCS. The result is indexed [job][input], mirroring the jobs slice.
+// The first failing path cancels the rest; a cancelled ctx stops all
+// running campaigns promptly.
 func (a *Analyzer) AnalyzeBatch(ctx context.Context, jobs []Job, workers int) ([][]*PathAnalysis, error) {
 	if err := a.validateModel(); err != nil {
 		return nil, err

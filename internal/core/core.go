@@ -110,6 +110,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// CampaignRoot is the one root derivation: the salted root seed of the
+// campaigns of program on input vector input, pubbed and original alike.
+// Shard workers refuse a ShardSpec of another Root.
+func (c Config) CampaignRoot(program, input string) uint64 {
+	return mbpta.Seed(program+"/"+input) ^ c.SeedSalt
+}
+
 // Scaled returns the configuration with every campaign knob multiplied by
 // scale — MBPTA's initial runs, increment and convergence ceiling, floored
 // at usable minimums — and the campaign cap set to the scaled equivalent
@@ -188,20 +195,6 @@ type PathAnalysis struct {
 // PWCET returns the PUB+TAC pWCET estimate at exceedance probability p.
 func (pa *PathAnalysis) PWCET(p float64) float64 { return pa.Full.PWCET(p) }
 
-// AnalyzePathCtx runs the full pipeline (Figure 3) on one input vector. A
-// cancelled or expired context stops the measurement campaign promptly and
-// returns ctx.Err().
-func (a *Analyzer) AnalyzePathCtx(ctx context.Context, p *program.Program, in program.Input) (*PathAnalysis, error) {
-	if err := a.validateModel(); err != nil {
-		return nil, err
-	}
-	pubbed, rep, err := pub.Transform(p)
-	if err != nil {
-		return nil, fmt.Errorf("core: PUB failed on %s: %w", p.Name, err)
-	}
-	return a.analyzeOn(ctx, pubbed, p.Name, in, rep, 0)
-}
-
 // validateModel rejects a cache geometry the replay cannot build, before
 // an analysis entry point spends anything on PUB or replay.
 func (a *Analyzer) validateModel() error {
@@ -246,8 +239,8 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 	// The path's trace is compiled exactly once here; TAC's baseline, every
 	// convergence round and the TAC-demanded campaign extension below all
 	// replay the one shared CompiledTrace (workers keep only per-seed
-	// scratch).
-	camp := mbpta.NewCampaign(res.Trace, a.cfg.Model)
+	// scratch), and both campaign phases read the runs of the one root.
+	camp := mbpta.NewCampaign(res.Trace, a.cfg.Model, a.cfg.CampaignRoot(name, in.Name))
 
 	// TAC's parallel group evaluation rides the path's simulation worker
 	// share (the same pool budget the campaigns use) unless the TAC config
@@ -261,14 +254,12 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 		return nil, fmt.Errorf("core: TAC on %s(%s): %w", name, in.Name, err)
 	}
 
-	root := mbpta.Seed(name+"/"+in.Name) ^ a.cfg.SeedSalt
 	// Both the convergence rounds and the TAC-demanded extension below
 	// collect through camp, so one distribute covers them all.
-	a.distribute(camp, name, in.Name, false, root)
+	a.distribute(camp, name, in.Name, false)
 	mcfg := a.cfg.MBPTA
 	mcfg.Workers = workers
-	conv, err := camp.ConvergeCtx(ctx, mcfg, root,
-		a.progressFn(name, in.Name, "converge"))
+	conv, err := camp.ConvergeCtx(ctx, mcfg, a.progressFn(name, in.Name, "converge"))
 	if err != nil {
 		return nil, fmt.Errorf("core: MBPTA convergence on %s(%s): %w", name, in.Name, err)
 	}
@@ -303,15 +294,15 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 		return pa, nil
 	}
 	// TAC demands more runs than MBPTA needed. Campaign run i depends only
-	// on (root, i), so the converged sample is exactly the prefix of the
-	// R-run campaign: extend the converged summary with runs
+	// on (camp.Root, i), so the converged sample is exactly the prefix of
+	// the R-run campaign: extend the converged summary with runs
 	// conv.Runs..R-1 instead of re-simulating the converged prefix from
 	// scratch (bit-identical, and the convergence runs are no longer paid
 	// for twice). The summary carries its run codes and counts, or its
 	// reservoir and sketch, and the i.i.d. battery's state across the
 	// extension in one move.
-	err = camp.ExtendSummaryCtx(ctx, conv.Summary, pa.RunsUsed, root,
-		workers, a.progressFn(name, in.Name, "campaign"))
+	err = camp.ExtendSummaryCtx(ctx, conv.Summary, pa.RunsUsed, workers,
+		a.progressFn(name, in.Name, "campaign"))
 	if err != nil {
 		return nil, fmt.Errorf("core: campaign on %s(%s): %w", name, in.Name, err)
 	}
@@ -402,6 +393,9 @@ type OriginalAnalysis struct {
 // campaign.
 func (a *Analyzer) AnalyzeOriginalCtx(ctx context.Context, p *program.Program,
 	in program.Input, workers int) (*OriginalAnalysis, error) {
+	if p == nil {
+		return nil, errors.New("core: nil program")
+	}
 	if err := a.validateModel(); err != nil {
 		return nil, err
 	}
@@ -409,19 +403,17 @@ func (a *Analyzer) AnalyzeOriginalCtx(ctx context.Context, p *program.Program,
 	if err != nil {
 		return nil, fmt.Errorf("core: executing %s(%s): %w", p.Name, in.Name, err)
 	}
-	// Same campaign root as AnalyzePathCtx: for single-path programs (where
-	// PUB is innocuous and traces coincide) original and pubbed analyses
-	// then see identical samples, removing spurious seed-to-seed noise
-	// from PUB-vs-original comparisons.
-	root := mbpta.Seed(p.Name+"/"+in.Name) ^ a.cfg.SeedSalt
 	mcfg := a.cfg.MBPTA
 	if workers > 0 {
 		mcfg.Workers = workers
 	}
-	camp := mbpta.NewCampaign(res.Trace, a.cfg.Model)
-	a.distribute(camp, p.Name, in.Name, true, root)
-	conv, err := camp.ConvergeCtx(ctx, mcfg, root,
-		a.progressFn(p.Name, in.Name, "converge"))
+	// Same campaign root as the pubbed analysis: for single-path programs
+	// (where PUB is innocuous and traces coincide) original and pubbed
+	// analyses then see identical samples, removing spurious seed-to-seed
+	// noise from PUB-vs-original comparisons.
+	camp := mbpta.NewCampaign(res.Trace, a.cfg.Model, a.cfg.CampaignRoot(p.Name, in.Name))
+	a.distribute(camp, p.Name, in.Name, true)
+	conv, err := camp.ConvergeCtx(ctx, mcfg, a.progressFn(p.Name, in.Name, "converge"))
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"pubtac/internal/malardalen"
 	"pubtac/internal/mbpta"
+	"pubtac/internal/program"
 	"pubtac/internal/stats"
 )
 
@@ -75,14 +76,37 @@ func testConfig() Config {
 	return cfg
 }
 
+// analyzeOne runs the pipeline on p's path for in under cfg, through a
+// one-job batch.
+func analyzeOne(cfg Config, p *program.Program, in program.Input) (*PathAnalysis, error) {
+	batch, err := New(cfg).AnalyzeBatch(context.Background(), []Job{{Program: p, Inputs: []program.Input{in}}}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return batch[0][0], nil
+}
+
 // analyzePath runs the pipeline on b's default path under cfg.
 func analyzePath(t *testing.T, cfg Config, b *malardalen.Benchmark) *PathAnalysis {
 	t.Helper()
-	pa, err := New(cfg).AnalyzePathCtx(context.Background(), b.Program, b.Default())
+	pa, err := analyzeOne(cfg, b.Program, b.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pa
+}
+
+// originalSample collects runs 0..runs-1 of b's original path on in, under
+// a root of its own.
+func originalSample(t *testing.T, cfg Config, b *malardalen.Benchmark, in program.Input, runs int) []float64 {
+	t.Helper()
+	tr := b.Program.MustExec(in).Trace
+	sample, err := mbpta.NewCampaign(tr, cfg.Model, mbpta.Seed("orig/"+in.Name)).
+		CollectRangeCtx(context.Background(), 0, runs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sample
 }
 
 // analyzeOriginal runs plain MBPTA on b's unmodified default path under cfg.
@@ -145,9 +169,7 @@ func TestPubbedUpperBoundsOriginalPaths(t *testing.T) {
 
 	const runs = 1500
 	for _, in := range malardalen.BSMaxIterationInputs(b) {
-		res := b.Program.MustExec(in)
-		sample := mbpta.Collect(res.Trace, cfg.Model, runs, mbpta.Seed("orig/"+in.Name), 0)
-		origECDF := stats.NewECDF(sample)
+		origECDF := stats.NewECDF(originalSample(t, cfg, b, in, runs))
 		// Tolerance absorbs sampling noise at the far tail.
 		if !pubbedECDF.UpperBounds(origECDF, 0.02) {
 			t.Fatalf("pubbed ECCDF does not upper-bound original path %s", in.Name)
@@ -203,9 +225,7 @@ func TestAnalyzeMultiPathCorollary2(t *testing.T) {
 	}
 	const runs = 1500
 	for _, in := range inputs {
-		res := b.Program.MustExec(in)
-		sample := mbpta.Collect(res.Trace, cfg.Model, runs, mbpta.Seed("orig/"+in.Name), 0)
-		if m := stats.Max(sample); minV < m {
+		if m := stats.Max(originalSample(t, cfg, b, in, runs)); minV < m {
 			t.Fatalf("min pubbed pWCET@%g (%v) below original path %s max (%v)", p, minV, in.Name, m)
 		}
 	}

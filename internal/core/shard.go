@@ -26,7 +26,8 @@ type ShardSpec struct {
 	// Original selects the unmodified program (the R_orig baseline);
 	// otherwise the worker applies PUB first, as AnalyzePath does.
 	Original bool `json:"original,omitempty"`
-	// Root is the campaign root seed (already salted by the coordinator).
+	// Root is the coordinator's campaign root, Config.CampaignRoot(Program,
+	// Input); a worker refuses a spec whose Root is not its own.
 	Root uint64 `json:"root"`
 	// [Lo, Hi) is the run range to collect.
 	Lo int `json:"lo"`
@@ -63,10 +64,10 @@ func (c Config) Fingerprint() [sha256.Size]byte {
 
 // distribute makes camp collect through the configured ShardCollector, if
 // any: mbpta cuts every campaign range into Config.Shards contiguous shards
-// (Sharder.Shards() when unset), fetches each as a ShardSpec and recomputes
-// failed shards locally, so the filled sample is bit-identical to local
-// collection no matter how many shards, peers, or failures were involved.
-func (a *Analyzer) distribute(camp *mbpta.Campaign, name, input string, original bool, root uint64) {
+// (Sharder.Shards() when unset), fetches each as a ShardSpec of camp.Root
+// and recomputes failed shards locally, so the filled sample is
+// bit-identical to local collection whatever the shards, peers or failures.
+func (a *Analyzer) distribute(camp *mbpta.Campaign, name, input string, original bool) {
 	sc := a.cfg.Sharder
 	if sc == nil {
 		return
@@ -80,7 +81,7 @@ func (a *Analyzer) distribute(camp *mbpta.Campaign, name, input string, original
 	camp.SetRemote(func(ctx context.Context, r mbpta.Range) ([]float64, error) {
 		return sc.CollectShard(ctx, ShardSpec{
 			Config: cfgHex, Program: name, Input: input,
-			Original: original, Root: root, Lo: r.Lo, Hi: r.Hi,
+			Original: original, Root: camp.Root, Lo: r.Lo, Hi: r.Hi,
 		})
 	}, k)
 }

@@ -14,9 +14,10 @@ import (
 )
 
 // memSharder executes ShardSpecs in-process exactly the way a pubtacd
-// worker does — resolve the benchmark, PUB-transform unless Original,
-// replay the run range into a full summary, return the raw sample — so the
-// distributed oracle test covers the real worker recipe without sockets.
+// worker does — check the fingerprint and root, resolve the benchmark,
+// PUB-transform unless Original, collect the run range of the campaign
+// rooted at its own CampaignRoot, return the raw runs — so the distributed
+// oracle test covers the real worker recipe without sockets.
 type memSharder struct {
 	cfg    Config
 	shards int
@@ -36,6 +37,9 @@ func (m *memSharder) CollectShard(ctx context.Context, spec ShardSpec) ([]float6
 	fp := m.cfg.Fingerprint()
 	if spec.Config != hex.EncodeToString(fp[:]) {
 		return nil, fmt.Errorf("foreign config fingerprint %s", spec.Config)
+	}
+	if spec.Root != m.cfg.CampaignRoot(spec.Program, spec.Input) {
+		return nil, fmt.Errorf("foreign campaign root %d", spec.Root)
 	}
 	b, err := malardalen.Get(spec.Program)
 	if err != nil {
@@ -58,7 +62,8 @@ func (m *memSharder) CollectShard(ctx context.Context, spec ShardSpec) ([]float6
 	// Shards ship raw runs, so the coordinator's reassembled campaign is
 	// bit-identical in every estimation mode — including a streaming
 	// coordinator, which streams over the reassembled raw runs.
-	return mbpta.NewCampaign(res.Trace, m.cfg.Model).CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, m.cfg.MBPTA.Workers, nil)
+	camp := mbpta.NewCampaign(res.Trace, m.cfg.Model, m.cfg.CampaignRoot(spec.Program, spec.Input))
+	return camp.CollectRangeCtx(ctx, spec.Lo, spec.Hi, m.cfg.MBPTA.Workers, nil)
 }
 
 // shardTestConfig keeps campaigns small while still exercising the
@@ -106,7 +111,7 @@ func samePathAnalysis(t *testing.T, got, want *PathAnalysis) {
 func TestAnalyzePathShardedBitIdentical(t *testing.T) {
 	b := malardalen.BS()
 	cfg := shardTestConfig()
-	ref, err := New(cfg).AnalyzePathCtx(context.Background(), b.Program, b.Default())
+	ref, err := analyzeOne(cfg, b.Program, b.Default())
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -129,7 +134,7 @@ func TestAnalyzePathShardedBitIdentical(t *testing.T) {
 				ms.fail = func(ShardSpec) bool { return n.Add(1)%3 == 0 }
 			}
 			scfg.Sharder = ms
-			got, err := New(scfg).AnalyzePathCtx(context.Background(), b.Program, b.Default())
+			got, err := analyzeOne(scfg, b.Program, b.Default())
 			if err != nil {
 				t.Fatalf("sharded: %v", err)
 			}
@@ -155,13 +160,13 @@ func TestAnalyzePathShardedStreaming(t *testing.T) {
 		cfg.MBPTA.StreamBudget = 512
 		return cfg
 	}
-	ref, err := New(mk()).AnalyzePathCtx(context.Background(), b.Program, b.Default())
+	ref, err := analyzeOne(mk(), b.Program, b.Default())
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	scfg := mk()
 	scfg.Sharder = &memSharder{cfg: mk(), shards: 4}
-	got, err := New(scfg).AnalyzePathCtx(context.Background(), b.Program, b.Default())
+	got, err := analyzeOne(scfg, b.Program, b.Default())
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}
@@ -199,7 +204,7 @@ func TestAnalyzeOriginalSharded(t *testing.T) {
 // every shard fails (foreign fingerprint) still yields the reference result.
 func TestShardConfigOverridesAndForeignConfig(t *testing.T) {
 	b := malardalen.BS()
-	ref, err := New(shardTestConfig()).AnalyzePathCtx(context.Background(), b.Program, b.Default())
+	ref, err := analyzeOne(shardTestConfig(), b.Program, b.Default())
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -213,7 +218,7 @@ func TestShardConfigOverridesAndForeignConfig(t *testing.T) {
 	ms := &memSharder{cfg: foreign, shards: 3}
 	scfg.Sharder = ms
 	scfg.Shards = 5
-	got, err := New(scfg).AnalyzePathCtx(context.Background(), b.Program, b.Default())
+	got, err := analyzeOne(scfg, b.Program, b.Default())
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}

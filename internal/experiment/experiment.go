@@ -173,8 +173,8 @@ func Figure1(ctx context.Context, opts Options) ([]Series, error) {
 	b := malardalen.CNT()
 	res := b.Program.MustExec(b.Default())
 	n := core.ScaledRuns(figure1Runs, opts.Scale, 4000)
-	camp := mbpta.NewCampaign(res.Trace, proc.DefaultModel())
-	sample, err := camp.CollectCtx(ctx, n, mbpta.Seed("fig1"), opts.Workers, nil)
+	camp := mbpta.NewCampaign(res.Trace, proc.DefaultModel(), mbpta.Seed("fig1"))
+	sample, err := camp.CollectRangeCtx(ctx, 0, n, opts.Workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -219,11 +219,11 @@ func Figure2(ctx context.Context, opts Options) ([]Series, error) {
 	for i, in := range inputs {
 		i, in := i, in
 		// Each path's trace is compiled once; the campaign workers inside
-		// CollectCtx share the compilation.
+		// CollectRangeCtx share the compilation.
 		g.Go(func() error {
 			orig := b.Program.MustExec(in)
-			sample, err := mbpta.NewCampaign(orig.Trace, model).CollectCtx(ctx, runs,
-				mbpta.Seed("fig2/orig/"+in.Name), inner, nil)
+			sample, err := mbpta.NewCampaign(orig.Trace, model, mbpta.Seed("fig2/orig/"+in.Name)).
+				CollectRangeCtx(ctx, 0, runs, inner, nil)
 			if err != nil {
 				return err
 			}
@@ -232,8 +232,8 @@ func Figure2(ctx context.Context, opts Options) ([]Series, error) {
 		})
 		g.Go(func() error {
 			pr := pubbed.MustExec(in)
-			sample, err := mbpta.NewCampaign(pr.Trace, model).CollectCtx(ctx, runs,
-				mbpta.Seed("fig2/pub/"+in.Name), inner, nil)
+			sample, err := mbpta.NewCampaign(pr.Trace, model, mbpta.Seed("fig2/pub/"+in.Name)).
+				CollectRangeCtx(ctx, 0, runs, inner, nil)
 			if err != nil {
 				return err
 			}
@@ -268,18 +268,19 @@ func Figure4(ctx context.Context, opts Options) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pa, err := a.AnalyzePathCtx(ctx, b.Program, in)
+	batch, err := a.AnalyzeBatch(ctx, []core.Job{{Program: b.Program, Inputs: []program.Input{in}}}, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
+	pa := batch[0][0]
 	pubbed, _, err := pubTransform(b)
 	if err != nil {
 		return nil, err
 	}
 	res := pubbed.MustExec(in)
 	refRuns := core.ScaledRuns(figure4RefRuns, opts.Scale, 20000)
-	ref, err := mbpta.NewCampaign(res.Trace, proc.DefaultModel()).CollectCtx(ctx, refRuns,
-		mbpta.Seed("fig4/ref"), opts.Workers, nil)
+	ref, err := mbpta.NewCampaign(res.Trace, proc.DefaultModel(), mbpta.Seed("fig4/ref")).
+		CollectRangeCtx(ctx, 0, refRuns, opts.Workers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -16,14 +16,14 @@ import (
 func TestExtendToMatchesCollect(t *testing.T) {
 	tr := trace.Repeat(trace.FromLetters("ABCDEFGHIJ", 32), 60)
 	model := proc.DefaultModel()
-	camp := NewCampaign(tr, model)
 	const root = 0xFEED
-	full := Collect(tr, model, 300, root, 1)
+	camp := NewCampaign(tr, model, root)
+	full := collect(t, tr, model, 300, root, 1)
 	for _, split := range []int{0, 1, 137, 299, 300} {
 		for _, workers := range []int{1, 4} {
 			sum := stats.NewFullSummary(true)
-			sum.Push(Collect(tr, model, split, root, workers))
-			if err := camp.ExtendSummaryCtx(context.Background(), sum, 300, root, workers, nil); err != nil {
+			sum.Push(collect(t, tr, model, split, root, workers))
+			if err := camp.ExtendSummaryCtx(context.Background(), sum, 300, workers, nil); err != nil {
 				t.Fatalf("split %d: %v", split, err)
 			}
 			got := sum.Sample()
@@ -41,7 +41,7 @@ func TestExtendToMatchesCollect(t *testing.T) {
 	// A target at or below the current size is a no-op.
 	sum := stats.NewFullSummary(true)
 	sum.Push(full[:100])
-	if err := camp.ExtendSummaryCtx(context.Background(), sum, 50, root, 1, nil); err != nil || sum.N() != 100 {
+	if err := camp.ExtendSummaryCtx(context.Background(), sum, 50, 1, nil); err != nil || sum.N() != 100 {
 		t.Fatalf("shrinking target: got n %d err %v, want the summary unchanged", sum.N(), err)
 	}
 }

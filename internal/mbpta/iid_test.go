@@ -28,7 +28,7 @@ func closeTest(a, b stats.TestResult, tol float64) bool {
 // bit-identically, Ljung-Box to reassociation error).
 func TestIncrementalBatteryEstimateMatchesSorted(t *testing.T) {
 	tr := loopTrace(10, 80)
-	sample := Collect(tr, proc.DefaultModel(), 2000, 17, 0)
+	sample := collect(t, tr, proc.DefaultModel(), 2000, 17, 0)
 	cfg := DefaultConfig()
 
 	ref, err := NewEstimate(sample, cfg)
@@ -65,7 +65,7 @@ func TestIIDStateMatchesCheckIIDOnCampaigns(t *testing.T) {
 	m := proc.DefaultModel()
 	for _, root := range []uint64{1, 77, 0xBEEF} {
 		for _, n := range []int{400, 1500, 2*collectBlock - 5} {
-			sample := Collect(loopTrace(9, 70), m, n, root, 0)
+			sample := collect(t, loopTrace(9, 70), m, n, root, 0)
 			want := stats.CheckIID(sample)
 			sum := stats.NewFullSummary(true)
 			for lo := 0; lo < n; lo += collectBlock {
@@ -99,7 +99,7 @@ func TestConvergeReferenceIIDEquivalence(t *testing.T) {
 	cfg.Increment = 300
 	cfg.MaxRuns = 20000
 
-	conv, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 23, nil)
+	conv, err := NewCampaign(tr, m, 23).ConvergeCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,15 +115,17 @@ type Progress func(done, target int)
 const collectBlock = 8 * proc.BatchK
 
 // Campaign is one measurement campaign's shared, immutable inputs: the
-// trace, the platform model, and the trace compiled once for that model.
-// Every worker goroutine of every collection and convergence round replays
-// the same CompiledTrace — compilation is paid once per analyzed path, and
-// each engine keeps only its private per-seed scratch. A Campaign is safe
-// for concurrent use.
+// trace, the platform model, the trace compiled once for that model, and the
+// root seed that fixes the run sequence (run i replays under
+// rng.Stream(Root, i)), so a converged summary and its extension are
+// prefixes of one sample. Every worker goroutine replays the same
+// CompiledTrace, and each engine keeps only its private per-seed scratch. A
+// Campaign is safe for concurrent use.
 type Campaign struct {
 	Trace    trace.Trace
 	Model    proc.Model
 	Compiled *proc.CompiledTrace
+	Root     uint64
 
 	// fetch and shards, when set, collect every run range in shards on
 	// remote workers before the local engines fill the failed ones. See
@@ -137,12 +139,12 @@ type Range struct {
 	Lo, Hi int
 }
 
-// SetRemote distributes every subsequent collection (convergence rounds,
-// extensions, CollectCtx) of the campaign: each range is cut into shards
-// contiguous index ranges, fetch is called for all of them concurrently,
-// and every shard whose fetch fails, returns other than Hi-Lo runs or
-// returns a NaN or infinite run is recomputed by the local engines. fetch must return runs r.Lo..r.Hi-1 of
-// the campaign in run order; because run i depends only on (root, i), it
+// SetRemote distributes every subsequent convergence round and extension
+// of the campaign: each range is cut into shards contiguous index ranges,
+// fetch is called for all of them concurrently, and every shard whose fetch
+// fails, returns other than Hi-Lo runs or returns a NaN or infinite run is
+// recomputed by the local engines. fetch must return runs r.Lo..r.Hi-1 of
+// the campaign in run order; because run i depends only on (Root, i), it
 // does not matter who computes a run, only that it lands in slot i.
 // collectLocal is the reference arm: with any fetch — even one that fails
 // every shard — results are bit-identical to a campaign that never left the
@@ -156,9 +158,9 @@ func (c *Campaign) SetRemote(fetch func(ctx context.Context, r Range) ([]float64
 }
 
 // NewCampaign compiles tr for the model once, for any number of subsequent
-// collections, convergence searches and extensions.
-func NewCampaign(tr trace.Trace, model proc.Model) *Campaign {
-	return &Campaign{Trace: tr, Model: model, Compiled: proc.Compile(tr, model)}
+// collections, convergence searches and extensions rooted at root.
+func NewCampaign(tr trace.Trace, model proc.Model, root uint64) *Campaign {
+	return &Campaign{Trace: tr, Model: model, Compiled: proc.Compile(tr, model), Root: root}
 }
 
 // newEngine builds one worker's engine: private replay scratch around the
@@ -169,39 +171,16 @@ func (c *Campaign) newEngine() *proc.Engine {
 	return eng
 }
 
-// Collect runs tr n times on the model with seeds derived from root and
-// returns execution times in run order. Runs are distributed over Workers
-// goroutines; the result is identical to a sequential campaign because run i
-// depends only on (root, i).
-func Collect(tr trace.Trace, model proc.Model, n int, root uint64, workers int) []float64 {
-	times, _ := NewCampaign(tr, model).CollectCtx(context.Background(), n, root, workers, nil)
-	return times
-}
-
-// CollectCtx runs the campaign n times with seeds derived from root and
-// returns execution times in run order. It stops promptly (returning
-// ctx.Err and a partially filled sample) when ctx is cancelled, and reports
-// completed runs through progress as blocks finish.
-func (c *Campaign) CollectCtx(ctx context.Context, n int, root uint64,
-	workers int, progress Progress) ([]float64, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	times := make([]float64, n)
-	err := c.collectInto(ctx, times, root, 0, workers, progress, n)
-	return times, err
-}
-
-// collectInto fills dst with runs offset..offset+len(dst)-1 of the campaign
-// rooted at root. Without a remote fetch it is collectLocal. With one it cuts
+// collectInto fills dst with runs offset..offset+len(dst)-1 of the
+// campaign. Without a remote fetch it is collectLocal. With one it cuts
 // the n = len(dst) runs into k = min(max(shards, 1), n) contiguous shards,
 // shard i covering offset+i*n/k up to offset+(i+1)*n/k, fetches them
 // concurrently and recomputes the failed ones locally in index order, which
 // yields the same bytes either way.
-func (c *Campaign) collectInto(ctx context.Context, dst []float64, root uint64,
-	offset, workers int, progress Progress, target int) error {
+func (c *Campaign) collectInto(ctx context.Context, dst []float64, offset, workers int,
+	progress Progress, target int) error {
 	if c.fetch == nil {
-		return c.collectLocal(ctx, dst, root, offset, workers, progress, target)
+		return c.collectLocal(ctx, dst, offset, workers, progress, target)
 	}
 	n := len(dst)
 	k := min(max(c.shards, 1), n)
@@ -252,7 +231,7 @@ func (c *Campaign) collectInto(ctx context.Context, dst []float64, root uint64,
 			base := done
 			p = func(d, tgt int) { progress(base+(d-r.Lo), tgt) }
 		}
-		if err := c.collectLocal(ctx, dst[r.Lo-offset:r.Hi-offset], root, r.Lo, workers, p, target); err != nil {
+		if err := c.collectLocal(ctx, dst[r.Lo-offset:r.Hi-offset], r.Lo, workers, p, target); err != nil {
 			return err
 		}
 		done += r.Hi - r.Lo
@@ -271,16 +250,16 @@ func allFinite(runs []float64) bool {
 	return true
 }
 
-// collectLocal fills dst with runs offset..offset+len(dst)-1 of the campaign
-// rooted at root, fanning the blocks out over workers goroutines. Workers
+// collectLocal fills dst with runs offset..offset+len(dst)-1 of the
+// campaign, fanning the blocks out over workers goroutines. Workers
 // pull fixed-size blocks from a shared counter, so load balances even when
 // per-run cost varies; between blocks they check ctx and report progress
 // (done counts completed runs across the whole campaign, offset included).
 // It is the in-process reference arm of the distributed collection pair.
 //
 //pubtac:reference distributed
-func (c *Campaign) collectLocal(ctx context.Context, dst []float64, root uint64,
-	offset, workers int, progress Progress, target int) error {
+func (c *Campaign) collectLocal(ctx context.Context, dst []float64, offset, workers int,
+	progress Progress, target int) error {
 	n := len(dst)
 	if n == 0 {
 		return ctx.Err()
@@ -306,7 +285,7 @@ func (c *Campaign) collectLocal(ctx context.Context, dst []float64, root uint64,
 			if hi > n {
 				hi = n
 			}
-			eng.CampaignInto(c.Trace, dst[lo:hi], root, offset+lo)
+			eng.CampaignInto(c.Trace, dst[lo:hi], c.Root, offset+lo)
 			if progress != nil {
 				progress(int(done.Add(int64(hi-lo))), target)
 			}
@@ -447,8 +426,7 @@ type Convergence struct {
 //
 // A round only fits: the probe reads the curve, never the i.i.d. battery,
 // so the battery is reported once, on the estimate the search returns.
-func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
-	root uint64, progress Progress) (*Convergence, error) {
+func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config, progress Progress) (*Convergence, error) {
 	if cfg.InitialRuns < 20 {
 		return nil, fmt.Errorf("mbpta: InitialRuns %d too small", cfg.InitialRuns)
 	}
@@ -462,7 +440,7 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
 	// sorts the increment into its reservoir, O(K + inc·log inc), and its
 	// memory never grows past the budget.
 	sum := NewSummary(cfg)
-	if err := c.pushRuns(ctx, sum, cfg.InitialRuns, root, cfg.Workers, progress); err != nil {
+	if err := c.pushRuns(ctx, sum, cfg.InitialRuns, cfg.Workers, progress); err != nil {
 		return nil, err
 	}
 	est, err := fit(sum, cfg)
@@ -473,7 +451,7 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config,
 	stable, rounds, converged := 0, 0, false
 	for !converged && sum.N() < cfg.MaxRuns {
 		// Extend deterministically: the new runs use seeds n..n+inc-1.
-		if err := c.pushRuns(ctx, sum, cfg.Increment, root, cfg.Workers, progress); err != nil {
+		if err := c.pushRuns(ctx, sum, cfg.Increment, cfg.Workers, progress); err != nil {
 			return nil, err
 		}
 		rounds++
@@ -526,8 +504,8 @@ const streamChunk = 8 * collectBlock
 // so the collection buffer stays within max(budget, streamChunk) runs. Chunk
 // boundaries are relative to the pushed sequence and windows are whole
 // chunks, so the chunks are the same whatever the window.
-func (c *Campaign) pushRuns(ctx context.Context, sum stats.SampleSummary, add int,
-	root uint64, workers int, progress Progress) error {
+func (c *Campaign) pushRuns(ctx context.Context, sum stats.SampleSummary, add, workers int,
+	progress Progress) error {
 	if add <= 0 {
 		return ctx.Err()
 	}
@@ -541,7 +519,7 @@ func (c *Campaign) pushRuns(ctx context.Context, sum stats.SampleSummary, add in
 	buf := make([]float64, window)
 	for done := 0; done < add; {
 		b := buf[:min(window, add-done)]
-		if err := c.collectInto(ctx, b, root, offset+done, workers, progress, target); err != nil {
+		if err := c.collectInto(ctx, b, offset+done, workers, progress, target); err != nil {
 			return err
 		}
 		for lo := 0; lo < len(b); lo += chunk {
@@ -552,36 +530,34 @@ func (c *Campaign) pushRuns(ctx context.Context, sum stats.SampleSummary, add in
 	return nil
 }
 
-// CollectRangeCtx collects the shard [lo, hi) of the campaign rooted at
-// root and returns its runs in run order — the worker half of distributed
-// campaign sharding. Because run i depends only on (root, i), concatenating
-// the runs of consecutive ranges in index order reproduces the
-// single-process sample bit-identically at any shard count, and a
-// coordinator in any estimation mode (streaming included) pushes the
-// concatenated raw runs into its own summary. The range is collected with
-// workers local workers; the campaign's remote collector is deliberately
-// not consulted, so a worker can never re-shard its shard.
-func (c *Campaign) CollectRangeCtx(ctx context.Context, lo, hi int,
-	root uint64, workers int, progress Progress) ([]float64, error) {
+// CollectRangeCtx returns runs [lo, hi) of the campaign in run order: the
+// one way to read raw runs, for a shard worker or a plain sample. Because
+// run i depends only on (Root, i), concatenating the runs of consecutive
+// ranges reproduces the single-process sample bit-identically at any shard
+// count, in any estimation mode. The range is collected with workers local
+// workers; the remote collector is deliberately not consulted, so a worker
+// can never re-shard its shard.
+func (c *Campaign) CollectRangeCtx(ctx context.Context, lo, hi, workers int,
+	progress Progress) ([]float64, error) {
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("mbpta: invalid run range [%d, %d)", lo, hi)
 	}
 	runs := make([]float64, hi-lo)
-	if err := c.collectLocal(ctx, runs, root, lo, workers, progress, hi); err != nil {
+	if err := c.collectLocal(ctx, runs, lo, workers, progress, hi); err != nil {
 		return nil, err
 	}
 	return runs, nil
 }
 
 // ExtendSummaryCtx grows a campaign summary to target runs, collecting and
-// pushing runs sum.N()..target-1 of the campaign rooted at root. Because run
-// i depends only on (root, i), the summary ends bit-identical to one fed all
-// target runs from scratch — callers holding a converged summary (package
-// core, when TAC demands more runs than MBPTA needed) extend it instead of
+// pushing runs sum.N()..target-1 of the campaign. Because run i depends only
+// on (Root, i), the summary ends bit-identical to one fed all target runs
+// from scratch — callers holding a converged summary (package core, when
+// TAC demands more runs than MBPTA needed) extend it instead of
 // recollecting.
 func (c *Campaign) ExtendSummaryCtx(ctx context.Context, sum stats.SampleSummary,
-	target int, root uint64, workers int, progress Progress) error {
-	return c.pushRuns(ctx, sum, target-sum.N(), root, workers, progress)
+	target, workers int, progress Progress) error {
+	return c.pushRuns(ctx, sum, target-sum.N(), workers, progress)
 }
 
 func relDiff(a, b float64) float64 {

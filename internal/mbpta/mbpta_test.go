@@ -20,11 +20,22 @@ func loopTrace(w, n int) trace.Trace {
 	return trace.Repeat(trace.FromLetters(letters, 32), n)
 }
 
+// collect returns runs 0..n-1 of the campaign of tr on m rooted at root,
+// collected on workers workers.
+func collect(t testing.TB, tr trace.Trace, m proc.Model, n int, root uint64, workers int) []float64 {
+	t.Helper()
+	runs, err := NewCampaign(tr, m, root).CollectRangeCtx(context.Background(), 0, n, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
 func TestCollectMatchesSequential(t *testing.T) {
 	tr := loopTrace(8, 50)
 	m := proc.DefaultModel()
-	seq := Collect(tr, m, 200, 42, 1)
-	par := Collect(tr, m, 200, 42, 4)
+	seq := collect(t, tr, m, 200, 42, 1)
+	par := collect(t, tr, m, 200, 42, 4)
 	for i := range seq {
 		if seq[i] != par[i] {
 			t.Fatalf("run %d differs: %v vs %v", i, seq[i], par[i])
@@ -32,20 +43,21 @@ func TestCollectMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestCollectSizes: a range collects exactly its runs, none for a
+// zero-run range (at 0 or at an offset), also with more workers than runs.
 func TestCollectSizes(t *testing.T) {
-	tr := loopTrace(4, 10)
-	m := proc.DefaultModel()
-	if got := Collect(tr, m, 0, 1, 0); got != nil {
-		t.Fatal("n=0 should return nil")
-	}
-	if got := Collect(tr, m, 7, 1, 16); len(got) != 7 {
-		t.Fatalf("len = %d", len(got))
+	camp := NewCampaign(loopTrace(4, 10), proc.DefaultModel(), 1)
+	for _, r := range []Range{{0, 0}, {5, 5}, {0, 7}, {3, 10}} {
+		got, err := camp.CollectRangeCtx(context.Background(), r.Lo, r.Hi, 16, nil)
+		if err != nil || len(got) != r.Hi-r.Lo {
+			t.Fatalf("range %v: %d runs, err %v; want %d runs", r, len(got), err, r.Hi-r.Lo)
+		}
 	}
 }
 
 func TestNewEstimateAndPWCET(t *testing.T) {
 	tr := loopTrace(10, 100)
-	sample := Collect(tr, proc.DefaultModel(), 3000, 7, 0)
+	sample := collect(t, tr, proc.DefaultModel(), 3000, 7, 0)
 	est, err := NewEstimate(sample, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +80,7 @@ func TestEstimateAdmissible(t *testing.T) {
 	// Random-platform campaigns are i.i.d. by construction (independent
 	// seeds): the battery must pass.
 	tr := loopTrace(10, 100)
-	sample := Collect(tr, proc.DefaultModel(), 2000, 9, 0)
+	sample := collect(t, tr, proc.DefaultModel(), 2000, 9, 0)
 	est, err := NewEstimate(sample, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +103,11 @@ func TestConvergeDeterministicAndStable(t *testing.T) {
 	cfg.InitialRuns = 300
 	cfg.Increment = 300
 	cfg.MaxRuns = 20000
-	c1, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 11, nil)
+	c1, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewCampaign(tr, m).ConvergeCtx(context.Background(), cfg, 11, nil)
+	c2, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +133,7 @@ func TestConvergeRespectsMaxRuns(t *testing.T) {
 	cfg.MaxRuns = 250
 	cfg.StabilityEps = 0 // never stable
 	cfg.StableRounds = 3
-	c, err := NewCampaign(tr, proc.DefaultModel()).ConvergeCtx(context.Background(), cfg, 5, nil)
+	c, err := NewCampaign(tr, proc.DefaultModel(), 5).ConvergeCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +148,7 @@ func TestConvergeRespectsMaxRuns(t *testing.T) {
 func TestConvergeRejectsTinyInitial(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialRuns = 5
-	if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel()).ConvergeCtx(context.Background(), cfg, 1, nil); err == nil {
+	if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel(), 1).ConvergeCtx(context.Background(), cfg, nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -149,7 +161,7 @@ func TestConvergeRejectsNonPositiveIncrement(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.InitialRuns = 200
 		cfg.Increment = inc
-		if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel()).ConvergeCtx(context.Background(), cfg, 1, nil); err == nil {
+		if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel(), 1).ConvergeCtx(context.Background(), cfg, nil); err == nil {
 			t.Fatalf("Increment %d: expected error", inc)
 		}
 	}
@@ -160,15 +172,15 @@ func TestConvergeRejectsNonPositiveIncrement(t *testing.T) {
 func TestExtendMatchesCollect(t *testing.T) {
 	tr := loopTrace(6, 40)
 	m := proc.DefaultModel()
-	full := Collect(tr, m, 500, 3, 0)
-	c := NewCampaign(tr, m)
-	runs, err := c.CollectRangeCtx(context.Background(), 0, 200, 3, 0, nil)
+	full := collect(t, tr, m, 500, 3, 0)
+	c := NewCampaign(tr, m, 3)
+	runs, err := c.CollectRangeCtx(context.Background(), 0, 200, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := stats.NewFullSummary(false)
 	sum.Push(runs)
-	if err := c.ExtendSummaryCtx(context.Background(), sum, 500, 3, 0, nil); err != nil {
+	if err := c.ExtendSummaryCtx(context.Background(), sum, 500, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	ext := sum.Sample()
@@ -196,7 +208,7 @@ func TestPWCETUpperBoundsEmpiricalTail(t *testing.T) {
 	// conflict knee), the fitted curve at the empirical 99.9th percentile's
 	// exceedance level must not fall below that percentile.
 	tr := loopTrace(6, 80)
-	sample := Collect(tr, proc.DefaultModel(), 5000, 13, 0)
+	sample := collect(t, tr, proc.DefaultModel(), 5000, 13, 0)
 	est, err := NewEstimate(sample, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -219,12 +231,12 @@ func TestKneeWorkloadNeedsMoreRuns(t *testing.T) {
 	tr := loopTrace(12, 80)
 	m := proc.DefaultModel()
 	cfg := DefaultConfig()
-	smallSample := Collect(tr, m, 400, 21, 0)
+	smallSample := collect(t, tr, m, 400, 21, 0)
 	small, err := NewEstimate(smallSample, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	largeSample := Collect(tr, m, 20000, 21, 0)
+	largeSample := collect(t, tr, m, 20000, 21, 0)
 	large, err := NewEstimate(largeSample, cfg)
 	if err != nil {
 		t.Fatal(err)

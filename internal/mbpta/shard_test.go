@@ -45,12 +45,12 @@ func sameFullSummary(t *testing.T, a, b stats.SampleSummary) bool {
 // worker half of the distributed determinism argument, and exactly what the
 // coordinator does with the samples its workers return.
 func TestCollectRangeMergeBitIdentical(t *testing.T) {
-	camp := NewCampaign(loopTrace(8, 50), proc.DefaultModel())
+	camp := NewCampaign(loopTrace(8, 50), proc.DefaultModel(), 42)
 	cfg := shardCfg()
 	const n = 1000
 	ctx := context.Background()
 
-	whole, err := camp.CollectRangeCtx(ctx, 0, n, 42, cfg.Workers, nil)
+	whole, err := camp.CollectRangeCtx(ctx, 0, n, cfg.Workers, nil)
 	if err != nil {
 		t.Fatalf("whole: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestCollectRangeMergeBitIdentical(t *testing.T) {
 		var joined []float64
 		for i := 0; i < shards; i++ {
 			lo, hi := i*n/shards, (i+1)*n/shards
-			part, err := camp.CollectRangeCtx(ctx, lo, hi, 42, cfg.Workers, nil)
+			part, err := camp.CollectRangeCtx(ctx, lo, hi, cfg.Workers, nil)
 			if err != nil {
 				t.Fatalf("shards=%d part %d: %v", shards, i, err)
 			}
@@ -73,17 +73,17 @@ func TestCollectRangeMergeBitIdentical(t *testing.T) {
 
 // CollectRangeCtx rejects nonsense ranges and honors cancellation.
 func TestCollectRangeValidation(t *testing.T) {
-	camp := NewCampaign(loopTrace(4, 30), proc.DefaultModel())
+	camp := NewCampaign(loopTrace(4, 30), proc.DefaultModel(), 1)
 	cfg := shardCfg()
-	if _, err := camp.CollectRangeCtx(context.Background(), -1, 5, 1, cfg.Workers, nil); err == nil {
+	if _, err := camp.CollectRangeCtx(context.Background(), -1, 5, cfg.Workers, nil); err == nil {
 		t.Fatal("negative lo accepted")
 	}
-	if _, err := camp.CollectRangeCtx(context.Background(), 7, 3, 1, cfg.Workers, nil); err == nil {
+	if _, err := camp.CollectRangeCtx(context.Background(), 7, 3, cfg.Workers, nil); err == nil {
 		t.Fatal("hi < lo accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := camp.CollectRangeCtx(ctx, 0, 100000, 1, cfg.Workers, nil); !errors.Is(err, context.Canceled) {
+	if _, err := camp.CollectRangeCtx(ctx, 0, 100000, cfg.Workers, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled collect: err = %v", err)
 	}
 }
@@ -95,7 +95,6 @@ func TestCollectRangeValidation(t *testing.T) {
 type shardingFetch struct {
 	camp    *Campaign
 	workers int
-	root    uint64
 	fail    func(Range) bool
 	calls   atomic.Int64
 	failed  atomic.Int64
@@ -107,7 +106,7 @@ func (sf *shardingFetch) fetch(ctx context.Context, r Range) ([]float64, error) 
 		sf.failed.Add(1)
 		return nil, errors.New("injected shard failure")
 	}
-	return sf.camp.CollectRangeCtx(ctx, r.Lo, r.Hi, sf.root, sf.workers, nil)
+	return sf.camp.CollectRangeCtx(ctx, r.Lo, r.Hi, sf.workers, nil)
 }
 
 // The distributed oracle pair: a campaign collecting through SetRemote —
@@ -122,13 +121,13 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 	const root = 99
 	ctx := context.Background()
 
-	ref, err := NewCampaign(tr, model).ConvergeCtx(ctx, cfg, root, nil)
+	ref, err := NewCampaign(tr, model, root).ConvergeCtx(ctx, cfg, nil)
 	if err != nil {
 		t.Fatalf("reference converge: %v", err)
 	}
 	// Extension past convergence, as core does when TAC demands more runs.
 	extendTo := ref.Runs + 300
-	if err := NewCampaign(tr, model).ExtendSummaryCtx(ctx, ref.Summary, extendTo, root, cfg.Workers, nil); err != nil {
+	if err := NewCampaign(tr, model, root).ExtendSummaryCtx(ctx, ref.Summary, extendTo, cfg.Workers, nil); err != nil {
 		t.Fatalf("reference extend: %v", err)
 	}
 
@@ -146,16 +145,16 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 		{"shards=2/all-fail", 2, func(Range) bool { return true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			worker := NewCampaign(tr, model)
-			sf := &shardingFetch{camp: worker, workers: cfg.Workers, root: root, fail: tc.fail}
-			dist := NewCampaign(tr, model)
+			worker := NewCampaign(tr, model, root)
+			sf := &shardingFetch{camp: worker, workers: cfg.Workers, fail: tc.fail}
+			dist := NewCampaign(tr, model, root)
 			dist.SetRemote(sf.fetch, tc.shards)
 
-			conv, err := dist.ConvergeCtx(ctx, cfg, root, nil)
+			conv, err := dist.ConvergeCtx(ctx, cfg, nil)
 			if err != nil {
 				t.Fatalf("distributed converge: %v", err)
 			}
-			if err := dist.ExtendSummaryCtx(ctx, conv.Summary, extendTo, root, cfg.Workers, nil); err != nil {
+			if err := dist.ExtendSummaryCtx(ctx, conv.Summary, extendTo, cfg.Workers, nil); err != nil {
 				t.Fatalf("distributed extend: %v", err)
 			}
 
@@ -183,17 +182,16 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 
 // A fetch that fails every shard degrades to the local reference arm, and a
 // reply of the wrong length or holding a NaN or infinite run is recomputed,
-// not trusted — at any shard count, including more shards than runs.
+// not trusted — at any shard count, including more shards than runs. Each
+// case extends an empty full summary to 700 runs, which collects them in
+// one sharded window.
 func TestRemoteCollectorDegradation(t *testing.T) {
 	tr := loopTrace(6, 40)
 	model := proc.DefaultModel()
 	cfg := shardCfg()
 	ctx := context.Background()
 
-	ref, err := NewCampaign(tr, model).CollectCtx(ctx, 700, 7, cfg.Workers, nil)
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
+	ref := collect(t, tr, model, 700, 7, cfg.Workers)
 	for _, tc := range []struct {
 		name   string
 		shards int
@@ -222,13 +220,13 @@ func TestRemoteCollectorDegradation(t *testing.T) {
 			return runs, nil
 		}},
 	} {
-		c := NewCampaign(tr, model)
+		c := NewCampaign(tr, model, 7)
 		c.SetRemote(tc.fetch, tc.shards)
-		got, err := c.CollectCtx(ctx, 700, 7, cfg.Workers, nil)
-		if err != nil {
+		sum := stats.NewFullSummary(true)
+		if err := c.ExtendSummaryCtx(ctx, sum, 700, cfg.Workers, nil); err != nil {
 			t.Fatalf("%s: degraded collect: %v", tc.name, err)
 		}
-		if !slices.Equal(got, ref) {
+		if !slices.Equal(sum.Sample(), ref) {
 			t.Fatalf("%s: degraded sample differs from the local reference", tc.name)
 		}
 	}
@@ -245,7 +243,7 @@ func TestShardedCollectProgress(t *testing.T) {
 	ctx := context.Background()
 
 	ref := stats.NewFullSummary(true)
-	if err := NewCampaign(tr, model).ExtendSummaryCtx(ctx, ref, to, root, 1, nil); err != nil {
+	if err := NewCampaign(tr, model, root).ExtendSummaryCtx(ctx, ref, to, 1, nil); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	for _, tc := range []struct {
@@ -259,15 +257,15 @@ func TestShardedCollectProgress(t *testing.T) {
 		{"all-fail", func(Range) bool { return true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sf := &shardingFetch{camp: NewCampaign(tr, model), workers: 1, root: root, fail: tc.fail}
-			c := NewCampaign(tr, model)
+			sf := &shardingFetch{camp: NewCampaign(tr, model, root), workers: 1, fail: tc.fail}
+			c := NewCampaign(tr, model, root)
 			c.SetRemote(sf.fetch, 5)
 			sum := stats.NewFullSummary(true)
-			if err := c.ExtendSummaryCtx(ctx, sum, from, root, 1, nil); err != nil {
+			if err := c.ExtendSummaryCtx(ctx, sum, from, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 			var dones []int
-			err := c.ExtendSummaryCtx(ctx, sum, to, root, 1, func(done, target int) {
+			err := c.ExtendSummaryCtx(ctx, sum, to, 1, func(done, target int) {
 				if target != to {
 					t.Errorf("target = %d, want %d", target, to)
 				}
@@ -298,7 +296,7 @@ func TestShardedCollectProgress(t *testing.T) {
 // offset+(i+1)*n/k. Workers see exactly these ShardSpec ranges, and the
 // benchmark's rebuilt pipeline mirrors the same arithmetic.
 func TestShardSplit(t *testing.T) {
-	camp := NewCampaign(loopTrace(4, 30), proc.DefaultModel())
+	camp := NewCampaign(loopTrace(4, 30), proc.DefaultModel(), 1)
 	for _, tc := range []struct {
 		shards int
 		want   []Range
@@ -318,7 +316,7 @@ func TestShardSplit(t *testing.T) {
 		}, tc.shards)
 		sum := stats.NewFullSummary(false)
 		sum.Push(make([]float64, 300))
-		if err := camp.ExtendSummaryCtx(context.Background(), sum, 310, 1, 1, nil); err != nil {
+		if err := camp.ExtendSummaryCtx(context.Background(), sum, 310, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		slices.SortFunc(got, func(a, b Range) int { return a.Lo - b.Lo })
@@ -362,7 +360,7 @@ func TestShardSplitStreamingWindow(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/serve=%v", tc.name, serve), func(t *testing.T) {
 				var mu sync.Mutex
 				var got []Range
-				camp := NewCampaign(tr, model)
+				camp := NewCampaign(tr, model, root)
 				camp.SetRemote(func(_ context.Context, r Range) ([]float64, error) {
 					mu.Lock()
 					got = append(got, r)
@@ -377,11 +375,11 @@ func TestShardSplitStreamingWindow(t *testing.T) {
 					return runs, nil
 				}, 2)
 				sum := stats.NewStreamingSummary(tc.budget)
-				if err := camp.ExtendSummaryCtx(context.Background(), sum, from, root, 1, nil); err != nil {
+				if err := camp.ExtendSummaryCtx(context.Background(), sum, from, 1, nil); err != nil {
 					t.Fatal(err)
 				}
 				got = got[:0]
-				if err := camp.ExtendSummaryCtx(context.Background(), sum, tc.to, root, 1, nil); err != nil {
+				if err := camp.ExtendSummaryCtx(context.Background(), sum, tc.to, 1, nil); err != nil {
 					t.Fatal(err)
 				}
 				slices.SortFunc(got, func(a, b Range) int { return a.Lo - b.Lo })
@@ -389,7 +387,7 @@ func TestShardSplitStreamingWindow(t *testing.T) {
 					t.Errorf("fetched %v, want %v", got, tc.want)
 				}
 
-				runs := Collect(tr, model, tc.to, root, 1)
+				runs := collect(t, tr, model, tc.to, root, 1)
 				if serve {
 					for i := range runs {
 						runs[i] = served(i)

@@ -73,13 +73,20 @@ type batchState struct {
 	cycles [BatchK]uint64
 }
 
-// CampaignBatchInto is CampaignInto on the batched replay: it fills dst
-// with runs offset.. of the campaign rooted at root, BatchK seeds per block
-// (a trailing len(dst)%BatchK runs form one shorter block). Results are
-// bit-identical to the reference replay.
+// CampaignInto fills dst with the execution times of runs offset,
+// offset+1, ... of the campaign rooted at root; run i depends only on
+// (root, i). Runs replay BatchK seeds per block of the batched replay (a
+// trailing len(dst)%BatchK runs form one shorter block), bit-identical to
+// the reference replay that UseReference selects instead.
 //
 //pubtac:fastpath campaign
-func (e *Engine) CampaignBatchInto(tr trace.Trace, dst []float64, root uint64, offset int) {
+func (e *Engine) CampaignInto(tr trace.Trace, dst []float64, root uint64, offset int) {
+	if e.reference {
+		for i := range dst {
+			dst[i] = float64(e.Run(tr, rng.Stream(root, offset+i)))
+		}
+		return
+	}
 	if len(dst) == 0 {
 		return
 	}

@@ -42,7 +42,7 @@ func assertCampaignsMatch(t *testing.T, label string, m Model, tr trace.Trace) {
 	for _, n := range []int{1, BatchK - 1, BatchK, BatchK + 3, 4 * BatchK, 4*BatchK + 5} {
 		for _, offset := range []int{0, 13} {
 			batch := make([]float64, n)
-			NewEngine(m).CampaignBatchInto(tr, batch, root, offset)
+			NewEngine(m).CampaignInto(tr, batch, root, offset)
 			seed := make([]float64, n)
 			perSeed := NewEngine(m)
 			for i := range seed {

@@ -164,21 +164,3 @@ func (e *Engine) Campaign(tr trace.Trace, n int, root uint64) []float64 {
 	e.CampaignInto(tr, times, root, 0)
 	return times
 }
-
-// CampaignInto fills dst with the execution times of runs offset,
-// offset+1, ... of the campaign rooted at root. Because run i depends only
-// on (root, i), campaigns can be split across engines and goroutines with
-// bit-identical results.
-//
-// Unless UseReference is set, runs replay through the batched replay (see
-// CampaignBatchInto): BatchK seeds share each pass over a cache's compiled
-// IDs.
-func (e *Engine) CampaignInto(tr trace.Trace, dst []float64, root uint64, offset int) {
-	if e.reference {
-		for i := range dst {
-			dst[i] = float64(e.Run(tr, rng.Stream(root, offset+i)))
-		}
-		return
-	}
-	e.CampaignBatchInto(tr, dst, root, offset)
-}

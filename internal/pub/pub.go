@@ -30,6 +30,9 @@ func (r Report) CodeGrowth() float64 {
 // their layout (PUB only inflates code), while pubbed code is re-linked at
 // fresh addresses — inserted instructions are genuinely new code lines.
 func Transform(p *program.Program) (*program.Program, Report, error) {
+	if p == nil {
+		return nil, Report{}, fmt.Errorf("pub: nil program")
+	}
 	if !p.Linked() {
 		if err := p.Link(); err != nil {
 			return nil, Report{}, err

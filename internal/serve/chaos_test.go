@@ -14,14 +14,8 @@ import (
 	"pubtac"
 	"pubtac/client"
 	"pubtac/internal/fault"
-	"pubtac/internal/mbpta"
 	"pubtac/internal/serve"
 )
-
-// shardRoot derives the root seed a daemon expects for a program/input pair.
-func shardRoot(cfg pubtac.Config, prog, input string) uint64 {
-	return mbpta.Seed(prog+"/"+input) ^ cfg.SeedSalt
-}
 
 // newDaemon builds a daemon over a fresh store with the given session
 // options.
@@ -207,7 +201,7 @@ func TestShardLoadShedding(t *testing.T) {
 		Config:  srv.ConfigFingerprint().String(),
 		Program: "bs",
 		Input:   "default",
-		Root:    shardRoot(cfg, "bs", "default"),
+		Root:    cfg.CampaignRoot("bs", "default"),
 	}
 	// post runs on both the test goroutine and the occupier's, so it may
 	// only t.Error (never FailNow): errors surface as status 0, which every
@@ -319,7 +313,7 @@ func TestShardDeadline(t *testing.T) {
 		Config:  srv.ConfigFingerprint().String(),
 		Program: "bs",
 		Input:   "default",
-		Root:    shardRoot(cfg, "bs", "default"),
+		Root:    cfg.CampaignRoot("bs", "default"),
 		Lo:      0,
 		Hi:      500,
 	}

@@ -148,8 +148,8 @@ func pipelineJobs(jobs []tableJob) []pubtac.Job {
 }
 
 // campaign returns the compiled campaign of the input's pubbed or original
-// program on model, building it on first use.
-func (e *inputEntry) campaign(b *pubtac.Bench, original bool, model pubtac.Model) (*mbpta.Campaign, error) {
+// program under cfg, rooted at its CampaignRoot, building it on first use.
+func (e *inputEntry) campaign(b *pubtac.Bench, original bool, cfg pubtac.Config) (*mbpta.Campaign, error) {
 	lc := &e.pub
 	if original {
 		lc = &e.orig
@@ -168,7 +168,7 @@ func (e *inputEntry) campaign(b *pubtac.Bench, original bool, model pubtac.Model
 			lc.err = fmt.Errorf("executing %s(%s): %w", b.Name, e.in.Name, err)
 			return
 		}
-		lc.camp = mbpta.NewCampaign(res.Trace, model)
+		lc.camp = mbpta.NewCampaign(res.Trace, cfg.Model, cfg.CampaignRoot(b.Name, e.in.Name))
 	})
 	return lc.camp, lc.err
 }

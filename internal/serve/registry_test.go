@@ -91,7 +91,7 @@ func FuzzAnalyzeRequest(f *testing.F) {
 			jobs, err := s.table.resolve(req)
 			if err == nil {
 				got := s.keyOf(jobs)
-				if want, ok := freshKey(t, req, s.seedSalt, s.cfgFP); ok && got != want {
+				if want, ok := freshKey(t, req, s.cfg.SeedSalt, s.cfgFP); ok && got != want {
 					t.Fatalf("%s: table key %s, fresh-instance key %s", body, got, want)
 				}
 				return

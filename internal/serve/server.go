@@ -56,7 +56,6 @@ type Server struct {
 	baseOpts []pubtac.Option
 	cfg      pubtac.Config // resolved session config (shard verification)
 	cfgFP    pubtac.Fingerprint
-	seedSalt uint64
 	table    registry // requests and shard specs resolve through it
 
 	// Worker side of distributed sharding: shardSem bounds concurrently
@@ -146,7 +145,6 @@ func New(opts Options) (*Server, error) {
 		baseOpts:      slices.Clone(opts.SessionOptions),
 		cfg:           cfg,
 		cfgFP:         probe.ConfigFingerprint(),
-		seedSalt:      cfg.SeedSalt,
 		table:         table,
 		grp:           grp,
 		gctx:          gctx,
@@ -508,9 +506,9 @@ const maxShardRuns = 1 << 22
 // bytes are exactly what the coordinator would have computed locally — and
 // replies with them in a runs frame (stats.EncodeRuns, 28 + 8·n bytes for n
 // runs), building no summary. Specs are verified against this daemon's own
-// configuration (fingerprint and seed derivation) before a single run is
-// simulated: a worker must refuse work it would compute differently,
-// because the coordinator trusts accepted shards bit for bit.
+// configuration (fingerprint and CampaignRoot) before a campaign is built:
+// a worker must refuse work it would compute differently, because the
+// coordinator trusts accepted shards bit for bit.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
@@ -531,7 +529,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid run range [%d, %d)", spec.Lo, spec.Hi)
 		return
 	}
-	if want := mbpta.Seed(spec.Program+"/"+spec.Input) ^ s.seedSalt; spec.Root != want {
+	if want := s.cfg.CampaignRoot(spec.Program, spec.Input); spec.Root != want {
 		httpError(w, http.StatusConflict,
 			"shard root %d is not this daemon's root for %s(%s)", spec.Root, spec.Program, spec.Input)
 		return
@@ -575,7 +573,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// Raw-run transport: the coordinator copies the runs into place by
 	// index, so its campaign is bit-identical in every estimation mode,
 	// streaming included.
-	runs, err := camp.CollectRangeCtx(ctx, spec.Lo, spec.Hi, spec.Root, s.cfg.MBPTA.Workers, nil)
+	runs, err := camp.CollectRangeCtx(ctx, spec.Lo, spec.Hi, s.cfg.MBPTA.Workers, nil)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "collecting shard: %v", err)
 		return
@@ -601,7 +599,7 @@ func (s *Server) campaignFor(spec pubtac.ShardSpec) (*mbpta.Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.campaign(be.bench, spec.Original, s.cfg.Model)
+	return e.campaign(be.bench, spec.Original, s.cfg)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -18,8 +19,9 @@ import (
 )
 
 // localShardSample computes the expected runs of a shard the way a worker
-// does: the range collected locally, root derived from the program/input
-// pair. This is the oracle every endpoint test compares against.
+// does: the range collected locally from the campaign rooted at the
+// config's CampaignRoot of the program/input pair. This is the oracle every
+// endpoint test compares against.
 func localShardSample(t *testing.T, cfg pubtac.Config, prog, input string, original bool, lo, hi int) []float64 {
 	t.Helper()
 	b, err := pubtac.Benchmark(prog)
@@ -40,9 +42,8 @@ func localShardSample(t *testing.T, cfg pubtac.Config, prog, input string, origi
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp := mbpta.NewCampaign(res.Trace, cfg.Model)
-	root := mbpta.Seed(prog+"/"+input) ^ cfg.SeedSalt
-	runs, err := camp.CollectRangeCtx(context.Background(), lo, hi, root, cfg.MBPTA.Workers, nil)
+	camp := mbpta.NewCampaign(res.Trace, cfg.Model, cfg.CampaignRoot(prog, input))
+	runs, err := camp.CollectRangeCtx(context.Background(), lo, hi, cfg.MBPTA.Workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestShardEndpointMatchesLocal(t *testing.T) {
 		Config:  srv.ConfigFingerprint().String(),
 		Program: "bs",
 		Input:   "default",
-		Root:    mbpta.Seed("bs/default") ^ cfg.SeedSalt,
+		Root:    cfg.CampaignRoot("bs", "default"),
 		Lo:      100,
 		Hi:      400,
 	}
@@ -138,7 +139,7 @@ func shardCases(srv *serve.Server, cfg pubtac.Config) (ok pubtac.ShardSpec, refu
 		Config:  srv.ConfigFingerprint().String(),
 		Program: "bs",
 		Input:   "default",
-		Root:    mbpta.Seed("bs/default") ^ cfg.SeedSalt,
+		Root:    cfg.CampaignRoot("bs", "default"),
 		Lo:      0,
 		Hi:      10,
 	}
@@ -155,11 +156,11 @@ func shardCases(srv *serve.Server, cfg pubtac.Config) (ok pubtac.ShardSpec, refu
 		{"oversized range", mut(func(s *pubtac.ShardSpec) { s.Hi = s.Lo + 1<<23 }), http.StatusBadRequest},
 		{"unknown program", mut(func(s *pubtac.ShardSpec) {
 			s.Program = "no-such-bench"
-			s.Root = mbpta.Seed("no-such-bench/default") ^ cfg.SeedSalt
+			s.Root = cfg.CampaignRoot("no-such-bench", "default")
 		}), http.StatusNotFound},
 		{"unknown input", mut(func(s *pubtac.ShardSpec) {
 			s.Input = "no-such-input"
-			s.Root = mbpta.Seed("bs/no-such-input") ^ cfg.SeedSalt
+			s.Root = cfg.CampaignRoot("bs", "no-such-input")
 		}), http.StatusNotFound},
 	}
 }
@@ -323,37 +324,43 @@ func TestResultETagRevalidation(t *testing.T) {
 // TestCoordinatorWorkerBitIdentical is the distributed acceptance path in
 // miniature: a coordinator daemon sharding over one worker daemon produces a
 // byte-identical result body — and therefore the same content key — as a
-// plain standalone daemon.
+// plain standalone daemon. All three run at the same seed salt. Under salt
+// 7 a worker whose campaigns missed the salt would pass every spec check
+// and serve runs of the wrong campaign in well-formed frames; only this
+// byte comparison sees them. At salt 0 the salted and unsalted roots agree.
 func TestCoordinatorWorkerBitIdentical(t *testing.T) {
-	// Standalone reference daemon.
-	_, plainTS := newTestServer(t, t.TempDir())
+	for _, seed := range []uint64{0, 7} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			sopts := append(smallOpts(), pubtac.WithSeed(seed))
+			// Standalone reference daemon.
+			_, plainTS := newDaemon(t, sopts)
+			// Worker daemon: same session options, serves POST /v1/shards.
+			worker, workerTS := newDaemon(t, sopts)
+			// Coordinator daemon: same session options plus a fabric over
+			// the worker.
+			coord, coordTS := newDaemon(t, coordinatorOpts(sopts, client.PeersConfig{}, 3, workerTS.URL))
 
-	// Worker daemon: same session options, serves POST /v1/shards.
-	worker, workerTS := newTestServer(t, t.TempDir())
-
-	// Coordinator daemon: same session options plus a fabric over the
-	// worker.
-	coord, coordTS := newDaemon(t, coordinatorOpts(smallOpts(), client.PeersConfig{}, 3, workerTS.URL))
-
-	ctx := context.Background()
-	req := client.AnalyzeRequest{Bench: "bs"}
-	plain, _, err := client.New(plainTS.URL).AnalyzeRaw(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, _, err := client.New(coordTS.URL).AnalyzeRaw(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain, sharded) {
-		t.Fatal("coordinator result differs from the standalone daemon's bytes")
-	}
-	if st := worker.Stats(); st.Shards == 0 {
-		t.Fatal("worker served no shards — the coordinator computed everything locally")
-	}
-	// The sharding knobs stay out of the fingerprint, so both daemons share
-	// one cache key space.
-	if got, want := coord.ConfigFingerprint(), worker.ConfigFingerprint(); got != want {
-		t.Fatalf("coordinator fingerprint %s != worker fingerprint %s", got, want)
+			ctx := context.Background()
+			req := client.AnalyzeRequest{Bench: "bs"}
+			plain, _, err := client.New(plainTS.URL).AnalyzeRaw(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, _, err := client.New(coordTS.URL).AnalyzeRaw(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(plain, sharded) {
+				t.Fatal("coordinator result differs from the standalone daemon's bytes")
+			}
+			if st := worker.Stats(); st.Shards == 0 {
+				t.Fatal("worker served no shards — the coordinator computed everything locally")
+			}
+			// The sharding knobs stay out of the fingerprint, so both
+			// daemons share one cache key space.
+			if got, want := coord.ConfigFingerprint(), worker.ConfigFingerprint(); got != want {
+				t.Fatalf("coordinator fingerprint %s != worker fingerprint %s", got, want)
+			}
+		})
 	}
 }

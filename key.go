@@ -78,6 +78,9 @@ func (s *Session) ConfigFingerprint() Fingerprint {
 // The transform and single execution cost microseconds to low milliseconds —
 // negligible next to a campaign, which is what a matching cache entry saves.
 func FingerprintProgram(p *Program, in Input, seed uint64) (Fingerprint, error) {
+	if p == nil {
+		return Fingerprint{}, fmt.Errorf("pubtac: fingerprinting: nil program")
+	}
 	pubbed, rep, err := pub.Transform(p)
 	if err != nil {
 		return Fingerprint{}, fmt.Errorf("pubtac: fingerprinting %s: %w", p.Name, err)

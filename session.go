@@ -62,13 +62,14 @@ func (s *Session) Workers() int { return s.workers }
 // transforms the program, TAC sizes the campaign from the pubbed path's
 // address sequence, and MBPTA/EVT turns max(R_pub, R_tac) measurements into
 // a pWCET curve upper-bounding every path of the original program.
-// Cancelling ctx stops the campaign promptly with ctx.Err().
+// Cancelling ctx stops the campaign promptly with ctx.Err(). It is
+// AnalyzeMultiPath over in alone, with the session's whole worker budget.
 func (s *Session) AnalyzePath(ctx context.Context, p *Program, in Input) (*Result, error) {
-	pa, err := s.an.AnalyzePathCtx(ctx, p, in)
+	mr, err := s.AnalyzeMultiPath(ctx, p, []Input{in})
 	if err != nil {
 		return nil, err
 	}
-	return newResult(pa), nil
+	return mr.Results[0], nil
 }
 
 // AnalyzeOriginal measures the unmodified program with plain MBPTA: the

@@ -283,6 +283,47 @@ func TestSessionBatchRejectsInputlessJob(t *testing.T) {
 	}
 }
 
+// TestNilProgramIsAnError: every entry point that takes a program returns
+// an error for a nil one instead of dereferencing it.
+func TestNilProgramIsAnError(t *testing.T) {
+	bench, err := pubtac.Benchmark("bs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := bench.Default()
+	s := pubtac.NewSession(pubtac.WithConfig(sessionTestConfig()))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Session.AnalyzePath", func() error { _, err := s.AnalyzePath(ctx, nil, in); return err }},
+		{"Session.AnalyzeOriginal", func() error { _, err := s.AnalyzeOriginal(ctx, nil, in); return err }},
+		{"Session.AnalyzeMultiPath", func() error {
+			_, err := s.AnalyzeMultiPath(ctx, nil, []pubtac.Input{in})
+			return err
+		}},
+		{"Session.AnalyzeBatch", func() error {
+			_, err := s.AnalyzeBatch(ctx, []pubtac.Job{{Inputs: []pubtac.Input{in}}})
+			return err
+		}},
+		{"Job.Key", func() error { _, err := pubtac.Job{Inputs: []pubtac.Input{in}}.Key(0); return err }},
+		{"FingerprintProgram", func() error { _, err := pubtac.FingerprintProgram(nil, in, 0); return err }},
+		{"Transform", func() error { _, _, err := pubtac.Transform(nil); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked on a nil program: %v", r)
+				}
+			}()
+			if err := tc.call(); err == nil {
+				t.Fatal("accepted a nil program")
+			}
+		})
+	}
+}
+
 // TestSessionRejectsInvalidModel checks that an unusable cache geometry
 // comes back from every analysis entry point as an error naming the cache,
 // instead of a panic inside the replay.
