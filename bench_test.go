@@ -223,9 +223,12 @@ func BenchmarkCampaign1k(b *testing.B) {
 }
 
 // BenchmarkCampaignMatmult measures a 1000-run campaign of the pubbed
-// matmult default path on one engine. matmult's DL1 overflows a set in most
-// seeds, so this is the replay-bound shape that dominates paper-scale
-// batches, where BenchmarkCampaign1k's bs mostly takes the analytic path.
+// matmult default path on one engine. matmult's DL1 overflows a set in
+// most seeds, and about 91% of those may evict a live line and replay, so
+// this is the replay-bound shape that dominates paper-scale batches, where
+// BenchmarkCampaign1k's bs mostly takes the analytic path. Most of a
+// replayed seed's evicted lines come back, and about half of them re-enter
+// at the posting after their last miss, the gallop's first probe.
 //
 //pubtac:bench
 func BenchmarkCampaignMatmult(b *testing.B) {
@@ -245,12 +248,13 @@ func BenchmarkCampaignMatmult(b *testing.B) {
 }
 
 // BenchmarkCampaignNS measures a 1000-run campaign of the pubbed ns default
-// path on one engine. Every ns seed overflows a DL1 set, with about 29 of
-// its lines in overflowing sets (matmult has about 6), so this is the shape
-// where the misses-only replay takes in the most lines per run. About 98%
-// of its 29 misses per seed are first accesses, which come from the
-// replay's cursor, and 96% of its evictions are of lines never accessed
-// again, which leave without a search.
+// path on one engine. Every ns seed overflows a DL1 set, yet 64% of them
+// never replay: line 0 is live across the whole trace and every other line
+// only within a few dozen DL1 accesses, so a seed evicts a live line only
+// when two other lines share line 0's set. A replayed seed has about 30
+// of its lines in overflowing sets, so this is the shape where the
+// misses-only replay takes in the most lines per run; nearly all of its
+// misses are first accesses, which come from the replay's cursor.
 //
 //pubtac:bench
 func BenchmarkCampaignNS(b *testing.B) {

@@ -20,21 +20,30 @@ import (
 //
 //   - Placement: for every distinct line, the per-seed set (cache.SetOf's
 //     logic, with the policy hoisted out) is computed for all BatchK seeds
-//     back to back, counting each seed's set occupancy. A seed that maps at
-//     most Ways lines into every set of the cache can never evict there, so
-//     each of its lines misses exactly once: it is answered analytically.
-//     With working sets well below capacity — the paper's platform on the
-//     evaluation benchmarks — most runs take this path on both caches.
+//     back to back, counting each seed's set occupancy and keeping, per
+//     set, the latest last access among the lines placed there so far.
+//     Lines enter a set in order of first access, which is their dense-ID
+//     order, so a line arriving at a set that already holds Ways lines
+//     finds it full. If every earlier line of that set has had its last
+//     access by then, whatever it evicts is never accessed again. A seed
+//     none of whose arrivals at a full set meets a still-live earlier line
+//     therefore misses exactly once per distinct line, whatever its
+//     victims, under random and LRU replacement alike: it is answered
+//     analytically, and only the other seeds replay. A seed that maps at
+//     most Ways lines into every set never evicts at all, which covers most
+//     runs of the paper's platform on the evaluation benchmarks; on ns,
+//     whose lines but one each live within a few dozen DL1 accesses, most
+//     seeds that overflow a set evict only dead lines.
 //     A block shorter than BatchK (Run's single seed, a campaign's trailing
 //     runs) still places all BatchK slots, so the loops keep constant
 //     bounds, and masks off the slots past its length.
-//   - Replay of the seeds that overflow a set. Under random replacement a
-//     hit changes no state and only an overflowing set can evict, so
-//     MissReplay skips hits: a line whose set holds at most Ways lines
-//     takes one miss and draws no victim, and the lines of the overflowing
-//     sets jump from miss to miss through the posting lists. Under LRU a
-//     hit updates recency, so replayLRU walks the cache's whole ID sequence
-//     for the block's overflowing seeds at once.
+//   - Replay of the seeds that may evict a live line. Under random
+//     replacement a hit changes no state and only an overflowing set can
+//     evict, so MissReplay skips hits: a line whose set holds at most Ways
+//     lines takes one miss and draws no victim, and the lines of the
+//     overflowing sets jump from miss to miss through the posting lists.
+//     Under LRU a hit updates recency, so replayLRU walks the cache's whole
+//     ID sequence for the block's replayed seeds at once.
 //
 // Hits are accesses minus misses, and miss jitter is drawn after the
 // replay: the reference replay draws one jitter value per miss from the
@@ -59,11 +68,15 @@ type batchSide struct {
 	keys    [BatchK]uint64 // per-seed placement hash keys
 	rand    rng.Xoshiro256 // replacement stream of the seed being replayed
 	set     []int32        // [id*BatchK+k] -> k*sets + set of line id
-	occ     []uint16       // [k*sets+set] distinct-line occupancy scratch
+	tally   []setTally     // [k*sets+set] the lines placed in each set
 	content []int32        // [(k*sets+set)*ways+way] set contents: a tag, 0 if empty
 	lruTick []uint64       // per-way ticks, laid out like content (LRU only)
 	ev      MissReplay     // the misses-only replay (random replacement)
 }
+
+// setTally counts the lines placeBlock has placed in one set of one seed
+// and keeps the latest last access among them.
+type setTally struct{ lines, live int32 }
 
 // batchState is an engine's batched-replay scratch, reused across blocks.
 // Callers fill seeds[:n] and read cycles[:n] back after runBlock.
@@ -165,11 +178,12 @@ func (e *Engine) LineMisses(k trace.Kind, seeds []uint64) []uint64 {
 }
 
 // missBlock runs one cache for the cache seeds seeds[:n] and adds each
-// seed's miss count to misses[k]. A seed that maps at most Ways lines into
-// every set misses exactly once per distinct line; the others replay. When
-// lines is not nil, missBlock also adds each line's misses, summed over the
-// seeds, to lines[id] (Engine.LineMisses); campaigns pass nil and never
-// touch a per-line count.
+// seed's miss count to misses[k]. A seed that placeBlock leaves unflagged,
+// whether it overflows a set or not, evicts only lines never accessed
+// again, so it misses exactly once per distinct line; the flagged seeds
+// replay. When lines is not nil, missBlock also adds each line's misses,
+// summed over the seeds, to lines[id] (Engine.LineMisses); campaigns pass
+// nil and never touch a per-line count.
 func (bs *batchSide) missBlock(side *compiledSide, seeds *[BatchK]uint64, n int,
 	misses *[BatchK]uint64, lines []uint64) {
 
@@ -204,9 +218,13 @@ func (bs *batchSide) missBlock(side *compiledSide, seeds *[BatchK]uint64, n int,
 
 // placeBlock sizes the side's scratch, computes every (line, seed) set —
 // the same modulo and keyed-hash logic as cache.SetOf, with the policy
-// hoisted out of the loop — counts each seed's set occupancy, and returns
-// the bitmask of seeds whose placement overflows some set's associativity
-// (those must replay; the rest cannot evict).
+// hoisted out of the loop — tallies each seed's sets, and returns the
+// bitmask of seeds that must replay. Lines arrive in order of first
+// access; a seed is flagged when a line arrives at one of its sets that
+// already holds Ways or more lines while the latest last access among
+// them comes after the new line's first access, so that the eviction may
+// take a line that is accessed again. Every other seed, overflowing or
+// not, evicts only dead lines and misses once per distinct line.
 func (bs *batchSide) placeBlock(side *compiledSide, seeds *[BatchK]uint64) uint32 {
 	nl := len(side.lines)
 	nsets := side.sets * BatchK
@@ -214,13 +232,13 @@ func (bs *batchSide) placeBlock(side *compiledSide, seeds *[BatchK]uint64) uint3
 		bs.set = make([]int32, nl*BatchK)
 	}
 	bs.set = bs.set[:nl*BatchK]
-	if cap(bs.occ) < nsets {
-		bs.occ = make([]uint16, nsets)
+	if cap(bs.tally) < nsets {
+		bs.tally = make([]setTally, nsets)
 		bs.content = make([]int32, nsets*side.ways)
 	}
-	bs.occ = bs.occ[:nsets]
+	bs.tally = bs.tally[:nsets]
 	bs.content = bs.content[:nsets*side.ways]
-	clear(bs.occ)
+	clear(bs.tally)
 
 	random := bs.cfg.Placement == cache.RandomPlacement
 	if random {
@@ -231,41 +249,44 @@ func (bs *batchSide) placeBlock(side *compiledSide, seeds *[BatchK]uint64) uint3
 
 	mask := uint64(side.sets - 1)
 	sets := int32(side.sets)
-	maxOcc := uint16(min(side.ways, math.MaxUint16))
-	var conflict uint32
-	if len(side.lines) > math.MaxUint16 {
-		conflict = 1<<BatchK - 1 // a count may wrap; see overflows
-	}
+	ways := int32(min(side.ways, math.MaxInt32))
+	keys := &bs.keys
 	for id, line := range side.lines {
-		row := id * BatchK
-		if !random {
-			set := int32(line & mask)
-			for k := int32(0); k < BatchK; k++ {
-				o := k*sets + set
-				bs.set[row+int(k)] = o
-				if bs.occ[o]++; bs.occ[o] > maxOcc {
-					conflict |= 1 << k
-				}
+		row := (*[BatchK]int32)(bs.set[id*BatchK:])
+		if random {
+			for k := range row {
+				row[k] = int32(k)*sets + int32(rng.Mix64(line^keys[k])&mask)
 			}
-			continue
+		} else {
+			for k := range row {
+				row[k] = int32(k)*sets + int32(line&mask)
+			}
 		}
-		for k := int32(0); k < BatchK; k++ {
-			o := k*sets + int32(rng.Mix64(line^bs.keys[k])&mask)
-			bs.set[row+int(k)] = o
-			if bs.occ[o]++; bs.occ[o] > maxOcc {
+	}
+	// The tally takes a pass of its own, which keeps its state out of the
+	// hash loop's registers.
+	var conflict uint32
+	tally := bs.tally
+	for id, sp := range side.span {
+		row := (*[BatchK]int32)(bs.set[id*BatchK:])
+		for k, o := range row {
+			t := &tally[o]
+			if t.lines >= ways && t.live > sp.first {
 				conflict |= 1 << k
 			}
+			t.lines++
+			t.live = max(t.live, sp.last)
 		}
 	}
 	return conflict
 }
 
 // overflows reports whether set o (k*sets + set) of the block holds more
-// lines than it has ways, as counted by the last placeBlock. With more
-// distinct lines than a uint16 count holds, a count may have wrapped, so
-// every set overflows: the replay stays exact, it just skips no set.
+// lines than it has ways, as counted by the last placeBlock. A replayed
+// seed replays every overflowing set, including those where it evicts only
+// dead lines.
 func (bs *batchSide) overflows(side *compiledSide, o int32) bool {
-	return len(side.lines) > math.MaxUint16 || int(bs.occ[o]) > side.ways
+	return int(bs.tally[o].lines) > side.ways
 }
 
 // replayOverflow replays seed k of the block under random replacement, its
@@ -304,7 +325,7 @@ func (bs *batchSide) addLineMisses(side *compiledSide, k int, lines []uint64) {
 	}
 }
 
-// replayLRU walks the cache's ID sequence for the overflowing seeds in
+// replayLRU walks the cache's ID sequence for the replayed seeds in
 // conflict with full cache.AccessLine semantics under LRU replacement: the
 // hit scan, a fill of the first empty way, and the least recently used
 // victim. The tick is the access's position in the cache's sequence, which
@@ -371,12 +392,14 @@ func (bs *batchSide) replayLRU(side *compiledSide, conflict uint32, misses *[Bat
 // line and the heap's top. A miss fills its line's set, or, when the set is
 // full, evicts the victim its draw picks. An evicted line whose last access
 // lies before the miss leaves for good; any other re-enters at its first
-// access after the miss, found by bisecting its posting list, and when that
-// access comes before both the cursor and the heap's top it is the next
-// miss, taken without a heap operation. Misses and draws fall at the same
-// positions, in the same order, as in a walk of every access. The campaign
-// replay hands it a seed's lines in overflowing sets; PinnedMisses hands it
-// a TAC conflict group forced into one set.
+// access after the miss. That access is found by galloping along its
+// posting list from the posting after its last miss (cur+1, where most
+// returning lines re-enter), doubling the step, and bisecting only within
+// the last step. When that access comes before both the cursor and the
+// heap's top it is the next miss, taken without a heap operation. Misses
+// and draws fall at the same positions, in the same order, as in a walk of
+// every access. The campaign replay hands it a seed's lines in overflowing
+// sets; PinnedMisses hands it a TAC conflict group forced into one set.
 type MissReplay struct {
 	ln    []lineRun // the replayed lines, in order of first access
 	heap  []uint64  // evicted lines that come back: next access << 32 | index in ln
@@ -461,13 +484,23 @@ func (r *MissReplay) run(post, slots []int32, ways int, gen *rng.Xoshiro256) int
 				break
 			}
 			// The evicted line re-enters at its first access after pos,
-			// which its last posting bounds.
+			// which its last posting bounds. Gallop from cur+1: while the
+			// probe lies before pos, step past it, doubling the step, then
+			// bisect within the last step.
 			lo, hi := o.cur+1, o.end-1
-			for lo < hi {
-				if mid := int32(uint32(lo+hi) >> 1); post[mid] <= pos {
-					lo = mid + 1
-				} else {
-					hi = mid
+			if post[lo] <= pos {
+				step := int32(1)
+				for lo+step < hi && post[lo+step] <= pos {
+					lo += step
+					step <<= 1
+				}
+				lo, hi = lo+1, min(lo+step, hi)
+				for lo < hi {
+					if mid := int32(uint32(lo+hi) >> 1); post[mid] <= pos {
+						lo = mid + 1
+					} else {
+						hi = mid
+					}
 				}
 			}
 			o.cur = lo

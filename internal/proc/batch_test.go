@@ -89,8 +89,8 @@ func TestBatchCampaignMatchesPerSeed(t *testing.T) {
 	}
 }
 
-// replayShape is a cache geometry and a trace for the misses-only replay
-// of random replacement, beyond the default platform.
+// replayShape is a cache geometry and a trace for the compiled replay,
+// beyond the default platform.
 type replayShape struct {
 	name       string
 	sets, ways int
@@ -99,8 +99,10 @@ type replayShape struct {
 
 // replayShapes covers associativity that is not a power of two, traces
 // with more distinct lines than sets × ways (every seed overflows), a
-// 1-set cache, and lines of an overflowing set evicted after their last
-// access, so that their posting lists run out.
+// 1-set cache, lines of an overflowing set evicted after their last
+// access, so that their posting lists run out, and lines that live in
+// disjoint bursts, beside a hot line or alone, so that many overflowing
+// seeds evict only dead lines.
 func replayShapes(gen *rng.Xoshiro256) []replayShape {
 	// D..H are accessed once each, then A, B and C take over the one set:
 	// every line D..H is evicted after its last access.
@@ -111,59 +113,127 @@ func replayShapes(gen *rng.Xoshiro256) []replayShape {
 		{"over-capacity", 4, 2, lineTrace(gen, 400, 24)},
 		{"1-set", 1, 3, lineTrace(gen, 300, 6)},
 		{"postings-run-out", 1, 2, runOut},
+		{"hot-and-bursts", 8, 2, trace.Concat(burstTrace(trace.Data, 20, 3, true),
+			burstTrace(trace.Instr, 12, 2, true))},
+		{"bursts", 2, 2, trace.Concat(burstTrace(trace.Data, 16, 3, false),
+			burstTrace(trace.Instr, 9, 2, false))},
 	}
 }
 
-// shapeModels returns the models of a replay shape: its geometry on both
-// caches, random replacement, under both placements.
-func shapeModels(sh replayShape) []Model {
-	var out []Model
-	for _, p := range []cache.PlacementPolicy{cache.RandomPlacement, cache.ModuloPlacement} {
-		m := DefaultModel()
-		for _, c := range []*cache.Config{&m.IL1, &m.DL1} {
-			c.Sets, c.Ways, c.Placement = sh.sets, sh.ways, p
+// burstTrace builds accesses of one kind to lines 1..bursts, each line
+// accessed reps times in a burst of its own and never again. With hot set,
+// line 0 is also accessed before every access of a burst and once at the
+// end, so it is live across the whole trace while every other line lives
+// only within its burst: the shape of ns's DL1 accesses, where a seed
+// evicts a live line only when a line arrives at the hot line's full set.
+func burstTrace(kind trace.Kind, bursts, reps int, hot bool) trace.Trace {
+	var tr trace.Trace
+	for b := 1; b <= bursts; b++ {
+		for r := 0; r < reps; r++ {
+			if hot {
+				tr = append(tr, trace.Access{Addr: 0, Kind: kind})
+			}
+			tr = append(tr, trace.Access{Addr: uint64(b) * 32, Kind: kind})
 		}
-		out = append(out, m)
+	}
+	if hot {
+		tr = append(tr, trace.Access{Addr: 0, Kind: kind})
+	}
+	return tr
+}
+
+// shapeModels returns the models of a replay shape: its geometry on both
+// caches, under all four placement/replacement pairs.
+func shapeModels(sh replayShape) []Model {
+	out := policyCombos()
+	for i := range out {
+		for _, c := range []*cache.Config{&out[i].IL1, &out[i].DL1} {
+			c.Sets, c.Ways = sh.sets, sh.ways
+		}
 	}
 	return out
 }
 
 // TestPlaceBlockFlagsOverflowingSets pins the set accounting the replay
-// relies on against cache.Cache.SetOf: placeBlock flags exactly the seeds
-// that map more than Ways lines into some set, and overflows holds for
-// exactly those sets. A set holding Ways lines never evicts, so it must not
-// count as overflowing.
+// relies on against cache.Cache.SetOf and the trace. overflows holds for
+// exactly the sets of a seed that hold more than Ways lines; a set holding
+// Ways lines never evicts, so it must not count as overflowing. placeBlock
+// flags exactly the seeds where a line, arriving in order of first access
+// at a set that already holds Ways or more lines, finds one of them still
+// to be accessed after that first access; every other seed, overflowing or
+// not, evicts only dead lines. The shapes must show both flagged and
+// unflagged overflowing seeds under both replacement policies.
 func TestPlaceBlockFlagsOverflowingSets(t *testing.T) {
 	gen := rng.New(0x0CC)
+	// Overflowing seeds seen, [replacement policy][unflagged, flagged].
+	var seen [2][2]int
 	for _, sh := range replayShapes(gen) {
 		for _, m := range shapeModels(sh) {
+			// The DL1 lines in order of first access, with their first and
+			// last positions in the DL1 access sequence.
+			var order []uint64
+			first, last := map[uint64]int{}, map[uint64]int{}
+			pos := 0
+			for _, a := range sh.tr {
+				if a.Kind != trace.Data {
+					continue
+				}
+				line := a.Addr >> m.DL1.LineShift()
+				if _, ok := first[line]; !ok {
+					first[line] = pos
+					order = append(order, line)
+				}
+				last[line] = pos
+				pos++
+			}
 			ct := Compile(sh.tr, m)
 			bs := &batchSide{cfg: m.DL1}
 			side := &ct.dl1
-			var seeds [BatchK]uint64
-			for k := range seeds {
-				seeds[k] = gen.Uint64()
-			}
-			conflict := bs.placeBlock(side, &seeds)
-			for k, seed := range seeds {
-				c := cache.New(m.DL1, seed)
-				occ := map[int]int{}
-				for _, line := range side.lines {
-					occ[c.SetOf(line)]++
+			for blk := 0; blk < 4; blk++ {
+				var seeds [BatchK]uint64
+				for k := range seeds {
+					seeds[k] = gen.Uint64()
 				}
-				over := false
-				for set := 0; set < side.sets; set++ {
-					want := occ[set] > side.ways
-					over = over || want
-					if got := bs.overflows(side, int32(k*side.sets+set)); got != want {
-						t.Fatalf("%s: seed %d set %d holds %d lines of %d ways: overflows = %v",
-							sh.name, k, set, occ[set], side.ways, got)
+				conflict := bs.placeBlock(side, &seeds)
+				for k, seed := range seeds {
+					c := cache.New(m.DL1, seed)
+					held := map[int][]uint64{} // per set, the lines arrived so far
+					flag := false
+					for _, line := range order {
+						set := c.SetOf(line)
+						if len(held[set]) >= side.ways {
+							for _, e := range held[set] {
+								flag = flag || last[e] > first[line]
+							}
+						}
+						held[set] = append(held[set], line)
+					}
+					over := false
+					for set := 0; set < side.sets; set++ {
+						want := len(held[set]) > side.ways
+						over = over || want
+						if got := bs.overflows(side, int32(k*side.sets+set)); got != want {
+							t.Fatalf("%s: seed %d set %d holds %d lines of %d ways: overflows = %v",
+								sh.name, k, set, len(held[set]), side.ways, got)
+						}
+					}
+					if got := conflict&(1<<k) != 0; got != flag {
+						t.Fatalf("%s, %+v: seed %d conflict bit %v, want %v (overflowing: %v)",
+							sh.name, m.DL1, k, got, flag, over)
+					}
+					if over && flag {
+						seen[m.DL1.Replacement][1]++
+					} else if over {
+						seen[m.DL1.Replacement][0]++
 					}
 				}
-				if got := conflict&(1<<k) != 0; got != over {
-					t.Fatalf("%s: seed %d conflict bit %v, want %v", sh.name, k, got, over)
-				}
 			}
+		}
+	}
+	for r, n := range seen {
+		if n[0] == 0 || n[1] == 0 {
+			t.Errorf("replacement policy %d: %d unflagged and %d flagged overflowing seeds, want both",
+				r, n[0], n[1])
 		}
 	}
 }
@@ -322,7 +392,9 @@ func assertLineMissesMatch(t *testing.T, label string, m Model, tr trace.Trace, 
 // jitter (0 or 3); every further byte, up to 512, is one access: the low
 // six bits pick one of 64 lines, bit 6 the cache. A campaign of 2·BatchK+3
 // runs must equal the reference replay run for run, and LineMisses must
-// equal a reseeded cache.Cache's per-line sums.
+// equal a reseeded cache.Cache's per-line sums. Two seeds are burst-shaped:
+// a hot line beside bursts at 8 sets × 2 ways under random replacement
+// with jitter, and bare bursts at 2 sets × 2 ways under LRU.
 func FuzzCampaignMatchesReference(f *testing.F) {
 	f.Add([]byte{0x00, 0x00}, uint64(1))
 	f.Add(append([]byte{0x0A, 0x00}, []byte("ABCDEFGHABABCDABCABAB")...), uint64(2))
@@ -330,6 +402,10 @@ func FuzzCampaignMatchesReference(f *testing.F) {
 	f.Add(append([]byte{0x1B, 0x01}, []byte("\x00\x10\x20\x30\x40\x50\x00\x10\x20\x40\x50\x30\x00")...), uint64(4))
 	f.Add(append([]byte{0x14, 0x06}, []byte("@ABC@ABC@ABD@ABE@ABFGHIJKLMNOP@A@B@C")...), uint64(5))
 	f.Add(append([]byte{0x03, 0x03}, []byte("0123456789:;<=>?0123456789")...), uint64(6))
+	f.Add(append([]byte{0x08, 0x04}, fuzzAccesses(trace.Concat(burstTrace(trace.Data, 20, 3, true),
+		burstTrace(trace.Instr, 8, 2, true)))...), uint64(7))
+	f.Add(append([]byte{0x0B, 0x02}, fuzzAccesses(trace.Concat(burstTrace(trace.Data, 12, 3, false),
+		burstTrace(trace.Instr, 6, 2, false)))...), uint64(8))
 	f.Fuzz(func(t *testing.T, data []byte, root uint64) {
 		if len(data) < 2 {
 			return
@@ -368,6 +444,20 @@ func FuzzCampaignMatchesReference(f *testing.F) {
 		}
 		assertLineMissesMatch(t, "fuzz", m, tr, n)
 	})
+}
+
+// fuzzAccesses encodes a trace over lines 0..63 as the accesses of a
+// FuzzCampaignMatchesReference input: one byte per access, the line in the
+// low six bits and bit 6 set for an instruction.
+func fuzzAccesses(tr trace.Trace) []byte {
+	out := make([]byte, len(tr))
+	for i, a := range tr {
+		out[i] = byte(a.Addr/32) & 63
+		if a.Kind == trace.Instr {
+			out[i] |= 64
+		}
+	}
+	return out
 }
 
 // TestSharedCompiledConcurrentWorkers replays one shared CompiledTrace from

@@ -18,8 +18,11 @@ import (
 // its accesses in the cache's ID sequence, at 4 bytes per access. With
 // them the replay of random replacement jumps from miss to miss instead of
 // walking every access, and package tac's index and pinned replay read the
-// same lists. Results are bit-identical to the reference replay; the tests
-// in golden_test.go, compile_test.go and batch_test.go enforce this.
+// same lists. Each line's first and last access are also kept side by side,
+// so that placement can tell whether a line arriving at a full set meets a
+// line that is still live. Results are bit-identical to the reference
+// replay; the tests in golden_test.go, compile_test.go and batch_test.go
+// enforce this.
 
 // CompiledTrace is a trace pre-projected onto the line geometry of a
 // platform model: per cache, its distinct line addresses, its accesses as
@@ -33,13 +36,14 @@ type CompiledTrace struct {
 
 // compiledSide is the per-cache projection: the distinct line addresses in
 // first-appearance order (the dense ID of a line is its index), the cache's
-// accesses in trace order as dense IDs, the posting lists, and the geometry
-// it was compiled against.
+// accesses in trace order as dense IDs, the posting lists, each line's
+// first and last access, and the geometry it was compiled against.
 type compiledSide struct {
 	lines []uint64
 	ids   []int32
-	off   []int32 // line id's positions in ids are post[off[id]:off[id+1]]
-	post  []int32 // concatenated posting lists, each ascending
+	off   []int32    // line id's positions in ids are post[off[id]:off[id+1]]
+	post  []int32    // concatenated posting lists, each ascending
+	span  []lineSpan // per line id: post[off[id]] and post[off[id+1]-1]
 	sets  int
 	ways  int
 	shift uint // byte-address-to-line shift the projection used
@@ -52,6 +56,10 @@ func (ct *CompiledTrace) side(k trace.Kind) *compiledSide {
 	}
 	return &ct.dl1
 }
+
+// lineSpan is a line's first and last access, as positions in its cache's
+// ID sequence.
+type lineSpan struct{ first, last int32 }
 
 // Len returns the number of accesses in the compiled trace.
 func (ct *CompiledTrace) Len() int { return len(ct.il1.ids) + len(ct.dl1.ids) }
@@ -114,7 +122,7 @@ func Compile(tr trace.Trace, m Model) *CompiledTrace {
 // index builds the side's posting lists from its ID sequence: a counting
 // pass sizes each list, and a second pass fills each list through its
 // start offset, which leaves every offset at the next list's start until
-// one shift puts them back.
+// one shift puts them back. Each line's span is its list's ends.
 func (cs *compiledSide) index() {
 	cs.off = make([]int32, len(cs.lines)+1)
 	for _, id := range cs.ids {
@@ -130,6 +138,10 @@ func (cs *compiledSide) index() {
 	}
 	copy(cs.off[1:], cs.off)
 	cs.off[0] = 0
+	cs.span = make([]lineSpan, len(cs.lines))
+	for id := range cs.span {
+		cs.span[id] = lineSpan{cs.post[cs.off[id]], cs.post[cs.off[id+1]-1]}
+	}
 }
 
 // matches reports whether the projection was compiled for cache geometry
