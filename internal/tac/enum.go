@@ -3,7 +3,6 @@ package tac
 import (
 	"context"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"pubtac/internal/cache"
@@ -13,27 +12,26 @@ import (
 	"pubtac/internal/trace"
 )
 
-// This file is the default group enumeration: candidates are screened by a
-// reuse-distance prefilter computed from the index (index.go), survivors
-// replay once per PinSeeds replacement stream through proc's misses-only
-// replay with every group line in one set (proc.MissReplay.PinnedMisses, on
-// the compilation's posting lists), and, when Config.Workers allows,
-// surviving groups fan out over a bounded worker pool with deterministic
-// ordered collection. The produced Analysis is bit-identical to the
-// reference enumeration (tac.go): the prefilter bound provably dominates
-// the replayed impact, so it only discards groups the relevance threshold
-// would discard anyway, and every replacement draw of a surviving group's
-// replay reproduces the reference order.
+// This file is the default group enumeration. It walks the reference
+// enumeration's combinations of hot lines (combinations, tac.go) in the
+// same order and replays every candidate group once per PinSeeds
+// replacement stream through proc's misses-only replay, with every group
+// line in one set (proc.MissReplay.PinnedMisses, on the compilation's
+// posting lists held by the index, index.go). When Config.Workers allows,
+// the groups fan out over a bounded worker pool that writes each impact at
+// its group's index. Every replay draws the reference scan's victims at the
+// same misses, and each group's baseline sum is taken in the same order, so
+// the Analysis is bit-identical to the reference arm's.
 
 // evalChunk is the work-stealing granularity of the parallel evaluation:
-// workers claim this many surviving groups per atomic fetch.
+// workers claim this many candidate groups per atomic fetch.
 const evalChunk = 8
 
-// minParallelGroups is the smallest survivor count worth fanning out;
+// minParallelGroups is the smallest candidate count worth fanning out;
 // below it, goroutine startup would rival the replays themselves.
 const minParallelGroups = 16
 
-// analyzeCacheIndexed enumerates and evaluates conflict groups for one
+// analyzeCacheIndexed lists and evaluates the conflict groups of one
 // cache through the posting-list index, built on the side's dense line-ID
 // projection in ct and on eng's per-line baseline replay (buildSideIndex).
 // It mirrors analyzeCacheReference decision for decision; see the file
@@ -44,52 +42,29 @@ func analyzeCacheIndexed(ct *proc.CompiledTrace, eng *proc.Engine, kind trace.Ki
 	cfg Config, missCost, baselineMean float64) []Group {
 
 	sx := buildSideIndex(ct, eng, kind, cfg)
-	h := len(sx.hot)
 	w := cfgC.Ways
-	maxK := w + 1 + cfg.MaxExtraWays
-	if maxK > h {
-		maxK = h
-	}
-	thresh := cfg.MinImpactRel * baselineMean
-	// The prefilter bound dominates the replayed impact only when extra
-	// misses cannot lower the impact (missCost >= 0) and the replay itself
-	// is well-defined (PinSeeds > 0; a zero-seed replay yields NaN impacts
-	// that the threshold comparison keeps, so nothing may be pruned). A NaN
-	// threshold (BaselineSeeds = 0) likewise keeps everything in the
-	// reference arm — "impact < NaN" is false — so pruning against it
-	// ("bound >= NaN", also false) would invert the contract.
-	prefilter := missCost >= 0 && cfg.PinSeeds > 0 && !math.IsNaN(thresh)
-
+	maxK := min(w+1+cfg.MaxExtraWays, len(sx.hot))
 	var out []Group
-	var cands []uint16
-	var bounds, baseSums []float64
+	var cands []int32
 	for k := w + 1; k <= maxK; k++ {
-		// Presize the survivor lists to the candidate count (bounded: when
-		// the prefilter prunes aggressively the worst case would be pure
-		// waste, and append growth amortizes the rest). cands is checked
-		// separately — a later, larger k needs k more slots per candidate.
-		if want := binomialCapped(h, k, 1024); cap(bounds) < want || cap(cands) < want*k {
-			cands = make([]uint16, 0, want*k)
-			bounds = make([]float64, 0, want)
-			baseSums = make([]float64, 0, want)
-		}
-		cands, bounds, baseSums = sx.enumerate(k, missCost, thresh, prefilter,
-			cands[:0], bounds[:0], baseSums[:0])
-		n := len(bounds)
-		if n == 0 {
-			continue
-		}
-		impacts := sx.evalCands(cands, bounds, k, w, cfg)
+		// cands packs k hot indices per group, in combinations' order.
+		cands = cands[:0]
+		combinations(len(sx.hot), k, func(idx []int) {
+			for _, hi := range idx {
+				cands = append(cands, int32(hi))
+			}
+		})
 		prob := math.Pow(1/float64(cfgC.Sets), float64(k-1))
-		for i := 0; i < n; i++ {
-			impact := (impacts[i] - baseSums[i]) * missCost
-			if impact < thresh {
+		for i, pinned := range sx.evalCands(cands, k, w, cfg) {
+			cand := cands[i*k : (i+1)*k]
+			var baseSum float64
+			for _, hi := range cand {
+				baseSum += sx.base[hi]
+			}
+			impact := (pinned - baseSum) * missCost
+			if impact < cfg.MinImpactRel*baselineMean {
 				continue
 			}
-			// Group.Lines is allocated here, for survivors of the relevance
-			// threshold only — candidates discarded by the prefilter or the
-			// replay never materialize a lines slice.
-			cand := cands[i*k : (i+1)*k]
 			lines := make([]uint64, k)
 			for j, hi := range cand {
 				lines[j] = sx.hot[hi]
@@ -100,117 +75,23 @@ func analyzeCacheIndexed(ct *proc.CompiledTrace, eng *proc.Engine, kind trace.Ki
 	return out
 }
 
-// enumerate visits every size-k hot-line combination in the reference
-// order, applies the reuse-distance prefilter, and appends the survivors'
-// packed hot indices, impact upper bounds and baseline sums. The bound per
-// line b of a group G is min(occ_b, 1 + sum_{a in G} itl[a][b]): the first
-// access is the only possible cold miss, and every further miss of b needs
-// another group line accessed (and itself missing) inside b's reuse gap —
-// a union bound over the pairwise interleavings, sound for random
-// replacement where LRU-style "W distinct lines intervene" reasoning is
-// not (a single interfering miss can evict b). Summed over the group and
-// run through the same float operations as the real impact, the bound
-// dominates it, so bound < thresh implies the reference arm would discard
-// the group too.
-func (sx *sideIndex) enumerate(k int, missCost, thresh float64, prefilter bool,
-	cands []uint16, bounds, baseSums []float64) ([]uint16, []float64, []float64) {
-
-	h := len(sx.hot)
-	if k > h || k <= 0 {
-		return cands, bounds, baseSums
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		var pot int64
-		var baseSum float64
-		for _, b := range idx {
-			s := int64(1)
-			for _, a := range idx {
-				if a != b {
-					s += int64(sx.itl[a*h+b])
-				}
-			}
-			if o := int64(sx.occ[b]); o < s {
-				s = o
-			}
-			pot += s
-			baseSum += sx.base[b]
-		}
-		bound := (float64(pot) - baseSum) * missCost
-		if !prefilter || bound >= thresh {
-			for _, b := range idx {
-				cands = append(cands, uint16(b))
-			}
-			bounds = append(bounds, bound)
-			baseSums = append(baseSums, baseSum)
-		}
-		// Advance to the next combination (same order as combinations).
-		i := k - 1
-		for i >= 0 && idx[i] == h-k+i {
-			i--
-		}
-		if i < 0 {
-			return cands, bounds, baseSums
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
-}
-
-// binomialCapped returns C(n, k) clamped to limit (and on overflow).
-func binomialCapped(n, k, limit int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	v := 1
-	for i := 1; i <= k; i++ {
-		v = v * (n - k + i) / i
-		if v >= limit || v < 0 {
-			return limit
-		}
-	}
-	return v
-}
-
-// evalCands computes every surviving candidate's mean pinned miss count.
-// With Workers > 1 and enough survivors, groups fan out over a bounded
-// pool.Group: workers claim bound-descending chunks (heaviest replays
-// first, for load balance) but write into impacts by candidate index, so
-// the result — and therefore the Analysis — is independent of the worker
-// count and schedule.
-func (sx *sideIndex) evalCands(cands []uint16, bounds []float64, k, ways int, cfg Config) []float64 {
-	n := len(bounds)
+// evalCands returns the mean pinned miss count of every candidate group in
+// cands, k hot indices per group. With Workers > 1 and enough groups, the
+// groups fan out over a bounded pool.Group: workers claim chunks in index
+// order and write each mean at its group's index, so the result — and
+// therefore the Analysis — is independent of the worker count and
+// schedule.
+func (sx *sideIndex) evalCands(cands []int32, k, ways int, cfg Config) []float64 {
+	n := len(cands) / k
 	impacts := make([]float64, n)
-	workers := cfg.Workers
-	if workers > (n+evalChunk-1)/evalChunk {
-		workers = (n + evalChunk - 1) / evalChunk
-	}
+	workers := min(cfg.Workers, (n+evalChunk-1)/evalChunk)
 	if workers <= 1 || n < minParallelGroups {
 		st := newPinState(cfg)
-		for i := 0; i < n; i++ {
+		for i := range impacts {
 			impacts[i] = st.eval(sx, cands[i*k:(i+1)*k], ways, cfg)
 		}
 		return impacts
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		oa, ob := order[a], order[b]
-		if bounds[oa] != bounds[ob] {
-			return bounds[oa] > bounds[ob]
-		}
-		return oa < ob
-	})
 	var next atomic.Int64
 	g, _ := pool.WithContext(context.Background())
 	g.SetLimit(workers)
@@ -222,12 +103,8 @@ func (sx *sideIndex) evalCands(cands []uint16, bounds []float64, k, ways int, cf
 				if lo >= n {
 					return nil
 				}
-				hi := lo + evalChunk
-				if hi > n {
-					hi = n
-				}
-				for _, i := range order[lo:hi] {
-					impacts[i] = st.eval(sx, cands[int(i)*k:(int(i)+1)*k], ways, cfg)
+				for i := lo; i < min(lo+evalChunk, n); i++ {
+					impacts[i] = st.eval(sx, cands[i*k:(i+1)*k], ways, cfg)
 				}
 			}
 		})
@@ -264,7 +141,7 @@ func newPinState(cfg Config) *pinState {
 // at the same positions and with the same draws as the reference scan, and
 // integer miss totals sum exactly in a float64, so the mean is
 // bit-identical.
-func (st *pinState) eval(sx *sideIndex, cand []uint16, ways int, cfg Config) float64 {
+func (st *pinState) eval(sx *sideIndex, cand []int32, ways int, cfg Config) float64 {
 	st.ids = st.ids[:0]
 	for _, hi := range cand {
 		st.ids = append(st.ids, sx.ids[hi])

@@ -1,14 +1,13 @@
 package tac
 
 import (
-	"math"
 	"testing"
 
 	"pubtac/internal/proc"
 	"pubtac/internal/trace"
 )
 
-// fuzzGeometries are the cache geometries FuzzBoundDominatesImpact picks
+// fuzzGeometries are the cache geometries FuzzIndexedMatchesReference picks
 // from, the ones the fixed-trace oracles above use.
 var fuzzGeometries = []struct{ sets, ways int }{{8, 4}, {64, 2}, {8, 2}, {8, 1}}
 
@@ -52,14 +51,11 @@ func encodeTACInput(head byte, tr trace.Trace) []byte {
 	return out
 }
 
-// FuzzBoundDominatesImpact holds TAC's reuse-distance prefilter to its
-// reference on fuzzed traces, geometries and policies. On each cache, every
-// candidate group's prefilter bound must be >= the impact its pinned replay
-// gives (TestBoundDominatesImpact's invariant, with the threshold disarmed so
-// every candidate is checked). The indexed enumeration (Analyze) must equal
+// FuzzIndexedMatchesReference holds TAC's indexed enumeration to its
+// reference on fuzzed traces, geometries and policies: Analyze must equal
 // the full-scan reference arm, and Workers 1 and 4 must give equal
 // analyses.
-func FuzzBoundDominatesImpact(f *testing.F) {
+func FuzzIndexedMatchesReference(f *testing.F) {
 	for i, tc := range adversarialTraces() {
 		f.Add(encodeTACInput(byte(i*5)&31, tc.tr))
 	}
@@ -75,32 +71,6 @@ func FuzzBoundDominatesImpact(f *testing.F) {
 			return
 		}
 		tr, m, cfg := decodeTACInput(data)
-
-		missCost := float64(m.Lat.Miss - m.Lat.Hit)
-		ct := proc.Compile(tr, m)
-		eng := proc.NewEngine(m)
-		eng.SetCompiled(ct, tr)
-		for _, side := range []struct {
-			kind trace.Kind
-			ways int
-		}{{trace.Instr, m.IL1.Ways}, {trace.Data, m.DL1.Ways}} {
-			if len(ct.SideLines(side.kind)) == 0 {
-				continue
-			}
-			sx := buildSideIndex(ct, eng, side.kind, cfg)
-			st := newPinState(cfg)
-			for k := side.ways + 1; k <= side.ways+1+cfg.MaxExtraWays && k <= len(sx.hot); k++ {
-				cands, bounds, baseSums := sx.enumerate(k, missCost, math.Inf(-1), true, nil, nil, nil)
-				for i := range bounds {
-					cand := cands[i*k : (i+1)*k]
-					impact := (st.eval(sx, cand, side.ways, cfg) - baseSums[i]) * missCost
-					if impact > bounds[i] {
-						t.Fatalf("%v k=%d group %v: impact %v exceeds bound %v", side.kind, k, cand, impact, bounds[i])
-					}
-				}
-			}
-		}
-
 		want, err := analyzeReference(tr, m, cfg)
 		if err != nil {
 			t.Fatal(err)

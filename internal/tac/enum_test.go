@@ -2,12 +2,13 @@ package tac
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
 	"pubtac/internal/cache"
+	"pubtac/internal/malardalen"
 	"pubtac/internal/proc"
+	"pubtac/internal/pub"
 	"pubtac/internal/rng"
 	"pubtac/internal/trace"
 )
@@ -41,10 +42,10 @@ func policyModels(sets, ways int) []struct {
 }
 
 // adversarialTraces builds the enumeration's worst cases: fully
-// interleaved accesses (every reuse gap crowded, nothing prunable),
-// never-interleaved phase blocks (everything prunable), tie-heavy hot
-// counts (hot-line ordering decided by the address tie-break alone), a
-// mixed instruction+data trace, and a seeded random trace.
+// interleaved accesses (every group thrashes), never-interleaved phase
+// blocks (every group misses once per line), tie-heavy hot counts
+// (hot-line ordering decided by the address tie-break alone), a mixed
+// instruction+data trace, and a seeded random trace.
 func adversarialTraces() []struct {
 	name string
 	tr   trace.Trace
@@ -135,11 +136,11 @@ func analyzeReference(tr trace.Trace, model proc.Model, cfg Config) (*Analysis, 
 }
 
 // TestIndexedMatchesReference is the bit-identity oracle of the
-// enumeration: the posting-list + prefilter arm (analyzeCacheIndexed) must
-// reproduce the reference arm (analyzeCacheReference, behind
-// analyzeCompiled's reference seam) exactly
-// across all four policy combinations, both MaxExtraWays settings, several
-// HotLines budgets and the adversarial traces.
+// enumeration: the posting-list arm (analyzeCacheIndexed) must reproduce
+// the reference arm (analyzeCacheReference, behind analyzeCompiled's
+// reference seam) exactly across all four policy combinations, both
+// MaxExtraWays settings, several HotLines budgets and the adversarial
+// traces.
 func TestIndexedMatchesReference(t *testing.T) {
 	for _, geom := range []struct{ sets, ways int }{{8, 4}, {64, 2}} {
 		for _, pm := range policyModels(geom.sets, geom.ways) {
@@ -166,6 +167,44 @@ func TestIndexedMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIndexedMatchesReferenceOnPaperPaths holds the enumeration to the
+// reference arm on real traffic: every benchmark's pubbed default path on
+// the default platform, with and without an extra way, on one worker and
+// on two.
+func TestIndexedMatchesReferenceOnPaperPaths(t *testing.T) {
+	model := proc.DefaultModel()
+	groups := 0
+	for _, bm := range malardalen.All() {
+		pubbed, _, err := pub.Transform(bm.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := pubbed.MustExec(bm.Default()).Trace
+		for _, extra := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s/extra%d", bm.Name, extra), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.MaxExtraWays = extra
+				want, err := analyzeReference(tr, model, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				groups += len(want.Groups)
+				for _, workers := range []int{1, 2} {
+					cfg.Workers = workers
+					got, err := Analyze(tr, model, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameAnalysis(t, want, got)
+				}
+			})
+		}
+	}
+	if groups == 0 {
+		t.Fatal("no relevant group on any paper path")
 	}
 }
 
@@ -198,10 +237,9 @@ func TestIndexedMatchesReferenceLooseThreshold(t *testing.T) {
 
 // TestIndexedMatchesReferenceDegenerateSeeds pins the arms together on
 // degenerate seed configurations: BaselineSeeds = 0 makes the baseline
-// mean — and with it the relevance threshold — NaN, which the reference
-// arm's "impact < NaN" keeps, so the prefilter must disarm rather than
-// prune against it (and a zero-seed pinned replay's NaN impacts likewise
-// may not be pre-pruned).
+// mean, and with it the relevance threshold, NaN, and PinSeeds = 0 makes
+// every impact NaN. "impact < NaN" and "NaN < threshold" are both false,
+// so both arms keep every candidate group.
 func TestIndexedMatchesReferenceDegenerateSeeds(t *testing.T) {
 	tr := trace.Repeat(trace.FromLetters("ABCDEFGH", 32), 200)
 	for _, mut := range []func(*Config){
@@ -260,37 +298,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPrefilterPrunesNeverInterleaved checks the reuse-distance prefilter
-// actually prunes: on a phase-block trace no reuse gap contains another
-// hot line, so every candidate's miss bound collapses to the cold misses
-// and the enumeration must discard all of them without a single replay.
-func TestPrefilterPrunesNeverInterleaved(t *testing.T) {
-	var blocks []uint64
-	for l := uint64(0); l < 8; l++ {
-		for i := 0; i < 50; i++ {
-			blocks = append(blocks, l)
-		}
-	}
-	cfg := DefaultConfig()
-	cfgC := cache.Config{Sets: 8, Ways: 2, LineBytes: 32,
-		Placement: cache.RandomPlacement, Replacement: cache.RandomReplacement}
-	sx := indexSeq(blocks, cfgC, cfg)
-	for i, v := range sx.itl {
-		if v != 0 {
-			t.Fatalf("itl[%d] = %d, want 0 on a never-interleaved trace", i, v)
-		}
-	}
-	// With a realistic threshold the survivors list must be empty.
-	missCost := 24.0
-	baselineMean := 1000.0
-	cands, bounds, _ := sx.enumerate(3, missCost, cfg.MinImpactRel*baselineMean, true, nil, nil, nil)
-	if len(cands) != 0 || len(bounds) != 0 {
-		t.Fatalf("prefilter kept %d candidates on a never-interleaved trace", len(bounds))
-	}
-}
-
-// TestSideIndexPostings verifies postings, occurrence counts and the
-// pairwise interleaving table on a hand-computed sequence.
+// TestSideIndexPostings verifies the hot lines and their postings on a
+// hand-computed sequence.
 func TestSideIndexPostings(t *testing.T) {
 	// Positions:   0 1 2 3 4 5 6
 	// Sequence:    A B A A C B A
@@ -302,23 +311,11 @@ func TestSideIndexPostings(t *testing.T) {
 	if len(sx.hot) != 2 || sx.hot[0] != 10 || sx.hot[1] != 20 {
 		t.Fatalf("hot = %v", sx.hot)
 	}
-	if sx.occ[0] != 4 || sx.occ[1] != 2 {
-		t.Fatalf("occ = %v", sx.occ)
-	}
 	for hi, want := range [][]int32{{0, 2, 3, 6}, {1, 5}} {
 		id := sx.ids[hi]
 		if got := sx.post[sx.off[id]:sx.off[id+1]]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("postings of hot line %d = %v, want %v", hi, got, want)
 		}
-	}
-	// A's gaps: (0,2) contains B@1; (2,3) empty; (3,6) contains B@5.
-	// B's gap: (1,5) contains A@2,3 (counted once).
-	h := len(sx.hot)
-	if got := sx.itl[1*h+0]; got != 2 { // B interfering with A
-		t.Fatalf("itl[B][A] = %d, want 2", got)
-	}
-	if got := sx.itl[0*h+1]; got != 1 { // A interfering with B
-		t.Fatalf("itl[A][B] = %d, want 1", got)
 	}
 }
 
@@ -373,11 +370,11 @@ func TestBatchedPinnedReplayMatchesReference(t *testing.T) {
 				want := pinnedImpact(seq, lines, cfgC, cfg, &scratch)
 
 				sx := indexSeq(seq, cfgC, cfg)
-				cand := make([]uint16, 0, k)
+				cand := make([]int32, 0, k)
 				for _, l := range lines {
 					for hi, hl := range sx.hot {
 						if hl == l {
-							cand = append(cand, uint16(hi))
+							cand = append(cand, int32(hi))
 						}
 					}
 				}
@@ -389,36 +386,6 @@ func TestBatchedPinnedReplayMatchesReference(t *testing.T) {
 				if got != want {
 					t.Fatalf("ways=%d seeds=%d trial=%d: batched %v, reference %v",
 						ways, pinSeeds, trial, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestBoundDominatesImpact checks the prefilter's soundness invariant
-// directly: for every candidate the bound run through the same float
-// pipeline as the impact must be >= the replayed impact.
-func TestBoundDominatesImpact(t *testing.T) {
-	for _, tc := range adversarialTraces() {
-		cfg := DefaultConfig()
-		cfg.MaxExtraWays = 1
-		cfgC := cache.DefaultL1()
-		seq := lineSeq(tc.tr, trace.Data, cfgC.LineBytes)
-		if len(seq) == 0 {
-			seq = lineSeq(tc.tr, trace.Instr, cfgC.LineBytes)
-		}
-		sx := indexSeq(seq, cfgC, cfg)
-		missCost := 24.0
-		for k := cfgC.Ways + 1; k <= cfgC.Ways+2 && k <= len(sx.hot); k++ {
-			// Disable pruning (threshold -inf) so every candidate reaches
-			// the replay with its bound attached.
-			cands, bounds, baseSums := sx.enumerate(k, missCost, math.Inf(-1), true, nil, nil, nil)
-			st := newPinState(cfg)
-			for i := range bounds {
-				impact := (st.eval(sx, cands[i*k:(i+1)*k], cfgC.Ways, cfg) - baseSums[i]) * missCost
-				if impact > bounds[i] {
-					t.Fatalf("%s k=%d cand %d: impact %v exceeds bound %v",
-						tc.name, k, i, impact, bounds[i])
 				}
 			}
 		}

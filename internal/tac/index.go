@@ -11,16 +11,14 @@ import (
 // This file builds the per-cache index behind the default group
 // enumeration (enum.go). The reference enumeration pays a full scan of the
 // side's line sequence for every candidate group; the index is built once
-// per side on proc's compilation and gives three things:
+// per side on proc's compilation and holds:
 //
+//   - the hot lines, in the reference arm's order, with their dense IDs in
+//     the compilation;
 //   - postings: per line, the ascending positions of its accesses — the
 //     compilation's own posting lists (CompiledTrace.SidePostings), which
 //     the pinned replay (proc.MissReplay.PinnedMisses) walks miss by miss
-//     instead of scanning a group's subsequence.
-//   - pairwise interleaving counts: itl[a][b] counts the accesses of b whose
-//     reuse gap (since the previous access of b) contains at least one
-//     access of a. They feed the reuse-distance prefilter's per-group upper
-//     bound on forced-placement misses (see enumerate in enum.go).
+//     instead of scanning a group's subsequence;
 //   - dense baseline misses: the per-line baseline of the reference arm
 //     (baselineLineMisses) — the same BaselineSeeds layouts, replayed by
 //     proc's per-cache replay (Engine.LineMisses) and read back per line ID
@@ -28,16 +26,8 @@ import (
 type sideIndex struct {
 	hot  []uint64 // hot line addresses (count-desc, addr-asc), as hotLines returns
 	ids  []int32  // per hot index: the line's dense ID in the compilation
-	occ  []int32  // per hot index: total accesses of the line
 	off  []int32  // the compilation's posting lists: line id's accesses
 	post []int32  // sit at post[off[id]:off[id+1]]
-
-	// itl[a*H+b] counts the non-first accesses of hot line b whose reuse gap
-	// contains >= 1 access of hot line a (a != b). An access of b can only
-	// miss in a forced-placement replay of a group G when some other line of
-	// G was accessed — and itself missed — inside that gap, so summing the
-	// column over a in G upper-bounds b's non-cold misses (union bound).
-	itl []int32
 
 	// base[h] is the baseline mean miss count of hot line h over
 	// BaselineSeeds unconstrained random layouts — the same value the
@@ -54,38 +44,14 @@ func buildSideIndex(ct *proc.CompiledTrace, eng *proc.Engine, k trace.Kind, cfg 
 	lines := ct.SideLines(k)
 	off, post := ct.SidePostings(k)
 	hotIDs := hotLinesDense(lines, off, cfg.HotLines)
-	h := len(hotIDs)
-	sx := &sideIndex{hot: make([]uint64, h), ids: hotIDs, occ: make([]int32, h), off: off, post: post}
+	sx := &sideIndex{hot: make([]uint64, len(hotIDs)), ids: hotIDs, off: off, post: post}
 	for hi, id := range hotIDs {
 		sx.hot[hi] = lines[id]
-		sx.occ[hi] = off[id+1] - off[id]
-	}
-
-	// Pairwise interleaving: a appears in the reuse gap (p, q) of b when
-	// a's first access after p comes before q. Both posting lists ascend,
-	// so one cursor into a's list serves all of b's gaps.
-	sx.itl = make([]int32, h*h)
-	for b, bid := range hotIDs {
-		pb := post[off[bid]:off[bid+1]]
-		for a, aid := range hotIDs {
-			if a == b {
-				continue
-			}
-			pa, c := post[off[aid]:off[aid+1]], 0
-			for j := 1; j < len(pb); j++ {
-				for c < len(pa) && pa[c] < pb[j-1] {
-					c++
-				}
-				if c < len(pa) && pa[c] < pb[j] {
-					sx.itl[a*h+b]++
-				}
-			}
-		}
 	}
 
 	// Zero baseline seeds leave every mean at 0, as the map arm's empty map
 	// does.
-	sx.base = make([]float64, h)
+	sx.base = make([]float64, len(hotIDs))
 	if n := cfg.BaselineSeeds; n > 0 {
 		seeds := make([]uint64, n)
 		for i := range seeds {

@@ -51,6 +51,7 @@ type Config struct {
 
 	// ImpactTol clusters groups into event classes: a group belongs to the
 	// class of impact level L when its impact is at least (1-ImpactTol)*L.
+	// A negative or NaN tolerance is rejected.
 	ImpactTol float64
 
 	// HotLines bounds the per-cache candidate lines (most accessed first).
@@ -64,7 +65,7 @@ type Config struct {
 	// ProbFloor discards event classes rarer than this per-run probability
 	// (TAC's ignorance threshold: such layouts are too rare to matter at
 	// the certification exceedance level and would demand campaigns of
-	// tens of millions of runs).
+	// tens of millions of runs). A NaN floor is rejected.
 	ProbFloor float64
 
 	// BaselineSeeds and PinSeeds set how many random layouts are averaged
@@ -76,11 +77,11 @@ type Config struct {
 	// Seed roots the deterministic randomness of the analysis itself.
 	Seed uint64
 
-	// Workers bounds the parallel evaluation of the groups surviving the
-	// reuse-distance prefilter (<= 1 evaluates serially). Results are
-	// deterministic and independent of the worker count; package core
-	// threads each path's simulation worker share through here, so
-	// Session-level TAC rides the same pool budget as the campaigns.
+	// Workers bounds the parallel evaluation of the candidate groups (<= 1
+	// evaluates serially). Results are deterministic and independent of the
+	// worker count; package core threads each path's simulation worker
+	// share through here, so Session-level TAC rides the same pool budget
+	// as the campaigns.
 	Workers int
 }
 
@@ -155,12 +156,14 @@ func AnalyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 	return analyzeCompiled(tr, ct, model, cfg, false)
 }
 
-// analyzeCompiled is AnalyzeCompiled with a test seam: reference disables
-// the posting-list enumeration and its reuse-distance prefilter, so every
-// candidate group is evaluated with the original full-sequence scan. The
-// Analysis is bit-identical either way (the prefilter only discards groups
-// whose impact upper bound already fails the relevance threshold); the
-// equivalence tests set it to compare the two arms.
+// analyzeCompiled is AnalyzeCompiled with a test seam. By default each
+// cache's groups come from the indexed enumeration, in three layers: the
+// index on the compilation (index.go), the misses-only pinned replay of
+// every candidate group (proc.MissReplay.PinnedMisses) and the parallel
+// evaluation of the groups (enum.go). reference swaps in the original
+// enumeration, which scans the full line sequence once per candidate. Both
+// arms replay every candidate with the same draws, so the Analysis is
+// bit-identical either way; only the equivalence tests set reference.
 func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, cfg Config,
 	reference bool) (*Analysis, error) {
 	if cfg.MissProb <= 0 || cfg.MissProb >= 1 {
@@ -172,6 +175,15 @@ func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 	if cfg.BaselineSeeds < 0 || cfg.PinSeeds < 0 {
 		return nil, fmt.Errorf("tac: negative seed count (BaselineSeeds %d, PinSeeds %d)",
 			cfg.BaselineSeeds, cfg.PinSeeds)
+	}
+	// classify would drop every class under either: with a negative or NaN
+	// tolerance no group reaches its own class's cutoff, and no probability
+	// reaches a NaN floor.
+	if !(cfg.ImpactTol >= 0) {
+		return nil, fmt.Errorf("tac: ImpactTol %v is negative or NaN", cfg.ImpactTol)
+	}
+	if math.IsNaN(cfg.ProbFloor) {
+		return nil, fmt.Errorf("tac: ProbFloor is NaN")
 	}
 	a := &Analysis{}
 
@@ -192,11 +204,6 @@ func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 	}
 	a.BaselineMean = sum / float64(cfg.BaselineSeeds)
 	missCost := float64(model.Lat.Miss - model.Lat.Hit)
-
-	// The indexed enumeration packs hot-line indices into uint16 work lists;
-	// configurations beyond that (absurd for TAC's combinatorial candidate
-	// space) fall back to the reference arm.
-	reference = reference || cfg.HotLines > math.MaxUint16
 
 	for _, side := range []struct {
 		kind trace.Kind
@@ -249,7 +256,7 @@ func lineSeq(tr trace.Trace, k trace.Kind, lineBytes int) []uint64 {
 	return seq
 }
 
-// analyzeCacheReference enumerates and evaluates conflict groups for one
+// analyzeCacheReference lists and evaluates the conflict groups of one
 // cache by scanning the full line sequence once per candidate — the
 // original TAC arm, kept behind analyzeCompiled's reference seam as the
 // equivalence oracle for the indexed enumeration (enum.go).

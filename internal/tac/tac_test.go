@@ -245,6 +245,25 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Analyze(tr, paperModel(), bad); err == nil {
 		t.Fatal("expected error for PinSeeds=-1")
 	}
+	// classify would drop every class under these, and the campaign would
+	// lose TAC's sizing without a word.
+	for _, tol := range []float64{-0.1, math.NaN()} {
+		bad = DefaultConfig()
+		bad.ImpactTol = tol
+		if _, err := Analyze(tr, paperModel(), bad); err == nil {
+			t.Fatalf("expected error for ImpactTol=%v", tol)
+		}
+	}
+	bad = DefaultConfig()
+	bad.ProbFloor = math.NaN()
+	if _, err := Analyze(tr, paperModel(), bad); err == nil {
+		t.Fatal("expected error for ProbFloor=NaN")
+	}
+	ok := DefaultConfig()
+	ok.ImpactTol = 0
+	if _, err := Analyze(tr, paperModel(), ok); err != nil {
+		t.Fatalf("ImpactTol=0: %v", err)
+	}
 }
 
 // TestBaselineMeanGolden pins the baseline mean of every benchmark's pubbed
