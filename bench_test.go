@@ -16,6 +16,7 @@ import (
 	"pubtac"
 	"pubtac/client"
 	"pubtac/internal/cache"
+	"pubtac/internal/core"
 	"pubtac/internal/evt"
 	"pubtac/internal/experiment"
 	"pubtac/internal/malardalen"
@@ -217,6 +218,40 @@ func BenchmarkCampaign1k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mbpta.NewCampaign(tr, model, uint64(i)).CollectRangeCtx(ctx, 0, 1000, 0, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConvergePath measures one pubbed path's MBPTA search at paper
+// scale: the edn default path, whose TAC floor (84,873 runs at the paper's
+// configuration) lies far past R_pub, searched with that floor on 2
+// workers into a full summary. The read-ahead collects the floor and the
+// search's certain rounds in windows while the search pushes and fits, so
+// this times the collection, every round's push and fit, the battery and
+// the pushes up to the floor. The trace is compiled and TAC run outside
+// the timed loop; the campaign, and with it its engines, is reused.
+//
+//pubtac:bench
+func BenchmarkConvergePath(b *testing.B) {
+	bm := malardalen.EDN()
+	pubbed, _, err := pub.Transform(bm.Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := bm.Default()
+	cfg := core.DefaultConfig()
+	camp := mbpta.NewCampaign(pubbed.MustExec(in).Trace, cfg.Model, cfg.CampaignRoot(bm.Name, in.Name))
+	ta, err := tac.AnalyzeCompiled(camp.Trace, camp.Compiled, cfg.Model, cfg.TAC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mcfg := cfg.MBPTA
+	mcfg.Workers = 2
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := camp.ConvergeCtx(ctx, mcfg, ta.MinRuns, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,21 +39,25 @@ import (
 )
 
 // ProgressEvent reports campaign growth for one analyzed path. Events are
-// emitted from campaign workers as simulation blocks complete; Target is
-// the currently known run requirement and can grow between events (MBPTA
-// convergence extends its own target, and the TAC campaign phase raises it
-// to R). A "warning" event flags a statistical admissibility problem —
-// currently an i.i.d. battery failure at convergence — with the detail in
-// Note; the analysis still completes (the battery is diagnostic, per the
-// MBPTA protocol the sample is i.i.d. by construction), but the pWCET
-// consumer should know.
+// emitted from campaign workers as simulation blocks complete. One phase,
+// "converge", covers every run a path's campaign collects: the MBPTA
+// search reads its rounds and the TAC floor, min(R_tac, CampaignCap), from
+// one read-ahead, so the runs past R_pub are collected alongside the
+// search rather than after it. Done counts runs collected so far and never
+// decreases; Target is the known run requirement, at least that floor
+// from the first event, and grows after each unstable convergence round. A
+// "warning" event flags a statistical admissibility problem — currently
+// an i.i.d. battery failure at convergence — with the detail in Note; the
+// analysis still completes (the battery is diagnostic, per the MBPTA
+// protocol the sample is i.i.d. by construction), but the pWCET consumer
+// should know. A "done" event ends the path.
 type ProgressEvent struct {
 	Program string // original program name
 	Input   string // input vector selecting the path
-	Phase   string // "converge", "campaign", "warning" or "done"
-	Done    int    // runs completed so far
+	Phase   string // "converge", "warning" or "done"
+	Done    int    // runs collected so far
 	Target  int    // runs currently required
-	Note    string // human-readable detail for "warning" events
+	Note    string // human-readable detail for "warning" and "done" events
 }
 
 // Config assembles the knobs of the full pipeline.
@@ -93,11 +97,11 @@ type Config struct {
 	// from the canonical encoding and shares cache keys with local runs.
 	Sharder ShardCollector
 
-	// Shards is the number of shards per fetched campaign range (a whole
-	// collection round, or under streaming estimation one window of the
-	// stream budget's run count) when Sharder is set; 0 derives it from
-	// Sharder.Shards() (typically the peer count). Also excluded from the
-	// canonical encoding.
+	// Shards is the number of shards per fetched collection window (the
+	// whole known run requirement not yet collected, or under streaming
+	// estimation at most the stream budget's run count) when Sharder is
+	// set; 0 derives it from Sharder.Shards() (typically the peer count).
+	// Also excluded from the canonical encoding.
 	Shards int
 }
 
@@ -210,20 +214,24 @@ func (a *Analyzer) validateModel() error {
 }
 
 // progressFn adapts the configured event sink to mbpta's per-campaign
-// callback for one (path, phase) pair; nil when no sink is configured.
-func (a *Analyzer) progressFn(name, input, phase string) mbpta.Progress {
+// callback for one path; nil when no sink is configured.
+func (a *Analyzer) progressFn(name, input string) mbpta.Progress {
 	sink := a.cfg.Progress
 	if sink == nil {
 		return nil
 	}
 	return func(done, target int) {
-		sink(ProgressEvent{Program: name, Input: input, Phase: phase, Done: done, Target: target})
+		sink(ProgressEvent{Program: name, Input: input, Phase: "converge", Done: done, Target: target})
 	}
 }
 
 // analyzeOn runs steps 2-4 on an already-transformed program. workers, when
 // positive, overrides cfg.MBPTA.Workers for this path's campaigns (the batch
-// engine splits the machine between concurrent paths).
+// engine splits the machine between concurrent paths). TAC runs before the
+// first campaign run, so the campaign's floor, min(R_tac, CampaignCap), is
+// known when MBPTA's search starts: the search collects runs [0, floor)
+// with its own rounds, in windows read ahead of its pushes, and returns
+// the summary of max(R_pub, floor) runs. No run is collected twice.
 func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name string,
 	in program.Input, rep pub.Report, workers int) (*PathAnalysis, error) {
 
@@ -236,10 +244,10 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 		return nil, fmt.Errorf("core: executing pubbed %s(%s): %w", name, in.Name, err)
 	}
 
-	// The path's trace is compiled exactly once here; TAC's baseline, every
-	// convergence round and the TAC-demanded campaign extension below all
-	// replay the one shared CompiledTrace (workers keep only per-seed
-	// scratch), and both campaign phases read the runs of the one root.
+	// The path's trace is compiled exactly once here; TAC's baseline and
+	// every collection window of the search below replay the one shared
+	// CompiledTrace (workers keep only per-seed scratch), and all of them
+	// read the runs of the one root.
 	camp := mbpta.NewCampaign(res.Trace, a.cfg.Model, a.cfg.CampaignRoot(name, in.Name))
 
 	// TAC's parallel group evaluation rides the path's simulation worker
@@ -254,12 +262,20 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 		return nil, fmt.Errorf("core: TAC on %s(%s): %w", name, in.Name, err)
 	}
 
-	// Both the convergence rounds and the TAC-demanded extension below
-	// collect through camp, so one distribute covers them all.
+	// The campaign runs max(R_pub, R_tac) times, capped by CampaignCap but
+	// never below R_pub. Campaign run i depends only on (camp.Root, i), so
+	// the converged sample is exactly the prefix of that campaign, and the
+	// runs past R_pub are pushed into the converged summary, carrying its
+	// run codes and counts, or its reservoir and sketch, and the i.i.d.
+	// battery's state in one move.
+	floor := ta.MinRuns
+	if a.cfg.CampaignCap > 0 {
+		floor = min(floor, a.cfg.CampaignCap)
+	}
 	a.distribute(camp, name, in.Name, false)
 	mcfg := a.cfg.MBPTA
 	mcfg.Workers = workers
-	conv, err := camp.ConvergeCtx(ctx, mcfg, a.progressFn(name, in.Name, "converge"))
+	conv, err := camp.ConvergeCtx(ctx, mcfg, floor, a.progressFn(name, in.Name))
 	if err != nil {
 		return nil, fmt.Errorf("core: MBPTA convergence on %s(%s): %w", name, in.Name, err)
 	}
@@ -275,48 +291,24 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 		TAC:       ta,
 		RPub:      conv.Runs,
 		RTac:      ta.MinRuns,
+		R:         max(conv.Runs, ta.MinRuns),
+		RunsUsed:  conv.Summary.N(),
 		PubOnly:   conv.Estimate,
+		Full:      conv.Estimate,
 	}
-	pa.R = pa.RPub
-	if pa.RTac > pa.R {
-		pa.R = pa.RTac
-	}
-
-	pa.RunsUsed = pa.R
-	if a.cfg.CampaignCap > 0 && pa.RunsUsed > a.cfg.CampaignCap {
-		pa.RunsUsed = a.cfg.CampaignCap
-	}
-	if pa.RunsUsed <= conv.Runs {
-		// The converged sample already covers the requirement.
-		pa.Full = conv.Estimate
-		pa.RunsUsed = conv.Runs
-		a.done(name, in.Name, pa.RunsUsed, conv.Summary)
-		return pa, nil
-	}
-	// TAC demands more runs than MBPTA needed. Campaign run i depends only
-	// on (camp.Root, i), so the converged sample is exactly the prefix of
-	// the R-run campaign: extend the converged summary with runs
-	// conv.Runs..R-1 instead of re-simulating the converged prefix from
-	// scratch (bit-identical, and the convergence runs are no longer paid
-	// for twice). The summary carries its run codes and counts, or its
-	// reservoir and sketch, and the i.i.d. battery's state across the
-	// extension in one move.
-	err = camp.ExtendSummaryCtx(ctx, conv.Summary, pa.RunsUsed, workers,
-		a.progressFn(name, in.Name, "campaign"))
-	if err != nil {
-		return nil, fmt.Errorf("core: campaign on %s(%s): %w", name, in.Name, err)
-	}
-	full, err := mbpta.NewEstimateSummary(conv.Summary, a.cfg.MBPTA)
-	if err != nil {
-		return nil, fmt.Errorf("core: estimating %s(%s): %w", name, in.Name, err)
-	}
-	pa.Full = full
-	// The shipped pWCET is built on the extended sample; if its battery
-	// fails where the convergence-time one passed, that deserves its own
-	// warning (a failing convergence battery already warned above).
-	if conv.Estimate.IID.Passed(a.cfg.MBPTA.Alpha) {
-		if err := a.checkIID(name, in.Name, "campaign extension", full, pa.RunsUsed); err != nil {
-			return nil, err
+	if pa.RunsUsed > conv.Runs {
+		full, err := mbpta.NewEstimateSummary(conv.Summary, a.cfg.MBPTA)
+		if err != nil {
+			return nil, fmt.Errorf("core: estimating %s(%s): %w", name, in.Name, err)
+		}
+		pa.Full = full
+		// The shipped pWCET is built on the extended sample; if its battery
+		// fails where the convergence-time one passed, that deserves its own
+		// warning (a failing convergence battery already warned above).
+		if conv.Estimate.IID.Passed(a.cfg.MBPTA.Alpha) {
+			if err := a.checkIID(name, in.Name, "campaign extension", full, pa.RunsUsed); err != nil {
+				return nil, err
+			}
 		}
 	}
 	a.done(name, in.Name, pa.RunsUsed, conv.Summary)
@@ -413,7 +405,7 @@ func (a *Analyzer) AnalyzeOriginalCtx(ctx context.Context, p *program.Program,
 	// noise from PUB-vs-original comparisons.
 	camp := mbpta.NewCampaign(res.Trace, a.cfg.Model, a.cfg.CampaignRoot(p.Name, in.Name))
 	a.distribute(camp, p.Name, in.Name, true)
-	conv, err := camp.ConvergeCtx(ctx, mcfg, a.progressFn(p.Name, in.Name, "converge"))
+	conv, err := camp.ConvergeCtx(ctx, mcfg, 0, a.progressFn(p.Name, in.Name))
 	if err != nil {
 		return nil, err
 	}

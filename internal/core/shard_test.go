@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -24,12 +26,18 @@ type memSharder struct {
 	fail   func(ShardSpec) bool
 	calls  atomic.Int64
 	failed atomic.Int64
+
+	mu     sync.Mutex
+	ranges []mbpta.Range // every spec's run range
 }
 
 func (m *memSharder) Shards() int { return m.shards }
 
 func (m *memSharder) CollectShard(ctx context.Context, spec ShardSpec) ([]float64, error) {
 	m.calls.Add(1)
+	m.mu.Lock()
+	m.ranges = append(m.ranges, mbpta.Range{Lo: spec.Lo, Hi: spec.Hi})
+	m.mu.Unlock()
 	if m.fail != nil && m.fail(spec) {
 		m.failed.Add(1)
 		return nil, errors.New("injected shard failure")
@@ -107,7 +115,7 @@ func samePathAnalysis(t *testing.T, got, want *PathAnalysis) {
 // The acceptance-criteria oracle: sharded analyses at shard counts 1, 2 and
 // 8 — and with every third shard failing over to local recomputation — are
 // bit-identical to the single-process reference, through both the
-// convergence and the TAC-extension campaign phases.
+// convergence rounds and the runs up to the TAC floor.
 func TestAnalyzePathShardedBitIdentical(t *testing.T) {
 	b := malardalen.BS()
 	cfg := shardTestConfig()
@@ -225,5 +233,71 @@ func TestShardConfigOverridesAndForeignConfig(t *testing.T) {
 	samePathAnalysis(t, got, ref)
 	if ms.calls.Load() == 0 {
 		t.Fatal("sharder never consulted")
+	}
+}
+
+// A path's campaign fetches every run once: the shard ranges tile
+// [0, RunsUsed), whether the campaign cap lies below R_pub (the floor is
+// the cap, and the campaign stops at R_pub) or the capped TAC floor lies
+// past it, in both estimation modes and at 1, 2 and 3 shards, and the
+// result is the local one. On bs the search converges at 2,200 runs,
+// below MaxRuns, and R_tac is 10,600.
+func TestAnalyzePathFetchesEachRunOnce(t *testing.T) {
+	b := malardalen.BS()
+	for _, streaming := range []bool{false, true} {
+		mk := func(campaignCap int) Config {
+			cfg := testConfig()
+			cfg.MBPTA.Streaming = streaming
+			cfg.MBPTA.StreamBudget = 512
+			if campaignCap > 0 {
+				cfg.CampaignCap = campaignCap
+			}
+			return cfg
+		}
+		ref, err := analyzeOne(mk(0), b.Program, b.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.RunsUsed <= ref.RPub || ref.RPub <= 200 {
+			t.Fatalf("streaming=%v: R_pub %d, RunsUsed %d: want a floor past R_pub", streaming, ref.RPub, ref.RunsUsed)
+		}
+		for _, campaignCap := range []int{0, ref.RPub - 100} {
+			want := ref
+			if campaignCap > 0 {
+				if want, err = analyzeOne(mk(campaignCap), b.Program, b.Default()); err != nil {
+					t.Fatal(err)
+				}
+				if want.RunsUsed != want.RPub {
+					t.Fatalf("cap %d below R_pub %d: RunsUsed %d", campaignCap, want.RPub, want.RunsUsed)
+				}
+			}
+			for shards := 1; shards <= 3; shards++ {
+				t.Run(fmt.Sprintf("streaming=%v/cap=%d/shards=%d", streaming, campaignCap, shards), func(t *testing.T) {
+					cfg := mk(campaignCap)
+					ms := &memSharder{cfg: mk(campaignCap), shards: shards}
+					cfg.Sharder = ms
+					got, err := analyzeOne(cfg, b.Program, b.Default())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.RunsUsed != want.RunsUsed || got.PWCET(1e-12) != want.PWCET(1e-12) ||
+						*got.Full.Tail != *want.Full.Tail || got.Full.IID != want.Full.IID {
+						t.Fatal("sharded analysis differs from the local one")
+					}
+					rs := slices.Clone(ms.ranges)
+					slices.SortFunc(rs, func(a, b mbpta.Range) int { return a.Lo - b.Lo })
+					next := 0
+					for _, r := range rs {
+						if r.Lo != next {
+							t.Fatalf("fetched %v: run %d fetched twice or never", rs, next)
+						}
+						next = r.Hi
+					}
+					if next != got.RunsUsed {
+						t.Fatalf("fetched %v, want [0, %d) tiled", rs, got.RunsUsed)
+					}
+				})
+			}
+		}
 	}
 }

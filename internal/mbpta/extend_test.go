@@ -9,10 +9,10 @@ import (
 	"pubtac/internal/trace"
 )
 
-// TestExtendToMatchesCollect proves the sample-reuse primitive of package
-// core: extending a prefix summary to R runs with ExtendSummaryCtx is
-// bit-identical to collecting all R runs from scratch, at any split point
-// and worker count.
+// TestExtendToMatchesCollect proves the sample-reuse primitive behind a
+// search's floor: extending a prefix summary to R runs through a
+// read-ahead is bit-identical to collecting all R runs from scratch, at
+// any split point and worker count.
 func TestExtendToMatchesCollect(t *testing.T) {
 	tr := trace.Repeat(trace.FromLetters("ABCDEFGHIJ", 32), 60)
 	model := proc.DefaultModel()
@@ -23,7 +23,7 @@ func TestExtendToMatchesCollect(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			sum := stats.NewFullSummary(true)
 			sum.Push(collect(t, tr, model, split, root, workers))
-			if err := camp.ExtendSummaryCtx(context.Background(), sum, 300, workers, nil); err != nil {
+			if err := extend(context.Background(), camp, sum, 300, workers, nil); err != nil {
 				t.Fatalf("split %d: %v", split, err)
 			}
 			got := sum.Sample()
@@ -41,7 +41,17 @@ func TestExtendToMatchesCollect(t *testing.T) {
 	// A target at or below the current size is a no-op.
 	sum := stats.NewFullSummary(true)
 	sum.Push(full[:100])
-	if err := camp.ExtendSummaryCtx(context.Background(), sum, 50, 1, nil); err != nil || sum.N() != 100 {
+	if err := extend(context.Background(), camp, sum, 50, 1, nil); err != nil || sum.N() != 100 {
 		t.Fatalf("shrinking target: got n %d err %v, want the summary unchanged", sum.N(), err)
 	}
+}
+
+// extend grows sum to target runs through a read-ahead whose need is
+// exactly those runs, pushing them as a search pushes the runs between
+// R_pub and its floor.
+func extend(ctx context.Context, c *Campaign, sum stats.SampleSummary, target, workers int,
+	progress Progress) error {
+	ra := c.readAhead(ctx, sum, workers, progress, target)
+	defer ra.close()
+	return ra.push(sum, target-sum.N())
 }

@@ -99,7 +99,7 @@ func TestConvergeReferenceIIDEquivalence(t *testing.T) {
 	cfg.Increment = 300
 	cfg.MaxRuns = 20000
 
-	conv, err := NewCampaign(tr, m, 23).ConvergeCtx(context.Background(), cfg, nil)
+	conv, err := NewCampaign(tr, m, 23).ConvergeCtx(context.Background(), cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

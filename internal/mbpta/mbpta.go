@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"pubtac/internal/evt"
@@ -119,8 +120,9 @@ const collectBlock = 8 * proc.BatchK
 // root seed that fixes the run sequence (run i replays under
 // rng.Stream(Root, i)), so a converged summary and its extension are
 // prefixes of one sample. Every worker goroutine replays the same
-// CompiledTrace, and each engine keeps only its private per-seed scratch. A
-// Campaign is safe for concurrent use.
+// CompiledTrace, and each engine keeps only its private per-seed scratch;
+// engines outlive a collection on the campaign's free list. A Campaign is
+// safe for concurrent use.
 type Campaign struct {
 	Trace    trace.Trace
 	Model    proc.Model
@@ -132,6 +134,9 @@ type Campaign struct {
 	// SetRemote.
 	fetch  func(ctx context.Context, r Range) ([]float64, error)
 	shards int
+
+	mu   sync.Mutex
+	idle []*proc.Engine // engines no collection holds, for the next one
 }
 
 // Range is a half-open run-index interval [Lo, Hi) of a campaign.
@@ -139,8 +144,8 @@ type Range struct {
 	Lo, Hi int
 }
 
-// SetRemote distributes every subsequent convergence round and extension
-// of the campaign: each range is cut into shards contiguous index ranges,
+// SetRemote distributes every subsequent collection window of the
+// campaign's searches: each window is cut into shards contiguous index ranges,
 // fetch is called for all of them concurrently, and every shard whose fetch
 // fails, returns other than Hi-Lo runs or returns a NaN or infinite run is
 // recomputed by the local engines. fetch must return runs r.Lo..r.Hi-1 of
@@ -163,12 +168,30 @@ func NewCampaign(tr trace.Trace, model proc.Model, root uint64) *Campaign {
 	return &Campaign{Trace: tr, Model: model, Compiled: proc.Compile(tr, model), Root: root}
 }
 
-// newEngine builds one worker's engine: private replay scratch around the
-// shared compilation.
-func (c *Campaign) newEngine() *proc.Engine {
+// engine hands one worker an engine: an idle one from the free list, or a
+// new one with private replay scratch around the shared compilation. The
+// worker returns it with release when its collection ends. A plain
+// mutex-guarded list, not a sync.Pool, so that a collection's allocations
+// do not depend on the garbage collector's timing.
+func (c *Campaign) engine() *proc.Engine {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		eng := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		return eng
+	}
+	c.mu.Unlock()
 	eng := proc.NewEngine(c.Model)
 	eng.SetCompiled(c.Compiled, c.Trace)
 	return eng
+}
+
+// release returns an engine that engine handed out to the free list.
+func (c *Campaign) release(eng *proc.Engine) {
+	c.mu.Lock()
+	c.idle = append(c.idle, eng)
+	c.mu.Unlock()
 }
 
 // collectInto fills dst with runs offset..offset+len(dst)-1 of the
@@ -176,11 +199,12 @@ func (c *Campaign) newEngine() *proc.Engine {
 // the n = len(dst) runs into k = min(max(shards, 1), n) contiguous shards,
 // shard i covering offset+i*n/k up to offset+(i+1)*n/k, fetches them
 // concurrently and recomputes the failed ones locally in index order, which
-// yields the same bytes either way.
+// yields the same bytes either way. report, when non-nil, receives the
+// count of runs collected so far, offset included.
 func (c *Campaign) collectInto(ctx context.Context, dst []float64, offset, workers int,
-	progress Progress, target int) error {
+	report func(done int)) error {
 	if c.fetch == nil {
-		return c.collectLocal(ctx, dst, offset, workers, progress, target)
+		return c.collectLocal(ctx, dst, offset, workers, report)
 	}
 	n := len(dst)
 	k := min(max(c.shards, 1), n)
@@ -219,19 +243,19 @@ func (c *Campaign) collectInto(ctx context.Context, dst []float64, offset, worke
 			done -= r.Hi - r.Lo
 		}
 	}
-	if progress != nil && done > offset {
-		progress(done, target)
+	if report != nil && done > offset {
+		report(done)
 	}
 	for i, r := range shards {
 		if !failed[i] {
 			continue
 		}
-		var p Progress
-		if progress != nil {
+		var rep func(int)
+		if report != nil {
 			base := done
-			p = func(d, tgt int) { progress(base+(d-r.Lo), tgt) }
+			rep = func(d int) { report(base + (d - r.Lo)) }
 		}
-		if err := c.collectLocal(ctx, dst[r.Lo-offset:r.Hi-offset], r.Lo, workers, p, target); err != nil {
+		if err := c.collectLocal(ctx, dst[r.Lo-offset:r.Hi-offset], r.Lo, workers, rep); err != nil {
 			return err
 		}
 		done += r.Hi - r.Lo
@@ -259,7 +283,7 @@ func allFinite(runs []float64) bool {
 //
 //pubtac:reference distributed
 func (c *Campaign) collectLocal(ctx context.Context, dst []float64, offset, workers int,
-	progress Progress, target int) error {
+	report func(done int)) error {
 	n := len(dst)
 	if n == 0 {
 		return ctx.Err()
@@ -272,7 +296,9 @@ func (c *Campaign) collectLocal(ctx context.Context, dst []float64, offset, work
 	}
 	var next, done atomic.Int64
 	done.Store(int64(offset))
-	body := func(ctx context.Context, eng *proc.Engine) error {
+	body := func(ctx context.Context) error {
+		eng := c.engine()
+		defer c.release(eng)
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -286,13 +312,13 @@ func (c *Campaign) collectLocal(ctx context.Context, dst []float64, offset, work
 				hi = n
 			}
 			eng.CampaignInto(c.Trace, dst[lo:hi], c.Root, offset+lo)
-			if progress != nil {
-				progress(int(done.Add(int64(hi-lo))), target)
+			if report != nil {
+				report(int(done.Add(int64(hi - lo))))
 			}
 		}
 	}
 	if workers == 1 {
-		return body(ctx, c.newEngine())
+		return body(ctx)
 	}
 	// Workers share the atomic block cursor, so dst slots are filled by
 	// index regardless of which worker claims which block: results stay
@@ -301,7 +327,7 @@ func (c *Campaign) collectLocal(ctx context.Context, dst []float64, offset, work
 	g, gctx := pool.WithContext(ctx)
 	g.SetLimit(workers)
 	for w := 0; w < workers; w++ {
-		g.Go(func() error { return body(gctx, c.newEngine()) })
+		g.Go(func() error { return body(gctx) })
 	}
 	return g.Wait()
 }
@@ -399,18 +425,22 @@ func (e *Estimate) Admissible(alpha float64) bool { return e.IID.Passed(alpha) }
 
 // Convergence is the result of the run-count search.
 type Convergence struct {
-	Runs      int       // runs at convergence (R_pub / R_orig)
-	Rounds    int       // convergence rounds taken
-	Converged bool      // false when MaxRuns was hit first
-	Estimate  *Estimate // estimate at the final sample size, battery included
+	Runs      int  // runs at convergence (R_pub / R_orig)
+	Rounds    int  // convergence rounds taken
+	Converged bool // false when MaxRuns was hit first
+	// Estimate is the estimate on the first Runs runs, battery included:
+	// the search's last fit, whose battery is reported before any run past
+	// Runs is pushed.
+	Estimate *Estimate
 
-	// Summary is the sample summary grown across convergence rounds: a
-	// stats.FullSummary (the sample as dictionary codes, per-value counts
-	// and the sorted view rebuilt from them) by default, a bounded-memory
-	// stats.StreamingSummary under Config.Streaming.
-	// Callers extending the campaign (package core) push new runs into it
-	// via ExtendSummaryCtx and re-estimate with NewEstimateSummary instead
-	// of recollecting or re-sorting.
+	// Summary holds the first max(Runs, floor) runs of the campaign, for
+	// the floor ConvergeCtx was given: grown across the convergence rounds,
+	// then by the runs up to the floor. It is a stats.FullSummary (the
+	// sample as dictionary codes, per-value counts and the sorted view
+	// rebuilt from them) by default, a bounded-memory
+	// stats.StreamingSummary under Config.Streaming. A caller whose floor
+	// lies past Runs (package core, when TAC demands more runs than MBPTA
+	// needed) estimates on it with NewEstimateSummary.
 	Summary stats.SampleSummary
 }
 
@@ -419,19 +449,34 @@ type Convergence struct {
 // and declares convergence after StableRounds consecutive rounds where the
 // pWCET at StabilityProb moves by less than StabilityEps relatively. It
 // returns the run count MBPTA needs on this program — the paper's R_pub
-// (pubbed programs) or R_orig (original programs). The progress target
-// grows by Increment per round until the estimate stabilizes, so target is
-// a moving lower bound on the final run count. Every round's workers replay
-// the one shared compilation.
+// (pubbed programs) or R_orig (original programs). Every round's workers
+// replay the one shared compilation.
+//
+// floor is a run count the caller needs whatever the search decides
+// (package core passes TAC's R_tac, capped by the campaign cap; 0 asks for
+// none). The returned Summary holds max(Runs, floor) runs: after the
+// search, runs Runs..floor-1 are pushed as an extension of the converged
+// summary would push them. The search reads its runs from a read-ahead
+// that collects, in windows, every run already known to be needed — runs
+// [0, floor) and the rounds the search is certain to take, 3,000 runs up
+// front under DefaultConfig — and keeps the next window in flight while
+// the search pushes and fits the current one. So no run is collected twice
+// or beyond that need; only an error return leaves collected runs
+// unpushed. progress counts collected runs against the known need: at
+// least floor from the first report, raised after each unstable round.
+// done never decreases, and the calls are serialized.
 //
 // A round only fits: the probe reads the curve, never the i.i.d. battery,
-// so the battery is reported once, on the estimate the search returns.
-func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config, progress Progress) (*Convergence, error) {
+// so the battery is reported once, on the estimate of the first Runs runs.
+func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config, floor int, progress Progress) (*Convergence, error) {
 	if cfg.InitialRuns < 20 {
 		return nil, fmt.Errorf("mbpta: InitialRuns %d too small", cfg.InitialRuns)
 	}
 	if cfg.Increment <= 0 {
 		return nil, fmt.Errorf("mbpta: Increment %d not positive", cfg.Increment)
+	}
+	if floor < 0 {
+		return nil, fmt.Errorf("mbpta: floor %d negative", floor)
 	}
 	// The summary is grown in place: each round pushes only its increment.
 	// A full summary encodes it and rebuilds its sorted view from per-value
@@ -440,7 +485,9 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config, progress Progres
 	// sorts the increment into its reservoir, O(K + inc·log inc), and its
 	// memory never grows past the budget.
 	sum := NewSummary(cfg)
-	if err := c.pushRuns(ctx, sum, cfg.InitialRuns, cfg.Workers, progress); err != nil {
+	ra := c.readAhead(ctx, sum, cfg.Workers, progress, max(floor, cfg.certain(cfg.InitialRuns)))
+	defer ra.close()
+	if err := ra.push(sum, cfg.InitialRuns); err != nil {
 		return nil, err
 	}
 	est, err := fit(sum, cfg)
@@ -450,8 +497,11 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config, progress Progres
 	prev := est.PWCET(cfg.StabilityProb)
 	stable, rounds, converged := 0, 0, false
 	for !converged && sum.N() < cfg.MaxRuns {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Extend deterministically: the new runs use seeds n..n+inc-1.
-		if err := c.pushRuns(ctx, sum, cfg.Increment, cfg.Workers, progress); err != nil {
+		if err := ra.push(sum, cfg.Increment); err != nil {
 			return nil, err
 		}
 		rounds++
@@ -460,15 +510,33 @@ func (c *Campaign) ConvergeCtx(ctx context.Context, cfg Config, progress Progres
 		}
 		cur := est.PWCET(cfg.StabilityProb)
 		if relDiff(cur, prev) <= cfg.StabilityEps {
-			stable++
+			stable++ // one of the rounds the need already counts
 			converged = stable >= cfg.StableRounds
 		} else {
 			stable = 0
+			ra.raise(cfg.certain(sum.N()))
 		}
 		prev = cur
 	}
 	est.IID = sum.IID()
-	return &Convergence{Runs: sum.N(), Rounds: rounds, Converged: converged, Estimate: est, Summary: sum}, nil
+	conv := &Convergence{Runs: sum.N(), Rounds: rounds, Converged: converged, Estimate: est, Summary: sum}
+	if err := ra.push(sum, floor-sum.N()); err != nil {
+		return nil, err
+	}
+	return conv, nil
+}
+
+// certain returns the sample size a search is certain to reach from n runs
+// before its first round or after an unstable one: it takes
+// max(StableRounds, 1) more rounds, each while the sample is below
+// MaxRuns. A stable round that does not converge leaves the size where
+// the last unstable round put it.
+func (cfg Config) certain(n int) int {
+	if n >= cfg.MaxRuns {
+		return n
+	}
+	rounds := min(max(cfg.StableRounds, 1), (cfg.MaxRuns-n-1)/cfg.Increment+1)
+	return n + rounds*cfg.Increment
 }
 
 // NewSummary builds the sample summary a campaign under cfg accumulates
@@ -489,45 +557,184 @@ func NewSummary(cfg Config) stats.SampleSummary {
 // or collection window.
 const streamChunk = 8 * collectBlock
 
-// pushRuns collects the next add runs of the campaign (runs sum.N() ..
-// sum.N()+add-1, index-addressed as always) and pushes them into sum in run
-// order, one collection window at a time. Collection within a window fans
-// out over workers, or over shards with a remote collector (one fetch per
-// shard per window); windows and their chunks are pushed sequentially, and
-// both sizes are a deterministic function of the summary, so the summary
-// state is bit-identical at any worker or shard count.
-//
-// A full summary takes the whole range as one window and one chunk (it
-// retains the sample anyway, and each push rebuilds its O(d) view once). A
-// streaming summary pushes streamChunk runs at a time and collects windows
-// of its budget's run count, rounded down to whole chunks and at least one,
-// so the collection buffer stays within max(budget, streamChunk) runs. Chunk
-// boundaries are relative to the pushed sequence and windows are whole
-// chunks, so the chunks are the same whatever the window.
-func (c *Campaign) pushRuns(ctx context.Context, sum stats.SampleSummary, add, workers int,
-	progress Progress) error {
-	if add <= 0 {
-		return ctx.Err()
-	}
-	offset := sum.N()
-	target := offset + add
-	window, chunk := add, add
+// readAhead collects the runs one search already needs ahead of its
+// pushes. need counts the runs known to be needed; the windows tile the
+// runs from the summary's size up to end <= need, in run order, and a
+// window is collected by collectInto (fanned out over workers, or over
+// shards with a remote collector: one fetch per shard per window). A full
+// summary's window is the whole known need that is not yet collected; a
+// streaming summary's is at most its budget's run count, rounded down to
+// whole streamChunk pushes and at least one, so it holds at most two
+// windows — the one being pushed and the one in flight — plus, when a push
+// straddles the two, one chunk of scratch. At most one window is in
+// flight, collected through a pool group while the search pushes and fits;
+// the next goes in flight when the search lands the previous one, or when
+// the need grows while none is in flight. Every size is a deterministic
+// function of the pushes and the needs, so the windows are the same at any
+// worker or shard count. Only the search's goroutine calls its methods,
+// except report, which collectors call.
+type readAhead struct {
+	c        *Campaign
+	ctx      context.Context
+	stop     context.CancelFunc
+	workers  int
+	window   int // runs per window; 0 (a full summary) for the whole need
+	progress Progress
+
+	pos     int       // the next run to take
+	cur     []float64 // runs pos.., collected and not yet taken
+	buf     []float64 // the window cur lies in
+	spare   []float64 // a drained window's buffer, for the next one
+	end     int       // runs collected or in flight
+	flight  *pool.Group
+	landing []float64 // the buffer of the window in flight
+	scratch []float64 // a take that straddles windows
+
+	mu   sync.Mutex // guards need and done; orders progress calls
+	need int
+	done int // the largest collected count reported
+}
+
+// readAhead starts a read-ahead of the campaign's runs after sum's first
+// sum.N(), for a search that needs need runs in all so far.
+func (c *Campaign) readAhead(ctx context.Context, sum stats.SampleSummary, workers int,
+	progress Progress, need int) *readAhead {
+	ctx, stop := context.WithCancel(ctx)
+	ra := &readAhead{c: c, ctx: ctx, stop: stop, workers: workers, progress: progress,
+		pos: sum.N(), end: sum.N()}
 	if st, ok := sum.(*stats.StreamingSummary); ok {
-		window = min(max(st.Budget()/streamChunk, 1)*streamChunk, add)
+		ra.window = max(st.Budget()/streamChunk, 1) * streamChunk
+	}
+	ra.raise(need)
+	return ra
+}
+
+// raise lifts the known need to need runs and, if no window is in flight,
+// puts the next one in flight.
+func (ra *readAhead) raise(need int) {
+	if need > ra.need {
+		ra.mu.Lock()
+		ra.need = need
+		ra.mu.Unlock()
+	}
+	if ra.flight == nil {
+		ra.launch()
+	}
+}
+
+// launch puts the next window in flight, if the need reaches past end.
+func (ra *readAhead) launch() {
+	lo, hi := ra.end, ra.need
+	if ra.window > 0 {
+		hi = min(hi, lo+ra.window)
+	}
+	if hi <= lo {
+		return
+	}
+	buf := ra.spare
+	ra.spare = nil
+	if cap(buf) < hi-lo {
+		buf = make([]float64, hi-lo)
+	}
+	buf = buf[:hi-lo]
+	var report func(int)
+	if ra.progress != nil {
+		report = ra.report
+	}
+	g, gctx := pool.WithContext(ra.ctx)
+	g.Go(func() error { return ra.c.collectInto(gctx, buf, lo, ra.workers, report) })
+	ra.flight, ra.landing, ra.end = g, buf, hi
+}
+
+// land waits for the window in flight, makes it the current one and puts
+// the next in flight. The current window must be drained.
+func (ra *readAhead) land() error {
+	err := ra.flight.Wait()
+	ra.flight = nil
+	if err != nil {
+		return err
+	}
+	ra.spare, ra.buf = ra.buf, ra.landing
+	ra.cur, ra.landing = ra.landing, nil
+	ra.launch()
+	return nil
+}
+
+// take returns the next n runs, valid until the next take. The raise is a
+// no-op for a search, whose need covers every take; it keeps a take from
+// waiting on a window nobody put in flight.
+func (ra *readAhead) take(n int) ([]float64, error) {
+	ra.raise(ra.pos + n)
+	ra.pos += n
+	if len(ra.cur) == 0 {
+		if err := ra.land(); err != nil {
+			return nil, err
+		}
+	}
+	if len(ra.cur) >= n {
+		out := ra.cur[:n]
+		ra.cur = ra.cur[n:]
+		return out, nil
+	}
+	// The take straddles windows: copy it out before the drained buffer is
+	// collected into again.
+	out := ra.scratch[:0]
+	for {
+		k := min(n-len(out), len(ra.cur))
+		out = append(out, ra.cur[:k]...)
+		ra.cur = ra.cur[k:]
+		if len(out) == n {
+			break
+		}
+		if err := ra.land(); err != nil {
+			return nil, err
+		}
+	}
+	ra.scratch = out
+	return out, nil
+}
+
+// push takes the next add runs and pushes them into sum in run order: as
+// one push into a full summary, streamChunk runs at a time into a
+// streaming one (its window is set), with chunks counted from the first
+// run. Both rules are the ones the parent pushes were cut by, so the
+// summary state is bit-identical at any window schedule.
+func (ra *readAhead) push(sum stats.SampleSummary, add int) error {
+	chunk := add
+	if ra.window > 0 {
 		chunk = streamChunk
 	}
-	buf := make([]float64, window)
-	for done := 0; done < add; {
-		b := buf[:min(window, add-done)]
-		if err := c.collectInto(ctx, b, offset+done, workers, progress, target); err != nil {
+	for done := 0; done < add; done += chunk {
+		b, err := ra.take(min(chunk, add-done))
+		if err != nil {
 			return err
 		}
-		for lo := 0; lo < len(b); lo += chunk {
-			sum.Push(b[lo:min(lo+chunk, len(b))]) // summaries copy what they keep; buf is reused
-		}
-		done += len(b)
+		sum.Push(b) // summaries copy what they keep; the window is reused
 	}
 	return nil
+}
+
+// report forwards a collector's count of collected runs to the progress
+// sink, with the known need as target. Collectors call it concurrently;
+// the lock, held across the sink, drops a count that arrives after a
+// larger one, so done never decreases.
+func (ra *readAhead) report(done int) {
+	ra.mu.Lock()
+	defer ra.mu.Unlock()
+	if done > ra.done {
+		ra.done = done
+		ra.progress(done, ra.need)
+	}
+}
+
+// close cancels the window in flight, if any, and waits for it: a search
+// leaves no collector running, whichever way it returns.
+func (ra *readAhead) close() {
+	ra.stop()
+	if ra.flight != nil {
+		_ = ra.flight.Wait() // cancelled; its runs are never pushed
+		ra.flight = nil
+	}
 }
 
 // CollectRangeCtx returns runs [lo, hi) of the campaign in run order: the
@@ -542,22 +749,15 @@ func (c *Campaign) CollectRangeCtx(ctx context.Context, lo, hi, workers int,
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("mbpta: invalid run range [%d, %d)", lo, hi)
 	}
+	var report func(int)
+	if progress != nil {
+		report = func(done int) { progress(done, hi) }
+	}
 	runs := make([]float64, hi-lo)
-	if err := c.collectLocal(ctx, runs, lo, workers, progress, hi); err != nil {
+	if err := c.collectLocal(ctx, runs, lo, workers, report); err != nil {
 		return nil, err
 	}
 	return runs, nil
-}
-
-// ExtendSummaryCtx grows a campaign summary to target runs, collecting and
-// pushing runs sum.N()..target-1 of the campaign. Because run i depends only
-// on (Root, i), the summary ends bit-identical to one fed all target runs
-// from scratch — callers holding a converged summary (package core, when
-// TAC demands more runs than MBPTA needed) extend it instead of
-// recollecting.
-func (c *Campaign) ExtendSummaryCtx(ctx context.Context, sum stats.SampleSummary,
-	target, workers int, progress Progress) error {
-	return c.pushRuns(ctx, sum, target-sum.N(), workers, progress)
 }
 
 func relDiff(a, b float64) float64 {

@@ -103,11 +103,11 @@ func TestConvergeDeterministicAndStable(t *testing.T) {
 	cfg.InitialRuns = 300
 	cfg.Increment = 300
 	cfg.MaxRuns = 20000
-	c1, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), cfg, nil)
+	c1, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), cfg, nil)
+	c2, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestConvergeRespectsMaxRuns(t *testing.T) {
 	cfg.MaxRuns = 250
 	cfg.StabilityEps = 0 // never stable
 	cfg.StableRounds = 3
-	c, err := NewCampaign(tr, proc.DefaultModel(), 5).ConvergeCtx(context.Background(), cfg, nil)
+	c, err := NewCampaign(tr, proc.DefaultModel(), 5).ConvergeCtx(context.Background(), cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestConvergeRespectsMaxRuns(t *testing.T) {
 func TestConvergeRejectsTinyInitial(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialRuns = 5
-	if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel(), 1).ConvergeCtx(context.Background(), cfg, nil); err == nil {
+	if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel(), 1).ConvergeCtx(context.Background(), cfg, 0, nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -161,7 +161,7 @@ func TestConvergeRejectsNonPositiveIncrement(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.InitialRuns = 200
 		cfg.Increment = inc
-		if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel(), 1).ConvergeCtx(context.Background(), cfg, nil); err == nil {
+		if _, err := NewCampaign(loopTrace(4, 10), proc.DefaultModel(), 1).ConvergeCtx(context.Background(), cfg, 0, nil); err == nil {
 			t.Fatalf("Increment %d: expected error", inc)
 		}
 	}
@@ -180,7 +180,7 @@ func TestExtendMatchesCollect(t *testing.T) {
 	}
 	sum := stats.NewFullSummary(false)
 	sum.Push(runs)
-	if err := c.ExtendSummaryCtx(context.Background(), sum, 500, 0, nil); err != nil {
+	if err := extend(context.Background(), c, sum, 500, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	ext := sum.Sample()

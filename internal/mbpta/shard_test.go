@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pubtac/internal/proc"
 	"pubtac/internal/rng"
@@ -98,10 +99,16 @@ type shardingFetch struct {
 	fail    func(Range) bool
 	calls   atomic.Int64
 	failed  atomic.Int64
+
+	mu     sync.Mutex
+	ranges []Range // every range fetched
 }
 
 func (sf *shardingFetch) fetch(ctx context.Context, r Range) ([]float64, error) {
 	sf.calls.Add(1)
+	sf.mu.Lock()
+	sf.ranges = append(sf.ranges, r)
+	sf.mu.Unlock()
 	if sf.fail != nil && sf.fail(r) {
 		sf.failed.Add(1)
 		return nil, errors.New("injected shard failure")
@@ -112,8 +119,9 @@ func (sf *shardingFetch) fetch(ctx context.Context, r Range) ([]float64, error) 
 // The distributed oracle pair: a campaign collecting through SetRemote —
 // with shards computed by a worker-style fetch, including failed shards
 // recomputed by the local engines — must converge to an estimate
-// bit-identical to the purely local collectLocal reference arm, extension
-// rounds included.
+// bit-identical to the purely local collectLocal reference arm, and its
+// read-ahead of a floor past convergence must leave the summary the
+// reference's extension leaves.
 func TestDistributedConvergeMatchesLocal(t *testing.T) {
 	tr := loopTrace(8, 50)
 	model := proc.DefaultModel()
@@ -121,13 +129,14 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 	const root = 99
 	ctx := context.Background()
 
-	ref, err := NewCampaign(tr, model, root).ConvergeCtx(ctx, cfg, nil)
+	ref, err := NewCampaign(tr, model, root).ConvergeCtx(ctx, cfg, 0, nil)
 	if err != nil {
 		t.Fatalf("reference converge: %v", err)
 	}
-	// Extension past convergence, as core does when TAC demands more runs.
+	// Extension past convergence, as core asks for when TAC demands more
+	// runs.
 	extendTo := ref.Runs + 300
-	if err := NewCampaign(tr, model, root).ExtendSummaryCtx(ctx, ref.Summary, extendTo, cfg.Workers, nil); err != nil {
+	if err := extend(ctx, NewCampaign(tr, model, root), ref.Summary, extendTo, cfg.Workers, nil); err != nil {
 		t.Fatalf("reference extend: %v", err)
 	}
 
@@ -139,9 +148,8 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 		{"shards=1", 1, nil},
 		{"shards=2", 2, nil},
 		{"shards=8", 8, nil},
-		// Every convergence round collects 200 runs, so its shard 4 of 8
-		// starts 100 runs in.
-		{"shards=8/middle-fails", 8, func(r Range) bool { return r.Lo%200 == 100 }},
+		// The shard holding the middle run of the extended campaign fails.
+		{"shards=8/middle-fails", 8, func(r Range) bool { return r.Lo <= extendTo/2 && extendTo/2 < r.Hi }},
 		{"shards=2/all-fail", 2, func(Range) bool { return true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,12 +158,9 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 			dist := NewCampaign(tr, model, root)
 			dist.SetRemote(sf.fetch, tc.shards)
 
-			conv, err := dist.ConvergeCtx(ctx, cfg, nil)
+			conv, err := dist.ConvergeCtx(ctx, cfg, extendTo, nil)
 			if err != nil {
 				t.Fatalf("distributed converge: %v", err)
-			}
-			if err := dist.ExtendSummaryCtx(ctx, conv.Summary, extendTo, cfg.Workers, nil); err != nil {
-				t.Fatalf("distributed extend: %v", err)
 			}
 
 			if conv.Runs != ref.Runs || conv.Rounds != ref.Rounds || conv.Converged != ref.Converged {
@@ -173,10 +178,159 @@ func TestDistributedConvergeMatchesLocal(t *testing.T) {
 			if sf.calls.Load() == 0 {
 				t.Fatal("remote fetch never consulted")
 			}
-			if tc.fail != nil && sf.failed.Load() == 0 {
+			if sf.fail != nil && sf.failed.Load() == 0 {
 				t.Fatal("failure injection never fired")
 			}
 		})
+	}
+}
+
+// tiles reports whether rs, in any order, cover [0, n) with no gap and no
+// overlap.
+func tiles(rs []Range, n int) bool {
+	rs = slices.Clone(rs)
+	slices.SortFunc(rs, func(a, b Range) int { return a.Lo - b.Lo })
+	next := 0
+	for _, r := range rs {
+		if r.Lo != next || r.Hi <= r.Lo {
+			return false
+		}
+		next = r.Hi
+	}
+	return next == n
+}
+
+// sameSummary compares two summaries of one kind: full summaries by their
+// runs (sameFullSummary), streaming ones field by field, battery state
+// included.
+func sameSummary(t *testing.T, a, b stats.SampleSummary) bool {
+	t.Helper()
+	if _, ok := a.(*stats.StreamingSummary); ok {
+		return reflect.DeepEqual(a, b)
+	}
+	return sameFullSummary(t, a, b)
+}
+
+// The read-ahead collects every run exactly once: with the floor below, at
+// and above R_pub, in both estimation modes and at 1, 2 and 3 shards, the
+// fetched ranges tile [0, max(R_pub, floor)) with no overlap and no gap,
+// so no run past the floor and the search's certain rounds is collected,
+// and the summary is the one a floor-0 search extended to the same size
+// holds. Root 23's search converges at 2,000 runs, after unstable and
+// stable rounds; root 5's stops at MaxRuns. A floor below R_pub is what a
+// campaign cap below R_pub passes.
+func TestReadAheadCollectsEachRunOnce(t *testing.T) {
+	tr := loopTrace(8, 50)
+	model := proc.DefaultModel()
+	ctx := context.Background()
+	for _, streaming := range []bool{false, true} {
+		for _, tc := range []struct {
+			root      uint64
+			converged bool
+		}{{23, true}, {5, false}} {
+			cfg := shardCfg()
+			cfg.MaxRuns = 4000
+			cfg.Streaming = streaming
+			cfg.StreamBudget = 1024 // two 512-run chunks per window
+			base, err := NewCampaign(tr, model, tc.root).ConvergeCtx(ctx, cfg, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rpub := base.Runs
+			if base.Converged != tc.converged || base.Rounds < 2 {
+				t.Fatalf("root %d: converged %v after %d rounds, want %v after several",
+					tc.root, base.Converged, base.Rounds, tc.converged)
+			}
+			for _, floor := range []int{rpub / 2, rpub, rpub + 333, rpub + 2900} {
+				used := max(rpub, floor)
+				ref, err := NewCampaign(tr, model, tc.root).ConvergeCtx(ctx, cfg, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := extend(ctx, NewCampaign(tr, model, tc.root), ref.Summary, used, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+				for shards := 1; shards <= 3; shards++ {
+					name := fmt.Sprintf("streaming=%v/root=%d/floor=%d/shards=%d", streaming, tc.root, floor, shards)
+					t.Run(name, func(t *testing.T) {
+						sf := &shardingFetch{camp: NewCampaign(tr, model, tc.root), workers: 1}
+						c := NewCampaign(tr, model, tc.root)
+						c.SetRemote(sf.fetch, shards)
+						conv, err := c.ConvergeCtx(ctx, cfg, floor, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if conv.Runs != rpub || conv.Summary.N() != used {
+							t.Fatalf("runs %d, summary %d; want %d and %d", conv.Runs, conv.Summary.N(), rpub, used)
+						}
+						if !tiles(sf.ranges, used) {
+							t.Fatalf("fetched %v, which does not tile [0, %d)", sf.ranges, used)
+						}
+						if !sameSummary(t, conv.Summary, ref.Summary) {
+							t.Fatal("summary differs from the floor-0 search extended to the same size")
+						}
+						if conv.Estimate.PWCET(cfg.StabilityProb) != ref.Estimate.PWCET(cfg.StabilityProb) ||
+							conv.Estimate.IID != ref.Estimate.IID {
+							t.Fatal("the R_pub estimate differs from the floor-0 search's")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// A search that returns while a window is in flight cancels the window
+// and waits for it. The fetches here hold until cancelled and then take a
+// moment to return, and none may still be running when the search returns:
+// first a search cancelled while it waits on such a window, then a
+// read-ahead closed right after it put its first window in flight, which
+// is what every return of ConvergeCtx does.
+func TestReadAheadJoinsWindowInFlight(t *testing.T) {
+	cfg := shardCfg()
+	cfg.Streaming = true
+	cfg.StreamBudget = 512 // 512-run windows
+	var running atomic.Int64
+	held := make(chan struct{}, 8) // one send per held shard; never more than one window's
+	hold := func(ctx context.Context) ([]float64, error) {
+		running.Add(1)
+		defer running.Add(-1)
+		held <- struct{}{}
+		<-ctx.Done()
+		time.Sleep(20 * time.Millisecond)
+		return nil, ctx.Err()
+	}
+
+	c := NewCampaign(loopTrace(6, 40), proc.DefaultModel(), 3)
+	c.SetRemote(func(ctx context.Context, r Range) ([]float64, error) {
+		if r.Lo < 512 {
+			return nil, errors.New("recomputed locally")
+		}
+		return hold(ctx)
+	}, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.ConvergeCtx(ctx, cfg, 2000, nil)
+		errc <- err
+	}()
+	<-held
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d fetches still running after the search returned", n)
+	}
+
+	held = make(chan struct{}, 8) // the search joined every fetch that sent
+	c.SetRemote(func(ctx context.Context, _ Range) ([]float64, error) { return hold(ctx) }, 2)
+	ra := c.readAhead(context.Background(), NewSummary(cfg), 1, nil, 2000)
+	<-held
+	ra.close()
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d fetches still running after close", n)
 	}
 }
 
@@ -223,7 +377,7 @@ func TestRemoteCollectorDegradation(t *testing.T) {
 		c := NewCampaign(tr, model, 7)
 		c.SetRemote(tc.fetch, tc.shards)
 		sum := stats.NewFullSummary(true)
-		if err := c.ExtendSummaryCtx(ctx, sum, 700, cfg.Workers, nil); err != nil {
+		if err := extend(ctx, c, sum, 700, cfg.Workers, nil); err != nil {
 			t.Fatalf("%s: degraded collect: %v", tc.name, err)
 		}
 		if !slices.Equal(sum.Sample(), ref) {
@@ -243,7 +397,7 @@ func TestShardedCollectProgress(t *testing.T) {
 	ctx := context.Background()
 
 	ref := stats.NewFullSummary(true)
-	if err := NewCampaign(tr, model, root).ExtendSummaryCtx(ctx, ref, to, 1, nil); err != nil {
+	if err := extend(ctx, NewCampaign(tr, model, root), ref, to, 1, nil); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	for _, tc := range []struct {
@@ -261,11 +415,11 @@ func TestShardedCollectProgress(t *testing.T) {
 			c := NewCampaign(tr, model, root)
 			c.SetRemote(sf.fetch, 5)
 			sum := stats.NewFullSummary(true)
-			if err := c.ExtendSummaryCtx(ctx, sum, from, 1, nil); err != nil {
+			if err := extend(ctx, c, sum, from, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 			var dones []int
-			err := c.ExtendSummaryCtx(ctx, sum, to, 1, func(done, target int) {
+			err := extend(ctx, c, sum, to, 1, func(done, target int) {
 				if target != to {
 					t.Errorf("target = %d, want %d", target, to)
 				}
@@ -291,70 +445,126 @@ func TestShardedCollectProgress(t *testing.T) {
 	}
 }
 
-// The shard split is pinned: a range of n runs from offset is cut into
-// k = min(max(shards, 1), n) shards, shard i covering offset+i*n/k up to
-// offset+(i+1)*n/k. Workers see exactly these ShardSpec ranges, and the
-// benchmark's rebuilt pipeline mirrors the same arithmetic.
-func TestShardSplit(t *testing.T) {
-	camp := NewCampaign(loopTrace(4, 30), proc.DefaultModel(), 1)
-	for _, tc := range []struct {
-		shards int
-		want   []Range
-	}{
-		{0, []Range{{300, 310}}},
-		{4, []Range{{300, 302}, {302, 305}, {305, 307}, {307, 310}}},
-		{12, []Range{{300, 301}, {301, 302}, {302, 303}, {303, 304}, {304, 305},
-			{305, 306}, {306, 307}, {307, 308}, {308, 309}, {309, 310}}},
-	} {
-		var mu sync.Mutex
-		var got []Range
-		camp.SetRemote(func(_ context.Context, r Range) ([]float64, error) {
-			mu.Lock()
-			got = append(got, r)
-			mu.Unlock()
-			return nil, errors.New("recorded only")
-		}, tc.shards)
-		sum := stats.NewFullSummary(false)
-		sum.Push(make([]float64, 300))
-		if err := camp.ExtendSummaryCtx(context.Background(), sum, 310, 1, nil); err != nil {
-			t.Fatal(err)
-		}
+// split cuts a window into k = min(max(shards, 1), n) shards, shard i
+// covering Lo+i*n/k up to Lo+(i+1)*n/k: the documented split.
+func split(w Range, shards int) []Range {
+	n := w.Hi - w.Lo
+	k := min(max(shards, 1), n)
+	out := make([]Range, k)
+	for i := range out {
+		out[i] = Range{Lo: w.Lo + i*n/k, Hi: w.Lo + (i+1)*n/k}
+	}
+	return out
+}
+
+// recordRanges makes c fetch through a recorder that serves no shard (the
+// local engines recompute every one) and returns the ranges fetched, in
+// run order.
+func recordRanges(c *Campaign, shards int) func() []Range {
+	var mu sync.Mutex
+	var got []Range
+	c.SetRemote(func(_ context.Context, r Range) ([]float64, error) {
+		mu.Lock()
+		got = append(got, r)
+		mu.Unlock()
+		return nil, errors.New("recorded only")
+	}, shards)
+	return func() []Range {
+		mu.Lock()
+		defer mu.Unlock()
 		slices.SortFunc(got, func(a, b Range) int { return a.Lo - b.Lo })
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("shards=%d: fetched %v, want %v", tc.shards, got, tc.want)
-		}
+		return slices.Clone(got)
 	}
 }
 
-// A streaming campaign collects in windows of its budget's run count,
-// rounded down to whole streamChunk pushes and at least one, and splits
-// each window into the shards: one fetch per shard per window. The pushes
-// stay 512-run chunks counted from the start of the pushed range, so the
-// summary is the one built by pushing the same runs chunk by chunk: the
-// local runs when every fetch fails, and a served window's runs otherwise.
-// The served runs take 1,000 levels, so the sketch median moves between
-// pushes and the streaming battery's state shows where each push starts and
-// ends.
+// The window schedule of a full summary is pinned, and so is the shard
+// split of each window: a window of n runs from Lo is cut into
+// k = min(max(shards, 1), n) shards, shard i covering Lo+i*n/k up to
+// Lo+(i+1)*n/k. Every round of this search is unstable, so after each one
+// the search is certain to take two more: the first window is the 400 runs
+// needed before the first fit, and each later window is what the need grew
+// by while the window before it was in flight. A floor past the search's
+// end joins the first window. Workers see exactly these ShardSpec ranges.
+func TestShardSplit(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InitialRuns, cfg.Increment, cfg.MaxRuns = 200, 100, 600
+	cfg.StabilityEps = -1 // no round is stable
+	cfg.Workers = 1
+	for _, tc := range []struct {
+		floor   int
+		windows []Range
+	}{
+		{0, []Range{{0, 400}, {400, 500}, {500, 600}}},
+		{650, []Range{{0, 650}}},
+	} {
+		for _, shards := range []int{0, 4, 150} {
+			camp := NewCampaign(loopTrace(4, 30), proc.DefaultModel(), 1)
+			fetched := recordRanges(camp, shards)
+			conv, err := camp.ConvergeCtx(context.Background(), cfg, tc.floor, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if conv.Runs != 600 || conv.Converged {
+				t.Fatalf("floor %d: search stopped at %d runs (converged %v), want 600 unconverged",
+					tc.floor, conv.Runs, conv.Converged)
+			}
+			var want []Range
+			for _, w := range tc.windows {
+				want = append(want, split(w, shards)...)
+			}
+			if got := fetched(); !slices.Equal(got, want) {
+				t.Errorf("floor %d, shards=%d: fetched %v, want %v", tc.floor, shards, got, want)
+			}
+		}
+	}
+	// The split itself, spelled out: a window at an offset, and one with
+	// fewer runs than shards.
+	if got, want := split(Range{400, 410}, 4), []Range{{400, 402}, {402, 405}, {405, 407}, {407, 410}}; !slices.Equal(got, want) {
+		t.Errorf("split into 4: %v, want %v", got, want)
+	}
+	if got := split(Range{400, 410}, 12); len(got) != 10 || got[9] != (Range{409, 410}) {
+		t.Errorf("split of 10 runs into 12: %v, want 10 one-run shards", got)
+	}
+}
+
+// A streaming search collects in windows of its budget's run count,
+// rounded down to whole streamChunk pushes and at least one, each split
+// into the shards: one fetch per shard per window. Its need is known up
+// front here (a floor past the two rounds it is certain to take, every
+// round stable), so the windows tile [0, floor) from the start. The
+// pushes stay 512-run chunks counted from the start of each round and of
+// the runs past R_pub, with the battery reported at R_pub, so the summary
+// is the one built by pushing the same runs chunk by chunk: the local runs
+// when every fetch fails, and a served window's runs otherwise. The served
+// runs take 1,000 levels, so the sketch median moves between pushes and
+// the streaming battery's state shows where each push starts and ends.
+// The default budget's post-search chunk [8120, 8632) straddles two
+// windows.
 func TestShardSplitStreamingWindow(t *testing.T) {
 	tr := loopTrace(4, 30)
 	model := proc.DefaultModel()
-	const root, from = 1, 1000
+	const root = 1
 	served := func(i int) float64 { return float64(rng.Mix64(uint64(i)) % 1000) }
+	cfg := DefaultConfig()
+	cfg.Streaming = true
+	cfg.StabilityEps = math.Inf(1) // every round stable: R_pub is 3,000
+	cfg.Workers = 1
 	for _, tc := range []struct {
 		name   string
 		budget int
-		to     int
+		floor  int
 		want   []Range
 	}{
-		// 6 fetches; fetching per 512-run chunk would make 80.
-		{"default-budget", DefaultStreamBudget, 21000, []Range{{1000, 5096}, {5096, 9192},
-			{9192, 13288}, {13288, 17384}, {17384, 19192}, {19192, 21000}}},
-		{"budget-64", 64, 2500, []Range{{1000, 1256}, {1256, 1512}, {1512, 1768}, {1768, 2024},
-			{2024, 2262}, {2262, 2500}}},
-		// Rounded down to one chunk: a 1,000-run window would move the
-		// push boundaries off the 512-run grid.
-		{"budget-1000", 1000, 2500, []Range{{1000, 1256}, {1256, 1512}, {1512, 1768}, {1768, 2024},
-			{2024, 2262}, {2262, 2500}}},
+		// 6 fetches; fetching per round and per extension window made 12.
+		{"default-budget", DefaultStreamBudget, 21000, []Range{{0, 4096}, {4096, 8192},
+			{8192, 12288}, {12288, 16384}, {16384, 18692}, {18692, 21000}}},
+		{"budget-64", 64, 2500, []Range{{0, 256}, {256, 512}, {512, 768}, {768, 1024},
+			{1024, 1280}, {1280, 1536}, {1536, 1792}, {1792, 2048}, {2048, 2304}, {2304, 2560},
+			{2560, 2780}, {2780, 3000}}},
+		// Rounded down to one chunk, as the extension's windows were.
+		{"budget-1000", 1000, 4000, []Range{{0, 256}, {256, 512}, {512, 768}, {768, 1024},
+			{1024, 1280}, {1280, 1536}, {1536, 1792}, {1792, 2048}, {2048, 2304}, {2304, 2560},
+			{2560, 2816}, {2816, 3072}, {3072, 3328}, {3328, 3584}, {3584, 3792}, {3792, 4000}}},
 	} {
 		for _, serve := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/serve=%v", tc.name, serve), func(t *testing.T) {
@@ -374,32 +584,38 @@ func TestShardSplitStreamingWindow(t *testing.T) {
 					}
 					return runs, nil
 				}, 2)
-				sum := stats.NewStreamingSummary(tc.budget)
-				if err := camp.ExtendSummaryCtx(context.Background(), sum, from, 1, nil); err != nil {
+				cfg := cfg
+				cfg.StreamBudget = tc.budget
+				conv, err := camp.ConvergeCtx(context.Background(), cfg, tc.floor, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-				got = got[:0]
-				if err := camp.ExtendSummaryCtx(context.Background(), sum, tc.to, 1, nil); err != nil {
-					t.Fatal(err)
+				const rpub = 3000
+				used := max(rpub, tc.floor)
+				if conv.Runs != rpub || conv.Summary.N() != used {
+					t.Fatalf("runs %d, summary %d; want %d and %d", conv.Runs, conv.Summary.N(), rpub, used)
 				}
 				slices.SortFunc(got, func(a, b Range) int { return a.Lo - b.Lo })
 				if !slices.Equal(got, tc.want) {
 					t.Errorf("fetched %v, want %v", got, tc.want)
 				}
 
-				runs := collect(t, tr, model, tc.to, root, 1)
+				runs := collect(t, tr, model, used, root, 1)
 				if serve {
 					for i := range runs {
 						runs[i] = served(i)
 					}
 				}
 				ref := stats.NewStreamingSummary(tc.budget)
-				for _, span := range []Range{{0, from}, {from, tc.to}} {
+				for _, span := range []Range{{0, 1000}, {1000, 2000}, {2000, rpub}, {rpub, used}} {
+					if span.Lo == rpub {
+						ref.IID()
+					}
 					for lo := span.Lo; lo < span.Hi; lo += streamChunk {
 						ref.Push(runs[lo:min(lo+streamChunk, span.Hi)])
 					}
 				}
-				if !reflect.DeepEqual(sum, ref) {
+				if !reflect.DeepEqual(conv.Summary, ref) {
 					t.Fatal("summary differs from one fed the same runs in 512-run chunks")
 				}
 			})

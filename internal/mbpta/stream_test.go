@@ -39,11 +39,11 @@ func TestConvergeStreamingMatchesReference(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		cfg.Workers, refCfg.Workers = workers, workers
-		fast, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), cfg, nil)
+		fast, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), cfg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), refCfg, nil)
+		ref, err := NewCampaign(tr, m, 11).ConvergeCtx(context.Background(), refCfg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,13 +100,13 @@ func TestConvergeStreamingDeterministic(t *testing.T) {
 	m := proc.DefaultModel()
 	cfg := streamCfg(1024)
 	cfg.Workers = 1
-	base, err := NewCampaign(tr, m, 7).ConvergeCtx(context.Background(), cfg, nil)
+	base, err := NewCampaign(tr, m, 7).ConvergeCtx(context.Background(), cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		cfg.Workers = workers
-		c, err := NewCampaign(tr, m, 7).ConvergeCtx(context.Background(), cfg, nil)
+		c, err := NewCampaign(tr, m, 7).ConvergeCtx(context.Background(), cfg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestConvergeStreamingSingleRound(t *testing.T) {
 	cfg := streamCfg(1024)
 	cfg.InitialRuns = 400
 	cfg.MaxRuns = 400
-	c, err := NewCampaign(loopTrace(6, 40), proc.DefaultModel(), 3).ConvergeCtx(context.Background(), cfg, nil)
+	c, err := NewCampaign(loopTrace(6, 40), proc.DefaultModel(), 3).ConvergeCtx(context.Background(), cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestConvergeStreamingMemoryIndependentOfRuns(t *testing.T) {
 	for _, maxRuns := range []int{2000, 10000} {
 		cfg2 := cfg
 		cfg2.MaxRuns = maxRuns
-		c, err := NewCampaign(tr, m, 13).ConvergeCtx(context.Background(), cfg2, nil)
+		c, err := NewCampaign(tr, m, 13).ConvergeCtx(context.Background(), cfg2, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestConvergeStreamingMemoryIndependentOfRuns(t *testing.T) {
 	full := cfg
 	full.Streaming = false
 	full.MaxRuns = 10000
-	c, err := NewCampaign(tr, m, 13).ConvergeCtx(context.Background(), full, nil)
+	c, err := NewCampaign(tr, m, 13).ConvergeCtx(context.Background(), full, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestJobProgressLogBounded(t *testing.T) {
 		if done > target {
 			done = target
 		}
-		j.emit(pubtac.ProgressEvent{Program: "ns", Input: "default", Phase: "campaign", Done: done, Target: target})
+		j.emit(pubtac.ProgressEvent{Program: "ns", Input: "default", Phase: "converge", Done: done, Target: target})
 		blocks++
 		if done == target {
 			break
@@ -38,7 +38,7 @@ func TestJobProgressLogBounded(t *testing.T) {
 	warnings := 0
 	for _, ev := range j.events {
 		switch ev.Phase {
-		case "campaign":
+		case "converge":
 			progress = append(progress, ev)
 		case "warning":
 			warnings++

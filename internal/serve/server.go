@@ -360,16 +360,16 @@ func (s *Server) finish(j *job, body []byte, err error) {
 	s.mu.Unlock()
 }
 
-// progressSeries is one series of a job's progress log: one phase of one
-// path's campaign toward one target.
+// progressSeries is one series of a job's progress log: one path's
+// campaign toward one target.
 type progressSeries struct {
-	program, input, phase string
-	target                int
+	program, input string
+	target         int
 }
 
 // emit logs a progress event and wakes every watcher. The log is bounded,
 // because core reports one event per 64-run block and finished jobs keep
-// their logs: a converge or campaign event is logged only when it opens its
+// their logs: a converge event is logged only when it opens its
 // series, reaches the target, or raises the series' percentage
 // ⌊100·Done/Target⌋ above the last one logged, so a series logs at most 101
 // events. Warnings and done events are always logged. The session
@@ -377,8 +377,8 @@ type progressSeries struct {
 func (j *job) emit(ev pubtac.ProgressEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if ev.Phase == "converge" || ev.Phase == "campaign" {
-		series := progressSeries{ev.Program, ev.Input, ev.Phase, ev.Target}
+	if ev.Phase == "converge" {
+		series := progressSeries{ev.Program, ev.Input, ev.Target}
 		pct := 100
 		if ev.Target > 0 {
 			pct = 100 * ev.Done / ev.Target

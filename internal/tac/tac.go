@@ -46,7 +46,9 @@ type Config struct {
 	MissProb float64
 
 	// MinImpactRel is the relevance threshold: a group matters when its
-	// impact exceeds this fraction of the baseline mean execution time.
+	// impact exceeds this fraction of the baseline mean execution time. It
+	// must be finite and not negative: a NaN or negative threshold would
+	// count every candidate group as relevant, and +Inf none.
 	MinImpactRel float64
 
 	// ImpactTol clusters groups into event classes: a group belongs to the
@@ -181,6 +183,12 @@ func analyzeCompiled(tr trace.Trace, ct *proc.CompiledTrace, model proc.Model, c
 	// reaches a NaN floor.
 	if !(cfg.ImpactTol >= 0) {
 		return nil, fmt.Errorf("tac: ImpactTol %v is negative or NaN", cfg.ImpactTol)
+	}
+	// The relevance test is impact < MinImpactRel·baseline: a NaN or
+	// negative threshold never holds it (or holds it only below zero), so
+	// every group counts as relevant, and +Inf holds it for every group.
+	if !(cfg.MinImpactRel >= 0) || math.IsInf(cfg.MinImpactRel, 1) {
+		return nil, fmt.Errorf("tac: MinImpactRel %v is negative, NaN or infinite", cfg.MinImpactRel)
 	}
 	if math.IsNaN(cfg.ProbFloor) {
 		return nil, fmt.Errorf("tac: ProbFloor is NaN")

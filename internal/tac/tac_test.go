@@ -259,10 +259,24 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Analyze(tr, paperModel(), bad); err == nil {
 		t.Fatal("expected error for ProbFloor=NaN")
 	}
+	// Under the first two every candidate group would count as relevant,
+	// under +Inf none, and MinRuns would drop to 0.
+	for _, rel := range []float64{math.NaN(), -0.1, math.Inf(1)} {
+		bad = DefaultConfig()
+		bad.MinImpactRel = rel
+		if _, err := Analyze(tr, paperModel(), bad); err == nil {
+			t.Fatalf("expected error for MinImpactRel=%v", rel)
+		}
+	}
 	ok := DefaultConfig()
 	ok.ImpactTol = 0
 	if _, err := Analyze(tr, paperModel(), ok); err != nil {
 		t.Fatalf("ImpactTol=0: %v", err)
+	}
+	ok = DefaultConfig()
+	ok.MinImpactRel = 0
+	if _, err := Analyze(tr, paperModel(), ok); err != nil {
+		t.Fatalf("MinImpactRel=0: %v", err)
 	}
 }
 

@@ -3,8 +3,9 @@ package pubtac
 import "pubtac/internal/core"
 
 // ProgressEvent reports campaign growth for one analyzed path; see
-// WithProgress. Target can grow between events while MBPTA convergence
-// extends its own requirement and when the TAC campaign raises it to R.
+// WithProgress. Target starts at the runs the campaign is known to need,
+// TAC's floor included, and grows while an unstable MBPTA convergence
+// search extends its own requirement; Done never decreases.
 type ProgressEvent = core.ProgressEvent
 
 // Option configures a Session; see NewSession.
@@ -124,7 +125,7 @@ func WithPeers(sc ShardCollector) Option {
 	return func(s *sessionSettings) { s.cfg.Sharder = sc }
 }
 
-// WithShards sets how many shards each campaign range is split into when a
+// WithShards sets how many shards each collection window is split into when a
 // shard collector is installed (0, the default, asks the collector —
 // typically the peer count). More shards than peers overlaps transfer with
 // compute and shrinks the cost of a shard failing over to local

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,19 +105,76 @@ func TestSessionCancellationStopsCampaign(t *testing.T) {
 		t.Fatalf("cancellation took %v", took)
 	}
 
-	// All campaign goroutines must drain: poll until the count returns to
-	// (near) the pre-call baseline.
+	waitForGoroutines(t, before)
+}
+
+// waitForGoroutines polls until every campaign goroutine has drained: the
+// goroutine count returns to (near) the baseline taken before the call.
+func waitForGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
 		if n := runtime.NumGoroutine(); n <= before+2 {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// windowBlocker is a ShardCollector for a streaming session with 512-run
+// collection windows: it serves no shard of the first window, so the
+// session recomputes them, and holds every later shard until its context
+// ends. The first held shard closes held: from then on a window is in
+// flight that the search cannot finish without.
+type windowBlocker struct {
+	once sync.Once
+	held chan struct{}
+}
+
+func (w *windowBlocker) Shards() int { return 2 }
+
+func (w *windowBlocker) CollectShard(ctx context.Context, spec pubtac.ShardSpec) ([]float64, error) {
+	if spec.Lo < 512 {
+		return nil, errors.New("served by no peer")
+	}
+	w.once.Do(func() { close(w.held) })
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// Cancelling a sharded analysis while a collection window is in flight
+// returns ctx.Err() and leaves no goroutine: the search cancels and joins
+// its window in flight whichever way it returns.
+func TestSessionCancellationStopsShardedWindow(t *testing.T) {
+	bench, err := pubtac.Benchmark("bs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	w := &windowBlocker{held: make(chan struct{})}
+	s := pubtac.NewSession(pubtac.WithConfig(sessionTestConfig()),
+		pubtac.WithStreamingEstimation(64), pubtac.WithPeers(w))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.AnalyzePath(ctx, bench.Program, bench.Default())
+		errc <- err
+	}()
+	select {
+	case <-w.held:
+	case err := <-errc:
+		t.Fatalf("analysis returned %v before a window was in flight", err)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	waitForGoroutines(t, before)
 }
 
 func TestSessionDeadlineStopsCampaign(t *testing.T) {
@@ -141,13 +200,18 @@ func TestSessionProgressDelivery(t *testing.T) {
 		pubtac.WithConfig(sessionTestConfig()),
 		pubtac.WithProgress(func(ev pubtac.ProgressEvent) { events = append(events, ev) }),
 	)
-	if _, err := s.AnalyzePath(context.Background(), bench.Program, bench.Default()); err != nil {
+	res, err := s.AnalyzePath(context.Background(), bench.Program, bench.Default())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
 		t.Fatal("no progress events delivered")
 	}
-	sawConverge := false
+	// Done never decreases, and Target is at least the campaign's floor,
+	// min(R_tac, cap), from the first event on: the search reads ahead
+	// every run it already needs.
+	floor := min(res.RTac, sessionTestConfig().CampaignCap)
+	sawConverge, prev := false, 0
 	for _, ev := range events {
 		if ev.Program != "bs" {
 			t.Fatalf("event for program %q", ev.Program)
@@ -157,14 +221,21 @@ func TestSessionProgressDelivery(t *testing.T) {
 		}
 		if ev.Phase == "converge" {
 			sawConverge = true
+			if ev.Done < prev {
+				t.Fatalf("done went back from %d to %d", prev, ev.Done)
+			}
+			prev = ev.Done
+			if ev.Target < floor {
+				t.Fatalf("target %d below the floor %d", ev.Target, floor)
+			}
 		}
 	}
 	if !sawConverge {
 		t.Error("no converge-phase events")
 	}
 	last := events[len(events)-1]
-	if last.Phase != "done" || last.Done != last.Target {
-		t.Fatalf("terminal event = %+v, want done with Done == Target", last)
+	if last.Phase != "done" || last.Done != last.Target || last.Done < prev {
+		t.Fatalf("terminal event = %+v, want done with Done == Target >= %d", last, prev)
 	}
 }
 
@@ -477,5 +548,46 @@ func TestSessionIIDHardFail(t *testing.T) {
 	ok := pubtac.NewSession(pubtac.WithConfig(sessionTestConfig()), pubtac.WithIIDHardFail(true))
 	if _, err := ok.AnalyzePath(context.Background(), bench.Program, bench.Default()); err != nil {
 		t.Fatalf("hard-fail session at default alpha: %v", err)
+	}
+}
+
+// shardCounter is a ShardCollector that serves no shard, so the session
+// recomputes every shard locally, and counts the requests it gets.
+type shardCounter struct {
+	shards   int
+	requests atomic.Int64
+}
+
+func (c *shardCounter) Shards() int { return c.shards }
+
+func (c *shardCounter) CollectShard(context.Context, pubtac.ShardSpec) ([]float64, error) {
+	c.requests.Add(1)
+	return nil, errors.New("served by no peer")
+}
+
+// TestShardedStreamSweepRequests pins how many shard requests one sweep of
+// the benchmark's sharded-stream workload sends at seed 1: its 8 paths
+// analyzed one at a time at scale 1.0 under streaming estimation, over two
+// peers. Each collection window is one request per peer; the search reads
+// ahead every run it already needs (TAC's floor and its certain rounds) in
+// windows of the stream budget's run count, where collecting round by
+// round sent 228.
+func TestShardedStreamSweepRequests(t *testing.T) {
+	sc := &shardCounter{shards: 2}
+	s := pubtac.NewSession(pubtac.WithScale(1.0), pubtac.WithSeed(1),
+		pubtac.WithStreamingEstimation(0), pubtac.WithPeers(sc))
+	for _, name := range []string{"cnt", "fir", "crc", "edn"} {
+		b, err := pubtac.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range b.Inputs {
+			if _, err := s.AnalyzePath(context.Background(), b.Program, in); err != nil {
+				t.Fatalf("%s(%s): %v", name, in.Name, err)
+			}
+		}
+	}
+	if got := sc.requests.Load(); got != 100 {
+		t.Fatalf("sweep sent %d shard requests, want %d", got, 100)
 	}
 }
